@@ -217,9 +217,17 @@ impl FaultPlan {
                 .collect(),
         });
         *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = Some(armed);
-        ENABLED.store(true, Ordering::Release);
+        ENABLED.store(!self.rules.is_empty(), Ordering::Release);
         InstalledPlan { _serial: serial }
     }
+}
+
+/// Takes the install lock with nothing armed. A test that needs *no*
+/// faults — a fixture, an oracle, a check that the system recovers —
+/// holds this guard, so no plan of a concurrently running test can fire
+/// inside it.
+pub fn quiet() -> InstalledPlan {
+    FaultPlan::default().install()
 }
 
 struct SiteState {
@@ -241,10 +249,18 @@ pub struct InstalledPlan {
     _serial: MutexGuard<'static, ()>,
 }
 
-impl Drop for InstalledPlan {
-    fn drop(&mut self) {
+impl InstalledPlan {
+    /// Disarms the plan but keeps the install lock, so the caller can
+    /// check recovery with no plan armed at all.
+    pub fn disarm(&self) {
         ENABLED.store(false, Ordering::Release);
         *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+impl Drop for InstalledPlan {
+    fn drop(&mut self) {
+        self.disarm();
     }
 }
 
@@ -324,6 +340,7 @@ mod tests {
 
     #[test]
     fn no_plan_is_a_no_op() {
+        let _quiet = quiet();
         // Must not unwind and must cost nothing observable.
         for s in site::ALL {
             inject(s);
@@ -405,6 +422,20 @@ mod tests {
         assert_ne!(a, c, "different seed, different faults");
         let rate = a.iter().filter(|&&f| f).count();
         assert!(rate > 5 && rate < 40, "roughly 30%: {rate}/64");
+    }
+
+    #[test]
+    fn quiet_guard_arms_nothing_and_disarm_keeps_the_lock() {
+        let guard = FaultPlan::always(0, site::STORAGE_INSERT, FaultKind::Transient).install();
+        assert!(catch_unwind(|| inject(site::STORAGE_INSERT)).is_err());
+        guard.disarm();
+        inject(site::STORAGE_INSERT); // disarmed, lock still held
+        drop(guard);
+        let _quiet = quiet();
+        for s in site::ALL {
+            inject(s);
+        }
+        assert_eq!(hits(site::STORAGE_INSERT), 0);
     }
 
     #[test]

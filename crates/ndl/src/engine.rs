@@ -30,6 +30,7 @@
 //! answers are sorted.
 
 use crate::analysis::topological_order;
+use crate::completion::CompletionKey;
 use crate::eval::{
     error_stats, eval_clause_into, halt_from_panic, halt_to_error, reachable_from_goal, relation,
     EvalError, EvalOptions, EvalResult, EvalStats, Halt, JoinCounters,
@@ -43,7 +44,7 @@ use obda_owlql::abox::ConstId;
 use obda_telemetry::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs for the parallel, goal-directed engine.
@@ -209,7 +210,7 @@ struct Task<'p> {
 fn eval_task<B: BudgetOps>(
     query: &NdlQuery,
     db: &Database,
-    idb: &[Relation],
+    idb: &[Arc<Relation>],
     budget: &mut B,
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
@@ -276,7 +277,7 @@ fn eval_task<B: BudgetOps>(
 fn eval_task_isolated<B: BudgetOps>(
     query: &NdlQuery,
     db: &Database,
-    idb: &[Relation],
+    idb: &[Arc<Relation>],
     budget: &mut B,
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
@@ -312,12 +313,26 @@ fn eval_task_isolated<B: BudgetOps>(
     result.map(|_| ())
 }
 
-/// Scheduling observability: how many tasks actually ran and how many
-/// clauses were skipped because a body relation was known empty.
+/// Scheduling observability: how many tasks actually ran, how many
+/// clauses were skipped because a body relation was known empty, and how
+/// many completion predicates were installed from the database's memo
+/// (`reused`) or derived and stored there (`built`).
 #[derive(Default)]
 struct SchedStats {
     executed: u64,
     skipped: u64,
+    reused: u64,
+    built: u64,
+}
+
+/// How a stratum obtains one predicate's relation.
+enum Fill {
+    /// Run its clauses (an ordinary predicate).
+    Derive,
+    /// Run its clauses, then store the result in the completion memo.
+    Build(CompletionKey),
+    /// Installed from the completion memo; its clauses do not run.
+    Reused(Arc<Relation>),
 }
 
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
@@ -360,11 +375,15 @@ fn run(
     }
     span.attr("tasks_executed", sched.executed);
     span.attr("clauses_skipped", sched.skipped);
+    span.attr("completions_reused", sched.reused);
+    span.attr("completions_built", sched.built);
     if let Some(metrics) = telem.metrics {
         metrics.counter("ndl_tuples_generated").add(tuples as u64);
         metrics.counter("ndl_budget_ticks").add(budget.spent_steps().saturating_sub(ticks_before));
         metrics.counter("engine_tasks_executed").add(sched.executed);
         metrics.counter("engine_clauses_skipped").add(sched.skipped);
+        metrics.counter("engine_completions_reused_total").add(sched.reused);
+        metrics.counter("engine_completions_built_total").add(sched.built);
     }
     result
 }
@@ -432,11 +451,11 @@ fn run_inner(
     sched_span.attr("preds", strata.iter().map(|s| s.len()).sum::<usize>() as u64);
     sched_span.end();
 
-    let mut idb: Vec<Relation> = program
+    let mut idb: Vec<Arc<Relation>> = program
         .pred_ids()
         .map(|p| match program.pred(p).kind {
-            PredKind::Idb => Relation::new(program.pred(p).arity),
-            _ => Relation::new(0),
+            PredKind::Idb => Arc::new(Relation::new(program.pred(p).arity)),
+            _ => Arc::new(Relation::new(0)),
         })
         .collect();
     // Known-empty relations let whole clauses be skipped before their
@@ -479,8 +498,36 @@ fn run_inner(
             .iter()
             .map(|&p| Mutex::new((Relation::new(program.pred(p).arity), 0)))
             .collect();
+        // Completion predicates this database has already derived are
+        // installed from its memo, charged exactly as a derivation would
+        // be (one tuple per row), and their clauses never run.
+        let fills: Vec<Fill> = stratum
+            .iter()
+            .map(|&p| match CompletionKey::of(program, p) {
+                None => Fill::Derive,
+                Some(key) => match db.completions().get(&key) {
+                    None => Fill::Build(key),
+                    Some(rel) => Fill::Reused(rel),
+                },
+            })
+            .collect();
+        let mut halt: Option<Halt> = None;
+        for (fill, &p) in fills.iter().zip(stratum) {
+            if let Fill::Reused(rel) = fill {
+                sched.reused += 1;
+                per_pred[p.0 as usize] += rel.len();
+                empty[p.0 as usize] = rel.is_empty();
+                idb[p.0 as usize] = Arc::clone(rel);
+                if let Err(e) = budget.charge_tuples(rel.len() as u64) {
+                    halt.get_or_insert(Halt::Budget(e));
+                }
+            }
+        }
         let mut tasks: Vec<Task<'_>> = Vec::new();
         for (slot, &p) in stratum.iter().enumerate() {
+            if matches!(fills[slot], Fill::Reused(_)) {
+                continue;
+            }
             for (ci, clause) in program.clauses().iter().enumerate() {
                 if clause.head != p {
                     continue;
@@ -519,7 +566,9 @@ fn run_inner(
             }
         }
 
-        let halt = if threads <= 1 || tasks.len() <= 1 {
+        let halt = if halt.is_some() {
+            halt
+        } else if threads <= 1 || tasks.len() <= 1 {
             let mut buf = Vec::new();
             let mut halt = None;
             for t in &tasks {
@@ -589,11 +638,14 @@ fn run_inner(
 
         // Merge completed (possibly partial, on halt) stratum output.
         for (slot, &p) in stratum.iter().enumerate() {
+            if matches!(fills[slot], Fill::Reused(_)) {
+                continue;
+            }
             let (rel, fresh) =
                 outs[slot].lock().map(|mut g| std::mem::take(&mut *g)).unwrap_or_default();
             per_pred[p.0 as usize] += fresh;
             empty[p.0 as usize] = rel.is_empty();
-            idb[p.0 as usize] = rel;
+            idb[p.0 as usize] = Arc::new(rel);
         }
         if let Some(span) = &stratum_span {
             if let Some(halt) = &halt {
@@ -604,9 +656,17 @@ fn run_inner(
             let goal_answers = per_pred[query.goal.0 as usize];
             return Err(halt_to_error(halt, map_stats(&per_pred, goal_answers)));
         }
+        // Only a stratum that finished without any halt — budget, fault
+        // or panic — may fill the memo.
+        for (fill, &p) in fills.into_iter().zip(stratum) {
+            if let Fill::Build(key) = fill {
+                db.completions().insert(key, Arc::clone(&idb[p.0 as usize]));
+                sched.built += 1;
+            }
+        }
     }
 
-    let goal_rel = std::mem::replace(&mut idb[query.goal.0 as usize], Relation::new(0));
+    let goal_rel = &idb[query.goal.0 as usize];
     let mut answers: Vec<Vec<ConstId>> =
         goal_rel.rows().map(|row| row.iter().copied().map(ConstId).collect()).collect();
     answers.sort();
@@ -841,6 +901,234 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::Recursive));
+    }
+
+    /// The starred rewriting of `G(x0, x3) ← R(x0, x1) ∧ S(x1, x2) ∧
+    /// R(x2, x3)` under Example 11 (`P ⊑ S`, `P ⊑ R⁻`), over a chain of
+    /// `R`, `S` and `P` edges. Pruning keeps `R*` and `S*` as completion
+    /// predicates.
+    fn star_fixture() -> (NdlQuery, obda_owlql::abox::DataInstance) {
+        let o = parse_ontology("P SubPropertyOf S\nP SubPropertyOf R-\n").unwrap();
+        let mut text = String::new();
+        for i in 0..120 {
+            text.push_str(&format!("R(a{}, a{})\n", i, i + 1));
+            text.push_str(&format!("S(a{}, a{})\n", i, (i * 7) % 120));
+            text.push_str(&format!("P(a{}, a{})\n", (i * 5) % 120, i));
+        }
+        let d = parse_data(&text, &o).unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let g = p.add_pred("G", 2, PredKind::Idb);
+        p.add_clause(Clause {
+            head: g,
+            head_args: vec![CVar(0), CVar(3)],
+            body: vec![
+                BodyAtom::Pred(r, vec![CVar(0), CVar(1)]),
+                BodyAtom::Pred(s, vec![CVar(1), CVar(2)]),
+                BodyAtom::Pred(r, vec![CVar(2), CVar(3)]),
+            ],
+            num_vars: 4,
+        });
+        let starred = crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v);
+        (starred, d)
+    }
+
+    /// Evaluates with the engine, returning the result and the
+    /// `(reused, built)` completion counters it recorded.
+    fn eval_counting(
+        q: &NdlQuery,
+        db: &Database,
+        opts: &EvalOptions,
+        cfg: &EngineConfig,
+    ) -> (Result<EvalResult, EvalError>, u64, u64) {
+        let registry = obda_telemetry::MetricsRegistry::new();
+        let telem = Telemetry::new(&obda_telemetry::NoopTracer, Some(&registry));
+        let res = evaluate_engine_on_traced(q, db, &mut opts.to_budget(), cfg, telem);
+        let reused = registry.counter("engine_completions_reused_total").get();
+        let built = registry.counter("engine_completions_built_total").get();
+        (res, reused, built)
+    }
+
+    #[test]
+    fn warm_memo_gives_identical_answers_and_stats() {
+        let (q, d) = star_fixture();
+        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        for threads in [1, 4] {
+            let cfg = EngineConfig { threads, chunk_min_rows: 16, ..EngineConfig::default() };
+            let db = Database::new(&d);
+            let opts = EvalOptions::default();
+            let (cold, reused, built) = eval_counting(&q, &db, &opts, &cfg);
+            let cold = cold.unwrap();
+            assert_eq!((reused, built), (0, 2), "R* and S* are built on the cold run");
+            assert_eq!(db.completions().len(), 2);
+            let (warm, reused, built) = eval_counting(&q, &db, &opts, &cfg);
+            let warm = warm.unwrap();
+            assert_eq!((reused, built), (2, 0), "the warm run derives no completion");
+            assert_eq!(db.completions().len(), 2, "one entry per definition");
+            assert_eq!(cold.answers, oracle.answers);
+            assert_eq!(warm.answers, cold.answers);
+            assert_eq!(warm.stats.generated_tuples, cold.stats.generated_tuples);
+            assert_eq!(warm.stats.per_predicate, cold.stats.per_predicate);
+            assert_eq!(warm.stats.num_answers, cold.stats.num_answers);
+        }
+    }
+
+    #[test]
+    fn a_hit_charges_the_tuple_cap_like_a_miss() {
+        let (q, d) = star_fixture();
+        let cfg = EngineConfig::default();
+        let total = {
+            let db = Database::new(&d);
+            evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap().stats
+        }
+        .generated_tuples;
+        let db = Database::new(&d);
+        evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        assert_eq!(db.completions().len(), 2);
+        // A hit charges its whole relation, so every cap below the total
+        // trips on both runs. (Right at the total, the headroom check on
+        // buffered duplicate rows may trip either run.)
+        for cap in [total / 4, total / 2, total - 1, 2 * total] {
+            let opts = EvalOptions { max_tuples: Some(cap), ..Default::default() };
+            let cold = evaluate_engine_on(&q, &Database::new(&d), &opts, &cfg);
+            let warm = evaluate_engine_on(&q, &db, &opts, &cfg);
+            assert_eq!(cold.is_ok(), cap > total, "cold run at cap {cap}");
+            assert_eq!(warm.is_ok(), cap > total, "warm run at cap {cap}");
+        }
+        assert_eq!(db.completions().len(), 2);
+    }
+
+    #[test]
+    fn halted_fills_store_nothing() {
+        let (q, d) = star_fixture();
+        let cfg = EngineConfig { threads: 4, chunk_min_rows: 16, ..EngineConfig::default() };
+        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        let db = Database::new(&d);
+        let capped = EvalOptions { max_tuples: Some(10), ..Default::default() };
+        let err = evaluate_engine_on(&q, &db, &capped, &cfg).unwrap_err();
+        assert!(matches!(err, EvalError::TupleLimit(_)), "got {err:?}");
+        let late = EvalOptions { timeout: Some(Duration::ZERO), ..Default::default() };
+        let err = evaluate_engine_on(&q, &db, &late, &cfg).unwrap_err();
+        assert!(matches!(err, EvalError::Timeout(_)), "got {err:?}");
+        assert!(db.completions().is_empty(), "a halted stratum must not fill the memo");
+        let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        assert_eq!(res.answers, oracle.answers);
+        assert_eq!(db.completions().len(), 2);
+    }
+
+    #[test]
+    fn corrupted_hydration_stores_nothing() {
+        use crate::storage::LazyRelation;
+        use obda_owlql::util::FxHashMap;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Arc;
+
+        let (q, d) = star_fixture();
+        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        // A lazily hydrated copy of the data whose first hydration of each
+        // property fails, as a corrupted segment would.
+        let eager = Database::new(&d);
+        let failed = Arc::new(AtomicBool::new(false));
+        let props: FxHashMap<_, _> = eager
+            .prop_relations()
+            .map(|(p, rel)| {
+                let cols: Vec<Vec<u32>> =
+                    (0..2).map(|c| rel.rows().map(|r| r[c]).collect()).collect();
+                let failed = Arc::clone(&failed);
+                let slot = LazyRelation::lazy(move || {
+                    if !failed.swap(true, Ordering::Relaxed) {
+                        panic!("corrupted segment");
+                    }
+                    Relation::from_sorted_columns(2, &cols)
+                });
+                (p, slot)
+            })
+            .collect();
+        let universe = Relation::from_sorted_columns(
+            1,
+            &[eager.relation(PredKind::Top).rows().map(|r| r[0]).collect()],
+        );
+        let db =
+            Database::from_lazy_relations(FxHashMap::default(), props, universe, eager.num_atoms());
+        let cfg = EngineConfig::default();
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg)
+        }));
+        std::panic::set_hook(hook);
+        assert!(caught.is_err(), "the failed hydration unwinds");
+        assert!(db.completions().is_empty());
+        let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        assert_eq!(res.answers, oracle.answers);
+        assert_eq!(db.completions().len(), 2);
+    }
+
+    #[test]
+    fn racing_first_fills_both_get_the_oracle_answer() {
+        let (q, d) = star_fixture();
+        let cfg = EngineConfig::default();
+        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        let cold =
+            evaluate_engine_on(&q, &Database::new(&d), &EvalOptions::default(), &cfg).unwrap();
+        let db = Database::new(&d);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|i| {
+                    let (q, db, barrier) = (&q, &db, &barrier);
+                    scope.spawn(move || {
+                        let cfg = EngineConfig { threads: 1 + i, ..EngineConfig::default() };
+                        barrier.wait();
+                        evaluate_engine_on(q, db, &EvalOptions::default(), &cfg).unwrap()
+                    })
+                })
+                .collect();
+            for run in runs {
+                let res = run.join().unwrap();
+                assert_eq!(res.answers, oracle.answers);
+                assert_eq!(res.stats.per_predicate, cold.stats.per_predicate);
+            }
+        });
+        assert_eq!(db.completions().len(), 2, "a race still leaves one entry per key");
+    }
+
+    #[test]
+    fn projected_and_merged_completions_never_share_an_entry() {
+        let (full, d) = star_fixture();
+        let o = parse_ontology("P SubPropertyOf S\nP SubPropertyOf R-\n").unwrap();
+        let v = o.vocab();
+        let starred = |head: Vec<CVar>, body: Vec<(&str, [u32; 2])>| {
+            let mut p = Program::new();
+            let g = p.add_pred("G", head.len(), PredKind::Idb);
+            let body = body
+                .into_iter()
+                .map(|(name, [a, b])| {
+                    let e = p.edb_prop(v.get_prop(name).unwrap(), v);
+                    BodyAtom::Pred(e, vec![CVar(a), CVar(b)])
+                })
+                .collect();
+            p.add_clause(Clause { head: g, head_args: head, body, num_vars: 3 });
+            crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v)
+        };
+        // R*'s second column is dead here, so the engine sees R*↓.
+        let projected = starred(vec![CVar(0)], vec![("R", [0, 1]), ("S", [0, 2])]);
+        // A lone R atom: R* is head-merged into the goal.
+        let merged = starred(vec![CVar(0), CVar(1)], vec![("R", [0, 1])]);
+        let db = Database::new(&d);
+        let cfg = EngineConfig::default();
+        let mut entries = Vec::new();
+        for q in [&full, &projected, &merged, &full] {
+            let expected = evaluate_on(q, &Database::new(&d), &EvalOptions::default()).unwrap();
+            let res = evaluate_engine_on(q, &db, &EvalOptions::default(), &cfg).unwrap();
+            assert_eq!(res.answers, expected.answers);
+            entries.push(db.completions().len());
+        }
+        // R*, S*; then their projections R*↓ and S*↓; nothing for the
+        // merged goal; nothing new on the rerun.
+        assert_eq!(entries, vec![2, 4, 4, 4]);
     }
 
     #[test]

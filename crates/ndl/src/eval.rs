@@ -25,6 +25,7 @@ use obda_budget::{Budget, BudgetExceeded, BudgetOps, Resource};
 use obda_owlql::abox::{ConstId, DataInstance};
 use obda_owlql::util::FxHashSet;
 use obda_telemetry::Telemetry;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Evaluation limits. A convenience facade over [`Budget`]: callers that
@@ -278,7 +279,7 @@ pub(crate) fn join_order(clause: &Clause) -> Result<Vec<usize>, String> {
 pub(crate) fn relation<'r>(
     program: &Program,
     db: &'r Database,
-    idb: &'r [Relation],
+    idb: &'r [Arc<Relation>],
     p: PredId,
 ) -> &'r Relation {
     match program.pred(p).kind {
@@ -396,7 +397,7 @@ pub(crate) type EmitFn<'a, B> = dyn FnMut(&[u32], &mut B) -> Result<(), Halt> + 
 pub(crate) fn eval_clause_into<B: BudgetOps>(
     program: &Program,
     db: &Database,
-    idb: &[Relation],
+    idb: &[Arc<Relation>],
     budget: &mut B,
     clause: &Clause,
     plan: &JoinPlan,
@@ -602,7 +603,7 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
 fn eval_clause(
     program: &Program,
     db: &Database,
-    idb: &[Relation],
+    idb: &[Arc<Relation>],
     budget: &mut Budget,
     counters: &mut Counters,
     clause: &Clause,
@@ -760,11 +761,11 @@ fn evaluate_inner(
     let program = &query.program;
     let order = topological_order(program).ok_or(EvalError::Recursive)?;
     let reachable = reachable_from_goal(query);
-    let mut idb: Vec<Relation> = program
+    let mut idb: Vec<Arc<Relation>> = program
         .pred_ids()
         .map(|p| match program.pred(p).kind {
-            PredKind::Idb => Relation::new(program.pred(p).arity),
-            _ => Relation::new(0),
+            PredKind::Idb => Arc::new(Relation::new(program.pred(p).arity)),
+            _ => Arc::new(Relation::new(0)),
         })
         .collect();
     let mut counters = Counters { generated: 0, per_pred: vec![0; program.num_preds()] };
@@ -798,9 +799,9 @@ fn evaluate_inner(
                 }
             }
         }
-        idb[p.0 as usize] = out;
+        idb[p.0 as usize] = Arc::new(out);
     }
-    let goal_rel = std::mem::replace(&mut idb[query.goal.0 as usize], Relation::new(0));
+    let goal_rel = &idb[query.goal.0 as usize];
     let mut answers: Vec<Vec<ConstId>> =
         goal_rel.rows().map(|row| row.iter().copied().map(ConstId).collect()).collect();
     answers.sort();

@@ -51,6 +51,7 @@ pub(crate) mod fault {
 }
 
 pub mod analysis;
+pub mod completion;
 pub mod engine;
 pub mod eval;
 pub mod explain;

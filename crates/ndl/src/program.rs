@@ -112,6 +112,11 @@ pub struct PredInfo {
     /// For *ordered* NDL queries: the number of trailing argument positions
     /// that are parameters (instantiated from the candidate answer).
     pub num_params: usize,
+    /// Whether this is a completion predicate `S*` introduced by the
+    /// `*`-transformation: its relation depends only on the ontology and
+    /// the data, never on the query, so the engine may memoise it per
+    /// [`crate::storage::Database`].
+    pub completion: bool,
 }
 
 /// A datalog program.
@@ -130,7 +135,13 @@ impl Program {
     /// Declares a predicate.
     pub fn add_pred(&mut self, name: impl Into<String>, arity: usize, kind: PredKind) -> PredId {
         let id = PredId(self.preds.len() as u32);
-        self.preds.push(PredInfo { name: name.into(), arity, kind, num_params: 0 });
+        self.preds.push(PredInfo {
+            name: name.into(),
+            arity,
+            kind,
+            num_params: 0,
+            completion: false,
+        });
         id
     }
 
@@ -143,8 +154,21 @@ impl Program {
     ) -> PredId {
         let id = PredId(self.preds.len() as u32);
         assert!(num_params <= arity);
-        self.preds.push(PredInfo { name: name.into(), arity, kind: PredKind::Idb, num_params });
+        self.preds.push(PredInfo {
+            name: name.into(),
+            arity,
+            kind: PredKind::Idb,
+            num_params,
+            completion: false,
+        });
         id
+    }
+
+    /// Marks an IDB predicate as a completion predicate (see
+    /// [`PredInfo::completion`]).
+    pub(crate) fn mark_completion(&mut self, id: PredId) {
+        debug_assert!(self.is_idb(id), "only IDB predicates are completions");
+        self.preds[id.0 as usize].completion = true;
     }
 
     /// Adds a clause.

@@ -429,6 +429,9 @@ impl Pruner {
                 arity: keep.len(),
                 kind: PredKind::Idb,
                 num_params: 0,
+                // A projected completion is still query-independent; its
+                // narrower head gives it its own memo key.
+                completion: self.preds[i].completion,
             });
             self.origin.push(self.origin[i]);
             self.stats.dead_columns += live[i].len() - keep.len();
@@ -459,12 +462,15 @@ impl Pruner {
     fn into_pruned(self) -> PrunedQuery {
         let mut program = Program::new();
         for info in &self.preds {
-            match info.kind {
+            let id = match info.kind {
                 PredKind::Idb if info.num_params > 0 => {
                     program.add_idb_with_params(info.name.clone(), info.arity, info.num_params)
                 }
                 kind => program.add_pred(info.name.clone(), info.arity, kind),
             };
+            if info.completion {
+                program.mark_completion(id);
+            }
         }
         for clause in self.clauses {
             program.add_clause(clause);

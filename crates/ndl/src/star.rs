@@ -96,7 +96,9 @@ pub fn star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Vocab) -> N
         let np = match info.kind {
             PredKind::Idb => out.add_idb_with_params(info.name, info.arity, info.num_params),
             PredKind::EdbClass(_) | PredKind::EdbProp(_) | PredKind::Top => {
-                out.add_idb_with_params(format!("{}*", info.name), info.arity, 0)
+                let star = out.add_idb_with_params(format!("{}*", info.name), info.arity, 0);
+                out.mark_completion(star);
+                star
             }
         };
         pred_map.insert(p, np);

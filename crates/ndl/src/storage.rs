@@ -55,11 +55,13 @@
 //! hydrates a predicate set up front (the relevance pruner's relevant
 //! set), so a pruned query faults in only the columns it joins.
 
+use crate::completion::CompletionMemo;
 use crate::program::PredKind;
 use crate::stats::RelStats;
 use obda_owlql::abox::DataInstance;
 use obda_owlql::util::{FxHashMap, FxHasher};
 use obda_owlql::vocab::{ClassId, PropId};
+use std::cell::Cell;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -507,10 +509,14 @@ impl Relation {
     }
 }
 
-/// How many [`Database`]s have been built in this process — used by the
-/// experiment harness to assert that dataset loading is amortised (at most
-/// one build per dataset, shared across all strategies).
-static DATABASE_BUILDS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// How many [`Database`]s this thread has built — used by the
+    /// experiment harness and tests to assert that dataset loading is
+    /// amortised (at most one build per dataset, shared across all
+    /// strategies). Per thread, so builds on concurrently running test
+    /// threads can never move another thread's count.
+    static DATABASE_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Monotone id source for [`Database::id`]; never reused within a process.
 static DATABASE_IDS: AtomicUsize = AtomicUsize::new(1);
@@ -580,13 +586,16 @@ pub struct Database {
     num_atoms: usize,
     /// Process-unique instance id; plan caches key on it.
     id: u64,
+    /// Completed `*`-relations shared across evaluations (see
+    /// [`crate::completion`]).
+    completions: CompletionMemo,
 }
 
 impl Database {
     /// Loads a data instance: one pass over the class atoms, one over the
     /// property atoms, one over the individuals.
     pub fn new(data: &DataInstance) -> Self {
-        DATABASE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        DATABASE_BUILDS.with(|n| n.set(n.get() + 1));
         let mut classes = FxHashMap::default();
         for (c, members) in data.members_by_class() {
             let mut rel = Relation::with_capacity(1, members.len());
@@ -615,6 +624,7 @@ impl Database {
             empty_binary: Relation::new(2),
             num_atoms: data.num_atoms(),
             id: DATABASE_IDS.fetch_add(1, Ordering::Relaxed) as u64,
+            completions: CompletionMemo::default(),
         }
     }
 
@@ -652,7 +662,7 @@ impl Database {
         universe: Relation,
         num_atoms: usize,
     ) -> Self {
-        DATABASE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        DATABASE_BUILDS.with(|n| n.set(n.get() + 1));
         assert_eq!(universe.arity(), 1, "universe must be unary");
         Database {
             classes,
@@ -662,6 +672,7 @@ impl Database {
             empty_binary: Relation::new(2),
             num_atoms,
             id: DATABASE_IDS.fetch_add(1, Ordering::Relaxed) as u64,
+            completions: CompletionMemo::default(),
         }
     }
 
@@ -670,6 +681,11 @@ impl Database {
     /// against one can never be replayed against another's statistics.
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The memo of completed relations the engine fills and reuses.
+    pub fn completions(&self) -> &CompletionMemo {
+        &self.completions
     }
 
     /// Iterates over the non-empty class relations (snapshot export;
@@ -737,9 +753,9 @@ impl Database {
         self.num_atoms
     }
 
-    /// Total [`Database`] builds in this process (monotone counter).
+    /// Total [`Database`] builds on the calling thread (monotone counter).
     pub fn build_count() -> usize {
-        DATABASE_BUILDS.load(Ordering::Relaxed)
+        DATABASE_BUILDS.with(Cell::get)
     }
 }
 

@@ -10,9 +10,14 @@
 //!    boundary; nothing unwinds out of the public API.
 //! 3. **The service survives** — the admission gate keeps accepting and
 //!    answering after any number of consecutive failed requests.
+//!
+//! Plans are process-global, so every step that needs *no* fault — the
+//! fixtures, the oracles, the recovery checks — holds the install lock
+//! with nothing armed ([`quiet`] or [`obda::faults::InstalledPlan::disarm`]);
+//! no other test's plan can fire inside it.
 
 use obda::budget::BudgetSpec;
-use obda::faults::{site, FaultKind, FaultPlan, FaultSpec, Trigger};
+use obda::faults::{quiet, site, FaultKind, FaultPlan, FaultSpec, Trigger};
 use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::ConstId;
 use obda::{
@@ -63,6 +68,7 @@ fn fast_retry() -> RetryPolicy {
 }
 
 fn service(engine: Option<EngineConfig>) -> QueryService {
+    let _quiet = quiet();
     let system = ObdaSystem::from_text(ONTOLOGY).unwrap();
     QueryService::new(
         system,
@@ -124,6 +130,7 @@ fn assert_sound(svc: &QueryService, oracle: &[Vec<ConstId>], ctx: &str) -> bool 
 }
 
 fn oracle() -> Vec<Vec<ConstId>> {
+    let _quiet = quiet();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let q = sys.parse_query(QUERY).unwrap();
     let d = sys.parse_data(DATA).unwrap();
@@ -164,6 +171,7 @@ fn pinned_seed_sweep_is_sound_at_every_site() {
         }
     }
     // Every service still answers correctly with all plans disarmed.
+    let _quiet = quiet();
     for (i, svc) in services.iter().enumerate() {
         assert!(assert_sound(svc, &oracle, &format!("disarmed svc={i}")));
     }
@@ -273,7 +281,7 @@ fn ladder_skips_strategies_whose_breaker_is_open() {
     // every attempted strategy trips its breaker open.
     let guard = FaultPlan::always(3, site::ENGINE_CLAUSE_TASK, FaultKind::Panic).install();
     let stormy = svc.answer(&q, &d, Strategy::Tw).unwrap();
-    drop(guard);
+    guard.disarm();
     assert!(!stormy.is_success());
     assert!(
         stormy.report.attempts.iter().all(|a| matches!(a.outcome, AttemptOutcome::Panicked { .. })),
@@ -442,9 +450,12 @@ fn service_keeps_answering_after_sustained_failures() {
     quiet_injected_panics();
     let oracle = oracle();
     let svc = service(Some(engine_cfg(1)));
-    let query = svc.system().parse_query(QUERY).unwrap();
-    let data = svc.system().parse_data(DATA).unwrap();
-    let id = svc.prepare(&query, Strategy::Tw).unwrap();
+    let (data, id) = {
+        let _quiet = quiet();
+        let query = svc.system().parse_query(QUERY).unwrap();
+        let data = svc.system().parse_data(DATA).unwrap();
+        (data, svc.prepare(&query, Strategy::Tw).unwrap())
+    };
 
     // Every data load faults: 60 consecutive requests fail with a typed
     // error, each leaving the gate clean.
@@ -458,7 +469,7 @@ fn service_keeps_answering_after_sustained_failures() {
         let (active, queued) = svc.load();
         assert_eq!((active, queued), (0, 0), "request {i} leaked a gate slot");
     }
-    drop(guard);
+    guard.disarm();
     assert_eq!(svc.stats().failed, 60);
 
     // The very next request — same service, same prepared query — answers.
@@ -477,7 +488,7 @@ fn prepare_under_faults_fails_typed_then_recovers() {
     let guard = plan.install();
     let err = svc.prepare(&query, Strategy::Tw).unwrap_err();
     assert!(matches!(err, ObdaError::Internal { .. }), "got {err}");
-    drop(guard);
+    guard.disarm();
     // Registration works once the fault is gone.
     assert!(svc.prepare(&query, Strategy::Tw).is_ok());
 }
@@ -503,6 +514,7 @@ fn store_temp_path() -> std::path::PathBuf {
 /// Writes the fixture data as a snapshot and returns the system that owns
 /// the vocabulary it was written against.
 fn store_fixture(path: &std::path::Path) -> ObdaSystem {
+    let _quiet = quiet();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let data = sys.parse_data(DATA).unwrap();
     obda::write_snapshot(path, sys.ontology().vocab(), &data).unwrap();
@@ -520,7 +532,7 @@ fn store_open_transient_fault_is_typed_then_recovers() {
     let guard = plan.install();
     let err = Snapshot::open(&path, sys.ontology().vocab()).unwrap_err();
     assert!(matches!(&err, StoreError::Injected { site } if site == site::STORE_OPEN), "got {err}");
-    drop(guard);
+    guard.disarm();
 
     // Disarmed, the very same file opens and answers exactly the oracle.
     let snap = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
@@ -549,7 +561,7 @@ fn store_open_injected_panic_unwinds_cleanly() {
     // the unwind must not poison the file or the vocabulary.
     let caught = catch_unwind(AssertUnwindSafe(|| Snapshot::open(&path, sys.ontology().vocab())));
     assert!(caught.is_err(), "an always-panic plan must unwind out of open");
-    drop(guard);
+    guard.disarm();
     let snap = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(snap.database().num_atoms() > 0);
@@ -574,6 +586,7 @@ fn truncated_and_bit_flipped_snapshots_fail_typed() {
     quiet_injected_panics();
     let path = store_temp_path();
     let sys = store_fixture(&path);
+    let _quiet = quiet();
     let original = std::fs::read(&path).unwrap();
     let expected = sys.parse_data(DATA).unwrap().to_text(sys.ontology());
 
@@ -673,7 +686,7 @@ fn store_map_transient_fault_is_typed_then_recovers() {
             "got {err}"
         );
     }
-    drop(guard);
+    guard.disarm();
 
     let snap = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
     std::fs::remove_file(&path).ok();
@@ -698,6 +711,7 @@ fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
     quiet_injected_panics();
     let path = store_temp_path();
     let sys = store_fixture(&path);
+    let _quiet = quiet();
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip a byte in the first data block: page-aligned after the
     // header, so file offset 4096 is segment data, not metadata.
@@ -720,6 +734,85 @@ fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
         )),
         "the typed hydration panic must surface in the report:\n{report}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Completion memo: a fill halted by a fault, the tuple cap or the
+// deadline stores nothing, and the same database answers exactly the
+// oracle on the next evaluation.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn halted_completion_fills_store_nothing() {
+    use obda::datagen::erdos::TABLE_2;
+    use obda::datagen::sequences::{example_11_ontology, word_query};
+    use obda::ndl::storage::Database;
+    use obda::ndl::EvalOptions;
+
+    quiet_injected_panics();
+    let (data, prepared, oracle, fresh) = {
+        let _quiet = quiet();
+        let sys = ObdaSystem::new(example_11_ontology());
+        let data = TABLE_2[0].scaled(0.003).generate(sys.ontology());
+        // Log keeps `R*` and `S*` as completion predicates for this word.
+        let q = word_query(sys.ontology(), "SRRS");
+        let prepared = sys.prepare(&q, Strategy::Log).unwrap();
+        let oracle = sys.certain_answers(&q, &data).tuples();
+        let fresh = prepared
+            .execute_engine(&Database::new(&data), &EvalOptions::default(), &engine_cfg(1))
+            .unwrap();
+        assert_eq!(fresh.answers, oracle);
+        (data, prepared, oracle, fresh)
+    };
+    let transient = FaultKind::Transient;
+    let halts: [(&str, Option<FaultPlan>, EvalOptions); 6] = [
+        (
+            "clause_task always",
+            Some(FaultPlan::always(1, site::ENGINE_CLAUSE_TASK, transient)),
+            EvalOptions::default(),
+        ),
+        (
+            "clause_task panic on the first task",
+            Some(FaultPlan::new(2).with(
+                site::ENGINE_CLAUSE_TASK,
+                FaultSpec { kind: FaultKind::Panic, trigger: Trigger::Nth(1) },
+            )),
+            EvalOptions::default(),
+        ),
+        (
+            "insert always",
+            Some(FaultPlan::always(3, site::STORAGE_INSERT, transient)),
+            EvalOptions::default(),
+        ),
+        (
+            "third insert",
+            Some(FaultPlan::new(4).with(
+                site::STORAGE_INSERT,
+                FaultSpec { kind: transient, trigger: Trigger::Nth(3) },
+            )),
+            EvalOptions::default(),
+        ),
+        ("tuple cap", None, EvalOptions { max_tuples: Some(5), ..EvalOptions::default() }),
+        ("deadline", None, EvalOptions { timeout: Some(Duration::ZERO), ..EvalOptions::default() }),
+    ];
+    for threads in [1usize, 4] {
+        let cfg = engine_cfg(threads);
+        for (name, plan, opts) in &halts {
+            let ctx = format!("{name}, threads={threads}");
+            let db = Database::new(&data);
+            let guard = plan.as_ref().map_or_else(quiet, FaultPlan::install);
+            let halted = prepared.execute_engine(&db, opts, &cfg);
+            guard.disarm();
+            assert!(halted.is_err(), "{ctx}: the evaluation must halt");
+            assert!(db.completions().is_empty(), "{ctx}: a halted fill stored a relation");
+            for run in ["first", "warm"] {
+                let res = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+                assert_eq!(res.answers, oracle, "{ctx}: {run} run after the halt");
+                assert_eq!(res.stats.per_predicate, fresh.stats.per_predicate, "{ctx}: {run} run");
+                assert!(!db.completions().is_empty(), "{ctx}: the clean run fills the memo");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -766,7 +859,7 @@ proptest! {
         );
         let guard = plan.install();
         assert_sound(&svc, &oracle, &ctx);
-        drop(guard);
+        guard.disarm();
         // And the same service answers correctly immediately afterwards.
         prop_assert!(assert_sound(&svc, &oracle, &format!("{ctx} (disarmed)")));
     }

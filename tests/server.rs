@@ -17,6 +17,7 @@
 
 use obda::budget::BudgetSpec;
 use obda::datagen::erdos::TABLE_2;
+use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::DataInstance;
 use obda::server::client::{self, HttpResponse};
 use obda::{
@@ -114,6 +115,21 @@ fn start_server(
     (server.start(), sys, data)
 }
 
+/// With `--features faults`, the soak in `mod faulted` arms a
+/// process-wide `server::handle` plan; every other in-process test holds
+/// the install lock with nothing armed, so that plan never fires inside
+/// it.
+#[cfg(feature = "faults")]
+fn quiet() -> obda::faults::InstalledPlan {
+    obda::faults::quiet()
+}
+
+/// Without the `faults` feature there is no plan to wait for.
+#[cfg(not(feature = "faults"))]
+fn quiet() -> std::marker::PhantomData<()> {
+    std::marker::PhantomData
+}
+
 fn post_query(addr: SocketAddr, tenant: &str, query: &str) -> HttpResponse {
     client::request(addr, "POST", "/query", &[("X-Obda-Tenant", tenant)], query, CLIENT_TIMEOUT)
         .unwrap()
@@ -129,6 +145,7 @@ fn get(addr: SocketAddr, path: &str) -> HttpResponse {
 
 #[test]
 fn health_routing_and_http_abuse_are_typed() {
+    let _quiet = quiet();
     let (handle, _, _) = start_server(SCALE, |cfg| cfg.max_body_bytes = 256, &[]);
     let addr = handle.addr();
 
@@ -178,6 +195,7 @@ fn health_routing_and_http_abuse_are_typed() {
 
 #[test]
 fn metrics_explain_and_cache_are_observable() {
+    let _quiet = quiet();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -210,6 +228,7 @@ fn metrics_explain_and_cache_are_observable() {
 
 #[test]
 fn explain_surfaces_cached_join_plan() {
+    let _quiet = quiet();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -262,6 +281,7 @@ fn percent_encode(s: &str) -> String {
 
 #[test]
 fn concurrent_tenants_get_oracle_answers() {
+    let _quiet = quiet();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let words = ["R", "S", "RR", "SR", "RRS"];
@@ -291,12 +311,56 @@ fn concurrent_tenants_get_oracle_answers() {
     assert!(handle.join());
 }
 
+/// The value of an unlabelled counter in a `/metrics` body (0 if absent).
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok()).unwrap_or(0)
+}
+
+/// The engine derives each `*`-completion once per served database: a
+/// second request for a cached OMQ builds none and reuses them all.
+#[test]
+fn second_request_reuses_completed_relations() {
+    let _quiet = quiet();
+    let sys = paper_system();
+    let data = table2_data(&sys, 0, SCALE);
+    let service = QueryService::new(
+        paper_system(),
+        ServiceConfig { engine: Some(EngineConfig::default()), ..ServiceConfig::default() },
+    );
+    let cfg = ServerConfig { addr: "127.0.0.1:0".to_owned(), ..ServerConfig::default() };
+    let server = Server::bind(service, Box::new(MemoryBackend::new(data.clone())), cfg).unwrap();
+    let handle = server.start();
+    let addr = handle.addr();
+    // Adaptive rewrites this word with `R*` and `S*` completions.
+    let query = word_query_text("SRRS");
+    let want = oracle_lines(&sys, &data, &query);
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        let resp = post_query(addr, "alpha", &query);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(body_lines(&resp), want);
+        let metrics = get(addr, "/metrics").body;
+        seen.push((
+            counter(&metrics, "engine_completions_built_total"),
+            counter(&metrics, "engine_completions_reused_total"),
+        ));
+    }
+    let [(built1, reused1), (built2, reused2)] = seen[..] else { unreachable!() };
+    assert!(built1 >= 1, "the first request fills the memo: {seen:?}");
+    assert_eq!(built2, built1, "the second request builds no completion: {seen:?}");
+    assert!(reused2 > reused1, "the second request reuses the completions: {seen:?}");
+
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
 // ---------------------------------------------------------------------------
 // Tenant quotas and deadline propagation
 // ---------------------------------------------------------------------------
 
 #[test]
 fn quota_starved_tenant_is_shed_while_others_answer() {
+    let _quiet = quiet();
     let starved = TenantQuota { rate_per_sec: 0.001, burst: 1.0, max_concurrency: 8 };
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[("starved", starved)]);
     let addr = handle.addr();
@@ -329,6 +393,7 @@ fn quota_starved_tenant_is_shed_while_others_answer() {
 
 #[test]
 fn client_deadline_is_clamped_and_propagated() {
+    let _quiet = quiet();
     // A 1 ms deadline on a fresh (uncached) query must trip the budget
     // inside the pipeline and come back as a 504, not hang or 200.
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
@@ -367,6 +432,7 @@ fn client_deadline_is_clamped_and_propagated() {
 
 #[test]
 fn drain_flips_readyz_refuses_new_work_and_finishes() {
+    let _quiet = quiet();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RR");
@@ -402,6 +468,7 @@ fn drain_flips_readyz_refuses_new_work_and_finishes() {
 
 #[test]
 fn shutdown_endpoint_triggers_the_drain() {
+    let _quiet = quiet();
     let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let resp = client::request(addr, "POST", "/shutdown", &[], "", CLIENT_TIMEOUT).unwrap();
@@ -412,6 +479,7 @@ fn shutdown_endpoint_triggers_the_drain() {
 
 #[test]
 fn concurrent_shutdown_requests_drain_exactly_once() {
+    let _quiet = quiet();
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[]);
     let addr = handle.addr();
     let query = word_query_text("RS");
@@ -463,6 +531,7 @@ fn concurrent_shutdown_requests_drain_exactly_once() {
 
 #[test]
 fn tenant_circuit_breaker_isolates_the_abusive_tenant() {
+    let _quiet = quiet();
     use obda::BreakerConfig;
     // Every query trips the budget on its first derived tuple, and one
     // failure inside the window opens a tenant's breaker.
@@ -504,6 +573,7 @@ fn tenant_circuit_breaker_isolates_the_abusive_tenant() {
 
 #[test]
 fn brownout_stamps_forces_and_sheds_over_http() {
+    let _quiet = quiet();
     use obda::BrownoutConfig;
     // A zero watermark (and zero exit factor) enters brownout on the
     // first served request and pins it — deterministic degradation.
@@ -621,6 +691,7 @@ fn soak_tenant(
 
 #[test]
 fn soak_three_tenant_traffic_stays_sound() {
+    let _quiet = quiet();
     let starved = TenantQuota { rate_per_sec: 5.0, burst: 3.0, max_concurrency: 2 };
     let (handle, sys, data) = start_server(SCALE, |_| {}, &[("starved", starved)]);
     let addr = handle.addr();

@@ -275,6 +275,88 @@ fn lazy_eager_and_every_layout_agree_with_oracle() {
     }
 }
 
+/// With every backend's completion memo warm, the engine still answers
+/// exactly the chase oracle for every strategy: lazy ≡ eager ≡ memory ≡
+/// oracle on every Table-2 dataset, for words whose rewritings keep `R*`
+/// and `S*` as completion predicates. Each (word, strategy) runs twice
+/// per backend, so later runs reuse what earlier ones derived.
+#[test]
+fn warm_completion_memo_keeps_every_backend_on_the_oracle() {
+    use obda::ndl::EvalOptions;
+
+    let sys = paper_system();
+    let opts = EvalOptions::default();
+    let cfg = EngineConfig::default();
+    let prepared: Vec<_> = ["SRRS", "RRS", "SR"]
+        .iter()
+        .flat_map(|word| {
+            let q = word_query(sys.ontology(), word);
+            Strategy::ALL.map(|st| (*word, st, q.clone(), sys.prepare(&q, st).unwrap()))
+        })
+        .collect();
+    for idx in 0..TABLE_2.len() {
+        let data = table2_dataset(&sys, idx);
+        let path = temp_path();
+        write_snapshot(&path, sys.ontology().vocab(), &data).unwrap();
+        let lazy = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
+        let eager = Snapshot::open_eager(&path, sys.ontology().vocab()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let memory = MemoryBackend::new(data.clone());
+        let backends: [(&str, &dyn StorageBackend); 3] =
+            [("lazy", &lazy), ("eager", &eager), ("memory", &memory)];
+        let mut oracle = std::collections::HashMap::new();
+        for (word, strategy, q, omq) in &prepared {
+            let oracle =
+                oracle.entry(word).or_insert_with(|| sys.certain_answers(q, &data).tuples());
+            for (tag, backend) in backends {
+                for run in ["first", "second"] {
+                    let res = omq.execute_engine(backend.database(), &opts, &cfg).unwrap();
+                    assert_eq!(
+                        &res.answers, oracle,
+                        "dataset {idx} word {word} {strategy} {tag} ({run} run)"
+                    );
+                }
+            }
+        }
+        for (tag, backend) in backends {
+            assert!(!backend.database().completions().is_empty(), "dataset {idx} {tag}: cold");
+        }
+    }
+}
+
+/// Every Table-1 prefix, rewritten by each strategy that keeps
+/// completion predicates, evaluated on one database: the memo never
+/// exceeds one entry per (symbol, projection) of the ontology's
+/// signature — one per class (including the `∃R` classes) and `⊤`,
+/// three per property (both columns, or either one alone).
+#[test]
+fn completion_memo_stays_within_the_ontology_bound() {
+    use obda::datagen::sequences::{sequence_prefixes, SEQUENCES};
+    use obda::ndl::storage::Database;
+    use obda::ndl::EvalOptions;
+
+    let sys = paper_system();
+    let data = table2_dataset(&sys, 0);
+    let db = Database::new(&data);
+    let opts = EvalOptions::default();
+    let cfg = EngineConfig::default();
+    for seq in SEQUENCES {
+        for q in sequence_prefixes(sys.ontology(), seq) {
+            for strategy in [Strategy::Log, Strategy::Tw, Strategy::Adaptive] {
+                let prepared = sys.prepare(&q, strategy).unwrap();
+                let engine = prepared.execute_engine(&db, &opts, &cfg).unwrap();
+                let plain = prepared.execute(&db, &opts).unwrap();
+                assert_eq!(engine.answers, plain.answers, "{seq} prefix, {strategy}");
+            }
+        }
+    }
+    let vocab = sys.ontology().vocab();
+    let bound = vocab.class_ids().count() + 1 + 3 * vocab.prop_ids().count();
+    let entries = db.completions().len();
+    assert!(entries > 0, "the prefixes use completions");
+    assert!(entries <= bound, "{entries} memo entries exceed the signature bound {bound}");
+}
+
 /// Renders answer tuples as name tuples, so answer sets from backends
 /// with *different* constant dictionaries can be compared.
 fn named_answers(
