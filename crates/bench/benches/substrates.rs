@@ -1,14 +1,20 @@
 //! Micro-benchmarks of the substrates: ontology saturation, canonical-model
 //! construction, homomorphism search, and the two NDL evaluators — plus the
 //! head-to-head of the indexed join path against the seed hash-set engine.
+//!
+//! Bottom-up evaluation is measured warm: the database memoises the
+//! `*`-completions the engine derives, so every iteration after the first
+//! reuses them. The linear evaluator and the hash-set engine keep no such
+//! memo and derive everything on every call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use obda::budget::Budget;
 use obda::Strategy;
 use obda_bench::{dataset, paper_system, prefix_query};
 use obda_chase::homomorphism::HomSearch;
 use obda_chase::model::{word_bound, CanonicalModel};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
-use obda_ndl::linear_eval::evaluate_linear_on;
+use obda_ndl::eval::evaluate;
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
@@ -39,11 +45,11 @@ fn bench_evaluators(c: &mut Criterion) {
     let data = dataset(&sys, 1, 0.02);
     let db = Database::new(&data);
     let lin = sys.rewrite(&q, Strategy::Lin).unwrap();
-    c.bench_function("eval_bottom_up_lin", |b| {
-        b.iter(|| black_box(evaluate_on(&lin, &db, &EvalOptions::default()).unwrap()))
-    });
+    c.bench_function("eval_bottom_up_lin", |b| b.iter(|| black_box(evaluate(&lin, &db).unwrap())));
     c.bench_function("eval_linear_reachability", |b| {
-        b.iter(|| black_box(evaluate_linear_on(&lin, &db, &EvalOptions::default()).unwrap()))
+        b.iter(|| {
+            black_box(evaluate_linear_on_budgeted(&lin, &db, &mut Budget::unlimited()).unwrap())
+        })
     });
 }
 
@@ -57,11 +63,9 @@ fn bench_storage_substrate(c: &mut Criterion) {
     let db = Database::new(&data);
     let tw = sys.rewrite(&q, Strategy::Tw).unwrap();
     let mut group = c.benchmark_group("storage_substrate_seq2");
-    group.bench_function("indexed_database", |b| {
-        b.iter(|| black_box(evaluate_on(&tw, &db, &EvalOptions::default()).unwrap()))
-    });
+    group.bench_function("indexed_database", |b| b.iter(|| black_box(evaluate(&tw, &db).unwrap())));
     group.bench_function("hashset_reference", |b| {
-        b.iter(|| black_box(evaluate_reference(&tw, &data, &EvalOptions::default()).unwrap()))
+        b.iter(|| black_box(evaluate_reference(&tw, &data, &mut Budget::unlimited()).unwrap()))
     });
     group.finish();
 }

@@ -14,9 +14,10 @@
 //! * `table2` — the generated datasets (scaled by `--scale`);
 //! * `table3/4/5` — evaluation time / #answers / #generated-tuples per
 //!   algorithm per dataset for sequences 1/2/3;
-//! * `bencheval` — the engine comparison: sequential indexed engine vs the
-//!   goal-directed engine (pruned, 1 thread) vs the parallel engine
-//!   (pruned, `--threads` workers) over the Table 2 datasets, written as
+//! * `bencheval` — the engine comparison at three configurations: one
+//!   thread without pruning (the tables' RDFox stand-in) vs pruned on one
+//!   thread vs pruned on `--threads` workers, over the Table 2 datasets,
+//!   written as
 //!   JSON to `BENCH_eval.json` in the current directory, with every row
 //!   cross-checked against the budgeted chase oracle;
 //! * `benchguard` — re-measures the `BENCH_eval.json` cells on the current
@@ -64,7 +65,7 @@
 //! in-process datalog engine instead of RDFox, scaled data); the *shapes*
 //! — who blows up, who stays linear, who wins where — are the target.
 
-use obda::budget::BudgetSpec;
+use obda::budget::{Budget, BudgetSpec};
 use obda::telemetry::{CollectingTracer, Telemetry};
 use obda::Strategy;
 use obda_bench::{
@@ -73,7 +74,7 @@ use obda_bench::{
 };
 use obda_datagen::sequences::SEQUENCES;
 use obda_ndl::engine::EngineConfig;
-use obda_ndl::eval::{EvalOptions, EvalResult};
+use obda_ndl::eval::EvalResult;
 use obda_ndl::storage::Database;
 use std::time::{Duration, Instant};
 
@@ -209,7 +210,7 @@ fn benchserve(cfg: &Config) {
             max_queue: 64,
             budget: BudgetSpec::unlimited(),
             retry: obda::RetryPolicy::default(),
-            engine: None,
+            engine: EngineConfig::default(),
             overload: obda::OverloadConfig::default(),
         },
     );
@@ -387,7 +388,7 @@ fn benchsoak(cfg: &Config) {
             max_queue: 32,
             budget: BudgetSpec::unlimited(),
             retry: obda::RetryPolicy::default(),
-            engine: None,
+            engine: EngineConfig::default(),
             overload: OverloadConfig {
                 breaker: Some(BreakerConfig::default()),
                 cost: Some(CostAdmissionConfig::default()),
@@ -1111,7 +1112,6 @@ fn benchguard(cfg: &Config) {
     // Cells are only comparable at the scale they were recorded at.
     let scale = json_value(&json, "scale").and_then(|s| s.parse().ok()).unwrap_or(cfg.scale);
     let sys = paper_system();
-    let opts = EvalOptions { timeout: Some(cfg.timeout), ..EvalOptions::default() };
     let pruned_cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     println!(
         "== benchguard: current build vs committed BENCH_eval.json \
@@ -1142,7 +1142,7 @@ fn benchguard(cfg: &Config) {
             continue;
         };
         let Some((secs, res)) =
-            time_engine(&mut || prepared.execute_engine(&db, &opts, &pruned_cfg).ok())
+            time_engine(&mut || execute(&prepared, &db, cfg.timeout, &pruned_cfg))
         else {
             failures += 1;
             rows.push(vec![
@@ -1188,7 +1188,7 @@ fn benchguard(cfg: &Config) {
 
 /// One engine measurement: best-of-3 wall clock plus the result stats.
 /// `None` means the engine tripped its budget (recorded as `null`, not a
-/// dropped row: a sequential timeout that the pruned engine survives is
+/// dropped row: an unpruned timeout that the pruned engine survives is
 /// exactly the comparison worth reporting).
 fn time_engine(run: &mut dyn FnMut() -> Option<EvalResult>) -> Option<(f64, EvalResult)> {
     let mut best: Option<(f64, EvalResult)> = None;
@@ -1203,11 +1203,23 @@ fn time_engine(run: &mut dyn FnMut() -> Option<EvalResult>) -> Option<(f64, Eval
     best
 }
 
+/// Executes `prepared` over `db` under `engine`, untraced, within
+/// `timeout`; `None` when the budget trips or evaluation fails.
+fn execute(
+    prepared: &obda::PreparedOmq,
+    db: &Database,
+    timeout: Duration,
+    engine: &EngineConfig,
+) -> Option<EvalResult> {
+    let mut budget = Budget::with_timeout(timeout);
+    prepared.execute_engine_traced(db, &mut budget, engine, Telemetry::disabled()).ok()
+}
+
 /// Runs the engine once untimed, filling the database's memo of
 /// `*`-completions, so every timed engine arm after it reuses them alike
 /// instead of the first arm paying for the derivation the others reuse.
-fn warm_completions(prepared: &obda::PreparedOmq, db: &Database, opts: &EvalOptions) {
-    let _ = prepared.execute_engine(db, opts, &EngineConfig::default());
+fn warm_completions(prepared: &obda::PreparedOmq, db: &Database, timeout: Duration) {
+    let _ = execute(prepared, db, timeout, &EngineConfig::default());
 }
 
 fn json_engine(timed: &Option<(f64, EvalResult)>) -> String {
@@ -1238,11 +1250,11 @@ struct StageBreakdown {
 fn trace_breakdown(
     prepared: &obda::PreparedOmq,
     db: &Database,
-    opts: &EvalOptions,
+    timeout: Duration,
     engine_cfg: &EngineConfig,
 ) -> Option<StageBreakdown> {
     let tracer = CollectingTracer::new();
-    let mut budget = opts.to_budget();
+    let mut budget = Budget::with_timeout(timeout);
     prepared
         .execute_engine_traced(db, &mut budget, engine_cfg, Telemetry::new(&tracer, None))
         .ok()?;
@@ -1290,7 +1302,6 @@ fn benchjoin(cfg: &Config) {
         (1, 5, Strategy::TwUcq),
         (1, 5, Strategy::PrestoLike),
     ];
-    let opts = EvalOptions { timeout: Some(cfg.timeout), ..EvalOptions::default() };
     let planned_cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     let syntactic_cfg = EngineConfig { threads: 1, plan: false, ..EngineConfig::default() };
     let mut rows_json: Vec<String> = Vec::new();
@@ -1303,11 +1314,10 @@ fn benchjoin(cfg: &Config) {
             let Ok(prepared) = sys.prepare(&q, strategy) else {
                 continue;
             };
-            warm_completions(&prepared, &db, &opts);
-            let planned =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &planned_cfg).ok());
+            warm_completions(&prepared, &db, cfg.timeout);
+            let planned = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &planned_cfg));
             let syntactic =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &syntactic_cfg).ok());
+                time_engine(&mut || execute(&prepared, &db, cfg.timeout, &syntactic_cfg));
             let (Some((plan_secs, plan_res)), Some((syn_secs, syn_res))) = (&planned, &syntactic)
             else {
                 continue;
@@ -1324,9 +1334,11 @@ fn benchjoin(cfg: &Config) {
             // clauses only; single-atom clauses have no order to choose).
             let pruned_query = &prepared.pruned().query;
             let mut joins = Vec::new();
-            if let Ok((expl, _)) =
-                obda_ndl::explain_plan_executed(pruned_query, &db, &mut opts.to_budget())
-            {
+            if let Ok((expl, _)) = obda_ndl::explain_plan_executed(
+                pruned_query,
+                &db,
+                &mut Budget::with_timeout(cfg.timeout),
+            ) {
                 for stratum in &expl.strata {
                     for clause in &stratum.clauses {
                         if clause.order.len() < 2 {
@@ -1402,8 +1414,8 @@ fn benchjoin(cfg: &Config) {
 
 /// The engine-comparison benchmark behind `BENCH_eval.json`: for each
 /// Table 2 dataset and a spread of (sequence, strategy) rewritings,
-/// measures the sequential indexed engine against the goal-directed engine
-/// with pruning only (1 thread) and with pruning + `--threads` workers,
+/// measures the engine unpruned on one thread (the tables' configuration)
+/// against pruning only (1 thread) and pruning + `--threads` workers,
 /// checking all three against the budgeted chase oracle. Each row also
 /// records a per-stage breakdown (schedule/strata/clause-task times) from
 /// one traced pruned-engine run; the full span trees go to
@@ -1420,7 +1432,7 @@ fn bencheval(cfg: &Config) {
         (1, 5, Strategy::TwUcq),
         (1, 5, Strategy::PrestoLike),
     ];
-    let opts = EvalOptions { timeout: Some(cfg.timeout), ..EvalOptions::default() };
+    let sequential_cfg = EngineConfig::unpruned();
     let pruned_cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     let parallel_cfg = EngineConfig { threads: cfg.threads, ..EngineConfig::default() };
     let mut rows_json: Vec<String> = Vec::new();
@@ -1437,14 +1449,13 @@ fn bencheval(cfg: &Config) {
             let Ok(prepared) = sys.prepare(&q, strategy) else {
                 continue;
             };
-            let seq_run = time_engine(&mut || prepared.execute(&db, &opts).ok());
-            warm_completions(&prepared, &db, &opts);
-            let pruned_run =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &pruned_cfg).ok());
-            let par_run =
-                time_engine(&mut || prepared.execute_engine(&db, &opts, &parallel_cfg).ok());
-            // The goal-directed runs are the subject of the benchmark; a
-            // sequential timeout is recorded, not skipped.
+            let seq_run =
+                time_engine(&mut || execute(&prepared, &db, cfg.timeout, &sequential_cfg));
+            warm_completions(&prepared, &db, cfg.timeout);
+            let pruned_run = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &pruned_cfg));
+            let par_run = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &parallel_cfg));
+            // The goal-directed runs are the subject of the benchmark; an
+            // unpruned timeout is recorded, not skipped.
             let (Some((pruned_secs, pruned_res)), Some((par_secs, par_res))) =
                 (&pruned_run, &par_run)
             else {
@@ -1482,7 +1493,7 @@ fn bencheval(cfg: &Config) {
                 pruned_res.stats.generated_tuples.to_string(),
                 oracle_tag.to_owned(),
             ]);
-            let breakdown = trace_breakdown(&prepared, &db, &opts, &pruned_cfg);
+            let breakdown = trace_breakdown(&prepared, &db, cfg.timeout, &pruned_cfg);
             let stages_json = match &breakdown {
                 Some(b) => format!(
                     "{{\"eval_ms\": {:.3}, \"schedule_ms\": {:.3}, \"strata_ms\": {:.3}, \"clause_tasks_ms\": {:.3}, \"spans\": {}}}",
@@ -1527,7 +1538,7 @@ fn bencheval(cfg: &Config) {
     .to_vec();
     println!("{}", render_table(&header, &table_rows));
     let json = format!(
-        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"indexed bottom-up engine, no pruning, 1 thread\",\n    \"pruned\": \"goal-directed engine, relevance pruning, 1 thread\",\n    \"parallel\": \"goal-directed engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"engine, no pruning, 1 thread\",\n    \"pruned\": \"engine, relevance pruning, 1 thread\",\n    \"parallel\": \"engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
         cfg.scale,
         cfg.threads,
         cfg.timeout.as_secs(),

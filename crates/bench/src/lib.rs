@@ -8,7 +8,7 @@
 //! tables; the benches in `benches/` measure the same workloads.
 
 use obda::budget::BudgetSpec;
-use obda::{ObdaSystem, Strategy};
+use obda::{ObdaSystem, Strategy, Telemetry};
 use obda_cq::query::Cq;
 use obda_datagen::erdos::ErdosRenyi;
 use obda_datagen::sequences::{example_11_ontology, word_query, SEQUENCES};
@@ -107,7 +107,10 @@ pub fn rewriting_clauses(system: &ObdaSystem, query: &Cq, strategy: Strategy) ->
 /// Rewrites (over arbitrary instances) and evaluates with limits over a
 /// pre-built [`Database`], measuring wall-clock evaluation time. The
 /// database is built once per dataset by the caller and shared across every
-/// strategy and query size.
+/// strategy and query size. It memoises the `*`-completions the engine
+/// derives, so each cell first runs once untimed under a budget of its own:
+/// the timed run then reuses every completion it needs, whichever cells ran
+/// before it, under what the rewriting left of the cell's budget.
 pub fn evaluate_cell(
     system: &ObdaSystem,
     query: &Cq,
@@ -116,13 +119,12 @@ pub fn evaluate_cell(
     timeout: Duration,
     max_tuples: usize,
 ) -> EvalCell {
-    evaluate_cell_with(system, query, db, strategy, timeout, max_tuples, None)
+    evaluate_cell_with(system, query, db, strategy, timeout, max_tuples, &EngineConfig::unpruned())
 }
 
-/// [`evaluate_cell`] with an optional [`EngineConfig`]: `Some(cfg)` routes
-/// evaluation through the parallel, goal-directed engine (pruning and
-/// worker threads per `cfg`, all workers drawing on the cell's shared
-/// budget); `None` keeps the sequential indexed engine the tables use.
+/// [`evaluate_cell`] under another [`EngineConfig`] than the tables'
+/// [`EngineConfig::unpruned`]: pruning and worker threads per `engine`,
+/// all workers drawing on the cell's shared budget.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cell_with(
     system: &ObdaSystem,
@@ -131,7 +133,7 @@ pub fn evaluate_cell_with(
     strategy: Strategy,
     timeout: Duration,
     max_tuples: usize,
-    engine: Option<&EngineConfig>,
+    engine: &EngineConfig,
 ) -> EvalCell {
     // One budget covers the whole cell: a rewriter that blows up is recorded
     // as `rw>budget` instead of hanging the table run.
@@ -160,12 +162,17 @@ pub fn evaluate_cell_with(
         }
     };
     let clauses = Some(prepared.num_clauses());
-    let start = Instant::now();
-    let run = match engine {
-        Some(cfg) => prepared.execute_engine_budgeted(db, &mut budget, cfg),
-        None => prepared.execute_budgeted(db, &mut budget),
+    // The timed run gets what the rewriting left of the cell's budget; the
+    // untimed run before it has a budget of its own.
+    let left = BudgetSpec {
+        timeout: Some(timeout.saturating_sub(budget.elapsed())),
+        max_tuples: Some((max_tuples as u64).saturating_sub(budget.spent_tuples())),
+        ..BudgetSpec::unlimited()
     };
-    match run {
+    let _ = prepared.execute_engine_traced(db, &mut spec.start(), engine, Telemetry::disabled());
+    let mut budget = left.start();
+    let start = Instant::now();
+    match prepared.execute_engine_traced(db, &mut budget, engine, Telemetry::disabled()) {
         Ok(res) => EvalCell {
             time: start.elapsed(),
             answers: Some(res.stats.num_answers),
@@ -286,7 +293,7 @@ mod tests {
                 Strategy::Tw,
                 Duration::from_secs(20),
                 10_000_000,
-                Some(&cfg),
+                &cfg,
             );
             assert_eq!(cell.outcome, CellOutcome::Completed);
             assert_eq!(cell.answers, seq.answers);

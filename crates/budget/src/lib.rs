@@ -658,7 +658,7 @@ impl Drop for WorkerBudget<'_> {
 
 /// The budget surface evaluation inner loops need, implemented both by
 /// the exclusive [`Budget`] and by the per-thread [`WorkerBudget`]. Lets
-/// one generic join kernel serve the sequential and parallel engines.
+/// one generic join kernel serve the engine inline and on its worker pool.
 pub trait BudgetOps {
     /// Counts one unit of abstract work; see [`Budget::tick`].
     fn tick(&mut self) -> Result<(), BudgetExceeded>;

@@ -721,7 +721,7 @@ impl AnswerData {
 /// engine's stratum schedule with per-clause join plans. Without data
 /// the plan is syntactic; with `--data` or `--db` the cost-based plan
 /// is shown with estimated *and* actual per-atom cardinalities (the
-/// query is executed once, on the sequential engine).
+/// query is executed once, by the engine at one thread without pruning).
 fn run_explain(
     args: &Args,
     system: &ObdaSystem,
@@ -758,7 +758,7 @@ fn run_explain(
     print!("{}", ProgramDisplay { program: &pruned.query.program });
 
     // With data on hand the planner can cost the joins against real
-    // relation statistics, and one sequential execution annotates every
+    // relation statistics, and one single-thread execution annotates every
     // step with the cardinality it actually produced. Without data the
     // schedule falls back to the syntactic join order.
     let backend: Option<Box<dyn StorageBackend>> = if let Some(db) = &args.db {
@@ -865,7 +865,7 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
             max_queue: args.max_queue.unwrap_or(16),
             budget: args.spec,
             retry,
-            engine: Some(args.engine.clone()),
+            engine: args.engine.clone(),
             overload,
         },
     );
@@ -959,7 +959,7 @@ fn run_answer(
                 max_queue: 0,
                 budget: args.spec,
                 retry,
-                engine: Some(args.engine.clone()),
+                engine: args.engine.clone(),
                 // One-shot CLI answers keep the overload machinery off:
                 // there is no sustained load to adapt to.
                 overload: OverloadConfig::default(),

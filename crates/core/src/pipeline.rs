@@ -9,12 +9,9 @@ use obda_ndl::analysis::{analyze, Analysis};
 use obda_ndl::engine::{
     evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, EngineConfig,
 };
-use obda_ndl::eval::{
-    evaluate, evaluate_on, evaluate_on_budgeted, evaluate_on_traced, EvalError, EvalOptions,
-    EvalResult,
-};
+use obda_ndl::eval::{evaluate, EvalError, EvalResult};
 use obda_ndl::explain::{explain_plan_with, PlanExplanation};
-use obda_ndl::linear_eval::{evaluate_linear_on, evaluate_linear_on_budgeted};
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::planner::{plan_query, QueryPlan};
 use obda_ndl::program::NdlQuery;
 use obda_ndl::relevance::{prune_for_goal, PruneStats, PrunedQuery};
@@ -768,43 +765,15 @@ impl ObdaSystem {
         data: &DataInstance,
         strategy: Strategy,
     ) -> Result<EvalResult, ObdaError> {
-        self.answer_with_options(query, data, strategy, &EvalOptions::default())
-    }
-
-    /// [`ObdaSystem::answer`] with explicit evaluation limits.
-    pub fn answer_with_options(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        options: &EvalOptions,
-    ) -> Result<EvalResult, ObdaError> {
         let rewriting = self.rewrite(query, strategy)?;
-        Ok(evaluate(&rewriting, data, options)?)
+        Ok(evaluate(&rewriting, &Database::new(data))?)
     }
 
     /// Answers the OMQ under a unified resource budget covering *both* the
-    /// rewriting and the evaluation stage. A trip in either stage surfaces
-    /// as a typed [`ObdaError`] carrying partial statistics.
-    pub fn answer_with_budget(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        spec: &BudgetSpec,
-    ) -> Result<EvalResult, ObdaError> {
-        isolate("pipeline::answer_with_budget", || {
-            let mut budget = spec.start();
-            let rewriting = self.rewrite_budgeted(query, strategy, &mut budget)?;
-            let db = Database::new(data);
-            Ok(evaluate_on_budgeted(&rewriting, &db, &mut budget)?)
-        })
-    }
-
-    /// [`ObdaSystem::answer_with_budget`] evaluated by the parallel,
-    /// goal-directed engine configured by `cfg` (relevance pruning and
-    /// worker threads). The same unified budget covers rewriting and
-    /// evaluation; with several workers the budget is shared across all of
+    /// rewriting and the evaluation stage, evaluated by the engine
+    /// configured by `cfg` (relevance pruning and worker threads). A trip
+    /// in either stage surfaces as a typed [`ObdaError`] carrying partial
+    /// statistics; with several workers the budget is shared across all of
     /// them, so a deadline or cap trips the whole pool with one typed
     /// error.
     pub fn answer_with_budget_engine(
@@ -945,7 +914,9 @@ impl ObdaSystem {
     }
 
     /// [`ObdaSystem::answer_with_fallback`] with full control: an optional
-    /// engine configuration and an explicit transient-fault [`RetryPolicy`].
+    /// engine configuration (`None` runs [`EngineConfig::unpruned`], as
+    /// every ladder entry point without one does) and an explicit
+    /// transient-fault [`RetryPolicy`].
     pub fn answer_with_fallback_policy(
         &self,
         query: &Cq,
@@ -1068,11 +1039,9 @@ impl ObdaSystem {
                     }
                 };
                 *clauses = Some(rewriting.program.num_clauses());
-                let eval = match engine {
-                    Some(cfg) => evaluate_engine_on_traced(&rewriting, db, budget, cfg, telem),
-                    None => evaluate_on_traced(&rewriting, db, budget, telem),
-                };
-                Ok(eval?)
+                let unpruned = EngineConfig::unpruned();
+                let cfg = engine.unwrap_or(&unpruned);
+                Ok(evaluate_engine_on_traced(&rewriting, db, budget, cfg, telem)?)
             })
         };
         let outcome = match result {
@@ -1318,7 +1287,8 @@ impl ObdaSystem {
 
     /// Budgeted [`ObdaSystem::prepare`]: the rewriting stage draws on the
     /// budget; the prepared query can then be executed with
-    /// [`PreparedOmq::execute_budgeted`] against the same (renewed) budget.
+    /// [`PreparedOmq::execute_engine_traced`] against the same (renewed)
+    /// budget.
     pub fn prepare_budgeted(
         &self,
         query: &Cq,
@@ -1414,22 +1384,6 @@ impl PreparedOmq {
         self.rewriting.program.num_clauses()
     }
 
-    /// Evaluates the cached rewriting over a pre-built [`Database`] with
-    /// the bottom-up materialising engine.
-    pub fn execute(&self, db: &Database, opts: &EvalOptions) -> Result<EvalResult, EvalError> {
-        evaluate_on(&self.rewriting, db, opts)
-    }
-
-    /// [`PreparedOmq::execute`] drawing on a shared [`Budget`] instead of
-    /// per-call [`EvalOptions`].
-    pub fn execute_budgeted(
-        &self,
-        db: &Database,
-        budget: &mut Budget,
-    ) -> Result<EvalResult, EvalError> {
-        evaluate_on_budgeted(&self.rewriting, db, budget)
-    }
-
     /// The goal-directed pruning of the cached rewriting, computed on
     /// first use and cached for the lifetime of the prepared query.
     pub fn pruned(&self) -> &PrunedQuery {
@@ -1475,33 +1429,13 @@ impl PreparedOmq {
         explain_plan_with(&self.pruned().query, &self.query_plan(db))
     }
 
-    /// Evaluates with the parallel, goal-directed engine. When
-    /// `cfg.prune` is set the pruning pass runs once per prepared query
-    /// (cached), not once per execution; per-predicate statistics are
-    /// reported against the *original* rewriting's predicate ids either
-    /// way.
-    pub fn execute_engine(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-        cfg: &EngineConfig,
-    ) -> Result<EvalResult, EvalError> {
-        self.execute_engine_budgeted(db, &mut opts.to_budget(), cfg)
-    }
-
-    /// [`PreparedOmq::execute_engine`] drawing on a shared [`Budget`].
-    pub fn execute_engine_budgeted(
-        &self,
-        db: &Database,
-        budget: &mut Budget,
-        cfg: &EngineConfig,
-    ) -> Result<EvalResult, EvalError> {
-        self.execute_engine_traced(db, budget, cfg, Telemetry::disabled())
-    }
-
-    /// [`PreparedOmq::execute_engine_budgeted`] recording engine spans
-    /// through `telem` (the cached pruning is reused, so no `prune` span
-    /// appears on this path).
+    /// Evaluates the cached rewriting over a pre-built [`Database`] with
+    /// the engine configured by `cfg`, drawing on `budget` and recording
+    /// engine spans through `telem`. When `cfg.prune` is set the pruning
+    /// pass runs once per prepared query (cached, so no `prune` span
+    /// appears on this path) and the cost-based plan once per database;
+    /// per-predicate statistics are reported against the *original*
+    /// rewriting's predicate ids either way.
     pub fn execute_engine_traced(
         &self,
         db: &Database,
@@ -1525,16 +1459,7 @@ impl PreparedOmq {
     }
 
     /// Evaluates with Theorem 2's reachability engine (the rewriting must
-    /// be linear — see [`PreparedOmq::analysis`]).
-    pub fn execute_linear(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-    ) -> Result<EvalResult, EvalError> {
-        evaluate_linear_on(&self.rewriting, db, opts)
-    }
-
-    /// [`PreparedOmq::execute_linear`] drawing on a shared [`Budget`].
+    /// be linear — see [`PreparedOmq::analysis`]), drawing on `budget`.
     pub fn execute_linear_budgeted(
         &self,
         db: &Database,
@@ -1544,16 +1469,21 @@ impl PreparedOmq {
     }
 
     /// Validates the rewriting against the chase oracle on one data
-    /// instance: evaluates over `db` (which must be built from `data`) and
-    /// compares with the certain answers. Returns the evaluation result on
-    /// agreement.
+    /// instance: evaluates over `db` (which must be built from `data`) with
+    /// the engine at [`EngineConfig::unpruned`] and compares with the
+    /// certain answers. Returns the evaluation result on agreement.
     pub fn validate_against_oracle(
         &self,
         system: &ObdaSystem,
         data: &DataInstance,
         db: &Database,
     ) -> Result<EvalResult, ObdaError> {
-        let res = self.execute(db, &EvalOptions::default())?;
+        let res = self.execute_engine_traced(
+            db,
+            &mut Budget::unlimited(),
+            &EngineConfig::unpruned(),
+            Telemetry::disabled(),
+        )?;
         let oracle = system.certain_answers(&self.query, data).tuples();
         if res.answers != oracle {
             return Err(ObdaError::Eval(EvalError::Unsafe(format!(
@@ -1569,6 +1499,13 @@ impl PreparedOmq {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Executes `prepared` over `db` under `cfg`, unbudgeted and untraced.
+    fn run(prepared: &PreparedOmq, db: &Database, cfg: &EngineConfig) -> EvalResult {
+        prepared
+            .execute_engine_traced(db, &mut Budget::unlimited(), cfg, Telemetry::disabled())
+            .unwrap()
+    }
 
     fn system() -> ObdaSystem {
         ObdaSystem::from_text(
@@ -1629,12 +1566,12 @@ mod tests {
             assert_eq!(prepared.goal_arity(), 2);
             assert!(prepared.num_clauses() > 0);
             assert!(prepared.analysis().nonrecursive);
-            let res = prepared.execute(&db, &EvalOptions::default()).unwrap();
+            let res = run(&prepared, &db, &EngineConfig::unpruned());
             assert_eq!(res.answers, oracle, "strategy {strategy}");
             // Linear rewritings also run on Theorem 2's engine, over the
             // very same database.
             if prepared.analysis().linear {
-                let lin = prepared.execute_linear(&db, &EvalOptions::default()).unwrap();
+                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
                 assert_eq!(lin.answers, oracle, "linear strategy {strategy}");
             }
         }
@@ -1664,7 +1601,7 @@ mod tests {
         let cfg = EngineConfig::default();
         let oracle = sys.certain_answers(&q, &d).tuples();
         for _ in 0..3 {
-            let res = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+            let res = run(&prepared, &db, &cfg);
             assert_eq!(res.answers, oracle);
         }
         assert_eq!(prepared.plans_built(), 1, "same database reuses the cached plan");
@@ -1672,9 +1609,9 @@ mod tests {
         // A different database (even over the same instance) gets its own
         // plan — stats are a property of the database, not the query.
         let db2 = Database::new(&d);
-        prepared.execute_engine(&db2, &EvalOptions::default(), &cfg).unwrap();
+        run(&prepared, &db2, &cfg);
         assert_eq!(prepared.plans_built(), 2);
-        prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+        run(&prepared, &db, &cfg);
         assert_eq!(prepared.plans_built(), 2, "older entry still cached");
 
         // The explanation is built from the same cached plan.
@@ -1690,7 +1627,7 @@ mod tests {
         // Disabling planning skips the cache entirely.
         let fresh = sys.prepare(&q, Strategy::Tw).unwrap();
         let noplan = EngineConfig { plan: false, ..EngineConfig::default() };
-        let res = fresh.execute_engine(&db, &EvalOptions::default(), &noplan).unwrap();
+        let res = run(&fresh, &db, &noplan);
         assert_eq!(res.answers, oracle);
         assert_eq!(fresh.plans_built(), 0);
     }
@@ -1710,11 +1647,11 @@ mod tests {
                     let res = sys.answer_with_budget_engine(&q, &d, strategy, &spec, &cfg).unwrap();
                     assert_eq!(res.answers, oracle, "{strategy} t={threads} prune={prune}");
                     let prepared = sys.prepare(&q, strategy).unwrap();
-                    let pre = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+                    let pre = run(&prepared, &db, &cfg);
                     assert_eq!(pre.answers, oracle, "{strategy} prepared");
                     // Pruning never *increases* work, and stats stay
                     // indexed by the original rewriting's predicates.
-                    let plain = prepared.execute(&db, &EvalOptions::default()).unwrap();
+                    let plain = run(&prepared, &db, &EngineConfig::unpruned());
                     assert!(pre.stats.generated_tuples <= plain.stats.generated_tuples);
                     assert_eq!(
                         pre.stats.per_predicate.len(),

@@ -160,9 +160,9 @@ pub struct ServiceConfig {
     pub budget: BudgetSpec,
     /// Transient-fault retry policy for the fallback ladder.
     pub retry: RetryPolicy,
-    /// Engine configuration for evaluation stages; `None` runs the
-    /// sequential evaluator.
-    pub engine: Option<EngineConfig>,
+    /// Engine configuration for every evaluation stage, on the fallback
+    /// ladder and on the prepared path alike.
+    pub engine: EngineConfig,
     /// Adaptive overload control (breakers, cost admission, brownout,
     /// watchdog); everything off by default.
     pub overload: OverloadConfig,
@@ -175,7 +175,7 @@ impl Default for ServiceConfig {
             max_queue: 8,
             budget: BudgetSpec::unlimited(),
             retry: RetryPolicy::default(),
-            engine: None,
+            engine: EngineConfig::default(),
             overload: OverloadConfig::default(),
         }
     }
@@ -875,7 +875,6 @@ impl QueryService {
         };
         let budget_factor =
             self.overload.brownout.as_ref().map_or(1.0, |b| b.cfg.budget_factor.clamp(0.01, 1.0));
-        let engine = self.cfg.engine.clone().unwrap_or_default();
         let mut retries = 0u32;
         let mut backoff = self.cfg.retry.base_backoff;
         let outcome = loop {
@@ -900,7 +899,12 @@ impl QueryService {
                 if let Some((_guard, m)) = &meter {
                     budget = budget.with_meter(Arc::clone(m));
                 }
-                Ok(omq.execute_engine_traced(backend.database(), &mut budget, &engine, telem)?)
+                Ok(omq.execute_engine_traced(
+                    backend.database(),
+                    &mut budget,
+                    &self.cfg.engine,
+                    telem,
+                )?)
             });
             // A budget-class failure on a watchdog-cancelled meter is the
             // stall surfacing: convert it to the typed outcome.
@@ -1127,7 +1131,7 @@ impl QueryService {
                 source,
                 strategy,
                 &budget_spec,
-                self.cfg.engine.as_ref(),
+                Some(&self.cfg.engine),
                 &self.cfg.retry,
                 telem,
                 ladder_gate.as_ref().map(|g| g as &dyn StrategyGate),

@@ -304,7 +304,8 @@ mod tests {
     use crate::sat::t_dagger;
     use obda_chase::homomorphism::HomSearch;
     use obda_chase::model::{CanonicalModel, Element};
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
 
     fn entails_qbar(cnf: &Cnf, alpha: &[bool]) -> bool {
         let o = t_dagger();
@@ -384,7 +385,7 @@ mod tests {
             assert_eq!(psi.satisfiable(), expected);
             let alpha = alpha_for(&phi, psi);
             let data = tree_instance(&o, &alpha);
-            let res = evaluate(&q, &data, &EvalOptions::default()).unwrap();
+            let res = evaluate(&q, &Database::new(&data)).unwrap();
             let a = data.get_constant("a").unwrap();
             assert_eq!(res.answers.contains(&vec![a]), expected, "ψ = {:?}", psi.clauses);
         }

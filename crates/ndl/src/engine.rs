@@ -1,24 +1,33 @@
-//! Parallel, goal-directed bottom-up evaluation.
+//! Bottom-up evaluation: the crate's one materialising engine.
 //!
-//! This engine layers three optimisations over the faithful
-//! materialising evaluator of [`crate::eval`]:
+//! The engine materialises every goal-reachable IDB predicate stratum by
+//! stratum, joining clause bodies with the shared kernel of
+//! [`crate::eval`]. [`EngineConfig`] selects how much it does on top:
 //!
-//! 1. **Relevance pruning** ([`crate::relevance`]): the program is
-//!    rewritten goal-directedly before evaluation, eliminating renaming
-//!    predicates, used-once views, copy clauses and dead columns, so
-//!    strictly fewer tuples are materialised.
-//! 2. **Stratum scheduling**: the topological order is partitioned into
-//!    *strata* — level sets of the longest-path layering of the
-//!    dependency DAG — whose predicates are mutually independent. All
-//!    clauses of a stratum, with large outer scans split into row-range
-//!    chunks, form a task queue drained by a scoped-thread worker pool
-//!    (`std::thread::scope`; no external dependencies). Clauses whose
-//!    body references an already-known-empty relation are skipped
-//!    without running their joins.
+//! 1. **Relevance pruning** ([`crate::relevance`], `prune`): the program
+//!    is rewritten goal-directedly before evaluation, eliminating
+//!    renaming predicates, used-once views, copy clauses and dead
+//!    columns, so strictly fewer tuples are materialised.
+//! 2. **Stratum scheduling** (`threads`): the topological order is
+//!    partitioned into *strata* — level sets of the longest-path layering
+//!    of the dependency DAG — whose predicates are mutually independent.
+//!    All clauses of a stratum, with large outer scans split into
+//!    row-range chunks, form a task queue drained by a scoped-thread
+//!    worker pool (`std::thread::scope`; no external dependencies), or
+//!    inline at one thread. Clauses whose body references an
+//!    already-known-empty relation are skipped without running their
+//!    joins.
 //! 3. **Shared budgets** ([`obda_budget::SharedBudget`]): the pool
 //!    races one atomic allowance; the first deadline/step/tuple trip
-//!    poisons every worker, and the engine reports the same typed
-//!    [`EvalError`] taxonomy as the sequential evaluator.
+//!    poisons every worker, and the engine reports one typed
+//!    [`EvalError`] taxonomy at every thread count.
+//!
+//! At [`EngineConfig::unpruned`] (`threads: 1, prune: false`) the engine
+//! materialises the rewriting as written, the naive strategy the paper
+//! attributes to RDFox; the evaluation tables use it as that stand-in.
+//! Entry points: [`evaluate_engine_on_traced`] for a query, and
+//! [`evaluate_pruned_planned_on_traced`] for an already-pruned query with
+//! an optional cached plan (the served path).
 //!
 //! Concurrency model: relations of *completed* strata (and the EDB
 //! [`Database`]) are only read — their lazy `OnceLock` column indexes
@@ -33,10 +42,10 @@ use crate::analysis::topological_order;
 use crate::completion::CompletionKey;
 use crate::eval::{
     error_stats, eval_clause_into, halt_from_panic, halt_to_error, reachable_from_goal, relation,
-    EvalError, EvalOptions, EvalResult, EvalStats, Halt, JoinCounters,
+    EmitFn, EvalError, EvalResult, EvalStats, Halt, JoinCounters,
 };
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
-use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind};
+use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind, Program};
 use crate::relevance::{prune_for_goal, PrunedQuery};
 use crate::storage::{Database, Relation};
 use obda_budget::{Budget, BudgetOps, SharedBudget, WorkerBudget};
@@ -47,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Tuning knobs for the parallel, goal-directed engine.
+/// Tuning knobs for the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` = one per available CPU, `1` = run the same
@@ -77,6 +86,12 @@ impl EngineConfig {
         EngineConfig { threads, ..EngineConfig::default() }
     }
 
+    /// One thread, no pruning: the rewriting materialised as written, the
+    /// RDFox stand-in of the evaluation tables.
+    pub fn unpruned() -> Self {
+        EngineConfig { threads: 1, prune: false, ..EngineConfig::default() }
+    }
+
     /// Resolves `threads = 0` to the available parallelism.
     pub fn effective_threads(&self) -> usize {
         match self.threads {
@@ -86,32 +101,13 @@ impl EngineConfig {
     }
 }
 
-/// Evaluates `(Π, G)` over a pre-built [`Database`] with the parallel,
-/// goal-directed engine.
-pub fn evaluate_engine_on(
-    query: &NdlQuery,
-    db: &Database,
-    opts: &EvalOptions,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_engine_on_budgeted(query, db, &mut opts.to_budget(), cfg)
-}
-
-/// Like [`evaluate_engine_on`], but drawing on a caller-supplied
-/// [`Budget`] shared with other pipeline stages.
-pub fn evaluate_engine_on_budgeted(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_engine_on_traced(query, db, budget, cfg, Telemetry::disabled())
-}
-
-/// Like [`evaluate_engine_on_budgeted`], recording spans and metrics
-/// through `telem`: a `prune` span (clause counts before/after), then an
-/// `eval` span whose children are `stratum-schedule`, per-stratum
-/// `stratum` spans and per-task `clause_task` spans with join counters.
+/// Evaluates `(Π, G)` over a pre-built [`Database`] under `budget`,
+/// recording spans and metrics through `telem`: with `cfg.prune` a
+/// `prune` span (clause counts before/after), then an `eval` span whose
+/// children are `stratum-schedule`, per-stratum `stratum` spans and
+/// per-task `clause_task` spans with join counters. The budget may be
+/// shared with other pipeline stages: time, steps and tuples charged
+/// here count against the same allowance.
 pub fn evaluate_engine_on_traced(
     query: &NdlQuery,
     db: &Database,
@@ -127,42 +123,20 @@ pub fn evaluate_engine_on_traced(
         span.attr("preds_before", pruned.stats.preds_before as u64);
         span.attr("preds_after", pruned.stats.preds_after as u64);
         span.end();
-        evaluate_pruned_on_traced(&pruned, db, budget, cfg, telem)
+        evaluate_pruned_planned_on_traced(&pruned, db, budget, cfg, None, telem)
     } else {
-        run(query, None, query.program.num_preds(), db, budget, cfg, None, telem)
+        run(query, None, query.program.num_preds(), db, budget, cfg, None, telem, None)
     }
 }
 
 /// Evaluates an already-pruned query (callers that cache the
-/// [`prune_for_goal`] result across executions, e.g. `PreparedOmq`).
+/// [`prune_for_goal`] result across executions, e.g. `PreparedOmq`),
+/// optionally reusing a [`QueryPlan`] computed earlier for the *pruned*
+/// program (such callers cache plans per database alongside the pruned
+/// query, amortising planning across repeated executions). With
+/// `qplan = None` the engine plans per [`EngineConfig::plan`].
 /// Statistics are reported against the *original* program's predicate
 /// ids via [`PrunedQuery::origin`].
-pub fn evaluate_pruned_on_budgeted(
-    pruned: &PrunedQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-) -> Result<EvalResult, EvalError> {
-    evaluate_pruned_on_traced(pruned, db, budget, cfg, Telemetry::disabled())
-}
-
-/// Like [`evaluate_pruned_on_budgeted`], recording spans and metrics
-/// through `telem`.
-pub fn evaluate_pruned_on_traced(
-    pruned: &PrunedQuery,
-    db: &Database,
-    budget: &mut Budget,
-    cfg: &EngineConfig,
-    telem: Telemetry<'_>,
-) -> Result<EvalResult, EvalError> {
-    evaluate_pruned_planned_on_traced(pruned, db, budget, cfg, None, telem)
-}
-
-/// Like [`evaluate_pruned_on_traced`], but optionally reusing a
-/// [`QueryPlan`] computed earlier for the *pruned* program (callers such
-/// as `PreparedOmq` cache plans per database alongside the pruned query,
-/// amortising planning across repeated executions). With `qplan = None`
-/// the engine plans per [`EngineConfig::plan`].
 pub fn evaluate_pruned_planned_on_traced(
     pruned: &PrunedQuery,
     db: &Database,
@@ -187,13 +161,15 @@ pub fn evaluate_pruned_planned_on_traced(
         span.end();
     }
     let orig = pruned.origin.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-    run(&pruned.query, Some(&pruned.origin), orig, db, budget, cfg, qplan, telem)
+    run(&pruned.query, Some(&pruned.origin), orig, db, budget, cfg, qplan, telem, None)
 }
 
 /// One unit of stratum work: a clause (optionally restricted to a row
 /// range of its outer scan) whose derived rows merge into the clause
 /// head's output relation.
 struct Task<'p> {
+    /// Position of `clause` in the program (the join-counter sink's index).
+    index: usize,
     clause: &'p Clause,
     plan: &'p JoinPlan,
     range: Option<(usize, usize)>,
@@ -201,11 +177,19 @@ struct Task<'p> {
     slot: usize,
 }
 
-/// Evaluates one task into `buf`, then merges the buffer into the
-/// task's output slot, charging newly inserted tuples. Returns the
-/// number of fresh (previously unseen) rows this task contributed.
-/// Generic over [`BudgetOps`] so the inline path (exclusive [`Budget`])
-/// and the worker pool ([`WorkerBudget`]) run identical code.
+/// Evaluates one task, merging its derived rows into the task's output
+/// slot and charging each newly inserted tuple (only distinct new tuples
+/// count against the cap). Returns the number of fresh (previously
+/// unseen) rows this task contributed. Inline (`buf: None`), rows are
+/// inserted as the kernel emits them, so the deadline checks of its
+/// emission loop cover the inserts. In the worker pool, rows are buffered
+/// in `buf` and merged in one go, so a worker holds the slot's mutex only
+/// briefly. The buffer needs no headroom check of its own: it holds at
+/// most one row per binding of the kernel's last batch, which the kernel
+/// already checked against the cap (a clause without predicate atoms
+/// emits at most one row). Generic over [`BudgetOps`] so the inline path
+/// (exclusive [`Budget`]) and the worker pool ([`WorkerBudget`]) share
+/// the code.
 #[allow(clippy::too_many_arguments)] // mirrors eval_clause_into
 fn eval_task<B: BudgetOps>(
     query: &NdlQuery,
@@ -214,52 +198,51 @@ fn eval_task<B: BudgetOps>(
     budget: &mut B,
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
-    buf: &mut Vec<u32>,
+    buf: Option<&mut Vec<u32>>,
     join: &mut JoinCounters,
 ) -> Result<usize, Halt> {
     crate::fault::inject(crate::fault::site::ENGINE_CLAUSE_TASK);
-    // Derived rows are buffered flat (head-arity strided) so the hot
-    // emit path is a memcpy, not a per-row heap allocation.
-    let arity = task.clause.head_args.len();
-    buf.clear();
-    let mut rows = 0u64;
-    eval_clause_into(
-        &query.program,
-        db,
-        idb,
-        budget,
-        task.clause,
-        task.plan,
-        task.range,
-        join,
-        &mut |row, budget| {
-            rows += 1;
-            budget.check_tuple_headroom(rows)?;
-            buf.extend_from_slice(row);
-            Ok(())
-        },
-    )?;
-    if rows == 0 {
-        return Ok(0);
-    }
-    let mut guard = outs[task.slot].lock().unwrap_or_else(PoisonError::into_inner);
-    let (rel, fresh) = &mut *guard;
     let mut new = 0usize;
-    let mut merge = |rel: &mut Relation, row: &[u32]| -> Result<(), Halt> {
+    let mut merge = |rel: &mut Relation, fresh: &mut usize, row: &[u32], budget: &mut B| {
         if rel.insert_if_new(row) {
             *fresh += 1;
             new += 1;
             budget.charge_tuples(1)?;
         }
-        Ok(())
+        Ok::<(), Halt>(())
     };
+    let run = |budget: &mut B, join: &mut JoinCounters, emit: &mut EmitFn<'_, B>| {
+        let program = &query.program;
+        eval_clause_into(program, db, idb, budget, task.clause, task.plan, task.range, join, emit)
+    };
+    let Some(buf) = buf else {
+        let mut guard = outs[task.slot].lock().unwrap_or_else(PoisonError::into_inner);
+        let (rel, fresh) = &mut *guard;
+        run(budget, join, &mut |row, budget| merge(rel, fresh, row, budget))?;
+        return Ok(new);
+    };
+    // Derived rows are buffered flat (head-arity strided) so the hot
+    // emit path is a memcpy, not a per-row heap allocation.
+    let arity = task.clause.head_args.len();
+    buf.clear();
+    let mut rows = 0u64;
+    run(budget, join, &mut |row, _| {
+        rows += 1;
+        buf.extend_from_slice(row);
+        Ok(())
+    })?;
+    if rows == 0 {
+        return Ok(0);
+    }
+    let mut guard = outs[task.slot].lock().unwrap_or_else(PoisonError::into_inner);
+    let (rel, fresh) = &mut *guard;
     if arity == 0 {
         // Boolean heads buffer no columns; every derived row is the
         // empty tuple, so a single merge settles all of them.
-        merge(rel, &[])?;
+        merge(rel, fresh, &[], budget)?;
     } else {
         for row in buf.chunks_exact(arity) {
-            merge(rel, row)?;
+            merge(rel, fresh, row, budget)?;
         }
     }
     Ok(new)
@@ -273,6 +256,7 @@ fn eval_task<B: BudgetOps>(
 /// partial state is discarded: the budget only ever undercounts, the
 /// output relations are merged row-at-a-time behind their mutex (whose
 /// poison every lock site clears), and the whole attempt is abandoned.
+/// The task's join counters also accumulate into `sink`, when given.
 #[allow(clippy::too_many_arguments)] // mirrors eval_task
 fn eval_task_isolated<B: BudgetOps>(
     query: &NdlQuery,
@@ -281,8 +265,9 @@ fn eval_task_isolated<B: BudgetOps>(
     budget: &mut B,
     task: &Task<'_>,
     outs: &[Mutex<(Relation, usize)>],
-    buf: &mut Vec<u32>,
+    buf: Option<&mut Vec<u32>>,
     telem: &Telemetry<'_>,
+    sink: Option<&JoinSink>,
 ) -> Result<(), Halt> {
     let span = telem.tracer.enabled().then(|| telem.span("clause_task"));
     let mut join = JoinCounters::default();
@@ -310,8 +295,16 @@ fn eval_task_isolated<B: BudgetOps>(
             Err(halt) => span.error(&format!("{halt:?}")),
         }
     }
+    if let Some(sink) = sink {
+        sink.lock().unwrap_or_else(PoisonError::into_inner)[task.index].absorb(&join);
+    }
     result.map(|_| ())
 }
+
+/// Per-clause join counters (indexed by clause position) accumulated
+/// across a run's tasks; the costed `explain` reads its actual
+/// cardinalities from one.
+pub(crate) type JoinSink = Mutex<Vec<JoinCounters>>;
 
 /// Scheduling observability: how many tasks actually ran, how many
 /// clauses were skipped because a body relation was known empty, and how
@@ -335,8 +328,47 @@ enum Fill {
     Reused(Arc<Relation>),
 }
 
+/// Longest-path layering of the goal-reachable IDB predicates, indexed by
+/// level: EDB relations sit at level 0 (so that entry is always empty),
+/// an IDB predicate one level above its deepest body predicate.
+/// Predicates in the same level never depend on one another, so a level
+/// is a stratum the pool can evaluate concurrently. Each stratum lists
+/// its predicates in `order` (a topological order).
+pub(crate) fn stratify(
+    program: &Program,
+    order: &[PredId],
+    reachable: &[bool],
+) -> Vec<Vec<PredId>> {
+    let mut level = vec![0usize; program.num_preds()];
+    let mut num_levels = 1;
+    for &p in order {
+        if !reachable[p.0 as usize] || !program.is_idb(p) {
+            continue;
+        }
+        let mut lv = 1;
+        for clause in program.clauses_for(p) {
+            for atom in &clause.body {
+                if let BodyAtom::Pred(q, _) = atom {
+                    if program.is_idb(*q) {
+                        lv = lv.max(level[q.0 as usize] + 1);
+                    }
+                }
+            }
+        }
+        level[p.0 as usize] = lv;
+        num_levels = num_levels.max(lv + 1);
+    }
+    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
+    for &p in order {
+        if reachable[p.0 as usize] && program.is_idb(p) {
+            strata[level[p.0 as usize]].push(p);
+        }
+    }
+    strata
+}
+
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
-fn run(
+pub(crate) fn run(
     query: &NdlQuery,
     origin: Option<&[PredId]>,
     orig_num_preds: usize,
@@ -345,9 +377,9 @@ fn run(
     cfg: &EngineConfig,
     qplan: Option<&QueryPlan>,
     telem: Telemetry<'_>,
+    sink: Option<&JoinSink>,
 ) -> Result<EvalResult, EvalError> {
     let span = telem.span("eval");
-    span.attr_str("engine", "parallel");
     span.attr("threads", cfg.effective_threads() as u64);
     let ticks_before = budget.spent_steps();
     let mut sched = SchedStats::default();
@@ -361,6 +393,7 @@ fn run(
         qplan,
         telem.under(&span),
         &mut sched,
+        sink,
     );
     let tuples = match &result {
         Ok(res) => res.stats.generated_tuples,
@@ -399,6 +432,7 @@ fn run_inner(
     qplan: Option<&QueryPlan>,
     telem: Telemetry<'_>,
     sched: &mut SchedStats,
+    sink: Option<&JoinSink>,
 ) -> Result<EvalResult, EvalError> {
     let start = Instant::now();
     let program = &query.program;
@@ -417,36 +451,8 @@ fn run_inner(
         }
     };
 
-    // Longest-path layering: EDB relations sit at level 0, an IDB
-    // predicate one level above its deepest body predicate. Predicates
-    // in the same level never depend on one another, so a level is a
-    // stratum the pool can evaluate concurrently.
     let sched_span = telem.span("stratum-schedule");
-    let mut level = vec![0usize; num_preds];
-    let mut num_levels = 1;
-    for &p in &order {
-        if !reachable[p.0 as usize] || !program.is_idb(p) {
-            continue;
-        }
-        let mut lv = 1;
-        for clause in program.clauses_for(p) {
-            for atom in &clause.body {
-                if let BodyAtom::Pred(q, _) = atom {
-                    if program.is_idb(*q) {
-                        lv = lv.max(level[q.0 as usize] + 1);
-                    }
-                }
-            }
-        }
-        level[p.0 as usize] = lv;
-        num_levels = num_levels.max(lv + 1);
-    }
-    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
-    for &p in &order {
-        if reachable[p.0 as usize] && program.is_idb(p) {
-            strata[level[p.0 as usize]].push(p);
-        }
-    }
+    let strata = stratify(program, &order, &reachable);
     sched_span.attr("strata", strata.iter().filter(|s| !s.is_empty()).count() as u64);
     sched_span.attr("preds", strata.iter().map(|s| s.len()).sum::<usize>() as u64);
     sched_span.end();
@@ -500,15 +506,18 @@ fn run_inner(
             .collect();
         // Completion predicates this database has already derived are
         // installed from its memo, charged exactly as a derivation would
-        // be (one tuple per row), and their clauses never run.
+        // be (one tuple per row), and their clauses never run. A run that
+        // observes its joins (`sink`) runs every clause instead, so each
+        // reports its actual cardinalities: it neither reads nor fills the
+        // memo, and skips no clause over an empty relation.
         let fills: Vec<Fill> = stratum
             .iter()
             .map(|&p| match CompletionKey::of(program, p) {
-                None => Fill::Derive,
-                Some(key) => match db.completions().get(&key) {
+                Some(key) if sink.is_none() => match db.completions().get(&key) {
                     None => Fill::Build(key),
                     Some(rel) => Fill::Reused(rel),
                 },
+                _ => Fill::Derive,
             })
             .collect();
         let mut halt: Option<Halt> = None;
@@ -532,10 +541,11 @@ fn run_inner(
                 if clause.head != p {
                     continue;
                 }
-                if clause
-                    .body
-                    .iter()
-                    .any(|a| matches!(a, BodyAtom::Pred(q, _) if empty[q.0 as usize]))
+                if sink.is_none()
+                    && clause
+                        .body
+                        .iter()
+                        .any(|a| matches!(a, BodyAtom::Pred(q, _) if empty[q.0 as usize]))
                 {
                     sched.skipped += 1;
                     continue;
@@ -557,11 +567,17 @@ fn run_inner(
                         let mut lo = 0;
                         while lo < n {
                             let hi = (lo + chunk).min(n);
-                            tasks.push(Task { clause, plan, range: Some((lo, hi)), slot });
+                            tasks.push(Task {
+                                index: ci,
+                                clause,
+                                plan,
+                                range: Some((lo, hi)),
+                                slot,
+                            });
                             lo = hi;
                         }
                     }
-                    _ => tasks.push(Task { clause, plan, range: None, slot }),
+                    _ => tasks.push(Task { index: ci, clause, plan, range: None, slot }),
                 }
             }
         }
@@ -569,13 +585,20 @@ fn run_inner(
         let halt = if halt.is_some() {
             halt
         } else if threads <= 1 || tasks.len() <= 1 {
-            let mut buf = Vec::new();
             let mut halt = None;
             for t in &tasks {
                 sched.executed += 1;
-                if let Err(h) =
-                    eval_task_isolated(query, db, &idb, budget, t, &outs, &mut buf, &stratum_telem)
-                {
+                if let Err(h) = eval_task_isolated(
+                    query,
+                    db,
+                    &idb,
+                    budget,
+                    t,
+                    &outs,
+                    None,
+                    &stratum_telem,
+                    sink,
+                ) {
                     halt = Some(h);
                     break;
                 }
@@ -601,8 +624,9 @@ fn run_inner(
                                 &mut wb,
                                 task,
                                 &outs,
-                                &mut buf,
+                                Some(&mut buf),
                                 &stratum_telem,
+                                sink,
                             ) {
                                 // Budget halts already poisoned the shared
                                 // budget; a caught panic has not, so cancel
@@ -677,13 +701,30 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_on;
-    use crate::program::{CVar, Program};
+    use crate::eval::evaluate;
+    use crate::program::CVar;
+    use crate::reference::evaluate_reference;
     use obda_budget::Resource;
+    use obda_owlql::abox::DataInstance;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use std::time::Duration;
 
-    fn chain_query() -> (NdlQuery, obda_owlql::abox::DataInstance) {
+    /// Evaluates untraced under `budget`.
+    fn eval(
+        q: &NdlQuery,
+        db: &Database,
+        mut budget: Budget,
+        cfg: &EngineConfig,
+    ) -> Result<EvalResult, EvalError> {
+        evaluate_engine_on_traced(q, db, &mut budget, cfg, Telemetry::disabled())
+    }
+
+    /// The seed hash-set engine's result, the oracle of these tests.
+    fn oracle(q: &NdlQuery, d: &DataInstance) -> EvalResult {
+        evaluate_reference(q, d, &mut Budget::unlimited()).unwrap()
+    }
+
+    fn chain_query() -> (NdlQuery, DataInstance) {
         let o = parse_ontology("Class A\nProperty R\nProperty S\n").unwrap();
         let mut text = String::new();
         for i in 0..200 {
@@ -732,12 +773,12 @@ mod tests {
     fn engine_matches_sequential_at_every_thread_count() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let base = evaluate_on(&q, &db, &EvalOptions::default()).unwrap();
+        let base = oracle(&q, &d);
         for threads in [1, 2, 4, 8] {
             for prune in [false, true] {
                 for plan in [false, true] {
                     let cfg = EngineConfig { threads, prune, chunk_min_rows: 16, plan };
-                    let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+                    let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
                     assert_eq!(
                         res.answers, base.answers,
                         "threads={threads} prune={prune} plan={plan}"
@@ -756,21 +797,11 @@ mod tests {
     fn stats_are_deterministic_across_thread_counts() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let reference = evaluate_engine_on(
-            &q,
-            &db,
-            &EvalOptions::default(),
-            &EngineConfig { threads: 1, prune: true, chunk_min_rows: 8, plan: true },
-        )
-        .unwrap();
+        let cfg = EngineConfig { threads: 1, prune: true, chunk_min_rows: 8, plan: true };
+        let reference = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
         for threads in [2, 3, 4, 7] {
-            let res = evaluate_engine_on(
-                &q,
-                &db,
-                &EvalOptions::default(),
-                &EngineConfig { threads, prune: true, chunk_min_rows: 8, plan: true },
-            )
-            .unwrap();
+            let cfg = EngineConfig { threads, prune: true, chunk_min_rows: 8, plan: true };
+            let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
             assert_eq!(res.answers, reference.answers);
             assert_eq!(res.stats.generated_tuples, reference.stats.generated_tuples);
             assert_eq!(res.stats.per_predicate, reference.stats.per_predicate);
@@ -781,14 +812,8 @@ mod tests {
     fn shared_deadline_stops_all_workers_with_typed_error() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let opts = EvalOptions { timeout: Some(Duration::ZERO), ..Default::default() };
-        let err = evaluate_engine_on(
-            &q,
-            &db,
-            &opts,
-            &EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true },
-        )
-        .unwrap_err();
+        let cfg = EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true };
+        let err = eval(&q, &db, Budget::with_timeout(Duration::ZERO), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)), "got {err:?}");
     }
 
@@ -796,14 +821,8 @@ mod tests {
     fn shared_tuple_cap_trips_the_pool() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let opts = EvalOptions { max_tuples: Some(5), ..Default::default() };
-        let err = evaluate_engine_on(
-            &q,
-            &db,
-            &opts,
-            &EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true },
-        )
-        .unwrap_err();
+        let cfg = EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true };
+        let err = eval(&q, &db, Budget::unlimited().max_tuples(5), &cfg).unwrap_err();
         match err {
             EvalError::TupleLimit(stats) => {
                 // Concurrent charges can each overshoot by the row they
@@ -837,10 +856,9 @@ mod tests {
         });
         let q = NdlQuery::new(p, g);
         let db = Database::new(&d);
-        let base = evaluate_on(&q, &db, &EvalOptions::default()).unwrap();
+        let base = evaluate(&q, &db).unwrap();
         assert_eq!(base.stats.generated_tuples, 4, "alias doubles the work");
-        let res =
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
+        let res = eval(&q, &db, Budget::unlimited(), &EngineConfig::default()).unwrap();
         assert_eq!(res.answers, base.answers);
         assert_eq!(res.stats.generated_tuples, 2, "alias is pruned away");
         assert_eq!(res.stats.per_predicate.len(), q.program.num_preds());
@@ -867,8 +885,7 @@ mod tests {
         }
         let q = NdlQuery::new(p, g);
         let db = Database::new(&d);
-        let res =
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &EngineConfig::default()).unwrap();
+        let res = eval(&q, &db, Budget::unlimited(), &EngineConfig::default()).unwrap();
         assert_eq!(res.answers.len(), 1);
     }
 
@@ -893,13 +910,8 @@ mod tests {
         let d = parse_data("A(a)\n", &o).unwrap();
         let db = Database::new(&d);
         // Pruning must not mask recursion detection.
-        let err = evaluate_engine_on(
-            &NdlQuery::new(p, g),
-            &db,
-            &EvalOptions::default(),
-            &EngineConfig::default(),
-        )
-        .unwrap_err();
+        let err = eval(&NdlQuery::new(p, g), &db, Budget::unlimited(), &EngineConfig::default())
+            .unwrap_err();
         assert!(matches!(err, EvalError::Recursive));
     }
 
@@ -907,7 +919,7 @@ mod tests {
     /// R(x2, x3)` under Example 11 (`P ⊑ S`, `P ⊑ R⁻`), over a chain of
     /// `R`, `S` and `P` edges. Pruning keeps `R*` and `S*` as completion
     /// predicates.
-    fn star_fixture() -> (NdlQuery, obda_owlql::abox::DataInstance) {
+    fn star_fixture() -> (NdlQuery, DataInstance) {
         let o = parse_ontology("P SubPropertyOf S\nP SubPropertyOf R-\n").unwrap();
         let mut text = String::new();
         for i in 0..120 {
@@ -940,12 +952,11 @@ mod tests {
     fn eval_counting(
         q: &NdlQuery,
         db: &Database,
-        opts: &EvalOptions,
         cfg: &EngineConfig,
     ) -> (Result<EvalResult, EvalError>, u64, u64) {
         let registry = obda_telemetry::MetricsRegistry::new();
         let telem = Telemetry::new(&obda_telemetry::NoopTracer, Some(&registry));
-        let res = evaluate_engine_on_traced(q, db, &mut opts.to_budget(), cfg, telem);
+        let res = evaluate_engine_on_traced(q, db, &mut Budget::unlimited(), cfg, telem);
         let reused = registry.counter("engine_completions_reused_total").get();
         let built = registry.counter("engine_completions_built_total").get();
         (res, reused, built)
@@ -954,16 +965,15 @@ mod tests {
     #[test]
     fn warm_memo_gives_identical_answers_and_stats() {
         let (q, d) = star_fixture();
-        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        let oracle = oracle(&q, &d);
         for threads in [1, 4] {
             let cfg = EngineConfig { threads, chunk_min_rows: 16, ..EngineConfig::default() };
             let db = Database::new(&d);
-            let opts = EvalOptions::default();
-            let (cold, reused, built) = eval_counting(&q, &db, &opts, &cfg);
+            let (cold, reused, built) = eval_counting(&q, &db, &cfg);
             let cold = cold.unwrap();
             assert_eq!((reused, built), (0, 2), "R* and S* are built on the cold run");
             assert_eq!(db.completions().len(), 2);
-            let (warm, reused, built) = eval_counting(&q, &db, &opts, &cfg);
+            let (warm, reused, built) = eval_counting(&q, &db, &cfg);
             let warm = warm.unwrap();
             assert_eq!((reused, built), (2, 0), "the warm run derives no completion");
             assert_eq!(db.completions().len(), 2, "one entry per definition");
@@ -981,39 +991,74 @@ mod tests {
         let cfg = EngineConfig::default();
         let total = {
             let db = Database::new(&d);
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap().stats
+            eval(&q, &db, Budget::unlimited(), &cfg).unwrap().stats
         }
         .generated_tuples;
         let db = Database::new(&d);
-        evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
         assert_eq!(db.completions().len(), 2);
         // A hit charges its whole relation, so every cap below the total
-        // trips on both runs. (Right at the total, the headroom check on
-        // buffered duplicate rows may trip either run.)
+        // trips on both runs. (Right at the total, the kernel's headroom
+        // check on a batch of bindings, duplicates included, may trip
+        // either run.)
         for cap in [total / 4, total / 2, total - 1, 2 * total] {
-            let opts = EvalOptions { max_tuples: Some(cap), ..Default::default() };
-            let cold = evaluate_engine_on(&q, &Database::new(&d), &opts, &cfg);
-            let warm = evaluate_engine_on(&q, &db, &opts, &cfg);
-            assert_eq!(cold.is_ok(), cap > total, "cold run at cap {cap}");
-            assert_eq!(warm.is_ok(), cap > total, "warm run at cap {cap}");
+            let cap = cap as u64;
+            let cold = eval(&q, &Database::new(&d), Budget::unlimited().max_tuples(cap), &cfg);
+            let warm = eval(&q, &db, Budget::unlimited().max_tuples(cap), &cfg);
+            assert_eq!(cold.is_ok(), cap > total as u64, "cold run at cap {cap}");
+            assert_eq!(warm.is_ok(), cap > total as u64, "warm run at cap {cap}");
         }
         assert_eq!(db.completions().len(), 2);
+    }
+
+    /// The cap counts distinct tuples: re-deriving a tuple already in its
+    /// relation charges nothing, even with the cap used up. Inside a
+    /// clause, the kernel's batch of bindings (duplicates included) must
+    /// fit the headroom.
+    #[test]
+    fn the_tuple_cap_charges_distinct_tuples_only() {
+        let o = parse_ontology("Class A\n").unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let a = p.edb_class(v.get_class("A").unwrap(), v);
+        let g = p.add_pred("G", 0, PredKind::Idb);
+        p.add_clause(Clause {
+            head: g,
+            head_args: vec![],
+            body: vec![BodyAtom::Pred(a, vec![CVar(0)])],
+            num_vars: 1,
+        });
+        // No body: derives the empty tuple once more.
+        p.add_clause(Clause { head: g, head_args: vec![], body: vec![], num_vars: 0 });
+        let q = NdlQuery::new(p, g);
+        let cfg = EngineConfig::unpruned();
+        let run = |data: &str, cap: u64| {
+            let db = Database::new(&parse_data(data, &o).unwrap());
+            eval(&q, &db, Budget::unlimited().max_tuples(cap), &cfg)
+        };
+        // Two rows emitted, one tuple: the second row fits a used-up cap.
+        let res = run("A(a)\n", 1).unwrap();
+        assert_eq!((res.stats.generated_tuples, res.stats.num_answers), (1, 1));
+        assert!(matches!(run("A(a)\n", 0), Err(EvalError::TupleLimit(_))));
+        // Four rows emitted, one tuple: a cap of three holds them, one
+        // below the first clause's three bindings does not.
+        let res = run("A(a)\nA(b)\nA(c)\n", 3).unwrap();
+        assert_eq!(res.stats.generated_tuples, 1);
+        assert!(matches!(run("A(a)\nA(b)\nA(c)\n", 2), Err(EvalError::TupleLimit(_))));
     }
 
     #[test]
     fn halted_fills_store_nothing() {
         let (q, d) = star_fixture();
         let cfg = EngineConfig { threads: 4, chunk_min_rows: 16, ..EngineConfig::default() };
-        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        let oracle = oracle(&q, &d);
         let db = Database::new(&d);
-        let capped = EvalOptions { max_tuples: Some(10), ..Default::default() };
-        let err = evaluate_engine_on(&q, &db, &capped, &cfg).unwrap_err();
+        let err = eval(&q, &db, Budget::unlimited().max_tuples(10), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::TupleLimit(_)), "got {err:?}");
-        let late = EvalOptions { timeout: Some(Duration::ZERO), ..Default::default() };
-        let err = evaluate_engine_on(&q, &db, &late, &cfg).unwrap_err();
+        let err = eval(&q, &db, Budget::with_timeout(Duration::ZERO), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)), "got {err:?}");
         assert!(db.completions().is_empty(), "a halted stratum must not fill the memo");
-        let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
         assert_eq!(res.answers, oracle.answers);
         assert_eq!(db.completions().len(), 2);
     }
@@ -1026,7 +1071,7 @@ mod tests {
         use std::sync::Arc;
 
         let (q, d) = star_fixture();
-        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
+        let oracle = oracle(&q, &d);
         // A lazily hydrated copy of the data whose first hydration of each
         // property fails, as a corrupted segment would.
         let eager = Database::new(&d);
@@ -1055,13 +1100,11 @@ mod tests {
         let cfg = EngineConfig::default();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg)
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| eval(&q, &db, Budget::unlimited(), &cfg)));
         std::panic::set_hook(hook);
         assert!(caught.is_err(), "the failed hydration unwinds");
         assert!(db.completions().is_empty());
-        let res = evaluate_engine_on(&q, &db, &EvalOptions::default(), &cfg).unwrap();
+        let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
         assert_eq!(res.answers, oracle.answers);
         assert_eq!(db.completions().len(), 2);
     }
@@ -1070,9 +1113,8 @@ mod tests {
     fn racing_first_fills_both_get_the_oracle_answer() {
         let (q, d) = star_fixture();
         let cfg = EngineConfig::default();
-        let oracle = evaluate_on(&q, &Database::new(&d), &EvalOptions::default()).unwrap();
-        let cold =
-            evaluate_engine_on(&q, &Database::new(&d), &EvalOptions::default(), &cfg).unwrap();
+        let oracle = oracle(&q, &d);
+        let cold = eval(&q, &Database::new(&d), Budget::unlimited(), &cfg).unwrap();
         let db = Database::new(&d);
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
@@ -1082,7 +1124,7 @@ mod tests {
                     scope.spawn(move || {
                         let cfg = EngineConfig { threads: 1 + i, ..EngineConfig::default() };
                         barrier.wait();
-                        evaluate_engine_on(q, db, &EvalOptions::default(), &cfg).unwrap()
+                        eval(q, db, Budget::unlimited(), &cfg).unwrap()
                     })
                 })
                 .collect();
@@ -1121,8 +1163,8 @@ mod tests {
         let cfg = EngineConfig::default();
         let mut entries = Vec::new();
         for q in [&full, &projected, &merged, &full] {
-            let expected = evaluate_on(q, &Database::new(&d), &EvalOptions::default()).unwrap();
-            let res = evaluate_engine_on(q, &db, &EvalOptions::default(), &cfg).unwrap();
+            let expected = oracle(q, &d);
+            let res = eval(q, &db, Budget::unlimited(), &cfg).unwrap();
             assert_eq!(res.answers, expected.answers);
             entries.push(db.completions().len());
         }
@@ -1135,15 +1177,9 @@ mod tests {
     fn step_cap_maps_to_timeout_error() {
         let (q, d) = chain_query();
         let db = Database::new(&d);
-        let mut budget = Budget::unlimited().max_steps(10);
-        let err = evaluate_engine_on_budgeted(
-            &q,
-            &db,
-            &mut budget,
-            &EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true },
-        )
-        .unwrap_err();
+        let cfg = EngineConfig { threads: 4, prune: false, chunk_min_rows: 8, plan: true };
+        let err = eval(&q, &db, Budget::unlimited().max_steps(10), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)));
-        let _ = Resource::Steps; // taxonomy documented in eval::budget_error
+        let _ = Resource::Steps; // taxonomy documented in eval::halt_to_error
     }
 }

@@ -1,57 +1,34 @@
-//! Bottom-up evaluation of NDL queries over data instances.
+//! The join kernel, error taxonomy and statistics shared by every
+//! evaluator of the crate.
 //!
-//! This is the workspace's stand-in for the RDFox engine used in the
-//! paper's experiments: it materialises every IDB predicate in dependency
-//! order, without magic sets or program optimisation, so that the relative
-//! costs of different rewritings have the same cause as in the paper (the
-//! number of materialised tuples). It reports both answers and the total
-//! number of generated tuples, as Tables 3–5 do.
+//! Bottom-up evaluation itself lives in [`crate::engine`]: one
+//! stratum-scheduled engine whose `threads: 1, prune: false`
+//! configuration ([`EngineConfig::unpruned`]) is the workspace's
+//! stand-in for the RDFox engine of the paper's experiments. That
+//! configuration materialises every goal-reachable IDB predicate in
+//! dependency order, without magic sets or program optimisation, so the
+//! relative costs of different rewritings have the same cause as in the
+//! paper (the number of materialised tuples). [`evaluate`] runs it over
+//! a [`Database`].
 //!
-//! Clauses are evaluated as bound-pattern-specialised index-nested-loop
-//! joins over the shared [`Database`] of [`crate::storage`]: for every
-//! predicate atom the greedy `join_order` determines which argument
-//! positions are bound by the time the atom is reached, and the engine
-//! probes the relation's lazy [`crate::storage::ColumnIndex`] on the first
-//! bound column (falling back to a scan when no position is bound),
-//! verifying the remaining positions against each candidate row. The
-//! original per-call hash-set engine survives as [`crate::reference`] for
-//! differential tests and benchmarks.
+//! Clauses are evaluated by `eval_clause_into` as batched joins over
+//! the shared [`Database`] of [`crate::storage`], along the per-clause
+//! [`JoinPlan`] of [`crate::planner`]: every predicate atom is reached
+//! by a chunked scan, a probe of the relation's lazy
+//! [`crate::storage::ColumnIndex`], or a binary-search merge on a sorted
+//! column. The original per-call hash-set engine survives as
+//! [`crate::reference`], the oracle of the differential tests.
 
-use crate::analysis::topological_order;
-use crate::planner::{plan_query, JoinPlan, PlannedAccess, QueryPlan};
+use crate::engine::{evaluate_engine_on_traced, EngineConfig};
+use crate::planner::{JoinPlan, PlannedAccess};
 use crate::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program};
 use crate::storage::{Database, Relation};
 use obda_budget::{Budget, BudgetExceeded, BudgetOps, Resource};
-use obda_owlql::abox::{ConstId, DataInstance};
+use obda_owlql::abox::ConstId;
 use obda_owlql::util::FxHashSet;
 use obda_telemetry::Telemetry;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Evaluation limits. A convenience facade over [`Budget`]: callers that
-/// only need a timeout and a tuple cap keep using this; callers sharing
-/// a budget across pipeline stages use the `*_budgeted` entry points.
-#[derive(Debug, Clone, Default)]
-pub struct EvalOptions {
-    /// Wall-clock budget; `None` = unlimited.
-    pub timeout: Option<Duration>,
-    /// Cap on total generated tuples; `None` = unlimited.
-    pub max_tuples: Option<usize>,
-}
-
-impl EvalOptions {
-    /// Starts a [`Budget`] enforcing exactly these options.
-    pub fn to_budget(&self) -> Budget {
-        let mut b = match self.timeout {
-            Some(t) => Budget::with_timeout(t),
-            None => Budget::unlimited(),
-        };
-        if let Some(cap) = self.max_tuples {
-            b = b.max_tuples(cap as u64);
-        }
-        b
-    }
-}
+use std::time::Duration;
 
 /// Evaluation metrics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -133,7 +110,7 @@ pub(crate) type Row = Vec<u32>;
 pub(crate) const UNBOUND: u32 = u32::MAX;
 
 /// Internal interruption reason raised deep inside join loops; partial
-/// statistics are attached at the `evaluate_on` boundary.
+/// statistics are attached at the engine boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Halt {
     /// The shared [`Budget`] tripped (deadline, step cap or tuple cap).
@@ -182,23 +159,16 @@ pub(crate) fn halt_from_panic(site: &'static str, payload: Box<dyn std::any::Any
 }
 
 /// Maps a [`Halt`] onto the public [`EvalError`] taxonomy, attaching the
-/// partial statistics gathered before the interruption.
+/// partial statistics gathered before the interruption: tuple-cap trips
+/// become [`EvalError::TupleLimit`], every other budget trip (deadline,
+/// step cap) [`EvalError::Timeout`].
 pub(crate) fn halt_to_error(halt: Halt, stats: EvalStats) -> EvalError {
     match halt {
-        Halt::Budget(e) => budget_error(e, stats),
+        Halt::Budget(e) if e.resource == Resource::Tuples => EvalError::TupleLimit(stats),
+        Halt::Budget(_) => EvalError::Timeout(stats),
         Halt::Unsafe(msg) => EvalError::Unsafe(msg),
         Halt::Fault(site) => EvalError::Transient(site),
         Halt::Panic { site, payload } => EvalError::Internal { site: site.to_owned(), payload },
-    }
-}
-
-/// Maps a budget trip onto the legacy [`EvalError`] taxonomy: tuple-cap
-/// trips become [`EvalError::TupleLimit`], everything else (deadline,
-/// step cap) becomes [`EvalError::Timeout`].
-pub(crate) fn budget_error(e: BudgetExceeded, stats: EvalStats) -> EvalError {
-    match e.resource {
-        Resource::Tuples => EvalError::TupleLimit(stats),
-        _ => EvalError::Timeout(stats),
     }
 }
 
@@ -288,16 +258,11 @@ pub(crate) fn relation<'r>(
     }
 }
 
-struct Counters {
-    generated: usize,
-    per_pred: Vec<usize>,
-}
-
-/// Join-kernel observability counters, accumulated per clause evaluation.
+/// Join-kernel observability counters, accumulated per clause task.
 /// Always counted — a handful of `u64` adds per *batch* of candidate rows,
 /// noise next to the hash probes they sit beside — and attached to the
-/// clause span only when tracing is on (`experiments benchguard` holds the
-/// kernel to this).
+/// `clause_task` span only when tracing is on (`experiments benchguard`
+/// holds the kernel to this).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct JoinCounters {
     /// Candidate rows examined, across scan and index-probe paths.
@@ -390,7 +355,7 @@ pub(crate) type EmitFn<'a, B> = dyn FnMut(&[u32], &mut B) -> Result<(), Halt> + 
 /// When `first_range = Some((lo, hi))` and the first planned step is a
 /// scan, only rows `lo..hi` of its relation seed the join — the
 /// parallel engine partitions large outer loops this way. Generic over
-/// [`BudgetOps`] so the sequential engine (exclusive [`Budget`]) and
+/// [`BudgetOps`] so the engine's inline path (exclusive [`Budget`]) and
 /// the worker pool (`WorkerBudget` over a shared atomic allowance) run
 /// the same kernel.
 #[allow(clippy::too_many_arguments)] // one kernel shared by both engines
@@ -595,65 +560,6 @@ pub(crate) fn eval_clause_into<B: BudgetOps>(
     Ok(())
 }
 
-/// Evaluates one clause along its plan, inserting derived head rows into
-/// `out`. When tracing is on, the clause gets its own join span carrying
-/// the [`JoinCounters`] plus the plan's estimated vs. actual output rows
-/// (`est_rows` / `actual_rows`, for misestimation tracking).
-#[allow(clippy::too_many_arguments)] // internal driver mirroring the kernel
-fn eval_clause(
-    program: &Program,
-    db: &Database,
-    idb: &[Arc<Relation>],
-    budget: &mut Budget,
-    counters: &mut Counters,
-    clause: &Clause,
-    plan: &Result<JoinPlan, String>,
-    out: &mut Relation,
-    telem: &Telemetry<'_>,
-    obs: Option<&mut JoinCounters>,
-) -> Result<(), Halt> {
-    let plan = plan.as_ref().map_err(|e| Halt::Unsafe(e.clone()))?;
-    let span = telem.tracer.enabled().then(|| telem.span("clause"));
-    let mut join = JoinCounters::default();
-    let before = counters.per_pred[clause.head.0 as usize];
-    let result = eval_clause_into(
-        program,
-        db,
-        idb,
-        budget,
-        clause,
-        plan,
-        None,
-        &mut join,
-        &mut |row, budget| {
-            if out.insert_if_new(row) {
-                counters.generated += 1;
-                counters.per_pred[clause.head.0 as usize] += 1;
-                budget.charge_tuples(1)?;
-            }
-            Ok(())
-        },
-    );
-    if let Some(span) = &span {
-        span.attr_str("head", &program.pred(clause.head).name);
-        span.attr("rows_scanned", join.scanned);
-        span.attr("index_hits", join.index_hits);
-        span.attr("rows_emitted", join.emitted);
-        if plan.costed {
-            span.attr("est_rows", plan.est_out.round().max(0.0) as u64);
-            span.attr("actual_rows", join.emitted);
-        }
-        span.attr("tuples", (counters.per_pred[clause.head.0 as usize] - before) as u64);
-        if let Err(halt) = &result {
-            span.error(&format!("{halt:?}"));
-        }
-    }
-    if let Some(obs) = obs {
-        obs.absorb(&join);
-    }
-    result
-}
-
 /// The IDB predicates reachable from the goal through clause bodies.
 pub(crate) fn reachable_from_goal(query: &NdlQuery) -> Vec<bool> {
     let mut reachable = vec![false; query.program.num_preds()];
@@ -674,159 +580,25 @@ pub(crate) fn reachable_from_goal(query: &NdlQuery) -> Vec<bool> {
     reachable
 }
 
-/// Evaluates `(Π, G)` over a pre-built [`Database`], materialising all
-/// goal-reachable IDB predicates in dependency order (the naive strategy
-/// the paper attributes to RDFox — every predicate of the program is
-/// materialised in full, with no magic sets; unreachable predicates cannot
-/// affect the answer and are skipped).
-///
-/// The database is shared: EDB column indexes built here stay cached for
-/// later evaluations over the same data.
-pub fn evaluate_on(
-    query: &NdlQuery,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
-    evaluate_on_budgeted(query, db, &mut opts.to_budget())
-}
-
-/// Like [`evaluate_on`], but draws on a caller-supplied [`Budget`] shared
-/// with other pipeline stages: time, steps and tuples charged here count
-/// against the same allowance as rewriting or chase construction.
-pub fn evaluate_on_budgeted(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-) -> Result<EvalResult, EvalError> {
-    evaluate_on_traced(query, db, budget, Telemetry::disabled())
-}
-
-/// Like [`evaluate_on_budgeted`], recording spans and metrics through
-/// `telem`: one `eval` span with a `clause` child per clause evaluated
-/// (join counters attached), plus `ndl_tuples_generated` and
-/// `ndl_budget_ticks` counters when a registry is present.
-pub fn evaluate_on_traced(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-    telem: Telemetry<'_>,
-) -> Result<EvalResult, EvalError> {
-    let span = telem.span("eval");
-    span.attr_str("engine", "sequential");
-    let ticks_before = budget.spent_steps();
-    let qplan = plan_query(query, db);
-    let result = evaluate_inner(query, db, budget, &telem.under(&span), &qplan, None);
-    let tuples = match &result {
-        Ok(res) => res.stats.generated_tuples,
-        Err(e) => error_stats(e).map_or(0, |s| s.generated_tuples),
-    };
-    match &result {
-        Ok(res) => {
-            span.attr("tuples", tuples as u64);
-            span.attr("answers", res.stats.num_answers as u64);
-        }
-        Err(e) => span.error(&e.to_string()),
-    }
-    if let Some(metrics) = telem.metrics {
-        metrics.counter("ndl_tuples_generated").add(tuples as u64);
-        metrics.counter("ndl_budget_ticks").add(budget.spent_steps() - ticks_before);
-    }
-    result
-}
-
-/// Like [`evaluate_on_budgeted`], but also returning the accumulated
-/// per-clause [`JoinCounters`] (indexed by clause position). The CLI's
-/// costed `explain` uses this to print estimated vs. actual
-/// cardinalities from one real evaluation.
-pub(crate) fn evaluate_collecting(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-    qplan: &QueryPlan,
-) -> Result<(EvalResult, Vec<JoinCounters>), EvalError> {
-    let mut obs = vec![JoinCounters::default(); query.program.clauses().len()];
-    let res = evaluate_inner(query, db, budget, &Telemetry::disabled(), qplan, Some(&mut obs))?;
-    Ok((res, obs))
-}
-
-fn evaluate_inner(
-    query: &NdlQuery,
-    db: &Database,
-    budget: &mut Budget,
-    telem: &Telemetry<'_>,
-    qplan: &QueryPlan,
-    mut obs: Option<&mut Vec<JoinCounters>>,
-) -> Result<EvalResult, EvalError> {
-    let start = Instant::now();
-    let program = &query.program;
-    let order = topological_order(program).ok_or(EvalError::Recursive)?;
-    let reachable = reachable_from_goal(query);
-    let mut idb: Vec<Arc<Relation>> = program
-        .pred_ids()
-        .map(|p| match program.pred(p).kind {
-            PredKind::Idb => Arc::new(Relation::new(program.pred(p).arity)),
-            _ => Arc::new(Relation::new(0)),
-        })
-        .collect();
-    let mut counters = Counters { generated: 0, per_pred: vec![0; program.num_preds()] };
-    let stats_at = |counters: &Counters, num_answers: usize, start: Instant| EvalStats {
-        generated_tuples: counters.generated,
-        num_answers,
-        duration: start.elapsed(),
-        per_predicate: counters.per_pred.clone(),
-    };
-    for p in order {
-        if !reachable[p.0 as usize] {
-            continue;
-        }
-        let mut out = Relation::new(program.pred(p).arity);
-        for (ci, clause) in program.clauses().iter().enumerate() {
-            if clause.head == p {
-                if let Err(halt) = eval_clause(
-                    program,
-                    db,
-                    &idb,
-                    budget,
-                    &mut counters,
-                    clause,
-                    &qplan.clauses[ci],
-                    &mut out,
-                    telem,
-                    obs.as_deref_mut().map(|v| &mut v[ci]),
-                ) {
-                    let goal_answers = counters.per_pred[query.goal.0 as usize];
-                    return Err(halt_to_error(halt, stats_at(&counters, goal_answers, start)));
-                }
-            }
-        }
-        idb[p.0 as usize] = Arc::new(out);
-    }
-    let goal_rel = &idb[query.goal.0 as usize];
-    let mut answers: Vec<Vec<ConstId>> =
-        goal_rel.rows().map(|row| row.iter().copied().map(ConstId).collect()).collect();
-    answers.sort();
-    let stats = stats_at(&counters, answers.len(), start);
-    Ok(EvalResult { answers, stats })
-}
-
-/// Evaluates `(Π, G)` over `data`, building a throwaway [`Database`] first.
-///
-/// Callers evaluating many queries over the same data should build the
-/// [`Database`] once and use [`evaluate_on`], which shares the loaded
-/// relations and their indexes across evaluations.
-pub fn evaluate(
-    query: &NdlQuery,
-    data: &DataInstance,
-    opts: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
-    let db = Database::new(data);
-    evaluate_on(query, &db, opts)
+/// Evaluates `(Π, G)` over `db` with the engine at
+/// [`EngineConfig::unpruned`], without a budget or tracing. Callers that
+/// need a budget, tracing or another configuration call
+/// [`evaluate_engine_on_traced`].
+pub fn evaluate(query: &NdlQuery, db: &Database) -> Result<EvalResult, EvalError> {
+    evaluate_engine_on_traced(
+        query,
+        db,
+        &mut Budget::unlimited(),
+        &EngineConfig::unpruned(),
+        Telemetry::disabled(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{CVar, Clause};
+    use obda_owlql::abox::DataInstance;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::Ontology;
 
@@ -851,7 +623,7 @@ mod tests {
             body: vec![BodyAtom::Pred(r, vec![CVar(0), CVar(1)]), BodyAtom::Pred(a, vec![CVar(1)])],
             num_vars: 2,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         let name = |c: ConstId| d.constant_name(c).to_owned();
         let names: Vec<String> = res.answers.iter().map(|t| name(t[0])).collect();
         assert_eq!(names, vec!["a", "b"]);
@@ -889,7 +661,7 @@ mod tests {
             ],
             num_vars: 3,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1); // only a: R(a,b), R(b,c), S(c,d)
         assert_eq!(res.stats.generated_tuples, 2); // H(a,c) and G(a)
     }
@@ -908,7 +680,7 @@ mod tests {
             body: vec![BodyAtom::Pred(a, vec![CVar(0)]), BodyAtom::Eq(CVar(0), CVar(1))],
             num_vars: 2,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 2);
         for t in &res.answers {
             assert_eq!(t[0], t[1]);
@@ -928,7 +700,7 @@ mod tests {
             body: vec![BodyAtom::Pred(top, vec![CVar(0)])],
             num_vars: 1,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), d.num_individuals());
     }
 
@@ -946,7 +718,7 @@ mod tests {
             body: vec![BodyAtom::Pred(a, vec![CVar(0)]), BodyAtom::Eq(CVar(1), CVar(2))],
             num_vars: 3,
         });
-        let err = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap_err();
+        let err = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap_err();
         assert!(matches!(err, EvalError::Unsafe(_)));
     }
 
@@ -963,8 +735,15 @@ mod tests {
             body: vec![BodyAtom::Pred(r, vec![CVar(0), CVar(1)])],
             num_vars: 2,
         });
-        let opts = EvalOptions { max_tuples: Some(1), ..Default::default() };
-        let err = evaluate(&NdlQuery::new(p, g), &d, &opts).unwrap_err();
+        let mut budget = Budget::unlimited().max_tuples(1);
+        let err = evaluate_engine_on_traced(
+            &NdlQuery::new(p, g),
+            &Database::new(&d),
+            &mut budget,
+            &EngineConfig::unpruned(),
+            Telemetry::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EvalError::TupleLimit(_)));
     }
 
@@ -989,8 +768,15 @@ mod tests {
             body: vec![BodyAtom::Pred(h, vec![CVar(0), CVar(1)])],
             num_vars: 2,
         });
-        let opts = EvalOptions { max_tuples: Some(3), ..Default::default() };
-        let err = evaluate(&NdlQuery::new(p, g), &d, &opts).unwrap_err();
+        let mut budget = Budget::unlimited().max_tuples(3);
+        let err = evaluate_engine_on_traced(
+            &NdlQuery::new(p, g),
+            &Database::new(&d),
+            &mut budget,
+            &EngineConfig::unpruned(),
+            Telemetry::disabled(),
+        )
+        .unwrap_err();
         match err {
             EvalError::TupleLimit(stats) => {
                 assert_eq!(stats.generated_tuples, 2, "H was fully materialised");
@@ -1016,7 +802,7 @@ mod tests {
             body: vec![BodyAtom::Pred(r, vec![CVar(0), CVar(0)])],
             num_vars: 1,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1);
         assert_eq!(d.constant_name(res.answers[0][0]), "a");
     }
@@ -1037,9 +823,18 @@ mod tests {
                 body: vec![BodyAtom::Pred(c, vec![CVar(0)])],
                 num_vars: 1,
             });
-            evaluate_on(&NdlQuery::new(p, g), &db, &EvalOptions::default()).unwrap();
+            let cfg = EngineConfig::unpruned();
+            let q = NdlQuery::new(p, g);
+            evaluate_engine_on_traced(
+                &q,
+                &db,
+                &mut Budget::unlimited(),
+                &cfg,
+                Telemetry::disabled(),
+            )
+            .unwrap();
         }
-        assert_eq!(Database::build_count(), before, "evaluate_on must not rebuild");
+        assert_eq!(Database::build_count(), before, "evaluating must not rebuild");
     }
 
     // --- join_order edge cases -------------------------------------------
@@ -1138,7 +933,7 @@ mod tests {
             body: vec![BodyAtom::EqConst(CVar(0), g_const), BodyAtom::Eq(CVar(1), CVar(0))],
             num_vars: 2,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers, vec![vec![g_const, g_const]]);
     }
 
@@ -1157,7 +952,7 @@ mod tests {
             body: vec![BodyAtom::Pred(a, vec![CVar(0)]), BodyAtom::EqConst(CVar(0), b_const)],
             num_vars: 1,
         });
-        let res = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
         assert_eq!(res.answers, vec![vec![b_const]]);
     }
 }

@@ -16,11 +16,13 @@
 //! The CLI's `obda explain` command renders these for the rewriting and
 //! for the pruned program.
 
-use crate::eval::{evaluate_collecting, reachable_from_goal, EvalError, EvalResult, JoinCounters};
+use crate::engine::{run, stratify, EngineConfig, JoinSink};
+use crate::eval::{reachable_from_goal, EvalError, EvalResult, JoinCounters};
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
 use crate::program::{BodyAtom, NdlQuery, PredId, PredKind, Program};
 use crate::storage::Database;
 use obda_budget::Budget;
+use obda_telemetry::Telemetry;
 
 /// How the join kernel reaches one body atom's candidate rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,16 +163,30 @@ pub fn explain_plan_with(query: &NdlQuery, qplan: &QueryPlan) -> PlanExplanation
 
 /// Plans *and evaluates* `query` on `db`, returning the explanation
 /// with both estimated and actual per-step cardinalities, alongside the
-/// evaluation result. The evaluation runs on the sequential engine
-/// under `budget`.
+/// evaluation result. The evaluation runs on the engine at
+/// [`EngineConfig::unpruned`] under `budget`, with every goal-reachable
+/// clause executed: the database's completion memo is neither read nor
+/// filled, and clauses over empty relations run too.
 pub fn explain_plan_executed(
     query: &NdlQuery,
     db: &Database,
     budget: &mut Budget,
 ) -> Result<(PlanExplanation, EvalResult), EvalError> {
     let qplan = plan_query(query, db);
-    let (result, obs) = evaluate_collecting(query, db, budget, &qplan)?;
-    Ok((build_explanation(query, &qplan, Some(&obs)), result))
+    let sink = JoinSink::new(vec![JoinCounters::default(); query.program.num_clauses()]);
+    let result = run(
+        query,
+        None,
+        query.program.num_preds(),
+        db,
+        budget,
+        &EngineConfig::unpruned(),
+        Some(&qplan),
+        Telemetry::disabled(),
+        Some(&sink),
+    )?;
+    let actuals = sink.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    Ok((build_explanation(query, &qplan, Some(&actuals)), result))
 }
 
 fn build_explanation(
@@ -183,31 +199,7 @@ fn build_explanation(
     let reachable = reachable_from_goal(query);
     let order = crate::analysis::topological_order(program).unwrap_or_default();
 
-    let mut level = vec![0usize; num_preds];
-    let mut num_levels = 1;
-    for &p in &order {
-        if !reachable[p.0 as usize] || !program.is_idb(p) {
-            continue;
-        }
-        let mut lv = 1;
-        for clause in program.clauses_for(p) {
-            for atom in &clause.body {
-                if let BodyAtom::Pred(q, _) = atom {
-                    if program.is_idb(*q) {
-                        lv = lv.max(level[q.0 as usize] + 1);
-                    }
-                }
-            }
-        }
-        level[p.0 as usize] = lv;
-        num_levels = num_levels.max(lv + 1);
-    }
-    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
-    for &p in &order {
-        if reachable[p.0 as usize] && program.is_idb(p) {
-            strata[level[p.0 as usize]].push(p);
-        }
-    }
+    let strata = stratify(program, &order, &reachable);
 
     let mut plan = PlanExplanation { strata: Vec::new(), reachable_preds: 0, clauses: 0 };
     plan.reachable_preds = (0..num_preds)

@@ -15,18 +15,18 @@
 //! * a shared indexed relation storage layer ([`storage`]): columnar
 //!   relations with lazy per-column hash indexes, loaded once per data
 //!   instance into a [`Database`] reused across evaluations;
-//! * two evaluators over that storage: a bottom-up materialising engine
-//!   ([`eval`], the stand-in for RDFox in the experiments, using
-//!   index-nested-loop joins) and Theorem 2's reachability-based evaluator
-//!   for linear programs ([`linear_eval`]);
-//! * the original per-call hash-set engine ([`mod@reference`]), kept for
-//!   differential tests and as the benchmark baseline;
-//! * a goal-directed relevance-pruning pass ([`relevance`]) and a
-//!   parallel stratum-scheduled engine ([`engine`]) combining pruning
-//!   with scoped-thread evaluation under a shared [`obda_budget`]
-//!   allowance;
+//! * one bottom-up materialising engine over that storage ([`engine`]):
+//!   stratum-scheduled, optionally goal-directed through the relevance
+//!   pruning pass ([`relevance`]) and parallel on scoped threads under a
+//!   shared [`obda_budget`] allowance; at one thread without pruning it is
+//!   the stand-in for RDFox in the experiments. Its join kernel, errors
+//!   and statistics live in [`eval`];
+//! * Theorem 2's reachability-based evaluator for linear programs
+//!   ([`linear_eval`]);
+//! * the original per-call hash-set engine ([`mod@reference`]), kept as
+//!   the oracle of differential tests and as the benchmark baseline;
 //! * per-relation cardinality statistics ([`stats`]) feeding a
-//!   cost-based clause planner ([`planner`]) that both engines consume:
+//!   cost-based clause planner ([`planner`]) that the engine consumes:
 //!   greedy cost-ordered joins with a dynamic-programming refinement for
 //!   small clauses, choosing per-atom access paths (scan, hash probe,
 //!   sorted merge) over the columnar storage.
@@ -66,19 +66,13 @@ pub mod stats;
 pub mod storage;
 
 pub use analysis::{analyze, Analysis};
-pub use engine::{
-    evaluate_engine_on, evaluate_engine_on_budgeted, evaluate_engine_on_traced,
-    evaluate_pruned_planned_on_traced, EngineConfig,
-};
-pub use eval::{
-    evaluate, evaluate_on, evaluate_on_budgeted, evaluate_on_traced, EvalError, EvalOptions,
-    EvalResult, EvalStats,
-};
+pub use engine::{evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, EngineConfig};
+pub use eval::{evaluate, EvalError, EvalResult, EvalStats};
 pub use explain::{
     explain_plan, explain_plan_executed, explain_plan_on, explain_plan_with, AtomAccess,
     ClausePlan, PlanExplanation, StratumPlan,
 };
-pub use linear_eval::{evaluate_linear, evaluate_linear_on, evaluate_linear_on_budgeted};
+pub use linear_eval::evaluate_linear_on_budgeted;
 pub use planner::{
     plan_query, plans_built, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan,
 };

@@ -16,30 +16,21 @@
 //! in tests and used as an evaluator ablation in the benchmark suite.
 
 use crate::analysis::is_linear;
-use crate::eval::{EvalError, EvalOptions, EvalResult, EvalStats, Halt, Row, UNBOUND};
+use crate::eval::{EvalError, EvalResult, EvalStats, Halt, Row, UNBOUND};
 use crate::program::{BodyAtom, Clause, NdlQuery, PredId, Program};
 use crate::storage::Database;
 use obda_budget::Budget;
-use obda_owlql::abox::{ConstId, DataInstance};
+use obda_owlql::abox::ConstId;
 use obda_owlql::util::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Evaluates a linear NDL query by forward reachability over ground IDB
 /// atoms (Theorem 2's strategy), resolving EDB atoms against a pre-built
-/// [`Database`].
+/// [`Database`] and drawing on a caller-supplied [`Budget`] that may be
+/// shared with other pipeline stages.
 ///
 /// Returns [`EvalError::Unsafe`] if the program is not linear.
-pub fn evaluate_linear_on(
-    query: &NdlQuery,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
-    evaluate_linear_on_budgeted(query, db, &mut opts.to_budget())
-}
-
-/// Like [`evaluate_linear_on`], but draws on a caller-supplied [`Budget`]
-/// shared with other pipeline stages.
 pub fn evaluate_linear_on_budgeted(
     query: &NdlQuery,
     db: &Database,
@@ -147,17 +138,6 @@ pub fn evaluate_linear_on_budgeted(
     answers.sort();
     let stats = stats_at(generated, &per_pred, answers.len());
     Ok(EvalResult { answers, stats })
-}
-
-/// Evaluates a linear NDL query over `data`, building a throwaway
-/// [`Database`] first; see [`evaluate_linear_on`].
-pub fn evaluate_linear(
-    query: &NdlQuery,
-    data: &DataInstance,
-    opts: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
-    let db = Database::new(data);
-    evaluate_linear_on(query, &db, opts)
 }
 
 /// Grounds one clause: if `idb_fact` is provided, the clause's (unique) IDB
@@ -317,9 +297,11 @@ fn ground_clause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, evaluate_on};
+    use crate::engine::{evaluate_engine_on_traced, EngineConfig};
+    use crate::eval::evaluate;
     use crate::program::{CVar, Clause, PredKind};
     use obda_owlql::parser::{parse_data, parse_ontology};
+    use obda_telemetry::Telemetry;
 
     /// A linear program computing 2-step R-reachability into A.
     fn linear_query(o: &obda_owlql::Ontology) -> NdlQuery {
@@ -353,8 +335,9 @@ mod tests {
         let o = parse_ontology("Class A\nProperty R\n").unwrap();
         let d = parse_data("R(a, b)\nR(b, c)\nR(c, c)\nA(c)\n", &o).unwrap();
         let q = linear_query(&o);
-        let lin = evaluate_linear(&q, &d, &EvalOptions::default()).unwrap();
-        let bu = evaluate(&q, &d, &EvalOptions::default()).unwrap();
+        let db = Database::new(&d);
+        let lin = evaluate_linear_on_budgeted(&q, &db, &mut Budget::unlimited()).unwrap();
+        let bu = evaluate(&q, &db).unwrap();
         assert_eq!(lin.answers, bu.answers);
         assert!(!lin.answers.is_empty());
         assert_eq!(lin.stats.generated_tuples, bu.stats.generated_tuples);
@@ -367,8 +350,16 @@ mod tests {
         let q = linear_query(&o);
         let db = Database::new(&d);
         let before = Database::build_count();
-        let lin = evaluate_linear_on(&q, &db, &EvalOptions::default()).unwrap();
-        let bu = evaluate_on(&q, &db, &EvalOptions::default()).unwrap();
+        let lin = evaluate_linear_on_budgeted(&q, &db, &mut Budget::unlimited()).unwrap();
+        let cfg = EngineConfig::unpruned();
+        let bu = evaluate_engine_on_traced(
+            &q,
+            &db,
+            &mut Budget::unlimited(),
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(Database::build_count(), before, "no rebuild for either engine");
         assert_eq!(lin.answers, bu.answers);
         assert_eq!(lin.stats.per_predicate, bu.stats.per_predicate);
@@ -395,9 +386,8 @@ mod tests {
             num_vars: 1,
         });
         let d = parse_data("A(a)\n", &o).unwrap();
-        assert!(matches!(
-            evaluate_linear(&NdlQuery::new(p, g), &d, &EvalOptions::default()),
-            Err(EvalError::Unsafe(_))
-        ));
+        let db = Database::new(&d);
+        let res = evaluate_linear_on_budgeted(&NdlQuery::new(p, g), &db, &mut Budget::unlimited());
+        assert!(matches!(res, Err(EvalError::Unsafe(_))));
     }
 }

@@ -1,6 +1,6 @@
 //! The original per-call hash-set evaluator, kept as a reference.
 //!
-//! This is the engine the shared-storage evaluator ([`crate::eval`])
+//! This is the engine the shared-storage engine ([`crate::engine`])
 //! replaced: relations are `FxHashSet<Vec<u32>>`, every `evaluate_reference`
 //! call re-scans the [`DataInstance`] to materialise EDB relations, and
 //! every predicate atom builds a fresh join index. It is retained for
@@ -10,9 +10,10 @@
 
 use crate::analysis::topological_order;
 use crate::eval::{
-    reachable_from_goal, EvalError, EvalOptions, EvalResult, EvalStats, Row, UNBOUND,
+    halt_to_error, reachable_from_goal, EvalError, EvalResult, EvalStats, Halt, Row, UNBOUND,
 };
 use crate::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program};
+use obda_budget::Budget;
 use obda_owlql::abox::{ConstId, DataInstance};
 use obda_owlql::util::{FxHashMap, FxHashSet};
 use std::time::Instant;
@@ -51,36 +52,14 @@ struct Engine<'a> {
     program: &'a Program,
     data: &'a DataInstance,
     relations: Vec<Option<Relation>>,
-    deadline: Option<Instant>,
-    max_tuples: Option<usize>,
+    budget: &'a mut Budget,
     generated: usize,
     per_pred: Vec<usize>,
-    ticks: u32,
-}
-
-/// Interruption reason; stats are attached at the boundary.
-enum Halt {
-    Timeout,
-    TupleLimit,
-    Unsafe(String),
 }
 
 impl<'a> Engine<'a> {
     fn check_budget(&mut self) -> Result<(), Halt> {
-        self.ticks = self.ticks.wrapping_add(1);
-        if self.ticks.is_multiple_of(4096) {
-            if let Some(d) = self.deadline {
-                if Instant::now() > d {
-                    return Err(Halt::Timeout);
-                }
-            }
-        }
-        if let Some(cap) = self.max_tuples {
-            if self.generated > cap {
-                return Err(Halt::TupleLimit);
-            }
-        }
-        Ok(())
+        Ok(self.budget.tick()?)
     }
 
     /// Takes the relation of `p` out of the engine (materialising an EDB
@@ -179,11 +158,9 @@ impl<'a> Engine<'a> {
                         // Intermediate join results count against the tuple
                         // budget too — a join can explode without ever
                         // reaching the head.
-                        if let Some(cap) = self.max_tuples {
-                            if next.len() > cap {
-                                failure = Some(Halt::TupleLimit);
-                                break;
-                            }
+                        if let Err(e) = self.budget.check_tuple_headroom(next.len() as u64) {
+                            failure = Some(Halt::Budget(e));
+                            break;
                         }
                         let key: Vec<u32> =
                             bound_positions.iter().map(|&k| binding[args[k].0 as usize]).collect();
@@ -226,6 +203,7 @@ impl<'a> Engine<'a> {
             if out.insert(row) {
                 self.generated += 1;
                 self.per_pred[clause.head.0 as usize] += 1;
+                self.budget.charge_tuples(1)?;
             }
             self.check_budget()?;
         }
@@ -235,11 +213,12 @@ impl<'a> Engine<'a> {
 
 /// Evaluates `(Π, G)` over `data` with the seed hash-set engine: EDB
 /// relations are re-materialised from the data instance on every call and
-/// every predicate atom builds a fresh join index.
+/// every predicate atom builds a fresh join index. Draws on `budget` like
+/// the engine does.
 pub fn evaluate_reference(
     query: &NdlQuery,
     data: &DataInstance,
-    opts: &EvalOptions,
+    budget: &mut Budget,
 ) -> Result<EvalResult, EvalError> {
     let start = Instant::now();
     let order = topological_order(&query.program).ok_or(EvalError::Recursive)?;
@@ -248,11 +227,9 @@ pub fn evaluate_reference(
         program: &query.program,
         data,
         relations: vec![None; query.program.num_preds()],
-        deadline: opts.timeout.map(|t| Instant::now() + t),
-        max_tuples: opts.max_tuples,
+        budget,
         generated: 0,
         per_pred: vec![0; query.program.num_preds()],
-        ticks: 0,
     };
     let stats_at = |engine: &Engine, num_answers: usize| EvalStats {
         generated_tuples: engine.generated,
@@ -269,11 +246,7 @@ pub fn evaluate_reference(
             if clause.head == p {
                 if let Err(halt) = engine.eval_clause(clause, &mut rel) {
                     let goal_answers = engine.per_pred[query.goal.0 as usize];
-                    return Err(match halt {
-                        Halt::Timeout => EvalError::Timeout(stats_at(&engine, goal_answers)),
-                        Halt::TupleLimit => EvalError::TupleLimit(stats_at(&engine, goal_answers)),
-                        Halt::Unsafe(msg) => EvalError::Unsafe(msg),
-                    });
+                    return Err(halt_to_error(halt, stats_at(&engine, goal_answers)));
                 }
             }
         }
@@ -292,6 +265,7 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use crate::program::Clause;
+    use crate::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     #[test]
@@ -317,9 +291,8 @@ mod tests {
             num_vars: 2,
         });
         let query = NdlQuery::new(p, g);
-        let opts = EvalOptions::default();
-        let reference = evaluate_reference(&query, &d, &opts).unwrap();
-        let indexed = evaluate(&query, &d, &opts).unwrap();
+        let reference = evaluate_reference(&query, &d, &mut Budget::unlimited()).unwrap();
+        let indexed = evaluate(&query, &Database::new(&d)).unwrap();
         assert_eq!(reference.answers, indexed.answers);
         assert_eq!(reference.stats.per_predicate, indexed.stats.per_predicate);
         assert_eq!(reference.stats.generated_tuples, indexed.stats.generated_tuples);

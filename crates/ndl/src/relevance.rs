@@ -490,7 +490,8 @@ fn distinct(vars: &[CVar]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, EvalOptions};
+    use crate::eval::evaluate;
+    use crate::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::Ontology;
 
@@ -504,8 +505,8 @@ mod tests {
     /// Pruning must preserve answers while never generating more tuples.
     fn check_equivalent(query: &NdlQuery, data: &obda_owlql::abox::DataInstance) -> PrunedQuery {
         let pruned = prune_for_goal(query);
-        let base = evaluate(query, data, &EvalOptions::default()).unwrap();
-        let opt = evaluate(&pruned.query, data, &EvalOptions::default()).unwrap();
+        let base = evaluate(query, &Database::new(data)).unwrap();
+        let opt = evaluate(&pruned.query, &Database::new(data)).unwrap();
         assert_eq!(base.answers, opt.answers, "pruning changed the answers");
         assert!(
             opt.stats.generated_tuples <= base.stats.generated_tuples,

@@ -224,7 +224,8 @@ fn huffman_binarise(
 mod tests {
     use super::*;
     use crate::analysis::{analyze, is_skinny};
-    use crate::eval::{evaluate, EvalOptions};
+    use crate::eval::evaluate;
+    use crate::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::vocab::{ClassId, PropId};
 
@@ -277,8 +278,8 @@ mod tests {
         let d = parse_data("A(a)\nA(b)\nA(c)\nR(a, b)\nR(b, c)\nR(c, a)\nR(a, a)\n", &o).unwrap();
         let q = wide_query();
         let s = to_skinny(&q);
-        let r1 = evaluate(&q, &d, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&s, &d, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&q, &Database::new(&d)).unwrap();
+        let r2 = evaluate(&s, &Database::new(&d)).unwrap();
         assert_eq!(r1.answers, r2.answers);
         assert!(!r1.answers.is_empty());
     }
@@ -318,8 +319,8 @@ mod tests {
         let g2 = p2.add_pred("G", 2, PredKind::Idb);
         p2.add_clause(Clause { head: g2, ..e });
         let d = parse_data("A(u)\nA(w)\n", &o).unwrap();
-        let r1 = evaluate(&NdlQuery::new(p, g), &d, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&NdlQuery::new(p2, g2), &d, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&NdlQuery::new(p, g), &Database::new(&d)).unwrap();
+        let r2 = evaluate(&NdlQuery::new(p2, g2), &Database::new(&d)).unwrap();
         assert_eq!(r1.answers, r2.answers);
         assert_eq!(r1.answers.len(), 2);
     }

@@ -278,7 +278,8 @@ pub fn declare_vocab(program: &mut Program, vocab: &Vocab) -> (Vec<PredId>, Vec<
 mod tests {
     use super::*;
     use crate::analysis::{is_linear, width};
-    use crate::eval::{evaluate, EvalOptions};
+    use crate::eval::evaluate;
+    use crate::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::Ontology;
 
@@ -317,8 +318,8 @@ mod tests {
         let tx = o.taxonomy();
         let q = sample(&o);
         let starred = star_transform(&q, &tx, o.vocab());
-        let r_star = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_star = evaluate(&starred, &Database::new(&d)).unwrap();
+        let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
         assert_eq!(r_star.answers, r_complete.answers);
         // u has an S-edge to w which implies R(u, w) and B(w); likewise z.
         assert_eq!(r_star.answers.len(), 2);
@@ -332,8 +333,8 @@ mod tests {
         assert!(is_linear(&q.program));
         let starred = linear_star_transform(&q, &tx, o.vocab());
         assert!(is_linear(&starred.program), "Lemma 3 must preserve linearity");
-        let r_lin = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_lin = evaluate(&starred, &Database::new(&d)).unwrap();
+        let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
         assert_eq!(r_lin.answers, r_complete.answers);
         // Width grows by at most one (Lemma 3).
         assert!(width(&starred.program) <= width(&q.program) + 1);
@@ -366,7 +367,7 @@ mod tests {
         let q = NdlQuery::new(p, g);
         let starred = star_transform(&q, &tx, v);
         let d = parse_data("B(a)\nB(b)\n", &o).unwrap();
-        let res = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&starred, &Database::new(&d)).unwrap();
         // R*(x,x) holds for every individual.
         assert_eq!(res.answers.len(), 2);
         for t in &res.answers {
@@ -391,8 +392,8 @@ mod tests {
         });
         let q = NdlQuery::new(p, g);
         let starred = linear_star_transform(&q, &tx, v);
-        let r_lin = evaluate(&starred, &d, &EvalOptions::default()).unwrap();
-        let r_complete = evaluate(&q, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let r_lin = evaluate(&starred, &Database::new(&d)).unwrap();
+        let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
         assert_eq!(r_lin.answers, r_complete.answers);
         assert!(!r_lin.answers.is_empty());
     }

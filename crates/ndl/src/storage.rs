@@ -12,7 +12,7 @@
 //!   evaluation that probes the same column);
 //! * [`Database`] — every EDB relation of a data instance, built **once**
 //!   via the grouped-access APIs of `obda_owlql::abox` and then shared by
-//!   all evaluations (`evaluate_on`, `evaluate_linear_on`) and all
+//!   all evaluations (the engine and the linear evaluator) and all
 //!   rewriting strategies of the experiment harness.
 //!
 //! ## Immutability contract and thread safety

@@ -1,21 +1,23 @@
-//! Property tests for the storage-backed evaluators: the indexed engine
-//! agrees with the seed hash-set reference engine on random nonrecursive
-//! programs, the linear evaluator agrees with bottom-up over a single
-//! shared [`Database`], and the parallel goal-directed engine agrees with
-//! both at every thread count (override the counts under test with
-//! `OBDA_TEST_THREADS=n1,n2,...`).
+//! Property tests for the storage-backed evaluators: the engine agrees
+//! with the seed hash-set reference engine on random nonrecursive
+//! programs at every thread count, with and without goal-directed
+//! pruning (override the counts under test with
+//! `OBDA_TEST_THREADS=n1,n2,...`), and the linear evaluator agrees with
+//! the engine over a single shared [`Database`].
 
+use obda_budget::Budget;
 use obda_ndl::analysis::is_linear;
-use obda_ndl::engine::{evaluate_engine_on, EngineConfig};
-use obda_ndl::eval::{evaluate_on, EvalOptions};
+use obda_ndl::engine::{evaluate_engine_on_traced, EngineConfig};
+use obda_ndl::eval::evaluate;
 use obda_ndl::explain::explain_plan_executed;
-use obda_ndl::linear_eval::evaluate_linear_on;
+use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::program::{BodyAtom, CVar, Clause, NdlQuery, PredKind, Program};
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::storage::Database;
 use obda_owlql::abox::DataInstance;
 use obda_owlql::vocab::Vocab;
 use obda_owlql::{ClassId, PropId};
+use obda_telemetry::Telemetry;
 use proptest::prelude::*;
 
 const NUM_CLASSES: u32 = 3;
@@ -179,17 +181,22 @@ fn skewed_columns_misestimate_but_stay_correct() {
     let q = NdlQuery::new(p, g);
 
     let db = Database::new(&d);
-    let opts = EvalOptions::default();
-    let reference = evaluate_reference(&q, &d, &opts).unwrap();
+    let reference = evaluate_reference(&q, &d, &mut Budget::unlimited()).unwrap();
     assert_eq!(reference.answers.len(), 41, "all hub spokes join the single P1 row");
     for plan in [false, true] {
         let cfg = EngineConfig { threads: 2, plan, chunk_min_rows: 2, ..EngineConfig::default() };
-        let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+        let res = evaluate_engine_on_traced(
+            &q,
+            &db,
+            &mut Budget::unlimited(),
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(res.answers, reference.answers, "plan={plan}");
     }
 
-    let (expl, result) =
-        explain_plan_executed(&q, &db, &mut obda_budget::Budget::unlimited()).unwrap();
+    let (expl, result) = explain_plan_executed(&q, &db, &mut Budget::unlimited()).unwrap();
     assert_eq!(result.answers, reference.answers);
     let clause = &expl.strata[0].clauses[0];
     assert_eq!(clause.order.len(), 2);
@@ -207,10 +214,10 @@ fn skewed_columns_misestimate_but_stay_correct() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
-    /// The parallel, goal-directed engine computes exactly the sequential
-    /// indexed engine's answers (and thus the reference engine's — see
-    /// `indexed_engine_agrees_with_reference`) on random programs, at every
-    /// thread count, with and without relevance pruning; per-predicate
+    /// The engine computes exactly the reference engine's answers on
+    /// random programs, at every thread count, with and without relevance
+    /// pruning. Unpruned, it materialises exactly the reference engine's
+    /// tuples per predicate; pruned, never more in total. Per-predicate
     /// statistics stay deterministic across thread counts.
     #[test]
     fn parallel_engine_agrees_with_sequential_and_reference(
@@ -224,23 +231,24 @@ proptest! {
         let q = build_program(&specs);
         let data = build_data(&atoms);
         let db = Database::new(&data);
-        let opts = EvalOptions::default();
-        let sequential = evaluate_on(&q, &db, &opts).unwrap();
-        let reference = evaluate_reference(&q, &data, &opts).unwrap();
-        prop_assert_eq!(&sequential.answers, &reference.answers);
+        let reference = evaluate_reference(&q, &data, &mut Budget::unlimited()).unwrap();
         for prune in [false, true] {
             let mut stats_fingerprint = None;
             for threads in test_threads() {
                 let cfg = EngineConfig { threads, prune, chunk_min_rows: 2, ..EngineConfig::default() };
-                let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+                let mut budget = Budget::unlimited();
+                let res = evaluate_engine_on_traced(
+                    &q, &db, &mut budget, &cfg, Telemetry::disabled(),
+                ).unwrap();
                 prop_assert_eq!(
-                    &res.answers, &sequential.answers,
+                    &res.answers, &reference.answers,
                     "threads={} prune={}", threads, prune
                 );
                 if !prune {
-                    prop_assert_eq!(&res.stats.per_predicate, &sequential.stats.per_predicate);
+                    prop_assert_eq!(&res.stats.per_predicate, &reference.stats.per_predicate);
+                    prop_assert_eq!(res.stats.generated_tuples, reference.stats.generated_tuples);
                 } else {
-                    prop_assert!(res.stats.generated_tuples <= sequential.stats.generated_tuples);
+                    prop_assert!(res.stats.generated_tuples <= reference.stats.generated_tuples);
                 }
                 let fp = (res.stats.generated_tuples, res.stats.per_predicate.clone());
                 match &stats_fingerprint {
@@ -270,15 +278,17 @@ proptest! {
         let q = build_program(&specs);
         let data = build_data(&atoms);
         let db = Database::new(&data);
-        let opts = EvalOptions::default();
-        let reference = evaluate_reference(&q, &data, &opts).unwrap();
+        let reference = evaluate_reference(&q, &data, &mut Budget::unlimited()).unwrap();
         for threads in test_threads() {
             let mut fingerprints = Vec::new();
             for plan in [false, true] {
                 let cfg = EngineConfig {
                     threads, plan, chunk_min_rows: 2, ..EngineConfig::default()
                 };
-                let res = evaluate_engine_on(&q, &db, &opts, &cfg).unwrap();
+                let mut budget = Budget::unlimited();
+                let res = evaluate_engine_on_traced(
+                    &q, &db, &mut budget, &cfg, Telemetry::disabled(),
+                ).unwrap();
                 prop_assert_eq!(
                     &res.answers, &reference.answers,
                     "threads={} plan={}", threads, plan
@@ -292,9 +302,10 @@ proptest! {
         }
     }
 
-    /// The indexed engine over the shared `Database` computes exactly the
-    /// answers of the seed hash-set engine (which re-scans the
-    /// `DataInstance` per call) — the refactor preserves semantics.
+    /// The engine at its unpruned single-thread configuration over the
+    /// shared `Database` computes exactly the answers of the seed hash-set
+    /// engine (which re-scans the `DataInstance` per call) — the indexed
+    /// storage preserves semantics.
     #[test]
     fn indexed_engine_agrees_with_reference(
         specs in prop::collection::vec(
@@ -307,9 +318,8 @@ proptest! {
         let q = build_program(&specs);
         let data = build_data(&atoms);
         let db = Database::new(&data);
-        let opts = EvalOptions::default();
-        let indexed = evaluate_on(&q, &db, &opts).unwrap();
-        let reference = evaluate_reference(&q, &data, &opts).unwrap();
+        let indexed = evaluate(&q, &db).unwrap();
+        let reference = evaluate_reference(&q, &data, &mut Budget::unlimited()).unwrap();
         prop_assert_eq!(&indexed.answers, &reference.answers);
         prop_assert_eq!(
             indexed.stats.num_answers,
@@ -333,9 +343,8 @@ proptest! {
         let data = build_data(&atoms);
         let db = Database::new(&data);
         let before = Database::build_count();
-        let opts = EvalOptions::default();
-        let bottom_up = evaluate_on(&q, &db, &opts).unwrap();
-        let linear = evaluate_linear_on(&q, &db, &opts).unwrap();
+        let bottom_up = evaluate(&q, &db).unwrap();
+        let linear = evaluate_linear_on_budgeted(&q, &db, &mut Budget::unlimited()).unwrap();
         prop_assert_eq!(&bottom_up.answers, &linear.answers);
         prop_assert_eq!(Database::build_count(), before, "no hidden database rebuilds");
     }

@@ -193,7 +193,8 @@ mod tests {
     use super::*;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         assert!(cost.is_finite());
         assert!(["Lin", "Log", "Tw", "Tw*"].contains(&winner));
         let tx = o.taxonomy();
-        let res = evaluate(&rw, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d.complete(&tx))).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
     }

@@ -248,7 +248,8 @@ mod tests {
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
     use obda_ndl::analysis::{is_linear, width};
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     fn example_11_ontology() -> obda_owlql::Ontology {
@@ -284,7 +285,7 @@ mod tests {
         assert!(is_linear(&rw.program), "Lemma 3 preserves linearity");
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
             .unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
         assert!(!res.answers.is_empty());
@@ -302,10 +303,10 @@ mod tests {
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LinRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1, "Boolean true = the empty tuple");
         let d2 = parse_data("B(a)\n", &o).unwrap();
-        let res2 = evaluate(&rw, &d2, &EvalOptions::default()).unwrap();
+        let res2 = evaluate(&rw, &Database::new(&d2)).unwrap();
         assert!(res2.answers.is_empty());
     }
 
@@ -323,7 +324,7 @@ mod tests {
         let rw = rewrite_arbitrary(&LinRewriter::default(), &omq, &tx).unwrap();
         // u: anonymous witness covers l1 but not l2 (C is not implied).
         let d = parse_data("A(u)\nP(u, v)\nC(v)\nA(w)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
         assert_eq!(res.answers.len(), 1);

@@ -293,7 +293,8 @@ mod tests {
     use crate::omq::rewrite_arbitrary;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     fn example_11_ontology() -> obda_owlql::Ontology {
@@ -317,7 +318,7 @@ mod tests {
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
             .unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
     }
@@ -335,7 +336,7 @@ mod tests {
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("R(a, b)\nR(b, c)\nR(c, d)\nR(d, a)\nR(e, e)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
         assert_eq!(res.answers.len(), 5); // a, b, c, d around the cycle + e
@@ -354,10 +355,10 @@ mod tests {
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1);
         let d2 = parse_data("B(b)\n", &o).unwrap();
-        let res2 = evaluate(&rw, &d2, &EvalOptions::default()).unwrap();
+        let res2 = evaluate(&rw, &Database::new(&d2)).unwrap();
         assert!(res2.answers.is_empty());
     }
 

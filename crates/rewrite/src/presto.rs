@@ -480,7 +480,8 @@ mod tests {
     use super::*;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     fn example_11_ontology() -> obda_owlql::Ontology {
@@ -503,7 +504,7 @@ mod tests {
         let rw = PrestoLikeRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
             .unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
         assert!(!res.answers.is_empty());
@@ -542,7 +543,7 @@ mod tests {
         let omq = Omq { ontology: &o, query: &q };
         let rw = PrestoLikeRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1);
     }
 }
@@ -552,7 +553,8 @@ mod tw_ucq_tests {
     use super::*;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     #[test]
@@ -584,7 +586,7 @@ mod tw_ucq_tests {
         let rw = TwUcqRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(b, c)\nS(c, d)\n", &o).unwrap();
         let tx = o.taxonomy();
-        let res = evaluate(&rw, &d.complete(&tx), &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d.complete(&tx))).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
     }

@@ -160,7 +160,8 @@ mod tests {
     use crate::tw::TwRewriter;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::vocab::Vocab;
 
@@ -215,8 +216,8 @@ mod tests {
         let o = parse_ontology("Class AP\nProperty S\nProperty R\n").unwrap();
         let d = parse_data("S(a, b)\nR(b, c)\nR(c, d)\nAP(e)\nR(e, f)\n", &o).unwrap();
         // NOTE: predicate ids in `q` were built against the same vocab ids.
-        let r1 = evaluate(&q, &d, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&inlined, &d, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&q, &Database::new(&d)).unwrap();
+        let r2 = evaluate(&inlined, &Database::new(&d)).unwrap();
         assert_eq!(r1.answers, r2.answers);
         assert_eq!(r1.answers.len(), 2);
     }
@@ -240,8 +241,8 @@ mod tests {
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\n", &o).unwrap();
         let tx = o.taxonomy();
         let completed = d.complete(&tx);
-        let r1 = evaluate(&tw, &completed, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&twstar, &completed, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&tw, &Database::new(&completed)).unwrap();
+        let r2 = evaluate(&twstar, &Database::new(&completed)).unwrap();
         assert_eq!(r1.answers, r2.answers);
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(r2.answers, oracle.tuples());
@@ -301,8 +302,8 @@ mod tests {
         let inlined = inline_single_definitions(&q, 2);
         let o = parse_ontology("Property R\n").unwrap();
         let d = parse_data("R(a, a)\nR(a, b)\n", &o).unwrap();
-        let r1 = evaluate(&q, &d, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&inlined, &d, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&q, &Database::new(&d)).unwrap();
+        let r2 = evaluate(&inlined, &Database::new(&d)).unwrap();
         assert_eq!(r1.answers, r2.answers);
         assert_eq!(r1.answers.len(), 1); // only (a, a)
     }

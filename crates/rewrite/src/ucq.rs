@@ -376,7 +376,8 @@ mod tests {
     use super::*;
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
-    use obda_ndl::eval::{evaluate, EvalOptions};
+    use obda_ndl::eval::evaluate;
+    use obda_ndl::storage::Database;
     use obda_owlql::parser::{parse_data, parse_ontology};
 
     #[test]
@@ -390,7 +391,7 @@ mod tests {
         let omq = Omq { ontology: &o, query: &q };
         let rw = UcqRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(b, c)\nS(c, d)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());
     }
@@ -408,7 +409,7 @@ mod tests {
         // A(a) alone suffices: the disjunct A(x) must be produced (P(x,y)
         // with unbound y after B(y) is rewritten into ∃P⁻, reduced, etc.).
         let d = parse_data("A(a)\n", &o).unwrap();
-        let res = evaluate(&rw, &d, &EvalOptions::default()).unwrap();
+        let res = evaluate(&rw, &Database::new(&d)).unwrap();
         assert_eq!(res.answers.len(), 1);
         let oracle = certain_answers(&o, &q, &d);
         assert_eq!(res.answers, oracle.tuples());

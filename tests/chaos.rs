@@ -67,7 +67,7 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn service(engine: Option<EngineConfig>) -> QueryService {
+fn service(engine: EngineConfig) -> QueryService {
     let _quiet = quiet();
     let system = ObdaSystem::from_text(ONTOLOGY).unwrap();
     QueryService::new(
@@ -147,7 +147,8 @@ fn oracle() -> Vec<Vec<ConstId>> {
 fn pinned_seed_sweep_is_sound_at_every_site() {
     quiet_injected_panics();
     let oracle = oracle();
-    let services = [service(None), service(Some(engine_cfg(1))), service(Some(engine_cfg(4)))];
+    let services =
+        [service(EngineConfig::unpruned()), service(engine_cfg(1)), service(engine_cfg(4))];
     for &seed in &[7u64, 42, 0x0bda_5eed] {
         for &site in site::ALL.iter() {
             for kind in [FaultKind::Transient, FaultKind::Panic] {
@@ -261,7 +262,7 @@ fn ladder_skips_strategies_whose_breaker_is_open() {
             max_queue: 8,
             budget: BudgetSpec::unlimited(),
             retry: fast_retry(),
-            engine: Some(engine_cfg(1)),
+            engine: engine_cfg(1),
             overload: OverloadConfig {
                 breaker: Some(BreakerConfig {
                     window: 4,
@@ -449,7 +450,7 @@ fn injected_faults_appear_as_error_tagged_spans() {
 fn service_keeps_answering_after_sustained_failures() {
     quiet_injected_panics();
     let oracle = oracle();
-    let svc = service(Some(engine_cfg(1)));
+    let svc = service(engine_cfg(1));
     let (data, id) = {
         let _quiet = quiet();
         let query = svc.system().parse_query(QUERY).unwrap();
@@ -482,7 +483,7 @@ fn service_keeps_answering_after_sustained_failures() {
 #[test]
 fn prepare_under_faults_fails_typed_then_recovers() {
     quiet_injected_panics();
-    let svc = service(None);
+    let svc = service(EngineConfig::unpruned());
     let query = svc.system().parse_query(QUERY).unwrap();
     let plan = FaultPlan::always(13, site::REWRITE_TREE_WITNESS, FaultKind::Panic);
     let guard = plan.install();
@@ -744,12 +745,14 @@ fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
 
 #[test]
 fn halted_completion_fills_store_nothing() {
+    use obda::budget::Budget;
     use obda::datagen::erdos::TABLE_2;
     use obda::datagen::sequences::{example_11_ontology, word_query};
     use obda::ndl::storage::Database;
-    use obda::ndl::EvalOptions;
+    use obda::Telemetry;
 
     quiet_injected_panics();
+    let off = Telemetry::disabled();
     let (data, prepared, oracle, fresh) = {
         let _quiet = quiet();
         let sys = ObdaSystem::new(example_11_ontology());
@@ -758,18 +761,19 @@ fn halted_completion_fills_store_nothing() {
         let q = word_query(sys.ontology(), "SRRS");
         let prepared = sys.prepare(&q, Strategy::Log).unwrap();
         let oracle = sys.certain_answers(&q, &data).tuples();
-        let fresh = prepared
-            .execute_engine(&Database::new(&data), &EvalOptions::default(), &engine_cfg(1))
-            .unwrap();
+        let db = Database::new(&data);
+        let fresh =
+            prepared.execute_engine_traced(&db, &mut Budget::unlimited(), &engine_cfg(1), off);
+        let fresh = fresh.unwrap();
         assert_eq!(fresh.answers, oracle);
         (data, prepared, oracle, fresh)
     };
     let transient = FaultKind::Transient;
-    let halts: [(&str, Option<FaultPlan>, EvalOptions); 6] = [
+    let halts: [(&str, Option<FaultPlan>, fn() -> Budget); 6] = [
         (
             "clause_task always",
             Some(FaultPlan::always(1, site::ENGINE_CLAUSE_TASK, transient)),
-            EvalOptions::default(),
+            Budget::unlimited,
         ),
         (
             "clause_task panic on the first task",
@@ -777,12 +781,12 @@ fn halted_completion_fills_store_nothing() {
                 site::ENGINE_CLAUSE_TASK,
                 FaultSpec { kind: FaultKind::Panic, trigger: Trigger::Nth(1) },
             )),
-            EvalOptions::default(),
+            Budget::unlimited,
         ),
         (
             "insert always",
             Some(FaultPlan::always(3, site::STORAGE_INSERT, transient)),
-            EvalOptions::default(),
+            Budget::unlimited,
         ),
         (
             "third insert",
@@ -790,23 +794,24 @@ fn halted_completion_fills_store_nothing() {
                 site::STORAGE_INSERT,
                 FaultSpec { kind: transient, trigger: Trigger::Nth(3) },
             )),
-            EvalOptions::default(),
+            Budget::unlimited,
         ),
-        ("tuple cap", None, EvalOptions { max_tuples: Some(5), ..EvalOptions::default() }),
-        ("deadline", None, EvalOptions { timeout: Some(Duration::ZERO), ..EvalOptions::default() }),
+        ("tuple cap", None, || Budget::unlimited().max_tuples(5)),
+        ("deadline", None, || Budget::with_timeout(Duration::ZERO)),
     ];
     for threads in [1usize, 4] {
         let cfg = engine_cfg(threads);
-        for (name, plan, opts) in &halts {
+        for (name, plan, budget) in &halts {
             let ctx = format!("{name}, threads={threads}");
             let db = Database::new(&data);
             let guard = plan.as_ref().map_or_else(quiet, FaultPlan::install);
-            let halted = prepared.execute_engine(&db, opts, &cfg);
+            let halted = prepared.execute_engine_traced(&db, &mut budget(), &cfg, off);
             guard.disarm();
             assert!(halted.is_err(), "{ctx}: the evaluation must halt");
             assert!(db.completions().is_empty(), "{ctx}: a halted fill stored a relation");
             for run in ["first", "warm"] {
-                let res = prepared.execute_engine(&db, &EvalOptions::default(), &cfg).unwrap();
+                let res = prepared.execute_engine_traced(&db, &mut Budget::unlimited(), &cfg, off);
+                let res = res.unwrap();
                 assert_eq!(res.answers, oracle, "{ctx}: {run} run after the halt");
                 assert_eq!(res.stats.per_predicate, fresh.stats.per_predicate, "{ctx}: {run} run");
                 assert!(!db.completions().is_empty(), "{ctx}: the clean run fills the memo");
@@ -823,7 +828,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
     /// For an arbitrary seeded plan over any site, kind and trigger, at
-    /// one or four engine threads (or the sequential evaluator), the
+    /// one or four engine threads (or unpruned on one thread), the
     /// system returns either the oracle answer or a typed error — never a
     /// wrong answer, never an escaped panic.
     #[test]
@@ -846,9 +851,9 @@ proptest! {
             _ => Trigger::Probability(f64::from(p_mil) / 1000.0),
         };
         let engine = match engine_sel {
-            0 => None,
-            1 => Some(engine_cfg(1)),
-            _ => Some(engine_cfg(4)),
+            0 => EngineConfig::unpruned(),
+            1 => engine_cfg(1),
+            _ => engine_cfg(4),
         };
         let svc = service(engine);
         let fault_site = site::ALL[site_idx];

@@ -4,9 +4,10 @@
 //! panic and never hang.
 
 use obda::budget::{Budget, BudgetSpec, Resource};
+use obda::ndl::engine::EngineConfig;
 use obda::ndl::eval::EvalError;
 use obda::ndl::storage::Database;
-use obda::{ObdaError, ObdaSystem, Strategy};
+use obda::{ObdaError, ObdaSystem, Strategy, Telemetry};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -104,10 +105,11 @@ fn eval_budget_returns_partial_stats_across_strategies() {
     let d = sys.parse_data("P(w, a)\nR(a, b)\nR(b, c)\nS(c, d)\nR(d, e)\n").unwrap();
     let db = Database::new(&d);
     let oracle = sys.certain_answers(&q, &d).tuples();
+    let (unpruned, off) = (EngineConfig::unpruned(), Telemetry::disabled());
     for strategy in [Strategy::Lin, Strategy::Log, Strategy::Tw, Strategy::TwStar] {
         let prepared = sys.prepare(&q, strategy).unwrap();
         let mut budget = BudgetSpec { max_tuples: Some(1), ..BudgetSpec::unlimited() }.start();
-        let err = prepared.execute_budgeted(&db, &mut budget).unwrap_err();
+        let err = prepared.execute_engine_traced(&db, &mut budget, &unpruned, off).unwrap_err();
         let EvalError::TupleLimit(stats) = &err else {
             panic!("strategy {strategy}: expected TupleLimit, got {err}");
         };
@@ -123,7 +125,8 @@ fn eval_budget_returns_partial_stats_across_strategies() {
         }
         // The same prepared query still answers correctly with a fresh,
         // unconstrained budget: tripping leaves no poisoned state.
-        let res = prepared.execute_budgeted(&db, &mut Budget::unlimited()).unwrap();
+        let res = prepared.execute_engine_traced(&db, &mut Budget::unlimited(), &unpruned, off);
+        let res = res.unwrap();
         assert_eq!(res.answers, oracle, "strategy {strategy}");
     }
 }
@@ -175,7 +178,8 @@ fn adaptive_rewriter_survives_per_candidate_budget_trips() {
     let q = sys.parse_query(EXPONENTIAL_QUERY).unwrap();
     let d = sys.parse_data(EXPONENTIAL_DATA).unwrap();
     let spec = BudgetSpec { max_clauses: Some(5_000), ..BudgetSpec::unlimited() };
-    let res = sys.answer_with_budget(&q, &d, Strategy::Adaptive, &spec).unwrap();
+    let cfg = EngineConfig::unpruned();
+    let res = sys.answer_with_budget_engine(&q, &d, Strategy::Adaptive, &spec, &cfg).unwrap();
     assert_eq!(res.answers, sys.certain_answers(&q, &d).tuples());
 }
 
@@ -186,7 +190,7 @@ fn adaptive_rewriter_survives_per_candidate_budget_trips() {
 
 #[test]
 fn panicking_clause_task_is_a_typed_internal_error() {
-    use obda::ndl::engine::{evaluate_engine_on_budgeted, EngineConfig};
+    use obda::ndl::engine::evaluate_engine_on_traced;
     use obda::ndl::program::{BodyAtom, CVar, Clause, NdlQuery, PredKind, Program};
     use obda::owlql::parser::{parse_data, parse_ontology};
 
@@ -211,7 +215,14 @@ fn panicking_clause_task_is_a_typed_internal_error() {
     let db = Database::new(&d);
     for threads in [1, 4] {
         let cfg = EngineConfig { threads, prune: false, chunk_min_rows: 1, plan: true };
-        let err = evaluate_engine_on_budgeted(&q, &db, &mut Budget::unlimited(), &cfg).unwrap_err();
+        let err = evaluate_engine_on_traced(
+            &q,
+            &db,
+            &mut Budget::unlimited(),
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .unwrap_err();
         let EvalError::Internal { site, .. } = &err else {
             panic!("threads={threads}: expected Internal, got {err}");
         };

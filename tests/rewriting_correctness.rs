@@ -221,7 +221,8 @@ proptest! {
         data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
     ) {
         use obda_ndl::analysis::analyze;
-        use obda_ndl::eval::{evaluate, EvalOptions};
+        use obda_ndl::eval::evaluate;
+        use obda_ndl::storage::Database;
         use obda_ndl::skinny::to_skinny;
 
         let ontology = build_ontology(&axioms);
@@ -236,8 +237,8 @@ proptest! {
         let after = analyze(&skinny);
         prop_assert!(after.skinny);
         prop_assert!(after.depth <= before.skinny_depth);
-        let r1 = evaluate(&rewriting, &data, &EvalOptions::default()).unwrap();
-        let r2 = evaluate(&skinny, &data, &EvalOptions::default()).unwrap();
+        let r1 = evaluate(&rewriting, &Database::new(&data)).unwrap();
+        let r2 = evaluate(&skinny, &Database::new(&data)).unwrap();
         prop_assert_eq!(r1.answers, r2.answers);
     }
 
@@ -249,8 +250,9 @@ proptest! {
         qspec in query_spec(),
         data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
     ) {
-        use obda_ndl::eval::{evaluate, EvalOptions};
-        use obda_ndl::linear_eval::evaluate_linear;
+        use obda_ndl::eval::evaluate;
+        use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
+        use obda_ndl::storage::Database;
 
         let ontology = build_ontology(&axioms);
         let query = build_query(&qspec, &ontology);
@@ -260,8 +262,10 @@ proptest! {
             return Ok(());
         };
         prop_assert!(obda_ndl::analysis::is_linear(&rewriting.program));
-        let bu = evaluate(&rewriting, &data, &EvalOptions::default()).unwrap();
-        let lin = evaluate_linear(&rewriting, &data, &EvalOptions::default()).unwrap();
+        let db = Database::new(&data);
+        let bu = evaluate(&rewriting, &db).unwrap();
+        let mut budget = obda::budget::Budget::unlimited();
+        let lin = evaluate_linear_on_budgeted(&rewriting, &db, &mut budget).unwrap();
         prop_assert_eq!(bu.answers, lin.answers);
     }
 }

@@ -97,7 +97,7 @@ fn start_server(
                 max_backoff: Duration::from_millis(1),
                 seed: 0x0bda_5eed,
             },
-            engine: None,
+            engine: EngineConfig::default(),
             overload: OverloadConfig::default(),
         },
     );
@@ -323,10 +323,7 @@ fn second_request_reuses_completed_relations() {
     let _quiet = quiet();
     let sys = paper_system();
     let data = table2_data(&sys, 0, SCALE);
-    let service = QueryService::new(
-        paper_system(),
-        ServiceConfig { engine: Some(EngineConfig::default()), ..ServiceConfig::default() },
-    );
+    let service = QueryService::new(paper_system(), ServiceConfig::default());
     let cfg = ServerConfig { addr: "127.0.0.1:0".to_owned(), ..ServerConfig::default() };
     let server = Server::bind(service, Box::new(MemoryBackend::new(data.clone())), cfg).unwrap();
     let handle = server.start();
@@ -586,7 +583,7 @@ fn brownout_stamps_forces_and_sheds_over_http() {
             max_queue: 8,
             budget: BudgetSpec::unlimited(),
             retry: RetryPolicy::default(),
-            engine: None,
+            engine: EngineConfig::default(),
             overload: OverloadConfig {
                 brownout: Some(BrownoutConfig {
                     queue_high: Duration::ZERO,

@@ -3,8 +3,10 @@
 //! [`PreparedOmq`] executed on one shared [`Database`] returns exactly the
 //! chase oracle's certain answers.
 
+use obda::budget::Budget;
+use obda::ndl::engine::EngineConfig;
 use obda::ndl::storage::Database;
-use obda::{ObdaSystem, Strategy};
+use obda::{ObdaSystem, Strategy, Telemetry};
 use proptest::prelude::*;
 
 const NUM_CLASSES: u8 = 3;
@@ -85,12 +87,14 @@ proptest! {
 
         let db = Database::new(&data);
         let before = Database::build_count();
+        let (unpruned, off) = (EngineConfig::unpruned(), Telemetry::disabled());
         for strategy in Strategy::ALL {
             let Ok(prepared) = sys.prepare(&q, strategy) else { continue };
-            let res = prepared.execute(&db, &Default::default()).unwrap();
+            let mut budget = Budget::unlimited();
+            let res = prepared.execute_engine_traced(&db, &mut budget, &unpruned, off).unwrap();
             prop_assert_eq!(&res.answers, &oracle, "strategy {}", strategy);
             if prepared.analysis().linear {
-                let lin = prepared.execute_linear(&db, &Default::default()).unwrap();
+                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
                 prop_assert_eq!(&lin.answers, &oracle, "linear engine, strategy {}", strategy);
             }
         }

@@ -8,14 +8,15 @@
 //! every Table-2 dataset, the fallback ladder, the parallel engine and
 //! the query service.
 
-use obda::budget::BudgetSpec;
+use obda::budget::{Budget, BudgetSpec};
 use obda::datagen::erdos::TABLE_2;
 use obda::datagen::sequences::{example_11_ontology, word_query};
 use obda::ndl::engine::EngineConfig;
+use obda::ndl::eval::EvalResult;
 use obda::owlql::abox::{ConstId, DataInstance};
 use obda::{
     append_snapshot, read_info, write_snapshot, write_snapshot_footer, MemoryBackend, ObdaSystem,
-    QueryService, ServiceConfig, Snapshot, StorageBackend, Strategy,
+    PreparedOmq, QueryService, ServiceConfig, Snapshot, StorageBackend, Strategy, Telemetry,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -282,10 +283,7 @@ fn lazy_eager_and_every_layout_agree_with_oracle() {
 /// per backend, so later runs reuse what earlier ones derived.
 #[test]
 fn warm_completion_memo_keeps_every_backend_on_the_oracle() {
-    use obda::ndl::EvalOptions;
-
     let sys = paper_system();
-    let opts = EvalOptions::default();
     let cfg = EngineConfig::default();
     let prepared: Vec<_> = ["SRRS", "RRS", "SR"]
         .iter()
@@ -310,7 +308,7 @@ fn warm_completion_memo_keeps_every_backend_on_the_oracle() {
                 oracle.entry(word).or_insert_with(|| sys.certain_answers(q, &data).tuples());
             for (tag, backend) in backends {
                 for run in ["first", "second"] {
-                    let res = omq.execute_engine(backend.database(), &opts, &cfg).unwrap();
+                    let res = execute(omq, backend.database(), &cfg);
                     assert_eq!(
                         &res.answers, oracle,
                         "dataset {idx} word {word} {strategy} {tag} ({run} run)"
@@ -333,19 +331,17 @@ fn warm_completion_memo_keeps_every_backend_on_the_oracle() {
 fn completion_memo_stays_within_the_ontology_bound() {
     use obda::datagen::sequences::{sequence_prefixes, SEQUENCES};
     use obda::ndl::storage::Database;
-    use obda::ndl::EvalOptions;
 
     let sys = paper_system();
     let data = table2_dataset(&sys, 0);
     let db = Database::new(&data);
-    let opts = EvalOptions::default();
     let cfg = EngineConfig::default();
     for seq in SEQUENCES {
         for q in sequence_prefixes(sys.ontology(), seq) {
             for strategy in [Strategy::Log, Strategy::Tw, Strategy::Adaptive] {
                 let prepared = sys.prepare(&q, strategy).unwrap();
-                let engine = prepared.execute_engine(&db, &opts, &cfg).unwrap();
-                let plain = prepared.execute(&db, &opts).unwrap();
+                let engine = execute(&prepared, &db, &cfg);
+                let plain = execute(&prepared, &db, &EngineConfig::unpruned());
                 assert_eq!(engine.answers, plain.answers, "{seq} prefix, {strategy}");
             }
         }
@@ -355,6 +351,11 @@ fn completion_memo_stays_within_the_ontology_bound() {
     let entries = db.completions().len();
     assert!(entries > 0, "the prefixes use completions");
     assert!(entries <= bound, "{entries} memo entries exceed the signature bound {bound}");
+}
+
+/// Executes `omq` over `db` under `cfg`, unbudgeted and untraced.
+fn execute(omq: &PreparedOmq, db: &obda::ndl::storage::Database, cfg: &EngineConfig) -> EvalResult {
+    omq.execute_engine_traced(db, &mut Budget::unlimited(), cfg, Telemetry::disabled()).unwrap()
 }
 
 /// Renders answer tuples as name tuples, so answer sets from backends

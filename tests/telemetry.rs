@@ -3,15 +3,14 @@
 //! trace is an account of the evaluation, not an approximation of it.
 //!
 //! * the `eval` span's `tuples`/`answers` attributes equal the stats;
-//! * the per-clause join spans (`clause` sequentially, `clause_task` in the
-//!   parallel engine) sum to the same tuple total, at every thread count of
-//!   the `OBDA_TEST_THREADS` matrix;
+//! * the per-task join spans (`clause_task`) sum to the same tuple total,
+//!   at one thread and at every thread count of the `OBDA_TEST_THREADS`
+//!   matrix;
 //! * the `ndl_tuples_generated` counter agrees with both;
 //! * traced and untraced runs return identical answers.
 
 use obda::budget::BudgetSpec;
 use obda::ndl::engine::{evaluate_engine_on_traced, EngineConfig};
-use obda::ndl::eval::evaluate_on_traced;
 use obda::ndl::storage::Database;
 use obda::telemetry::{TraceSpan, TraceTree};
 use obda::{CollectingTracer, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
@@ -28,21 +27,22 @@ const DATA: &str = "Professor(ada)\n\
                     GradCourse(sem)\n\
                     teaches(dan, sem)\n";
 
-/// Thread counts for the parallel engine, from the same matrix variable the
-/// other differential suites honour.
+/// Thread counts for the engine, from the same matrix variable the other
+/// differential suites honour; one thread is always included.
 fn thread_matrix() -> Vec<usize> {
-    match std::env::var("OBDA_TEST_THREADS") {
+    let mut threads: Vec<usize> = match std::env::var("OBDA_TEST_THREADS") {
         Ok(spec) => spec.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
         Err(_) => vec![1, 4],
+    };
+    if !threads.contains(&1) {
+        threads.insert(0, 1);
     }
+    threads
 }
 
-/// Sum of the `tuples` attributes over every per-clause join span.
+/// Sum of the `tuples` attributes over every per-task join span.
 fn clause_tuple_sum(tree: &TraceTree) -> u64 {
-    tree.iter()
-        .filter(|s| s.name == "clause" || s.name == "clause_task")
-        .filter_map(|s| s.attr("tuples"))
-        .sum()
+    tree.iter().filter(|s| s.name == "clause_task").filter_map(|s| s.attr("tuples")).sum()
 }
 
 /// Every span ended, and every child's duration fits inside its parent's.
@@ -66,6 +66,8 @@ fn assert_well_nested(tree: &TraceTree) {
     }
 }
 
+/// The engine on one thread, unpruned (the evaluation tables'
+/// configuration), accounts for every generated tuple.
 #[test]
 fn sequential_span_counts_match_eval_stats() {
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
@@ -77,9 +79,14 @@ fn sequential_span_counts_match_eval_stats() {
     let tracer = CollectingTracer::new();
     let registry = MetricsRegistry::new();
     let mut budget = BudgetSpec::unlimited().start();
-    let res =
-        evaluate_on_traced(&rewriting, &db, &mut budget, Telemetry::new(&tracer, Some(&registry)))
-            .unwrap();
+    let res = evaluate_engine_on_traced(
+        &rewriting,
+        &db,
+        &mut budget,
+        &EngineConfig::unpruned(),
+        Telemetry::new(&tracer, Some(&registry)),
+    )
+    .unwrap();
     assert!(res.stats.generated_tuples > 0, "the fixture must generate tuples");
 
     let tree = tracer.snapshot();
@@ -87,13 +94,13 @@ fn sequential_span_counts_match_eval_stats() {
     assert!(tree.iter().all(|s| s.error.is_none()), "no span may fail:\n{}", tree.render_pretty());
 
     let eval = tree.iter().find(|s| s.name == "eval").expect("an eval span");
-    assert_eq!(eval.attr_str("engine"), Some("sequential"));
+    assert_eq!(eval.attr("threads"), Some(1));
     assert_eq!(eval.attr("tuples"), Some(res.stats.generated_tuples as u64));
     assert_eq!(eval.attr("answers"), Some(res.stats.num_answers as u64));
     assert_eq!(
         clause_tuple_sum(&tree),
         res.stats.generated_tuples as u64,
-        "clause spans must account for every generated tuple:\n{}",
+        "clause_task spans must account for every generated tuple:\n{}",
         tree.render_pretty()
     );
     assert_eq!(
@@ -129,10 +136,17 @@ fn parallel_span_counts_match_eval_stats_at_every_thread_count() {
             let ctx = format!("threads={threads} prune={prune}");
             assert_eq!(res.answers, oracle, "{ctx}: traced run disagrees with the oracle");
 
+            assert!(res.stats.generated_tuples > 0, "{ctx}: the fixture must generate tuples");
+
             let tree = tracer.snapshot();
             assert_well_nested(&tree);
+            assert!(
+                tree.iter().all(|s| s.error.is_none()),
+                "{ctx}: no span may fail:\n{}",
+                tree.render_pretty()
+            );
             let eval = tree.iter().find(|s| s.name == "eval").expect("an eval span");
-            assert_eq!(eval.attr_str("engine"), Some("parallel"), "{ctx}");
+            assert_eq!(eval.attr("threads"), Some(threads as u64), "{ctx}");
             assert_eq!(eval.attr("tuples"), Some(res.stats.generated_tuples as u64), "{ctx}");
             assert_eq!(eval.attr("answers"), Some(res.stats.num_answers as u64), "{ctx}");
             assert_eq!(
@@ -160,6 +174,8 @@ fn parallel_span_counts_match_eval_stats_at_every_thread_count() {
     }
 }
 
+/// The engine on one thread (the tables' unpruned configuration) and on
+/// every thread count of the matrix account for the same tuples.
 #[test]
 fn sequential_and_parallel_traces_agree_on_totals() {
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
@@ -169,10 +185,11 @@ fn sequential_and_parallel_traces_agree_on_totals() {
     let db = Database::new(&d);
 
     let seq_tracer = CollectingTracer::new();
-    let seq = evaluate_on_traced(
+    let seq = evaluate_engine_on_traced(
         &rewriting,
         &db,
         &mut BudgetSpec::unlimited().start(),
+        &EngineConfig::unpruned(),
         Telemetry::new(&seq_tracer, None),
     )
     .unwrap();
@@ -212,7 +229,7 @@ fn service_request_produces_a_complete_span_tree_and_metrics() {
             max_queue: 4,
             budget: BudgetSpec::unlimited(),
             retry: RetryPolicy::default(),
-            engine: Some(EngineConfig { threads: 2, prune: true, ..EngineConfig::default() }),
+            engine: EngineConfig { threads: 2, prune: true, ..EngineConfig::default() },
             overload: OverloadConfig::default(),
         },
     );
