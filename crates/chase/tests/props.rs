@@ -49,7 +49,7 @@ fn data(atoms: &[(u8, u8, u8)]) -> DataInstance {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     /// `role_successors` agrees with `satisfies_role` on the materialised
     /// elements.

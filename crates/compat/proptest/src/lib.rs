@@ -182,6 +182,7 @@ impl_tuple_strategy! {
     (A.0, B.1, C.2, D.3)
     (A.0, B.1, C.2, D.3, E.4)
     (A.0, B.1, C.2, D.3, E.4, F.5)
+    (A.0, B.1, C.2, D.3, E.4, F.5, G.6)
 }
 
 /// The `prop::` namespace (subset: `prop::collection::vec`).
@@ -324,7 +325,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32 })]
 
         #[test]
         fn macro_runs_and_asserts(
@@ -332,7 +333,7 @@ mod tests {
             n in 1usize..10,
         ) {
             prop_assert!(n >= 1, "n = {}", n);
-            prop_assert_eq!(xs.len(), xs.iter().count());
+            prop_assert_eq!(xs.iter().filter(|(x, _)| *x < 8).count(), xs.len());
         }
     }
 }

@@ -114,6 +114,7 @@ use obda::{
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::program::ProgramDisplay;
 use obda_ndl::relevance::prune_for_goal;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -1031,10 +1032,23 @@ fn run_answer(
             }
         }
     };
-    for tuple in &result.answers {
-        let names: Vec<&str> = tuple.iter().map(|&c| data.constant_name(c)).collect();
-        println!("({})", names.join(", "));
-    }
+    // Through one buffer on the locked handle: stdout is line-buffered,
+    // so a `println!` per answer would cost one write(2) each.
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let written = result.answers.iter().try_for_each(|tuple| {
+        out.write_all(b"(")?;
+        for (i, &c) in tuple.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b", ")?;
+            }
+            out.write_all(data.constant_name(c).as_bytes())?;
+        }
+        out.write_all(b")\n")
+    });
+    written
+        .and_then(|()| out.flush())
+        .map_err(|e| CliError::Internal(format!("writing answers: {e}")))?;
+    drop(out);
     eprintln!(
         "# {} answers, {} tuples materialised, strategy {}",
         result.stats.num_answers, result.stats.generated_tuples, strategy_used

@@ -916,14 +916,29 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
     metrics.histogram(&format!("server_latency_seconds_{suffix}")).observe(latency);
     let out = match outcome {
         Ok(run) => {
-            let mut body = String::new();
-            for tuple in &run.result.answers {
-                let names: Vec<&str> =
-                    tuple.iter().map(|&c| inner.backend.constant_name(c)).collect();
+            // One line `(a, b)` per answer, written straight into a body
+            // sized exactly in a first pass over the names.
+            let answers = &run.result.answers;
+            let name = |c| inner.backend.constant_name(c);
+            let len: usize = answers
+                .iter()
+                .map(|t| {
+                    3 + 2 * t.len().saturating_sub(1)
+                        + t.iter().map(|&c| name(c).len()).sum::<usize>()
+                })
+                .sum();
+            let mut body = String::with_capacity(len);
+            for tuple in answers {
                 body.push('(');
-                body.push_str(&names.join(", "));
+                for (i, &c) in tuple.iter().enumerate() {
+                    if i > 0 {
+                        body.push_str(", ");
+                    }
+                    body.push_str(name(c));
+                }
                 body.push_str(")\n");
             }
+            debug_assert_eq!(body.len(), len, "the answer body is sized exactly");
             HttpOut::new(200, "OK", body)
                 .with("X-Obda-Answers", run.result.answers.len())
                 .with("X-Obda-Strategy", strategy)

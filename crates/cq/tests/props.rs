@@ -56,7 +56,7 @@ fn check_split(adj: &[Vec<usize>], node: &SplitNode) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 128 })]
 
     #[test]
     fn min_fill_always_validates(

@@ -16,7 +16,9 @@
 //!    worker pool (`std::thread::scope`; no external dependencies), or
 //!    inline at one thread. Clauses whose body references an
 //!    already-known-empty relation are skipped without running their
-//!    joins.
+//!    joins, and a predicate whose one remaining clause is a renaming
+//!    (`renaming`) gets its source's rows without the join kernel:
+//!    the source relation itself, or a column permutation of it.
 //! 3. **Shared budgets** ([`obda_budget::SharedBudget`]): the pool
 //!    races one atomic allowance; the first deadline/step/tuple trip
 //!    poisons every worker, and the engine reports one typed
@@ -307,15 +309,17 @@ fn eval_task_isolated<B: BudgetOps>(
 pub(crate) type JoinSink = Mutex<Vec<JoinCounters>>;
 
 /// Scheduling observability: how many tasks actually ran, how many
-/// clauses were skipped because a body relation was known empty, and how
+/// clauses were skipped because a body relation was known empty, how
 /// many completion predicates were installed from the database's memo
-/// (`reused`) or derived and stored there (`built`).
+/// (`reused`) or derived and stored there (`built`), and how many
+/// predicates were filled by a renaming clause (`renamed`).
 #[derive(Default)]
 struct SchedStats {
     executed: u64,
     skipped: u64,
     reused: u64,
     built: u64,
+    renamed: u64,
 }
 
 /// How a stratum obtains one predicate's relation.
@@ -326,6 +330,75 @@ enum Fill {
     Build(CompletionKey),
     /// Installed from the completion memo; its clauses do not run.
     Reused(Arc<Relation>),
+    /// Its one live clause is a renaming of `source`: installed by
+    /// reference (`perm: None`, the identity) or as a column permutation
+    /// of it, without the join kernel or the dedup table. A completion
+    /// predicate also stores the result in the memo (`memo`).
+    Renamed { source: Arc<Relation>, perm: Option<Vec<usize>>, memo: Option<CompletionKey> },
+}
+
+/// The source and column permutation of a renaming clause
+/// `H(x_π1,…,x_πn) ← Q(x1,…,xn)`: one predicate atom with distinct
+/// variables, no equality, and a head that lists those same variables
+/// once each. `π` is `None` when it is the identity. Such a clause derives
+/// exactly `Q`'s rows with their columns permuted, and since `Q` is a set
+/// and `π` a bijection, those rows are already distinct.
+fn renaming(clause: &Clause) -> Option<(PredId, Option<Vec<usize>>)> {
+    let [BodyAtom::Pred(q, args)] = clause.body.as_slice() else { return None };
+    let head = &clause.head_args;
+    // `n` distinct head variables, each found among the `n` body
+    // arguments: the body's variables are then distinct too.
+    if head.len() != args.len() || head.iter().enumerate().any(|(i, v)| head[..i].contains(v)) {
+        return None;
+    }
+    let perm: Vec<usize> =
+        head.iter().map(|h| args.iter().position(|a| a == h)).collect::<Option<_>>()?;
+    let identity = perm.iter().enumerate().all(|(i, &c)| i == c);
+    Some((*q, (!identity).then_some(perm)))
+}
+
+/// Rows a permuted copy moves between two deadline checks.
+const RENAME_BATCH_ROWS: usize = 1 << 14;
+
+/// Fills one renamed predicate behind the same fault site and
+/// panic-isolation boundary as a task ([`eval_task_isolated`]), recording
+/// a `clause_task` span whose `tuples` is the relation's size and whose
+/// `renamed` attribute says how it was filled. The predicate was charged
+/// its tuples already; a permuted copy checks the deadline every
+/// [`RENAME_BATCH_ROWS`] rows.
+fn fill_renamed(
+    head: &str,
+    source: &Arc<Relation>,
+    perm: Option<&[usize]>,
+    budget: &Budget,
+    telem: &Telemetry<'_>,
+) -> Result<Arc<Relation>, Halt> {
+    let span = telem.tracer.enabled().then(|| telem.span("clause_task"));
+    let copy = || {
+        crate::fault::inject(crate::fault::site::ENGINE_CLAUSE_TASK);
+        let Some(perm) = perm else { return Ok(Arc::clone(source)) };
+        let n = source.len();
+        let mut rel = Relation::with_capacity(source.arity(), n);
+        let mut lo = 0;
+        while lo < n {
+            budget.check_time().map_err(Halt::Budget)?;
+            let hi = (lo + RENAME_BATCH_ROWS).min(n);
+            rel.extend_permuted(source, perm, lo..hi);
+            lo = hi;
+        }
+        Ok(Arc::new(rel))
+    };
+    let result = catch_unwind(AssertUnwindSafe(copy))
+        .unwrap_or_else(|payload| Err(halt_from_panic("ndl::engine::clause_task", payload)));
+    if let Some(span) = &span {
+        span.attr_str("head", head);
+        span.attr_str("renamed", if perm.is_some() { "permute" } else { "alias" });
+        match &result {
+            Ok(rel) => span.attr("tuples", rel.len() as u64),
+            Err(halt) => span.error(&format!("{halt:?}")),
+        }
+    }
+    result
 }
 
 /// Longest-path layering of the goal-reachable IDB predicates, indexed by
@@ -410,6 +483,7 @@ pub(crate) fn run(
     span.attr("clauses_skipped", sched.skipped);
     span.attr("completions_reused", sched.reused);
     span.attr("completions_built", sched.built);
+    span.attr("clauses_renamed", sched.renamed);
     if let Some(metrics) = telem.metrics {
         metrics.counter("ndl_tuples_generated").add(tuples as u64);
         metrics.counter("ndl_budget_ticks").add(budget.spent_steps().saturating_sub(ticks_before));
@@ -417,6 +491,7 @@ pub(crate) fn run(
         metrics.counter("engine_clauses_skipped").add(sched.skipped);
         metrics.counter("engine_completions_reused_total").add(sched.reused);
         metrics.counter("engine_completions_built_total").add(sched.built);
+        metrics.counter("engine_clauses_renamed_total").add(sched.renamed);
     }
     result
 }
@@ -505,38 +580,22 @@ fn run_inner(
             .map(|&p| Mutex::new((Relation::new(program.pred(p).arity), 0)))
             .collect();
         // Completion predicates this database has already derived are
-        // installed from its memo, charged exactly as a derivation would
-        // be (one tuple per row), and their clauses never run. A run that
+        // installed from its memo, and a predicate whose one live clause
+        // is a renaming gets its source's rows; in both cases no clause
+        // runs, and the predicate is charged exactly as a derivation would
+        // be (one tuple per row), before anything is copied. A run that
         // observes its joins (`sink`) runs every clause instead, so each
         // reports its actual cardinalities: it neither reads nor fills the
-        // memo, and skips no clause over an empty relation.
-        let fills: Vec<Fill> = stratum
-            .iter()
-            .map(|&p| match CompletionKey::of(program, p) {
-                Some(key) if sink.is_none() => match db.completions().get(&key) {
-                    None => Fill::Build(key),
-                    Some(rel) => Fill::Reused(rel),
-                },
-                _ => Fill::Derive,
-            })
-            .collect();
-        let mut halt: Option<Halt> = None;
-        for (fill, &p) in fills.iter().zip(stratum) {
-            if let Fill::Reused(rel) = fill {
-                sched.reused += 1;
-                per_pred[p.0 as usize] += rel.len();
-                empty[p.0 as usize] = rel.is_empty();
-                idb[p.0 as usize] = Arc::clone(rel);
-                if let Err(e) = budget.charge_tuples(rel.len() as u64) {
-                    halt.get_or_insert(Halt::Budget(e));
-                }
-            }
-        }
+        // memo, renames nothing, and skips no clause over an empty relation.
+        let mut fills: Vec<Fill> = Vec::with_capacity(stratum.len());
         let mut tasks: Vec<Task<'_>> = Vec::new();
         for (slot, &p) in stratum.iter().enumerate() {
-            if matches!(fills[slot], Fill::Reused(_)) {
+            let key = sink.is_none().then(|| CompletionKey::of(program, p)).flatten();
+            if let Some(rel) = key.as_ref().and_then(|k| db.completions().get(k)) {
+                fills.push(Fill::Reused(rel));
                 continue;
             }
+            let mut live: Vec<(usize, &Clause)> = Vec::new();
             for (ci, clause) in program.clauses().iter().enumerate() {
                 if clause.head != p {
                     continue;
@@ -550,6 +609,22 @@ fn run_inner(
                     sched.skipped += 1;
                     continue;
                 }
+                live.push((ci, clause));
+            }
+            let renamed = match live.as_slice() {
+                [(_, clause)] if sink.is_none() => renaming(clause),
+                _ => None,
+            };
+            if let Some((q, perm)) = renamed {
+                let source = match program.pred(q).kind {
+                    PredKind::Idb => Arc::clone(&idb[q.0 as usize]),
+                    kind => Arc::clone(db.shared_relation(kind)),
+                };
+                fills.push(Fill::Renamed { source, perm, memo: key });
+                continue;
+            }
+            fills.push(key.map_or(Fill::Derive, Fill::Build));
+            for (ci, clause) in live {
                 let plan = qplan.clauses[ci].as_ref().map_err(|e| EvalError::Unsafe(e.clone()))?;
                 // Split a large outer scan into per-worker row ranges —
                 // only when the plan opens with a full scan (a probe or
@@ -578,6 +653,40 @@ fn run_inner(
                         }
                     }
                     _ => tasks.push(Task { index: ci, clause, plan, range: None, slot }),
+                }
+            }
+        }
+        let mut halt: Option<Halt> = None;
+        for (fill, &p) in fills.iter().zip(stratum) {
+            let rows = match fill {
+                Fill::Reused(rel) => {
+                    sched.reused += 1;
+                    idb[p.0 as usize] = Arc::clone(rel);
+                    rel.len()
+                }
+                Fill::Renamed { source, .. } => {
+                    sched.renamed += 1;
+                    source.len()
+                }
+                Fill::Derive | Fill::Build(_) => continue,
+            };
+            per_pred[p.0 as usize] += rows;
+            empty[p.0 as usize] = rows == 0;
+            if let Err(e) = budget.charge_tuples(rows as u64) {
+                halt.get_or_insert(Halt::Budget(e));
+            }
+        }
+        if halt.is_none() {
+            for (fill, &p) in fills.iter().zip(stratum) {
+                if let Fill::Renamed { source, perm, .. } = fill {
+                    let head = &program.pred(p).name;
+                    match fill_renamed(head, source, perm.as_deref(), budget, &stratum_telem) {
+                        Ok(rel) => idb[p.0 as usize] = rel,
+                        Err(h) => {
+                            halt = Some(h);
+                            break;
+                        }
+                    }
                 }
             }
         }
@@ -662,7 +771,7 @@ fn run_inner(
 
         // Merge completed (possibly partial, on halt) stratum output.
         for (slot, &p) in stratum.iter().enumerate() {
-            if matches!(fills[slot], Fill::Reused(_)) {
+            if matches!(fills[slot], Fill::Reused(_) | Fill::Renamed { .. }) {
                 continue;
             }
             let (rel, fresh) =
@@ -683,13 +792,15 @@ fn run_inner(
         // Only a stratum that finished without any halt — budget, fault
         // or panic — may fill the memo.
         for (fill, &p) in fills.into_iter().zip(stratum) {
-            if let Fill::Build(key) = fill {
+            if let Fill::Build(key) | Fill::Renamed { memo: Some(key), .. } = fill {
                 db.completions().insert(key, Arc::clone(&idb[p.0 as usize]));
                 sched.built += 1;
             }
         }
     }
 
+    #[cfg(test)]
+    tests::LAST_IDB.with(|last| *last.borrow_mut() = idb.clone());
     let goal_rel = &idb[query.goal.0 as usize];
     let mut answers: Vec<Vec<ConstId>> =
         goal_rel.rows().map(|row| row.iter().copied().map(ConstId).collect()).collect();
@@ -707,7 +818,34 @@ mod tests {
     use obda_budget::Resource;
     use obda_owlql::abox::DataInstance;
     use obda_owlql::parser::{parse_data, parse_ontology};
+    use std::cell::RefCell;
     use std::time::Duration;
+
+    thread_local! {
+        /// The IDB relations of this thread's last successful run, so a
+        /// test can check which relations were installed by reference.
+        pub(super) static LAST_IDB: RefCell<Vec<Arc<Relation>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The relation the last successful run on this thread installed for `p`.
+    fn installed(p: PredId) -> Arc<Relation> {
+        LAST_IDB.with(|last| Arc::clone(&last.borrow()[p.0 as usize]))
+    }
+
+    fn clause(head: PredId, head_args: &[u32], body: Vec<BodyAtom>) -> Clause {
+        let num_vars = 1 + body
+            .iter()
+            .flat_map(|a| a.vars())
+            .chain(head_args.iter().map(|&v| CVar(v)))
+            .map(|v| v.0)
+            .max()
+            .unwrap_or(0);
+        Clause { head, head_args: head_args.iter().map(|&v| CVar(v)).collect(), body, num_vars }
+    }
+
+    fn atom(p: PredId, args: &[u32]) -> BodyAtom {
+        BodyAtom::Pred(p, args.iter().map(|&v| CVar(v)).collect())
+    }
 
     /// Evaluates untraced under `budget`.
     fn eval(
@@ -947,19 +1085,24 @@ mod tests {
         (starred, d)
     }
 
-    /// Evaluates with the engine, returning the result and the
-    /// `(reused, built)` completion counters it recorded.
+    /// Evaluates with the engine under `budget`, returning the result and
+    /// the `[reused, built, renamed]` counters it recorded.
     fn eval_counting(
         q: &NdlQuery,
         db: &Database,
+        mut budget: Budget,
         cfg: &EngineConfig,
-    ) -> (Result<EvalResult, EvalError>, u64, u64) {
+    ) -> (Result<EvalResult, EvalError>, [u64; 3]) {
         let registry = obda_telemetry::MetricsRegistry::new();
         let telem = Telemetry::new(&obda_telemetry::NoopTracer, Some(&registry));
-        let res = evaluate_engine_on_traced(q, db, &mut Budget::unlimited(), cfg, telem);
-        let reused = registry.counter("engine_completions_reused_total").get();
-        let built = registry.counter("engine_completions_built_total").get();
-        (res, reused, built)
+        let res = evaluate_engine_on_traced(q, db, &mut budget, cfg, telem);
+        let counters = [
+            "engine_completions_reused_total",
+            "engine_completions_built_total",
+            "engine_clauses_renamed_total",
+        ]
+        .map(|name| registry.counter(name).get());
+        (res, counters)
     }
 
     #[test]
@@ -969,11 +1112,11 @@ mod tests {
         for threads in [1, 4] {
             let cfg = EngineConfig { threads, chunk_min_rows: 16, ..EngineConfig::default() };
             let db = Database::new(&d);
-            let (cold, reused, built) = eval_counting(&q, &db, &cfg);
+            let (cold, [reused, built, _]) = eval_counting(&q, &db, Budget::unlimited(), &cfg);
             let cold = cold.unwrap();
             assert_eq!((reused, built), (0, 2), "R* and S* are built on the cold run");
             assert_eq!(db.completions().len(), 2);
-            let (warm, reused, built) = eval_counting(&q, &db, &cfg);
+            let (warm, [reused, built, _]) = eval_counting(&q, &db, Budget::unlimited(), &cfg);
             let warm = warm.unwrap();
             assert_eq!((reused, built), (2, 0), "the warm run derives no completion");
             assert_eq!(db.completions().len(), 2, "one entry per definition");
@@ -1181,5 +1324,297 @@ mod tests {
         let err = eval(&q, &db, Budget::unlimited().max_steps(10), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)));
         let _ = Resource::Steps; // taxonomy documented in eval::halt_to_error
+    }
+
+    /// `R(a_i, a_{i+1})`, `S(a_i, b_{i%5})` and `A(a_{2i})` over a chain.
+    fn rename_data() -> (obda_owlql::Ontology, DataInstance) {
+        let o = parse_ontology("Class A\nProperty R\nProperty S\n").unwrap();
+        let mut text = String::new();
+        for i in 0..60 {
+            text.push_str(&format!("R(a{}, a{})\nS(a{i}, b{})\n", i, i + 1, i % 5));
+            if i % 2 == 0 {
+                text.push_str(&format!("A(a{i})\n"));
+            }
+        }
+        let d = parse_data(&text, &o).unwrap();
+        (o, d)
+    }
+
+    #[test]
+    fn renaming_recognises_exactly_the_permutations() {
+        let mut p = Program::new();
+        let q = p.add_pred("Q", 2, PredKind::Idb);
+        let q3 = p.add_pred("Q3", 3, PredKind::Idb);
+        let h = p.add_pred("H", 2, PredKind::Idb);
+        let h1 = p.add_pred("H1", 1, PredKind::Idb);
+        let h3 = p.add_pred("H3", 3, PredKind::Idb);
+        assert_eq!(renaming(&clause(h, &[0, 1], vec![atom(q, &[0, 1])])), Some((q, None)));
+        assert_eq!(
+            renaming(&clause(h, &[1, 0], vec![atom(q, &[0, 1])])),
+            Some((q, Some(vec![1, 0])))
+        );
+        assert_eq!(
+            renaming(&clause(h3, &[2, 0, 1], vec![atom(q3, &[0, 1, 2])])),
+            Some((q3, Some(vec![2, 0, 1])))
+        );
+        // A projection, a repeated head variable, a repeated body variable.
+        assert_eq!(renaming(&clause(h1, &[0], vec![atom(q, &[0, 1])])), None);
+        assert_eq!(renaming(&clause(h, &[0, 0], vec![atom(q, &[0, 1])])), None);
+        assert_eq!(renaming(&clause(h1, &[0], vec![atom(q, &[0, 0])])), None);
+        // Equalities, alone or next to the atom.
+        let eq = BodyAtom::Eq(CVar(0), CVar(1));
+        assert_eq!(renaming(&clause(h, &[0, 1], vec![atom(q, &[0, 1]), eq])), None);
+        let eq_const = BodyAtom::EqConst(CVar(0), ConstId(0));
+        assert_eq!(renaming(&clause(h, &[0, 1], vec![atom(q, &[0, 1]), eq_const])), None);
+        // Two atoms, or none.
+        let two = vec![atom(q, &[0, 1]), atom(q, &[1, 0])];
+        assert_eq!(renaming(&clause(h, &[0, 1], two)), None);
+        assert_eq!(renaming(&clause(h, &[0, 1], vec![])), None);
+    }
+
+    #[test]
+    fn an_identity_rename_shares_its_source() {
+        use crate::storage::LazyRelation;
+        use obda_owlql::util::FxHashMap;
+
+        let (o, d) = rename_data();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let t = p.add_pred("T", 2, PredKind::Idb);
+        let from_idb = p.add_pred("FROM_IDB", 2, PredKind::Idb);
+        let from_edb = p.add_pred("FROM_EDB", 2, PredKind::Idb);
+        let g = p.add_pred("G", 2, PredKind::Idb);
+        p.add_clause(clause(t, &[0, 2], vec![atom(r, &[0, 1]), atom(s, &[1, 2])]));
+        p.add_clause(clause(from_idb, &[0, 1], vec![atom(t, &[0, 1])]));
+        p.add_clause(clause(from_edb, &[0, 1], vec![atom(r, &[0, 1])]));
+        p.add_clause(clause(g, &[0, 2], vec![atom(from_idb, &[0, 1]), atom(from_edb, &[1, 2])]));
+        let q = NdlQuery::new(p, g);
+        let oracle = oracle(&q, &d);
+        let cfg = EngineConfig::unpruned();
+
+        // An eagerly loaded database.
+        let eager = Database::new(&d);
+        let (res, [_, _, renamed]) = eval_counting(&q, &eager, Budget::unlimited(), &cfg);
+        let res = res.unwrap();
+        assert_eq!(res.answers, oracle.answers);
+        assert_eq!(res.stats.per_predicate, oracle.stats.per_predicate);
+        assert_eq!(renamed, 2);
+        assert!(Arc::ptr_eq(&installed(from_idb), &installed(t)), "IDB source");
+        let r_kind = q.program.pred(r).kind;
+        assert!(Arc::ptr_eq(&installed(from_edb), eager.shared_relation(r_kind)), "eager EDB");
+
+        // A snapshot-style database whose slots hydrate on first touch.
+        let lazy = |rel: &Relation| {
+            let cols: Vec<Vec<u32>> =
+                (0..2).map(|c| rel.rows().map(|row| row[c]).collect()).collect();
+            LazyRelation::lazy(move || Relation::from_sorted_columns(2, &cols))
+        };
+        let props: FxHashMap<_, _> =
+            eager.prop_relations().map(|(id, rel)| (id, lazy(rel))).collect();
+        let universe = Relation::from_sorted_columns(
+            1,
+            &[eager.relation(PredKind::Top).rows().map(|row| row[0]).collect()],
+        );
+        let db =
+            Database::from_lazy_relations(FxHashMap::default(), props, universe, eager.num_atoms());
+        let (res, [_, _, renamed]) = eval_counting(&q, &db, Budget::unlimited(), &cfg);
+        assert_eq!(res.unwrap().answers, oracle.answers);
+        assert_eq!(renamed, 2);
+        assert!(Arc::ptr_eq(&installed(from_edb), db.shared_relation(r_kind)), "lazy slot");
+    }
+
+    #[test]
+    fn a_permuted_rename_matches_the_reference() {
+        let (o, d) = rename_data();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let a = p.edb_class(v.get_class("A").unwrap(), v);
+        let t = p.add_pred("T", 3, PredKind::Idb);
+        let rot = p.add_pred("ROT", 3, PredKind::Idb);
+        let inv = p.add_pred("INV", 2, PredKind::Idb);
+        let g = p.add_pred("G", 3, PredKind::Idb);
+        p.add_clause(clause(t, &[0, 1, 2], vec![atom(r, &[0, 1]), atom(s, &[1, 2])]));
+        p.add_clause(clause(rot, &[2, 0, 1], vec![atom(t, &[0, 1, 2])]));
+        p.add_clause(clause(inv, &[1, 0], vec![atom(r, &[0, 1])]));
+        p.add_clause(clause(
+            g,
+            &[0, 1, 2],
+            vec![atom(rot, &[0, 1, 2]), atom(inv, &[2, 3]), atom(a, &[3])],
+        ));
+        let q = NdlQuery::new(p, g);
+        let oracle = oracle(&q, &d);
+        assert!(!oracle.answers.is_empty(), "the fixture must have answers");
+        for threads in [1, 4] {
+            let cfg = EngineConfig { threads, prune: false, chunk_min_rows: 8, plan: true };
+            let (res, [_, _, renamed]) =
+                eval_counting(&q, &Database::new(&d), Budget::unlimited(), &cfg);
+            let res = res.unwrap();
+            assert_eq!(renamed, 2, "threads={threads}");
+            assert_eq!(res.answers, oracle.answers, "threads={threads}");
+            assert_eq!(res.stats.per_predicate, oracle.stats.per_predicate);
+            let (rot, t) = (installed(rot), installed(t));
+            assert_eq!(rot.len(), t.len());
+            assert!(
+                t.rows().all(|x| rot.contains(&[x[2], x[0], x[1]])),
+                "ROT(z, x, y) :- T(x, y, z)"
+            );
+        }
+    }
+
+    /// Each renamed predicate gets a `clause_task` span of its own, so the
+    /// clause spans still account for every generated tuple.
+    #[test]
+    fn renamed_predicates_are_traced_like_tasks() {
+        let (o, d) = rename_data();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let copy = p.add_pred("COPY", 2, PredKind::Idb);
+        let inv = p.add_pred("INV", 2, PredKind::Idb);
+        let g = p.add_pred("G", 2, PredKind::Idb);
+        p.add_clause(clause(copy, &[0, 1], vec![atom(r, &[0, 1])]));
+        p.add_clause(clause(inv, &[1, 0], vec![atom(r, &[0, 1])]));
+        p.add_clause(clause(g, &[0, 2], vec![atom(copy, &[0, 1]), atom(inv, &[2, 1])]));
+        let q = NdlQuery::new(p, g);
+        let db = Database::new(&d);
+        let tracer = obda_telemetry::CollectingTracer::new();
+        let telem = Telemetry::new(&tracer, None);
+        let cfg = EngineConfig::unpruned();
+        let res =
+            evaluate_engine_on_traced(&q, &db, &mut Budget::unlimited(), &cfg, telem).unwrap();
+        let tree = tracer.snapshot();
+        let tasks: Vec<_> = tree.iter().filter(|s| s.name == "clause_task").collect();
+        let renamed = |how: &str| {
+            tasks.iter().find(|s| s.attr_str("renamed") == Some(how)).and_then(|s| s.attr("tuples"))
+        };
+        let rows = db.relation(q.program.pred(r).kind).len() as u64;
+        assert_eq!(renamed("alias"), Some(rows));
+        assert_eq!(renamed("permute"), Some(rows));
+        let sum: u64 = tasks.iter().filter_map(|s| s.attr("tuples")).sum();
+        assert_eq!(sum, res.stats.generated_tuples as u64);
+        let eval = tree.iter().find(|s| s.name == "eval").unwrap();
+        assert_eq!(eval.attr("clauses_renamed"), Some(2));
+    }
+
+    #[test]
+    fn projections_equalities_and_two_live_clauses_are_not_renamed() {
+        let (o, d) = rename_data();
+        let v = o.vocab();
+        let db = Database::new(&d);
+        let cfg = EngineConfig::unpruned();
+        // Each program defines `H` from `R`/`S` in a way that is not a
+        // renaming, and consumes it in a goal that is not one either.
+        type Shape = fn(&mut Program, PredId, PredId, PredId);
+        let shapes: [(&str, usize, Shape); 6] = [
+            ("projection", 1, |p, h, r, _| {
+                p.add_clause(clause(h, &[0], vec![atom(r, &[0, 1])]));
+            }),
+            ("repeated head variable", 2, |p, h, r, _| {
+                p.add_clause(clause(h, &[0, 0], vec![atom(r, &[0, 1])]));
+            }),
+            ("repeated body variable", 1, |p, h, r, _| {
+                p.add_clause(clause(h, &[0], vec![atom(r, &[0, 0])]));
+            }),
+            ("equality", 2, |p, h, r, _| {
+                p.add_clause(clause(
+                    h,
+                    &[0, 1],
+                    vec![atom(r, &[0, 1]), BodyAtom::Eq(CVar(0), CVar(1))],
+                ));
+            }),
+            ("constant", 2, |p, h, r, _| {
+                let eq = BodyAtom::EqConst(CVar(0), ConstId(0));
+                p.add_clause(clause(h, &[0, 1], vec![atom(r, &[0, 1]), eq]));
+            }),
+            ("two live clauses", 2, |p, h, r, s| {
+                p.add_clause(clause(h, &[0, 1], vec![atom(r, &[0, 1])]));
+                p.add_clause(clause(h, &[0, 1], vec![atom(s, &[0, 1])]));
+            }),
+        ];
+        for (name, arity, define) in shapes {
+            let mut p = Program::new();
+            let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+            let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+            let a = p.edb_class(v.get_class("A").unwrap(), v);
+            let h = p.add_pred("H", arity, PredKind::Idb);
+            let g = p.add_pred("G", arity, PredKind::Idb);
+            define(&mut p, h, r, s);
+            let args: Vec<u32> = (0..arity as u32).collect();
+            p.add_clause(clause(g, &args, vec![atom(h, &args), atom(a, &[0])]));
+            let q = NdlQuery::new(p, g);
+            let (res, [_, _, renamed]) = eval_counting(&q, &db, Budget::unlimited(), &cfg);
+            assert_eq!(renamed, 0, "{name}");
+            assert_eq!(res.unwrap().answers, oracle(&q, &d).answers, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_completion_whose_other_clause_is_skipped_is_renamed() {
+        // Example 11's ontology over data without `P`: `R*` keeps one live
+        // clause, the copy of `R`.
+        let o = parse_ontology("P SubPropertyOf S\nP SubPropertyOf R-\n").unwrap();
+        let mut text = String::new();
+        for i in 0..50 {
+            text.push_str(&format!("R(a{}, a{})\nS(a{i}, a{})\n", i, i + 1, (i * 3) % 50));
+        }
+        let d = parse_data(&text, &o).unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let g = p.add_pred("G", 2, PredKind::Idb);
+        p.add_clause(clause(g, &[0, 2], vec![atom(r, &[0, 1]), atom(s, &[1, 2])]));
+        let q = crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v);
+        let db = Database::new(&d);
+        let oracle = oracle(&q, &d);
+        for cfg in [EngineConfig::unpruned(), EngineConfig::default()] {
+            let (res, [_, _, renamed]) =
+                eval_counting(&q, &Database::new(&d), Budget::unlimited(), &cfg);
+            let res = res.unwrap();
+            assert_eq!(renamed, 2, "R* and S* copy R and S: {cfg:?}");
+            assert_eq!(res.answers, oracle.answers);
+            assert_eq!(res.stats.generated_tuples, oracle.stats.generated_tuples);
+        }
+        // The copy is the data's own relation, stored in the memo as is.
+        let r_star = q.program.pred_ids().find(|&x| q.program.pred(x).name == "R*").unwrap();
+        let (res, _) = eval_counting(&q, &db, Budget::unlimited(), &EngineConfig::unpruned());
+        res.unwrap();
+        let r_kind = PredKind::EdbProp(v.get_prop("R").unwrap());
+        assert!(Arc::ptr_eq(&installed(r_star), db.shared_relation(r_kind)));
+        let key = CompletionKey::of(&q.program, r_star).unwrap();
+        assert!(Arc::ptr_eq(&db.completions().get(&key).unwrap(), db.shared_relation(r_kind)));
+        // A warm run reuses it from the memo and renames nothing.
+        let (warm, [_, _, renamed]) =
+            eval_counting(&q, &db, Budget::unlimited(), &EngineConfig::unpruned());
+        assert_eq!(renamed, 0);
+        assert_eq!(warm.unwrap().answers, oracle.answers);
+    }
+
+    #[test]
+    fn a_tuple_cap_below_the_source_trips_a_rename() {
+        let (o, d) = rename_data();
+        let v = o.vocab();
+        for perm in [[0, 1], [1, 0]] {
+            let mut p = Program::new();
+            let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+            let g = p.add_pred("G", 2, PredKind::Idb);
+            p.add_clause(clause(g, &perm, vec![atom(r, &[0, 1])]));
+            let q = NdlQuery::new(p, g);
+            let db = Database::new(&d);
+            let rows = db.relation(q.program.pred(r).kind).len() as u64;
+            let cfg = EngineConfig::unpruned();
+            let (res, [_, _, renamed]) =
+                eval_counting(&q, &db, Budget::unlimited().max_tuples(rows - 1), &cfg);
+            assert!(matches!(res, Err(EvalError::TupleLimit(_))), "{perm:?}: got {res:?}");
+            assert_eq!(renamed, 1);
+            let (res, _) = eval_counting(&q, &db, Budget::unlimited().max_tuples(rows), &cfg);
+            assert_eq!(res.unwrap().stats.generated_tuples as u64, rows, "{perm:?}");
+            let (res, _) = eval_counting(&q, &db, Budget::with_timeout(Duration::ZERO), &cfg);
+            assert!(matches!(res, Err(EvalError::Timeout(_))), "{perm:?}: got {res:?}");
+        }
     }
 }

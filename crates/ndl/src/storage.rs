@@ -6,10 +6,12 @@
 //! index per clause atom. This module replaces that substrate:
 //!
 //! * [`Relation`] — a columnar relation: one flat row-major `Vec<u32>`
-//!   arena plus an arity, no per-row allocation, with exact hash-based
-//!   deduplication and *lazy* per-column hash indexes (built at most once,
-//!   cached inside the relation, shared by every clause and every
-//!   evaluation that probes the same column);
+//!   arena plus an arity, with exact deduplication through an
+//!   open-addressing table of row ids (so inserting a row allocates
+//!   nothing but the arena's and the table's amortised growth) and *lazy*
+//!   per-column hash indexes (built at most once, cached inside the
+//!   relation, shared by every clause and every evaluation that probes
+//!   the same column);
 //! * [`Database`] — every EDB relation of a data instance, built **once**
 //!   via the grouped-access APIs of `obda_owlql::abox` and then shared by
 //!   all evaluations (the engine and the linear evaluator) and all
@@ -72,6 +74,95 @@ fn hash_row(row: &[u32]) -> u64 {
         h.write_u32(v);
     }
     h.finish()
+}
+
+/// A [`DedupTable`] slot that holds no row.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Exact row deduplication for a [`Relation`]: an open-addressing table
+/// of row ids with linear probing. A slot is found from the row's hash
+/// and a candidate is accepted only if its row in the arena compares
+/// equal, so hash collisions cost probes, never wrong answers. The table
+/// stores no rows of its own and allocates nothing per row; it doubles
+/// when half full, re-hashing the ids from the arena.
+#[derive(Debug)]
+struct DedupTable {
+    /// Row ids, or [`EMPTY_SLOT`]; the length is a power of two.
+    slots: Vec<u32>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl DedupTable {
+    const MIN_SLOTS: usize = 16;
+
+    /// A table of the first `rows` rows of the row-major `data` (distinct,
+    /// as every relation's rows are).
+    fn build(data: &[u32], arity: usize, rows: usize) -> Self {
+        let mut table = DedupTable {
+            slots: vec![EMPTY_SLOT; (2 * rows).next_power_of_two().max(Self::MIN_SLOTS)],
+            len: 0,
+        };
+        for id in 0..rows {
+            table.insert_distinct(hash_row(row_at(data, arity, id)), id as u32);
+        }
+        table
+    }
+
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        // The high bits: FxHash mixes its last word upwards, so its low
+        // bits are the weakest.
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of the row equal to `row`, or else the empty slot where a
+    /// new row with this `hash` belongs.
+    fn probe(&self, hash: u64, row: &[u32], data: &[u32], arity: usize) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            match self.slots[i] {
+                EMPTY_SLOT => return Err(i),
+                id if row_at(data, arity, id as usize) == row => return Ok(id),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Records row `id`, known to differ from every row in the table, in
+    /// slot `slot` (from [`DedupTable::probe`]); `data` must already hold
+    /// the row, for the re-hash of a growth step.
+    fn occupy(&mut self, slot: usize, id: u32, data: &[u32], arity: usize) {
+        self.slots[slot] = id;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let ids: Vec<u32> = self.slots.iter().copied().filter(|&s| s != EMPTY_SLOT).collect();
+            self.slots = vec![EMPTY_SLOT; 2 * self.slots.len()];
+            self.len = 0;
+            for id in ids {
+                self.insert_distinct(hash_row(row_at(data, arity, id as usize)), id);
+            }
+        }
+    }
+
+    /// Places a row known to be absent, without comparing rows; the
+    /// caller keeps the load at most one half.
+    fn insert_distinct(&mut self, hash: u64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        while self.slots[i] != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id;
+        self.len += 1;
+    }
+}
+
+/// Row `i` of a row-major arena.
+#[inline]
+fn row_at(data: &[u32], arity: usize, i: usize) -> &[u32] {
+    &data[i * arity..(i + 1) * arity]
 }
 
 /// Read-only word storage that can back a [`Relation`]'s row arena
@@ -224,10 +315,10 @@ pub struct Relation {
     arity: usize,
     num_rows: usize,
     data: Arena,
-    /// Exact dedup: row hash → candidate row numbers. Built lazily by the
-    /// first [`Relation::insert_if_new`]; plain [`Relation::push`] loading
-    /// of already-distinct rows never pays for it.
-    dedup: Option<FxHashMap<u64, Vec<u32>>>,
+    /// Exact dedup table of row ids. Built lazily by the first
+    /// [`Relation::insert_if_new`]; plain [`Relation::push`] loading of
+    /// already-distinct rows never pays for it.
+    dedup: Option<DedupTable>,
     /// Lazily built per-column indexes, invalidated on mutation.
     indexes: Vec<OnceLock<ColumnIndex>>,
     /// Lazily computed cardinality statistics, invalidated on mutation.
@@ -358,11 +449,43 @@ impl Relation {
     pub fn push(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.arity);
         self.invalidate_indexes();
+        let data = self.data.to_mut();
+        data.extend_from_slice(row);
         if let Some(dedup) = &mut self.dedup {
-            dedup.entry(hash_row(row)).or_default().push(self.num_rows as u32);
+            // A duplicate pushed despite the contract is left out of the
+            // table, which keeps the first copy: `insert_if_new` stays exact.
+            if let Err(slot) = dedup.probe(hash_row(row), row, data, self.arity) {
+                dedup.occupy(slot, self.num_rows as u32, data, self.arity);
+            }
         }
-        self.data.to_mut().extend_from_slice(row);
         self.num_rows += 1;
+    }
+
+    /// Appends rows `rows` of `src` with their columns reordered by `perm`
+    /// (`new[j] = old[perm[j]]`), without checking for duplicates. The
+    /// result stays a set when `self` starts empty, `src` is a set and
+    /// `perm` is a permutation: the engine's copy of a renaming clause.
+    pub(crate) fn extend_permuted(
+        &mut self,
+        src: &Relation,
+        perm: &[usize],
+        rows: std::ops::Range<usize>,
+    ) {
+        debug_assert_eq!(perm.len(), self.arity);
+        debug_assert_eq!(src.arity, self.arity);
+        debug_assert!(self.dedup.is_none(), "a permuted copy builds no dedup table");
+        self.invalidate_indexes();
+        let arity = self.arity;
+        let words = &src.data.as_slice()[rows.start * arity..rows.end * arity];
+        let data = self.data.to_mut();
+        if perm == [1, 0] {
+            data.extend(words.chunks_exact(2).flat_map(|r| [r[1], r[0]]));
+        } else {
+            for row in words.chunks_exact(arity.max(1)) {
+                data.extend(perm.iter().map(|&c| row[c]));
+            }
+        }
+        self.num_rows += rows.len();
     }
 
     /// Inserts a row unless an equal row is already present; returns
@@ -373,24 +496,14 @@ impl Relation {
         // Injection site sits before any mutation: an unwind here leaves
         // the arena, dedup table and indexes exactly as they were.
         crate::fault::inject(crate::fault::site::STORAGE_INSERT);
-        let h = hash_row(row);
         // Split borrows: the dedup table is (re)built from the row arena,
         // then held mutably while the arena is only read. `to_mut` first:
         // a shared arena is copied out before any mutation is attempted.
         let (arity, data) = (self.arity, self.data.to_mut());
-        let dedup = self.dedup.get_or_insert_with(|| {
-            let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for i in 0..self.num_rows {
-                map.entry(hash_row(&data[i * arity..(i + 1) * arity])).or_default().push(i as u32);
-            }
-            map
-        });
-        let candidates = dedup.entry(h).or_default();
-        if candidates.iter().any(|&i| &data[i as usize * arity..(i as usize + 1) * arity] == row) {
-            return false;
-        }
-        candidates.push(self.num_rows as u32);
+        let dedup = self.dedup.get_or_insert_with(|| DedupTable::build(data, arity, self.num_rows));
+        let Err(slot) = dedup.probe(hash_row(row), row, data, arity) else { return false };
         data.extend_from_slice(row);
+        dedup.occupy(slot, self.num_rows as u32, data, arity);
         self.num_rows += 1;
         self.invalidate_indexes();
         true
@@ -401,8 +514,7 @@ impl Relation {
     pub fn contains(&self, row: &[u32]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
         if let Some(dedup) = &self.dedup {
-            let Some(candidates) = dedup.get(&hash_row(row)) else { return false };
-            return candidates.iter().any(|&i| self.row(i as usize) == row);
+            return dedup.probe(hash_row(row), row, self.data.as_slice(), self.arity).is_ok();
         }
         self.rows().any(|r| r == row)
     }
@@ -530,7 +642,7 @@ static DATABASE_IDS: AtomicUsize = AtomicUsize::new(1);
 /// concurrent first readers observe exactly one relation, and a panic
 /// out of the hydrator leaves the slot empty for a retried evaluation.
 pub struct LazyRelation {
-    cell: OnceLock<Relation>,
+    cell: OnceLock<Arc<Relation>>,
     init: Option<Box<dyn Fn() -> Relation + Send + Sync>>,
 }
 
@@ -538,7 +650,7 @@ impl LazyRelation {
     /// An already-hydrated slot (the parse path).
     pub fn ready(rel: Relation) -> Self {
         let cell = OnceLock::new();
-        let _ = cell.set(rel);
+        let _ = cell.set(Arc::new(rel));
         LazyRelation { cell, init: None }
     }
 
@@ -554,8 +666,14 @@ impl LazyRelation {
 
     /// The relation, hydrating it first if needed.
     pub fn get(&self) -> &Relation {
+        self.shared()
+    }
+
+    /// The relation by reference count, hydrating it first if needed: the
+    /// engine installs it as the relation of a renaming predicate.
+    pub fn shared(&self) -> &Arc<Relation> {
         self.cell.get_or_init(|| match &self.init {
-            Some(init) => init(),
+            Some(init) => Arc::new(init()),
             // Unreachable: `ready` pre-fills the cell and `lazy` sets
             // `init`, so an empty cell always has a hydrator.
             None => panic!("LazyRelation with neither relation nor hydrator"),
@@ -580,9 +698,9 @@ pub struct Database {
     classes: FxHashMap<ClassId, LazyRelation>,
     props: FxHashMap<PropId, LazyRelation>,
     /// The active domain `⊤` (all individuals), arity 1.
-    universe: Relation,
-    empty_unary: Relation,
-    empty_binary: Relation,
+    universe: Arc<Relation>,
+    empty_unary: Arc<Relation>,
+    empty_binary: Arc<Relation>,
     num_atoms: usize,
     /// Process-unique instance id; plan caches key on it.
     id: u64,
@@ -619,9 +737,9 @@ impl Database {
         Database {
             classes,
             props,
-            universe,
-            empty_unary: Relation::new(1),
-            empty_binary: Relation::new(2),
+            universe: Arc::new(universe),
+            empty_unary: Arc::new(Relation::new(1)),
+            empty_binary: Arc::new(Relation::new(2)),
             num_atoms: data.num_atoms(),
             id: DATABASE_IDS.fetch_add(1, Ordering::Relaxed) as u64,
             completions: CompletionMemo::default(),
@@ -667,9 +785,9 @@ impl Database {
         Database {
             classes,
             props,
-            universe,
-            empty_unary: Relation::new(1),
-            empty_binary: Relation::new(2),
+            universe: Arc::new(universe),
+            empty_unary: Arc::new(Relation::new(1)),
+            empty_binary: Arc::new(Relation::new(2)),
             num_atoms,
             id: DATABASE_IDS.fetch_add(1, Ordering::Relaxed) as u64,
             completions: CompletionMemo::default(),
@@ -707,12 +825,22 @@ impl Database {
     /// Panics on [`PredKind::Idb`]: IDB relations are computed by the
     /// evaluators, not stored.
     pub fn relation(&self, kind: PredKind) -> &Relation {
+        self.shared_relation(kind)
+    }
+
+    /// [`Database::relation`] by reference count, so an evaluation can
+    /// install the relation itself (rows, column indexes and stats) as
+    /// the relation of a renaming predicate.
+    ///
+    /// # Panics
+    /// Panics on [`PredKind::Idb`], like [`Database::relation`].
+    pub fn shared_relation(&self, kind: PredKind) -> &Arc<Relation> {
         match kind {
             PredKind::EdbClass(c) => {
-                self.classes.get(&c).map_or(&self.empty_unary, LazyRelation::get)
+                self.classes.get(&c).map_or(&self.empty_unary, LazyRelation::shared)
             }
             PredKind::EdbProp(p) => {
-                self.props.get(&p).map_or(&self.empty_binary, LazyRelation::get)
+                self.props.get(&p).map_or(&self.empty_binary, LazyRelation::shared)
             }
             PredKind::Top => &self.universe,
             PredKind::Idb => panic!("IDB relations are computed, not stored"),
@@ -790,6 +918,64 @@ mod tests {
         assert!(s.insert_if_new(&[8]));
         s.push(&[9]);
         assert!(!s.insert_if_new(&[9]));
+    }
+
+    /// Rows whose hashes share one home slot form a single probe cluster
+    /// (here wrapping round the end of the table), and only the row
+    /// compare tells them apart.
+    #[test]
+    fn dedup_table_is_exact_under_forced_collisions() {
+        let arity = 2;
+        let mut table = DedupTable { slots: vec![EMPTY_SLOT; 256], len: 0 };
+        let mut data = Vec::new();
+        let rows: Vec<[u32; 2]> = (0..100).map(|i| [i % 7, i / 7]).collect();
+        // The top byte picks the home slot: every row starts at the last
+        // slot, distinct hashes or not.
+        let hash = |i: usize| u64::MAX - (i % 3) as u64;
+        for (id, row) in rows.iter().enumerate() {
+            let slot = table.probe(hash(id), row, &data, arity).unwrap_err();
+            data.extend_from_slice(row);
+            table.occupy(slot, id as u32, &data, arity);
+            assert_eq!(table.probe(hash(id), row, &data, arity), Ok(id as u32));
+        }
+        assert_eq!(table.len, rows.len());
+        for (id, row) in rows.iter().enumerate() {
+            assert_eq!(table.probe(hash(id), row, &data, arity), Ok(id as u32));
+        }
+        assert!(table.probe(u64::MAX, &[7, 0], &data, arity).is_err());
+    }
+
+    #[test]
+    fn dedup_table_grows_and_stays_exact() {
+        let mut r = Relation::new(2);
+        for i in 0..5000u32 {
+            assert!(r.insert_if_new(&[i % 97, i]));
+        }
+        for i in 0..5000u32 {
+            assert!(!r.insert_if_new(&[i % 97, i]), "row {i} is a duplicate");
+            assert!(r.contains(&[i % 97, i]));
+        }
+        assert!(!r.contains(&[0, 1]));
+        assert_eq!(r.len(), 5000);
+        // Pushed rows join the table built by the inserts.
+        r.push(&[1, 1_000_000]);
+        assert!(!r.insert_if_new(&[1, 1_000_000]));
+        assert_eq!(r.len(), 5001);
+    }
+
+    #[test]
+    fn extend_permuted_reorders_columns() {
+        let src = Relation::from_sorted_columns(3, &[vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]]);
+        let mut out = Relation::new(3);
+        out.extend_permuted(&src, &[2, 0, 1], 0..2);
+        out.extend_permuted(&src, &[2, 0, 1], 2..3);
+        assert_eq!(out.rows().collect::<Vec<_>>(), vec![&[7, 1, 4], &[8, 2, 5], &[9, 3, 6]]);
+        let pairs = Relation::from_sorted_columns(2, &[vec![1, 2], vec![3, 4]]);
+        let mut swapped = Relation::new(2);
+        swapped.extend_permuted(&pairs, &[1, 0], 0..2);
+        assert_eq!(swapped.rows().collect::<Vec<_>>(), vec![&[3, 1], &[4, 2]]);
+        assert!(swapped.insert_if_new(&[1, 3]));
+        assert!(!swapped.insert_if_new(&[4, 2]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the storage-backed evaluators: the engine agrees
 //! with the seed hash-set reference engine on random nonrecursive
-//! programs at every thread count, with and without goal-directed
-//! pruning (override the counts under test with
+//! programs (renaming clauses included) at every thread count, with and
+//! without goal-directed pruning (override the counts under test with
 //! `OBDA_TEST_THREADS=n1,n2,...`), and the linear evaluator agrees with
 //! the engine over a single shared [`Database`].
 
@@ -54,9 +54,32 @@ fn build_data(atoms: &[(u8, u8, u8)]) -> DataInstance {
 
 /// One random clause: which IDB predicate it defines, its EDB atoms, an
 /// optional single IDB body atom (kept strictly below the head so the
-/// program is nonrecursive *and* linear by construction), and the head
-/// projection.
-type ClauseSpec = (u8, Vec<(u8, u8, u8)>, bool, u8, u8, u8);
+/// program is nonrecursive *and* linear by construction), the head
+/// projection, and a shape selector: `0..2` keeps that join, `2` replaces
+/// it by a renaming of an EDB property, `3` by a renaming of an earlier
+/// IDB predicate, both with the identity or the swapped head.
+type ClauseSpec = (u8, Vec<(u8, u8, u8)>, bool, u8, u8, u8, u8);
+
+/// Random clause lists for [`build_program`].
+fn clause_specs() -> impl Strategy<Value = Vec<ClauseSpec>> {
+    prop::collection::vec(
+        (
+            0u8..3,
+            prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 1..4),
+            any::<bool>(),
+            0u8..3,
+            0u8..4,
+            0u8..4,
+            0u8..4,
+        ),
+        1..6,
+    )
+}
+
+/// Random data atoms for [`build_data`].
+fn data_atoms() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+    prop::collection::vec((0u8..6, 0u8..4, 0u8..4), 0..10)
+}
 
 /// Builds a random linear program over `A0..A2`, `P0..P1` with IDB chain
 /// `G0, G1, G2` (all binary, `G2` the goal). Every variable appearing in a
@@ -75,8 +98,24 @@ fn build_program(specs: &[ClauseSpec]) -> NdlQuery {
             }
         })
         .collect();
-    for (head, edb_atoms, use_idb, idb_pick, hv1, hv2) in specs {
+    for (head, edb_atoms, use_idb, idb_pick, hv1, hv2, shape) in specs {
         let head_idx = *head as usize % NUM_IDB;
+        if *shape >= 2 {
+            // `H(x, y) ← Q(x, y)` or `H(y, x) ← Q(x, y)`.
+            let source = match (*shape, head_idx) {
+                (3, 1..) => idbs[*idb_pick as usize % head_idx],
+                _ => props[*idb_pick as usize % props.len()],
+            };
+            let head_args =
+                if hv1 % 2 == 0 { vec![CVar(0), CVar(1)] } else { vec![CVar(1), CVar(0)] };
+            p.add_clause(Clause {
+                head: idbs[head_idx],
+                head_args,
+                body: vec![BodyAtom::Pred(source, vec![CVar(0), CVar(1)])],
+                num_vars: 2,
+            });
+            continue;
+        }
         let mut body = Vec::new();
         let mut used: Vec<u32> = Vec::new();
         let touch = |used: &mut Vec<u32>, v: u8| {
@@ -212,7 +251,7 @@ fn skewed_columns_misestimate_but_stay_correct() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     /// The engine computes exactly the reference engine's answers on
     /// random programs, at every thread count, with and without relevance
@@ -221,12 +260,8 @@ proptest! {
     /// statistics stay deterministic across thread counts.
     #[test]
     fn parallel_engine_agrees_with_sequential_and_reference(
-        specs in prop::collection::vec(
-            (0u8..3, prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 1..4),
-             any::<bool>(), 0u8..3, 0u8..4, 0u8..4),
-            1..6,
-        ),
-        atoms in prop::collection::vec((0u8..6, 0u8..4, 0u8..4), 0..10),
+        specs in clause_specs(),
+        atoms in data_atoms(),
     ) {
         let q = build_program(&specs);
         let data = build_data(&atoms);
@@ -268,12 +303,8 @@ proptest! {
     /// count, with identical generated-tuple accounting.
     #[test]
     fn planned_and_syntactic_engines_agree_with_reference(
-        specs in prop::collection::vec(
-            (0u8..3, prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 1..4),
-             any::<bool>(), 0u8..3, 0u8..4, 0u8..4),
-            1..6,
-        ),
-        atoms in prop::collection::vec((0u8..6, 0u8..4, 0u8..4), 0..10),
+        specs in clause_specs(),
+        atoms in data_atoms(),
     ) {
         let q = build_program(&specs);
         let data = build_data(&atoms);
@@ -308,12 +339,8 @@ proptest! {
     /// storage preserves semantics.
     #[test]
     fn indexed_engine_agrees_with_reference(
-        specs in prop::collection::vec(
-            (0u8..3, prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 1..4),
-             any::<bool>(), 0u8..3, 0u8..4, 0u8..4),
-            1..6,
-        ),
-        atoms in prop::collection::vec((0u8..6, 0u8..4, 0u8..4), 0..10),
+        specs in clause_specs(),
+        atoms in data_atoms(),
     ) {
         let q = build_program(&specs);
         let data = build_data(&atoms);
@@ -331,12 +358,8 @@ proptest! {
     /// random linear programs, both running over one shared `Database`.
     #[test]
     fn linear_evaluator_agrees_with_bottom_up(
-        specs in prop::collection::vec(
-            (0u8..3, prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 1..4),
-             any::<bool>(), 0u8..3, 0u8..4, 0u8..4),
-            1..6,
-        ),
-        atoms in prop::collection::vec((0u8..6, 0u8..4, 0u8..4), 0..10),
+        specs in clause_specs(),
+        atoms in data_atoms(),
     ) {
         let q = build_program(&specs);
         prop_assert!(is_linear(&q.program), "generator must emit linear programs");

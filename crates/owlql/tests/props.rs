@@ -71,7 +71,7 @@ fn data(atoms: &[(u8, u8, u8)], o: &Ontology) -> DataInstance {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64 })]
 
     #[test]
     fn saturation_is_transitive_and_reflexive(

@@ -1648,10 +1648,12 @@ mod tests {
         rows
     }
 
+    /// Sorted rows per class, per property, of `⊤`, and the atom count.
+    type Fingerprint =
+        (Vec<(ClassId, Vec<Vec<u32>>)>, Vec<(PropId, Vec<Vec<u32>>)>, Vec<Vec<u32>>, usize);
+
     /// Everything observable about a database, in canonical order.
-    fn fingerprint(
-        db: &Database,
-    ) -> (Vec<(ClassId, Vec<Vec<u32>>)>, Vec<(PropId, Vec<Vec<u32>>)>, Vec<Vec<u32>>, usize) {
+    fn fingerprint(db: &Database) -> Fingerprint {
         let mut classes: Vec<_> = db.class_relations().map(|(c, r)| (c, sorted_rows(r))).collect();
         classes.sort_unstable_by_key(|&(c, _)| c);
         let mut props: Vec<_> = db.prop_relations().map(|(p, r)| (p, sorted_rows(r))).collect();

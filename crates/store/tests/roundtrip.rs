@@ -65,7 +65,7 @@ fn fingerprint(db: &Database) -> Fingerprint {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32 })]
 
     #[test]
     fn save_open_reconstructs_the_database(

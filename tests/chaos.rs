@@ -756,8 +756,17 @@ fn halted_completion_fills_store_nothing() {
     let (data, prepared, oracle, fresh) = {
         let _quiet = quiet();
         let sys = ObdaSystem::new(example_11_ontology());
-        let data = TABLE_2[0].scaled(0.003).generate(sys.ontology());
+        let mut data = TABLE_2[0].scaled(0.003).generate(sys.ontology());
         // Log keeps `R*` and `S*` as completion predicates for this word.
+        // The generated data has no `P` atoms, which would leave `R*` one
+        // live clause, a renaming of `R` filled without inserts. A few `P`
+        // atoms give it a second clause, so its fill runs the join kernel
+        // and inserts, and the insert faults below halt that fill.
+        let p = sys.ontology().vocab().get_prop("P").unwrap();
+        for i in 0..6 {
+            let (a, b) = (data.constant(&format!("v{i}")), data.constant(&format!("v{}", i + 1)));
+            data.add_prop_atom(p, a, b);
+        }
         let q = word_query(sys.ontology(), "SRRS");
         let prepared = sys.prepare(&q, Strategy::Log).unwrap();
         let oracle = sys.certain_answers(&q, &data).tuples();
@@ -825,7 +834,7 @@ fn halted_completion_fills_store_nothing() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32 })]
 
     /// For an arbitrary seeded plan over any site, kind and trigger, at
     /// one or four engine threads (or unpruned on one thread), the

@@ -141,7 +141,7 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 96 })]
 
     /// Every strategy that accepts the OMQ computes the oracle's answers.
     #[test]

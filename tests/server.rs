@@ -929,6 +929,16 @@ fn serve_binary_end_to_end() {
     // on stdin. During the drain: readyz 503, healthz 200, new queries
     // shed — the accept loop must still be serving.
     let loris = std::net::TcpStream::connect(addr).unwrap();
+    // `connect` can return before the accept loop counts the loris, and
+    // a shutdown that overtook the count would drain at once. The loop
+    // counts each connection before it accepts the next, so a later
+    // request that sees two open connections (the loris and itself)
+    // proves the drain must wait for the loris.
+    let counted = std::time::Instant::now() + CLIENT_TIMEOUT;
+    while counter(&get(addr, "/metrics").body, "server_open_connections") < 2 {
+        assert!(std::time::Instant::now() < counted, "the loris was never counted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     child.stdin.take().unwrap().write_all(b"shutdown\n").unwrap();
     std::thread::sleep(Duration::from_millis(150));
     let ready = get(addr, "/readyz");

@@ -67,7 +67,7 @@ fn query_text(props: &[u8], class_atom: Option<(u8, u8)>, binary: bool) -> Strin
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Every strategy that produces a rewriting computes the oracle's
     /// certain answers when executed over a single shared `Database`.
