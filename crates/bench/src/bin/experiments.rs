@@ -1186,6 +1186,12 @@ fn benchguard(cfg: &Config) {
     );
 }
 
+/// The CPUs this process may run on, recorded next to thread counts so a
+/// parallel speedup can be read against the cores that were there.
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// One engine measurement: best-of-3 wall clock plus the result stats.
 /// `None` means the engine tripped its budget (recorded as `null`, not a
 /// dropped row: an unpruned timeout that the pruned engine survives is
@@ -1287,9 +1293,11 @@ fn trace_breakdown(
 /// against the syntactic order (`plan: false`), asserts that answers
 /// and generated tuples are identical either way, and records
 /// per-clause estimated vs actual cardinalities from one executed
-/// explain of the pruned rewriting. The section is spliced into the
-/// committed `BENCH_eval.json` without touching the bencheval rows
-/// (benchguard's baseline); re-running replaces a previous section.
+/// explain of the pruned rewriting. A cell where either order times out
+/// is still a row, with `null` for what did not finish (`>limit` in the
+/// table). The section is spliced into the committed `BENCH_eval.json`
+/// without touching the bencheval rows (benchguard's baseline);
+/// re-running replaces a previous section.
 fn benchjoin(cfg: &Config) {
     let sys = paper_system();
     println!(
@@ -1318,8 +1326,36 @@ fn benchjoin(cfg: &Config) {
             let planned = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &planned_cfg));
             let syntactic =
                 time_engine(&mut || execute(&prepared, &db, cfg.timeout, &syntactic_cfg));
+            let cell = format!("{}.ttl s{}:{n} {strategy}", ds + 1, seq + 1);
             let (Some((plan_secs, plan_res)), Some((syn_secs, syn_res))) = (&planned, &syntactic)
             else {
+                // A timed-out cell is a row too: leaving it out would keep
+                // whatever an older run measured there.
+                let secs = |t: &Option<(f64, EvalResult)>| t.as_ref().map(|(s, _)| *s);
+                let text = |v: Option<f64>| v.map_or(">limit".to_owned(), |s| format!("{s:.3}"));
+                let json = |v: Option<f64>| {
+                    v.map_or("null".to_owned(), |s| format!("{{\"seconds\": {s:.6}}}"))
+                };
+                let (syn, plan) = (secs(&syntactic), secs(&planned));
+                table_rows.push(vec![
+                    format!("{}.ttl", ds + 1),
+                    format!("s{}:{}", seq + 1, n),
+                    strategy.to_string(),
+                    text(syn),
+                    text(plan),
+                    "-".into(),
+                    ">limit".into(),
+                    "-".into(),
+                ]);
+                rows_json.push(format!(
+                    "      {{\n        \"cell\": \"{cell}\",\n        \
+                     \"syntactic\": {},\n        \"planned\": {},\n        \
+                     \"speedup_planned_vs_syntactic\": null,\n        \
+                     \"answers\": null, \"generated_tuples\": null,\n        \
+                     \"joins\": []\n      }}",
+                    json(syn),
+                    json(plan),
+                ));
                 continue;
             };
             // The planner may only change the order, never the semantics.
@@ -1368,14 +1404,12 @@ fn benchjoin(cfg: &Config) {
                 joins.len().to_string(),
             ]);
             rows_json.push(format!(
-                "      {{\n        \"cell\": \"{}.ttl s{}:{n} {strategy}\",\n        \
+                "      {{\n        \"cell\": \"{cell}\",\n        \
                  \"syntactic\": {{\"seconds\": {syn_secs:.6}}},\n        \
                  \"planned\": {{\"seconds\": {plan_secs:.6}}},\n        \
                  \"speedup_planned_vs_syntactic\": {speedup:.3},\n        \
                  \"answers\": {}, \"generated_tuples\": {},\n        \
                  \"joins\": [{}]\n      }}",
-                ds + 1,
-                seq + 1,
                 plan_res.answers.len(),
                 plan_res.stats.generated_tuples,
                 joins.join(", ")
@@ -1402,10 +1436,13 @@ fn benchjoin(cfg: &Config) {
     };
     let out = format!(
         "{},\n  \"benchjoin\": {{\n    \"config\": {{\"scale\": {}, \"threads\": 1, \
-         \"runs_per_engine\": 3, \"engine\": \"goal-directed, relevance pruning\"}},\n    \
+         \"available_parallelism\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3, \
+         \"engine\": \"goal-directed, relevance pruning\"}},\n    \
          \"rows\": [\n{}\n    ]\n  }}\n}}\n",
         base[..idx].trim_end(),
         cfg.scale,
+        available_parallelism(),
+        cfg.timeout.as_secs(),
         rows_json.join(",\n")
     );
     std::fs::write("BENCH_eval.json", out).expect("write BENCH_eval.json");
@@ -1454,11 +1491,39 @@ fn bencheval(cfg: &Config) {
             warm_completions(&prepared, &db, cfg.timeout);
             let pruned_run = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &pruned_cfg));
             let par_run = time_engine(&mut || execute(&prepared, &db, cfg.timeout, &parallel_cfg));
-            // The goal-directed runs are the subject of the benchmark; an
-            // unpruned timeout is recorded, not skipped.
+            // The goal-directed runs are the subject of the benchmark; a
+            // timeout of any engine is recorded as `null` (`>limit` in the
+            // table), not skipped.
             let (Some((pruned_secs, pruned_res)), Some((par_secs, par_res))) =
                 (&pruned_run, &par_run)
             else {
+                let text = |t: &Option<(f64, EvalResult)>| {
+                    t.as_ref().map_or(">limit".to_owned(), |(s, _)| format!("{s:.3}"))
+                };
+                let tuples = |t: &Option<(f64, EvalResult)>| {
+                    t.as_ref()
+                        .map_or(">limit".to_owned(), |(_, r)| r.stats.generated_tuples.to_string())
+                };
+                table_rows.push(vec![
+                    format!("{}.ttl", ds + 1),
+                    format!("s{}:{}", seq + 1, n),
+                    strategy.to_string(),
+                    text(&seq_run),
+                    text(&pruned_run),
+                    text(&par_run),
+                    "-".into(),
+                    tuples(&seq_run),
+                    tuples(&pruned_run),
+                    "-".into(),
+                ]);
+                rows_json.push(format!(
+                    "    {{\n      \"dataset\": \"{}.ttl\", \"sequence\": {}, \"atoms\": {n}, \"strategy\": \"{strategy}\",\n      \"sequential\": {},\n      \"pruned\": {},\n      \"parallel\": {},\n      \"stages\": null,\n      \"speedup_parallel_vs_sequential\": null,\n      \"tuples_saved_by_pruning\": null,\n      \"answers_match\": null,\n      \"oracle\": \">limit\"\n    }}",
+                    ds + 1,
+                    seq + 1,
+                    json_engine(&seq_run),
+                    json_engine(&pruned_run),
+                    json_engine(&par_run),
+                ));
                 continue;
             };
             let answers_match =
@@ -1538,9 +1603,10 @@ fn bencheval(cfg: &Config) {
     .to_vec();
     println!("{}", render_table(&header, &table_rows));
     let json = format!(
-        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"engine, no pruning, 1 thread\",\n    \"pruned\": \"engine, relevance pruning, 1 thread\",\n    \"parallel\": \"engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"config\": {{\"scale\": {}, \"threads\": {}, \"available_parallelism\": {}, \"timeout_secs\": {}, \"runs_per_engine\": 3}},\n  \"engines\": {{\n    \"sequential\": \"engine, no pruning, 1 thread\",\n    \"pruned\": \"engine, relevance pruning, 1 thread\",\n    \"parallel\": \"engine, relevance pruning, shared-budget worker pool\"\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
         cfg.scale,
         cfg.threads,
+        available_parallelism(),
         cfg.timeout.as_secs(),
         rows_json.join(",\n")
     );

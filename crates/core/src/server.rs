@@ -3,8 +3,9 @@
 //!
 //! Dependency-free by design — a threaded accept loop on
 //! [`std::net::TcpListener`], no async runtime — matching the repo's
-//! zero-external-deps discipline. The long-running process is what makes
-//! the paper's dichotomy pay off operationally: the expensive per-OMQ
+//! zero-external-deps discipline. Each connection carries one request;
+//! the threads that serve them are kept across connections (`Handlers`).
+//! The long-running process is what makes the paper's dichotomy pay off operationally: the expensive per-OMQ
 //! work (classification, rewriting, goal-directed pruning) runs **once**
 //! per distinct query text and is cached in a bounded LRU of
 //! [`PreparedOmq`]; every subsequent request evaluates the cached
@@ -34,7 +35,7 @@
 //! with `Retry-After`) in front of the service's global gate (typed
 //! [`ObdaError::Overloaded`] → 503). Sockets carry read/write timeouts
 //! and a request-size cap, so slow-loris and oversized bodies are shed
-//! with typed responses (408/413) instead of parked threads. Every
+//! with typed responses (408/413) instead of holding threads forever. Every
 //! connection handler is panic-isolated: a poisoned request produces a
 //! 500 and a `server_panics_total` tick, never a dead accept loop. On
 //! shutdown the server drains gracefully: `/readyz` flips to 503 and new
@@ -71,11 +72,11 @@ use crate::service::{QueryService, TenantGovernor, TenantQuota};
 use obda_budget::BudgetSpec;
 use obda_store::StorageBackend;
 use obda_telemetry::{metric_suffix, Telemetry};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Fault-injection shim for the `server::handle` site: active with the
@@ -190,9 +191,41 @@ impl PreparedCache {
     }
 }
 
+/// Connection handler threads, kept across connections. The accept loop
+/// hands each stream to a parked handler and spawns one only when none is
+/// idle; a handler that finishes a connection parks again unless
+/// `max_concurrency` handlers are idle already, in which case it exits.
+/// Reuse keeps the thread count (and with it glibc's per-thread malloc
+/// arenas, hence peak RSS) at the number of connections that really
+/// overlap; DESIGN.md, "Handler threads outlive their connection".
+#[derive(Default)]
+struct Handlers {
+    pool: Mutex<HandlerPool>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct HandlerPool {
+    /// Parked handlers not yet promised a stream: the accept loop takes
+    /// one (decrements) for every stream it queues.
+    idle: usize,
+    /// Streams handed to parked handlers, not yet picked up.
+    queue: VecDeque<TcpStream>,
+    /// Live handler threads, busy or parked.
+    threads: usize,
+    /// Set when the accept loop ends: parked handlers exit.
+    stopped: bool,
+}
+
+impl Handlers {
+    fn lock(&self) -> MutexGuard<'_, HandlerPool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Everything the accept loop, the handlers and the drain sequence
 /// share. `draining` gates `/readyz` and new queries; `stopped` ends the
-/// accept loop; `open_conns` counts live connection handlers.
+/// accept loop; `open_conns` counts open connections.
 struct ServerInner {
     service: QueryService,
     backend: Box<dyn StorageBackend + Send + Sync>,
@@ -202,6 +235,7 @@ struct ServerInner {
     draining: AtomicBool,
     stopped: AtomicBool,
     open_conns: AtomicUsize,
+    handlers: Handlers,
     shutdown: (Mutex<bool>, Condvar),
     /// Per-tenant circuit breakers (when `cfg.tenant_breaker` is set).
     tenant_breakers: Option<BreakerSet>,
@@ -287,6 +321,7 @@ impl Server {
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
+            handlers: Handlers::default(),
             shutdown: (Mutex::new(false), Condvar::new()),
             tenant_breakers,
             retry_salt: AtomicU64::new(0),
@@ -365,45 +400,81 @@ impl ServerHandle {
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>) {
+    let metrics = inner.service.metrics();
     for stream in listener.incoming() {
         if inner.stopped.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let inner = Arc::clone(inner);
-        inner.open_conns.fetch_add(1, Ordering::SeqCst);
-        inner
-            .service
-            .metrics()
-            .gauge("server_open_connections")
-            .set(inner.open_conns.load(Ordering::SeqCst) as i64);
-        std::thread::spawn(move || {
-            // The panic backstop of the whole connection: nothing that
-            // unwinds out of parsing, routing or response writing can
-            // reach the accept loop. (Query evaluation has its own inner
-            // isolation so faults become typed responses; this boundary
-            // exists for bugs in the HTTP layer itself.)
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handle_connection(&stream, &inner);
-            }));
-            if outcome.is_err() {
-                inner.service.metrics().counter("server_panics_total").inc();
-                let _ = respond(
-                    &stream,
-                    500,
-                    "Internal Server Error",
-                    &[],
-                    "error: handler panicked\n",
-                );
-            }
-            inner.open_conns.fetch_sub(1, Ordering::SeqCst);
-            inner
-                .service
-                .metrics()
-                .gauge("server_open_connections")
-                .set(inner.open_conns.load(Ordering::SeqCst) as i64);
-        });
+        let open = inner.open_conns.fetch_add(1, Ordering::SeqCst) + 1;
+        metrics.gauge("server_open_connections").set(open as i64);
+        let mut pool = inner.handlers.lock();
+        if pool.idle > 0 {
+            pool.idle -= 1;
+            pool.queue.push_back(stream);
+            drop(pool);
+            inner.handlers.wake.notify_one();
+        } else {
+            pool.threads += 1;
+            metrics.gauge("server_handler_threads").set(pool.threads as i64);
+            drop(pool);
+            metrics.counter("server_handler_spawns_total").inc();
+            let inner = Arc::clone(inner);
+            std::thread::spawn(move || handler_thread(stream, &inner));
+        }
     }
+    inner.handlers.lock().stopped = true;
+    inner.handlers.wake.notify_all();
+}
+
+/// A connection handler: serves its first stream, then parks for the
+/// next one until the accept loop stops or enough handlers are idle.
+fn handler_thread(mut stream: TcpStream, inner: &ServerInner) {
+    let max_idle = inner.service.config().max_concurrency.max(1);
+    'serve: loop {
+        serve_connection(&stream, inner);
+        // Park *before* closing: a closed-loop client connects again as
+        // soon as it sees the close, and that connection should find this
+        // handler idle rather than spawn a new thread.
+        let mut pool = inner.handlers.lock();
+        if pool.stopped || pool.idle >= max_idle {
+            break;
+        }
+        pool.idle += 1;
+        drop(pool);
+        drop(stream);
+        let mut pool = inner.handlers.lock();
+        stream = loop {
+            if let Some(next) = pool.queue.pop_front() {
+                break next;
+            }
+            if pool.stopped {
+                pool.idle -= 1;
+                break 'serve;
+            }
+            pool = inner.handlers.wake.wait(pool).unwrap_or_else(PoisonError::into_inner);
+        };
+    }
+    let mut pool = inner.handlers.lock();
+    pool.threads -= 1;
+    inner.service.metrics().gauge("server_handler_threads").set(pool.threads as i64);
+}
+
+/// Serves one connection behind the HTTP layer's panic backstop: nothing
+/// that unwinds out of parsing, routing or response writing can reach the
+/// handler loop. (Query evaluation has its own inner isolation so faults
+/// become typed responses; this boundary exists for bugs in the HTTP
+/// layer itself.)
+fn serve_connection(stream: &TcpStream, inner: &ServerInner) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle_connection(stream, inner);
+    }));
+    if outcome.is_err() {
+        inner.service.metrics().counter("server_panics_total").inc();
+        let _ = respond(stream, 500, "Internal Server Error", &[], "error: handler panicked\n");
+    }
+    let open = inner.open_conns.fetch_sub(1, Ordering::SeqCst) - 1;
+    inner.service.metrics().gauge("server_open_connections").set(open as i64);
 }
 
 // ---------------------------------------------------------------------

@@ -5,9 +5,11 @@
 //! `Log`, `Tw`) systematically outperforms the others, and suggests picking
 //! the rewriting by a cost function estimated from data statistics, like a
 //! relational query planner. [`AdaptiveRewriter`] implements the simplest
-//! instance of that idea: it runs every applicable strategy, estimates the
-//! materialisation cost of each produced program against per-predicate
-//! cardinality statistics, and returns the cheapest program.
+//! instance of that idea: it considers four candidate programs, estimates
+//! the materialisation cost of each against per-predicate cardinality
+//! statistics, and returns the cheapest. The candidates come from three
+//! rewriter runs: `Lin`, `Log` and one `Tw` run, whose program is a
+//! candidate both as it is and after the `Tw*` inlining pass.
 
 use crate::lin::LinRewriter;
 use crate::log::LogRewriter;
@@ -116,9 +118,9 @@ pub fn estimate_cost(query: &NdlQuery, stats: &DataStats) -> f64 {
     total
 }
 
-/// The adaptive rewriter: runs every applicable fixed strategy (optionally
-/// followed by the `Tw*` inlining pass) and keeps the cheapest program under
-/// the cost model.
+/// The adaptive rewriter: runs `Lin`, `Log` and `Tw` once each, considers
+/// `Tw`'s program both as it is and after the `Tw*` inlining pass, and keeps
+/// the cheapest program under the cost model.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveRewriter {
     /// Statistics for the target data (empty stats fall back to structural
@@ -135,32 +137,26 @@ impl AdaptiveRewriter {
         self.rewrite_with_report_budgeted(omq, &mut Budget::unlimited())
     }
 
-    /// Budgeted [`Self::rewrite_with_report`]: each candidate strategy draws
-    /// on a renewed copy of the budget (same deadline, fresh counters), so a
+    /// Budgeted [`Self::rewrite_with_report`]: each rewriter run (`Lin`,
+    /// `Log`, and the one `Tw` run behind both `Tw` and `Tw*`) draws on a
+    /// renewed copy of the budget (same deadline, fresh counters), so a
     /// blow-up in one strategy cannot starve the others; a budget trip in
-    /// one candidate counts as that candidate failing, and only if *every*
+    /// one run counts as its candidates failing, and only if *every*
     /// candidate fails is the last error returned.
     pub fn rewrite_with_report_budgeted(
         &self,
         omq: &Omq<'_>,
         budget: &mut Budget,
     ) -> Result<(NdlQuery, &'static str, f64), RewriteError> {
-        type Attempt = fn(&Omq<'_>, &mut Budget) -> Result<NdlQuery, RewriteError>;
-        let candidates: [(&'static str, Attempt); 4] = [
-            ("Lin", |omq, b| LinRewriter::default().rewrite_budgeted(omq, b)),
-            ("Log", |omq, b| LogRewriter::default().rewrite_budgeted(omq, b)),
-            ("Tw", |omq, b| TwRewriter::default().rewrite_budgeted(omq, b)),
-            ("Tw*", |omq, b| {
-                TwRewriter::default()
-                    .rewrite_budgeted(omq, b)
-                    .map(|q| inline_single_definitions(&q, 2))
-            }),
-        ];
+        let lin = LinRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
+        let log = LogRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
+        let tw = TwRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
+        // `Tw*` is a post-pass over `Tw`'s program, not a rewriter run.
+        let twstar = tw.as_ref().map(|q| inline_single_definitions(q, 2)).map_err(Clone::clone);
         let mut best: Option<(NdlQuery, &'static str, f64)> = None;
         let mut last_err = RewriteError::NotTreeShaped;
-        for (name, attempt) in candidates {
-            let mut candidate_budget = budget.renew();
-            match attempt(omq, &mut candidate_budget) {
+        for (name, attempt) in [("Lin", lin), ("Log", log), ("Tw", tw), ("Tw*", twstar)] {
+            match attempt {
                 Ok(q) => {
                     let cost = estimate_cost(&q, &self.stats);
                     if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
@@ -229,6 +225,36 @@ mod tests {
         let adaptive = AdaptiveRewriter::default();
         let (_, winner, _) = adaptive.rewrite_with_report(&omq).unwrap();
         assert!(winner == "Tw" || winner == "Tw*", "Lin/Log cannot handle infinite depth");
+    }
+
+    #[test]
+    fn runs_tw_once_for_both_tw_candidates() {
+        use crate::tree_witness::{connected_existential_subsets, CANDIDATES_VISITED};
+        let o = parse_ontology(
+            "P SubPropertyOf S\n\
+             P SubPropertyOf R-\n",
+        )
+        .unwrap();
+        let q = parse_cq("q(x0, x4) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4)", &o).unwrap();
+        let omq = Omq { ontology: &o, query: &q };
+        let subsets =
+            connected_existential_subsets(&q, TwRewriter::default().tree_witness_cap).len();
+        CANDIDATES_VISITED.with(|c| c.set(0));
+        let (rw, _, _) = AdaptiveRewriter::default().rewrite_with_report(&omq).unwrap();
+        assert_eq!(CANDIDATES_VISITED.with(|c| c.get()), subsets, "one Tw run");
+        // The cheapest candidate is the one returned, whichever run made it.
+        let tw = TwRewriter::default().rewrite_complete(&omq).unwrap();
+        let stats = DataStats::default();
+        let best = [
+            LinRewriter::default().rewrite_complete(&omq).unwrap(),
+            LogRewriter::default().rewrite_complete(&omq).unwrap(),
+            inline_single_definitions(&tw, 2),
+            tw,
+        ]
+        .iter()
+        .map(|c| estimate_cost(c, &stats))
+        .fold(f64::INFINITY, f64::min);
+        assert_eq!(estimate_cost(&rw, &stats), best);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct TreeWitness {
 
 /// Enumerates the connected subsets of existential variables of `q`
 /// (within the Gaifman graph), up to `cap` subsets.
-fn connected_existential_subsets(q: &Cq, cap: usize) -> Vec<BTreeSet<Var>> {
+pub(crate) fn connected_existential_subsets(q: &Cq, cap: usize) -> Vec<BTreeSet<Var>> {
     let g = Gaifman::new(q);
     let existential: FxHashSet<Var> = q.existential_vars().collect();
     let mut seen: FxHashSet<BTreeSet<Var>> = FxHashSet::default();
@@ -104,6 +104,13 @@ fn build_qt(q: &Cq, atoms: &BTreeSet<usize>, roots: &BTreeSet<Var>) -> (Cq, Vec<
     (sub, map)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Interior candidates visited on this thread: tests read it to count
+    /// how often a rewriter enumerates tree witnesses.
+    pub(crate) static CANDIDATES_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Enumerates all tree witnesses of the OMQ (with a safety cap on interior
 /// candidates; the cap is generous for bounded-leaf queries).
 pub fn tree_witnesses(omq: &Omq<'_>, cap: usize) -> Vec<TreeWitness> {
@@ -144,6 +151,8 @@ pub fn tree_witnesses_budgeted(
     let mut out = Vec::new();
     for interior in connected_existential_subsets(q, cap) {
         crate::fault::inject(crate::fault::site::REWRITE_TREE_WITNESS);
+        #[cfg(test)]
+        CANDIDATES_VISITED.with(|c| c.set(c.get() + 1));
         budget.tick()?;
         // t_r: outside neighbours of the interior.
         let roots: BTreeSet<Var> = interior

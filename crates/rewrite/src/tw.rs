@@ -13,7 +13,7 @@ use crate::tree_witness::{tree_witnesses_budgeted, TreeWitness};
 use obda_budget::Budget;
 use obda_chase::answer::{certain_answers_budgeted, CertainAnswers};
 use obda_cq::gaifman::Gaifman;
-use obda_cq::query::{Atom, Cq, Var};
+use obda_cq::query::{Atom, Var};
 use obda_cq::split::centroid;
 use obda_ndl::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, Program};
 use obda_owlql::util::FxHashMap;
@@ -23,7 +23,9 @@ use std::collections::BTreeSet;
 /// have infinite depth.
 #[derive(Debug, Clone, Copy)]
 pub struct TwRewriter {
-    /// Cap on tree-witness interior candidates per subquery.
+    /// Cap on the tree-witness interior candidates of the whole query: the
+    /// host OMQ's tree witnesses are enumerated once and every subquery
+    /// draws on that one enumeration.
     pub tree_witness_cap: usize,
 }
 
@@ -39,9 +41,12 @@ type SubKey = (BTreeSet<usize>, BTreeSet<Var>);
 
 struct Builder<'a> {
     omq: &'a Omq<'a>,
+    /// The host OMQ's tree witnesses; a subquery's are the ones whose
+    /// interior lies in its existential variables
+    /// ([`Builder::subquery_witnesses`]).
+    witnesses: &'a [TreeWitness],
     program: Program,
     memo: FxHashMap<SubKey, PredId>,
-    cap: usize,
     counter: usize,
     budget: &'a mut Budget,
 }
@@ -64,17 +69,9 @@ impl Rewriter for TwRewriter {
         if !g.is_tree() {
             return Err(RewriteError::NotTreeShaped);
         }
-        let mut builder = Builder {
-            omq,
-            program: Program::new(),
-            memo: FxHashMap::default(),
-            cap: self.tree_witness_cap,
-            counter: 0,
-            budget,
-        };
-        let all_atoms: BTreeSet<usize> = (0..q.num_atoms()).collect();
-        let answers: BTreeSet<Var> = q.answer_vars().iter().copied().collect();
-        let goal = builder.generate(&(all_atoms, answers))?;
+        let witnesses = tree_witnesses_budgeted(omq, self.tree_witness_cap, budget)
+            .map_err(|e| RewriteError::from_budget(e, 0, 0))?;
+        let (mut builder, goal) = Builder::run(omq, &witnesses, budget)?;
 
         // Boolean queries additionally match entirely inside the anonymous
         // part: G_{q₀} ← A(z) whenever T, {A(a)} ⊨ q₀.
@@ -107,7 +104,29 @@ impl Rewriter for TwRewriter {
     }
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    /// Generates `G_q` for the whole query (the goal) and, memoised, for
+    /// every subquery it reaches.
+    fn run(
+        omq: &'a Omq<'a>,
+        witnesses: &'a [TreeWitness],
+        budget: &'a mut Budget,
+    ) -> Result<(Self, PredId), RewriteError> {
+        let q = omq.query;
+        let mut builder = Builder {
+            omq,
+            witnesses,
+            program: Program::new(),
+            memo: FxHashMap::default(),
+            counter: 0,
+            budget,
+        };
+        let all_atoms: BTreeSet<usize> = (0..q.num_atoms()).collect();
+        let answers: BTreeSet<Var> = q.answer_vars().iter().copied().collect();
+        let goal = builder.generate(&(all_atoms, answers))?;
+        Ok((builder, goal))
+    }
+
     /// The sorted answer variables of a subquery, the head-argument order of
     /// its predicate.
     fn head_order(key: &SubKey) -> Vec<Var> {
@@ -146,32 +165,27 @@ impl Builder<'_> {
 
         // Clause 2: one clause per tree witness containing z_q, per
         // generator.
-        let sub_cq = self.materialise_subquery(key);
-        let sub_omq = Omq { ontology: self.omq.ontology, query: &sub_cq.cq };
-        let tws = tree_witnesses_budgeted(&sub_omq, self.cap, self.budget).map_err(|e| {
-            RewriteError::from_budget(
-                e,
-                self.program.num_clauses(),
-                self.program.clauses().iter().map(|c| c.body.len()).sum(),
-            )
-        })?;
-        for tw in tws {
+        let witnesses = self.witnesses;
+        for tw in Self::subquery_witnesses(witnesses, &existential) {
             tick_rewrite(self.budget, &self.program)?;
-            // Translate back to host variables.
-            let interior: BTreeSet<Var> = tw.interior.iter().map(|&v| sub_cq.to_host[&v]).collect();
-            let roots: BTreeSet<Var> = tw.roots.iter().map(|&v| sub_cq.to_host[&v]).collect();
-            if !interior.contains(&zq) || roots.is_empty() {
+            if !tw.interior.contains(&zq) || tw.roots.is_empty() {
                 continue;
             }
-            let tw_host = TreeWitness {
-                roots,
-                interior,
-                atoms: tw.atoms.iter().map(|&i| sub_cq.atom_map[i]).collect(),
-                generators: tw.generators.clone(),
-            };
-            self.emit_tree_witness_clauses(pid, &heads, key, &tw_host)?;
+            self.emit_tree_witness_clauses(pid, &heads, key, tw)?;
         }
         Ok(pid)
+    }
+
+    /// The tree witnesses of a subquery with the given existential
+    /// variables: the host's witnesses whose interior lies among them.
+    /// Exact because every subquery is closed under the atoms touching its
+    /// existential variables, so roots, `q_t` and the folding test agree
+    /// with enumerating the subquery on its own (DESIGN.md §16).
+    fn subquery_witnesses<'w>(
+        witnesses: &'w [TreeWitness],
+        existential: &'w [Var],
+    ) -> impl Iterator<Item = &'w TreeWitness> + 'w {
+        witnesses.iter().filter(|tw| tw.interior.iter().all(|v| existential.contains(v)))
     }
 
     fn choose_zq(&self, atoms: &BTreeSet<usize>, vars: &BTreeSet<Var>, existential: &[Var]) -> Var {
@@ -445,66 +459,204 @@ impl Builder<'_> {
         }
         Ok(())
     }
-
-    /// Builds a standalone [`Cq`] for a subquery, with maps in both
-    /// directions.
-    fn materialise_subquery(&self, key: &SubKey) -> SubCq {
-        let q = self.omq.query;
-        let (atoms, answers) = key;
-        let mut cq = Cq::new();
-        let mut to_host: FxHashMap<Var, Var> = FxHashMap::default();
-        let mut from_host: FxHashMap<Var, Var> = FxHashMap::default();
-        let lookup = |cq: &mut Cq,
-                      to_host: &mut FxHashMap<Var, Var>,
-                      from_host: &mut FxHashMap<Var, Var>,
-                      v: Var|
-         -> Var {
-            if let Some(&sv) = from_host.get(&v) {
-                return sv;
-            }
-            let sv = cq.var(q.var_name(v));
-            from_host.insert(v, sv);
-            to_host.insert(sv, v);
-            sv
-        };
-        for &v in answers {
-            let sv = lookup(&mut cq, &mut to_host, &mut from_host, v);
-            cq.add_answer_var(sv);
-        }
-        let mut atom_map = Vec::new();
-        for &i in atoms {
-            atom_map.push(i);
-            match q.atoms()[i] {
-                Atom::Class(c, z) => {
-                    let sz = lookup(&mut cq, &mut to_host, &mut from_host, z);
-                    cq.add_class_atom(c, sz);
-                }
-                Atom::Prop(p, z, z2) => {
-                    let sz = lookup(&mut cq, &mut to_host, &mut from_host, z);
-                    let sz2 = lookup(&mut cq, &mut to_host, &mut from_host, z2);
-                    cq.add_prop_atom(p, sz, sz2);
-                }
-            }
-        }
-        SubCq { cq, to_host, atom_map }
-    }
-}
-
-struct SubCq {
-    cq: Cq,
-    to_host: FxHashMap<Var, Var>,
-    atom_map: Vec<usize>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::omq::rewrite_arbitrary;
+    use crate::tree_witness::{connected_existential_subsets, tree_witnesses, CANDIDATES_VISITED};
     use obda_chase::certain_answers;
     use obda_cq::parse_cq;
+    use obda_cq::query::Cq;
     use obda_ndl::eval::evaluate;
     use obda_ndl::storage::Database;
+    use obda_owlql::axiom::{Axiom, ClassExpr};
     use obda_owlql::parser::{parse_data, parse_ontology};
+    use obda_owlql::vocab::{Role, Vocab};
+    use obda_owlql::{ClassId, Ontology, PropId};
+    use proptest::prelude::*;
+
+    /// A subquery as a standalone [`Cq`]: the from-scratch enumeration the
+    /// builder used to run per subquery, kept as the reference the shared
+    /// enumeration is checked against. Returns the CQ, its variables' host
+    /// variables, and its atoms' host atom indices.
+    fn materialise_subquery(q: &Cq, key: &SubKey) -> (Cq, FxHashMap<Var, Var>, Vec<usize>) {
+        let (atoms, answers) = key;
+        let mut cq = Cq::new();
+        let mut to_host: FxHashMap<Var, Var> = FxHashMap::default();
+        let mut from_host: FxHashMap<Var, Var> = FxHashMap::default();
+        let mut lookup = |cq: &mut Cq, v: Var| -> Var {
+            *from_host.entry(v).or_insert_with(|| {
+                let sv = cq.var(q.var_name(v));
+                to_host.insert(sv, v);
+                sv
+            })
+        };
+        for &v in answers {
+            let sv = lookup(&mut cq, v);
+            cq.add_answer_var(sv);
+        }
+        for &i in atoms {
+            match q.atoms()[i] {
+                Atom::Class(c, z) => {
+                    let sz = lookup(&mut cq, z);
+                    cq.add_class_atom(c, sz);
+                }
+                Atom::Prop(p, z, z2) => {
+                    let (sz, sz2) = (lookup(&mut cq, z), lookup(&mut cq, z2));
+                    cq.add_prop_atom(p, sz, sz2);
+                }
+            }
+        }
+        (cq, to_host, atoms.iter().copied().collect())
+    }
+
+    const NC: u32 = 3;
+    const NP: u32 = 2;
+
+    /// A random ontology over `A0..A2`, `P0, P1`; `cyclic` adds
+    /// `A0 ⊑ ∃P0` and `∃P0⁻ ⊑ ∃P0`, an infinite `P0`-chain whose
+    /// witnesses have interiors as long as the query's `P0`-paths.
+    fn random_ontology(specs: &[(u8, u8, u8, bool)], cyclic: bool) -> Ontology {
+        let mut vocab = Vocab::new();
+        for i in 0..NC {
+            vocab.class(&format!("A{i}"));
+        }
+        for i in 0..NP {
+            vocab.prop(&format!("P{i}"));
+        }
+        let role = |i: u8, inverse| Role { prop: PropId(u32::from(i) % NP), inverse };
+        let class = |i: u8, inverse| {
+            if i.is_multiple_of(2) {
+                ClassExpr::Class(ClassId(u32::from(i / 2) % NC))
+            } else {
+                ClassExpr::Exists(role(i / 2, inverse))
+            }
+        };
+        let mut axioms: Vec<Axiom> = specs
+            .iter()
+            .map(|&(kind, a, b, flip)| match kind % 3 {
+                0 => Axiom::SubClass(class(a, flip), class(b, !flip)),
+                1 => Axiom::SubRole(role(a, flip), role(b, !flip)),
+                _ => Axiom::SubClass(class(a, flip), ClassExpr::Exists(role(b, !flip))),
+            })
+            .collect();
+        if cyclic {
+            axioms.push(Axiom::SubClass(class(0, false), ClassExpr::Exists(role(0, false))));
+            axioms.push(Axiom::SubClass(
+                ClassExpr::Exists(role(0, true)),
+                ClassExpr::Exists(role(0, false)),
+            ));
+        }
+        Ontology::new(vocab, axioms)
+    }
+
+    /// A random tree-shaped CQ: edge `i` joins variable `i + 1` to an
+    /// earlier one (half the time the previous one, so paths are common);
+    /// half the edges are `P0` pointing away from `v0`, the shape the
+    /// `cyclic` ontology folds; class atoms sit on top; the first
+    /// `answers` variables are answer variables (none: a Boolean query).
+    fn random_tree_cq(edges: &[(u8, u8)], classes: &[(u8, u8)], answers: u8) -> Cq {
+        let mut q = Cq::new();
+        let n = edges.len() + 1;
+        let vars: Vec<Var> = (0..n).map(|i| q.var(&format!("v{i}"))).collect();
+        for (i, &(parent, kind)) in edges.iter().enumerate() {
+            let parent = if parent < 128 { i } else { parent as usize % (i + 1) };
+            let (child, parent) = (vars[i + 1], vars[parent]);
+            match kind % 4 {
+                0 | 1 => q.add_prop_atom(PropId(0), parent, child),
+                2 => q.add_prop_atom(PropId(1), parent, child),
+                _ => q.add_prop_atom(PropId(u32::from(kind / 4) % NP), child, parent),
+            }
+        }
+        for &(var, c) in classes {
+            q.add_class_atom(ClassId(u32::from(c) % NC), vars[var as usize % n]);
+        }
+        for &v in vars.iter().take(answers as usize % (n + 1)) {
+            q.add_answer_var(v);
+        }
+        q
+    }
+
+    /// `(interior, roots, atoms, generators)`, sorted by interior.
+    type Witnesses = Vec<(BTreeSet<Var>, BTreeSet<Var>, BTreeSet<usize>, Vec<Role>)>;
+
+    fn sorted(mut tws: Witnesses) -> Witnesses {
+        tws.sort();
+        tws
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// For every subquery the builder visits, the host witnesses whose
+        /// interior lies in the subquery's existential variables are exactly
+        /// the subquery's own tree witnesses.
+        #[test]
+        fn shared_enumeration_equals_per_subquery_enumeration(
+            axioms in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 0..5),
+            cyclic in any::<bool>(),
+            edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..7),
+            classes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+            answers in 0u8..4,
+        ) {
+            let o = random_ontology(&axioms, cyclic);
+            let q = random_tree_cq(&edges, &classes, answers);
+            let omq = Omq { ontology: &o, query: &q };
+            let cap = TwRewriter::default().tree_witness_cap;
+            let host = tree_witnesses(&omq, cap);
+            let mut budget = Budget::unlimited();
+            let (builder, _) = Builder::run(&omq, &host, &mut budget).unwrap();
+            for key in builder.memo.keys() {
+                let (atoms, answers) = key;
+                let existential: Vec<Var> = atoms
+                    .iter()
+                    .flat_map(|&i| q.atoms()[i].vars())
+                    .filter(|v| !answers.contains(v))
+                    .collect();
+                let shared = sorted(
+                    Builder::subquery_witnesses(&host, &existential)
+                        .map(|t| (t.interior.clone(), t.roots.clone(), t.atoms.clone(), t.generators.clone()))
+                        .collect(),
+                );
+                let (sub, to_host, atom_map) = materialise_subquery(&q, key);
+                let own = tree_witnesses(&Omq { ontology: &o, query: &sub }, cap);
+                let own = sorted(
+                    own.into_iter()
+                        .map(|t| (
+                            t.interior.iter().map(|v| to_host[v]).collect(),
+                            t.roots.iter().map(|v| to_host[v]).collect(),
+                            t.atoms.iter().map(|&i| atom_map[i]).collect(),
+                            t.generators,
+                        ))
+                        .collect(),
+                );
+                prop_assert_eq!(shared, own, "subquery {:?}", key);
+            }
+        }
+    }
+
+    /// `Tw` enumerates the host's tree witnesses once: one visit per
+    /// connected existential subset of the whole query, not one
+    /// enumeration per subquery.
+    #[test]
+    fn enumerates_the_host_tree_witnesses_once() {
+        let o = example_11_ontology();
+        for text in [
+            "q(x0, x5) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4), R(x4, x5)",
+            "q() :- R(x0, x1), S(x1, x2), R(x2, x3), R(x3, x4)",
+        ] {
+            let q = parse_cq(text, &o).unwrap();
+            let omq = Omq { ontology: &o, query: &q };
+            let rw = TwRewriter::default();
+            let subsets = connected_existential_subsets(&q, rw.tree_witness_cap).len();
+            CANDIDATES_VISITED.with(|c| c.set(0));
+            let program = rw.rewrite_complete(&omq).unwrap();
+            assert!(program.program.num_preds() > 4, "{text}: several subqueries");
+            assert_eq!(CANDIDATES_VISITED.with(|c| c.get()), subsets, "{text}");
+        }
+    }
 
     fn example_11_ontology() -> obda_owlql::Ontology {
         parse_ontology(

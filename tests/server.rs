@@ -25,7 +25,7 @@ use obda::{
     ServerConfig, ServerHandle, ServiceConfig, TenantQuota,
 };
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The Example 11 ontology (`P ⊑ S`, `P ⊑ R⁻`) as text, identical to
 /// `obda::datagen::sequences::example_11_ontology()`.
@@ -226,6 +226,117 @@ fn metrics_explain_and_cache_are_observable() {
     assert!(handle.join());
 }
 
+/// One sample of a Prometheus text exposition: name, labels, value.
+type Sample = (String, Vec<(String, String)>, f64);
+
+/// Parses the Prometheus text exposition format (version 0.0.4): every
+/// line is blank, a `#` comment, or `name[{label="value",…}] value
+/// [timestamp]`, with names matching `[a-zA-Z_:][a-zA-Z0-9_:]*` and label
+/// names `[a-zA-Z_][a-zA-Z0-9_]*`.
+fn parse_exposition(body: &str) -> Result<Vec<Sample>, String> {
+    fn is_name(s: &str, colon: bool) -> bool {
+        let ok = |c: char| c.is_ascii_alphanumeric() || c == '_' || (colon && c == ':');
+        s.chars().next().is_some_and(|c| !c.is_ascii_digit() && ok(c)) && s.chars().all(ok)
+    }
+    let mut samples = Vec::new();
+    for line in body.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let end = if line.contains('{') { line.find('}').map(|c| c + 1) } else { line.find(' ') };
+        let (series, rest) = line.split_at(end.ok_or(format!("no value: {line}"))?);
+        let (name, labels) = match series.split_once('{') {
+            Some((name, labels)) => (name, labels.strip_suffix('}').unwrap_or(labels)),
+            None => (series, ""),
+        };
+        if !is_name(name, true) {
+            return Err(format!("bad metric name {name:?}"));
+        }
+        let mut parsed = Vec::new();
+        for pair in labels.split(',').filter(|p| !p.is_empty()) {
+            let (k, v) = pair.split_once('=').ok_or(format!("bad label {pair:?}"))?;
+            let v = v.strip_prefix('"').and_then(|v| v.strip_suffix('"'));
+            match v {
+                Some(v) if is_name(k, false) && !v.contains(['"', '\\', '\n']) => {
+                    parsed.push((k.to_owned(), v.to_owned()))
+                }
+                _ => return Err(format!("bad label {pair:?}")),
+            }
+        }
+        let mut fields = rest.split(' ').filter(|f| !f.is_empty());
+        let value = match fields.next() {
+            Some("+Inf") => f64::INFINITY,
+            Some("-Inf") => f64::NEG_INFINITY,
+            Some(v) => v.parse::<f64>().map_err(|_| format!("bad value in {line:?}"))?,
+            None => return Err(format!("no value: {line}")),
+        };
+        if let Some(ts) = fields.next() {
+            ts.parse::<i64>().map_err(|_| format!("bad timestamp in {line:?}"))?;
+        }
+        if fields.next().is_some() {
+            return Err(format!("trailing fields: {line}"));
+        }
+        samples.push((name.to_owned(), parsed, value));
+    }
+    Ok(samples)
+}
+
+/// `GET /metrics` is a valid Prometheus text exposition: every line
+/// parses, no series repeats, each family's lines are contiguous, and
+/// every histogram's buckets are cumulative up to a `+Inf` bucket equal
+/// to its `_count`.
+#[test]
+fn metrics_parse_as_prometheus_text() {
+    let _quiet = quiet();
+    let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
+    let addr = handle.addr();
+    for tenant in ["alpha", "team-b.example", "t 3"] {
+        assert_eq!(post_query(addr, tenant, &word_query_text("RS")).status, 200);
+    }
+    assert_eq!(post_query(addr, "alpha", "not a query").status, 400);
+    let body = get(addr, "/metrics").body;
+    let samples = parse_exposition(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+
+    let family = |name: &str| {
+        ["_bucket", "_count", "_sum"]
+            .iter()
+            .find_map(|s| name.strip_suffix(s))
+            .filter(|base| samples.iter().any(|(n, _, _)| n == &format!("{base}_count")))
+            .unwrap_or(name)
+            .to_owned()
+    };
+    let mut seen_series = std::collections::HashSet::new();
+    let mut finished_families = std::collections::HashSet::new();
+    let mut current = String::new();
+    for (name, labels, _) in &samples {
+        assert!(seen_series.insert((name, labels)), "series {name}{labels:?} repeats");
+        let f = family(name);
+        if f != current {
+            assert!(finished_families.insert(current.clone()), "family {current} split");
+            assert!(!finished_families.contains(&f), "family {f} is not contiguous");
+            current = f;
+        }
+    }
+    for (name, _, count) in samples.iter().filter(|(n, _, _)| n.ends_with("_count")) {
+        let base = name.strip_suffix("_count").unwrap();
+        let buckets: Vec<(&str, f64)> = samples
+            .iter()
+            .filter(|(n, _, _)| n == &format!("{base}_bucket"))
+            .map(|(_, l, v)| (l.iter().find(|(k, _)| k == "le").unwrap().1.as_str(), *v))
+            .collect();
+        assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1), "{base} buckets not cumulative");
+        assert_eq!(buckets.last(), Some(&("+Inf", *count)), "{base}: +Inf bucket != _count");
+    }
+    for name in [
+        "server_requests_total",
+        "server_handler_threads",
+        "server_handler_spawns_total",
+        "server_open_connections",
+        "server_latency_seconds_count",
+    ] {
+        assert!(samples.iter().any(|(n, _, _)| n == name), "no {name} in\n{body}");
+    }
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
 #[test]
 fn explain_surfaces_cached_join_plan() {
     let _quiet = quiet();
@@ -347,6 +458,114 @@ fn second_request_reuses_completed_relations() {
     assert_eq!(built2, built1, "the second request builds no completion: {seen:?}");
     assert!(reused2 > reused1, "the second request reuses the completions: {seen:?}");
 
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
+// ---------------------------------------------------------------------------
+// Connection handler threads
+// ---------------------------------------------------------------------------
+
+/// Polls a gauge of the in-process server until it reads `want`.
+fn await_gauge(handle: &ServerHandle, name: &str, want: i64) {
+    let deadline = Instant::now() + CLIENT_TIMEOUT;
+    while handle.metrics().gauge(name).get() != want {
+        assert!(Instant::now() < deadline, "{name} never reached {want}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A slow-loris occupies one handler; sequential requests beside it are
+/// served at once, by one reused handler, not queued behind it.
+#[test]
+fn slow_loris_does_not_hold_up_sequential_requests() {
+    use std::io::Write;
+    let _quiet = quiet();
+    let read_timeout = Duration::from_secs(4);
+    let (handle, sys, data) = start_server(SCALE, |cfg| cfg.read_timeout = read_timeout, &[]);
+    let addr = handle.addr();
+    let mut loris = std::net::TcpStream::connect(addr).unwrap();
+    loris.write_all(b"POST /query HTTP/1.1\r\nContent-Len").unwrap();
+    await_gauge(&handle, "server_open_connections", 1);
+
+    let query = word_query_text("RS");
+    let want = oracle_lines(&sys, &data, &query);
+    let started = Instant::now();
+    for i in 0..50 {
+        let resp = post_query(addr, "t", &query);
+        assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
+        assert_eq!(body_lines(&resp), want, "request {i}");
+    }
+    assert!(
+        started.elapsed() < read_timeout / 2,
+        "50 requests took {:?}: they waited on the loris",
+        started.elapsed()
+    );
+    let metrics = handle.metrics();
+    assert_eq!(metrics.counter("server_handler_spawns_total").get(), 2, "the loris's and one more");
+    assert_eq!(metrics.gauge("server_handler_threads").get(), 2);
+
+    drop(loris);
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
+/// A closed loop (each request sent once the previous response is read)
+/// is served by the handler that finished the previous request: it parks
+/// before closing the socket, so the next connection finds it idle.
+#[test]
+fn closed_loop_reuses_its_handler() {
+    let _quiet = quiet();
+    let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
+    let addr = handle.addr();
+    for (i, word) in ["R", "S", "RR", "SR", "RRS"].iter().cycle().take(30).enumerate() {
+        let resp = post_query(addr, "t", &word_query_text(word));
+        assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
+        assert_eq!(get(addr, "/healthz").status, 200);
+    }
+    let metrics = handle.metrics();
+    let spawns = metrics.counter("server_handler_spawns_total").get();
+    assert!(spawns <= 2, "60 closed-loop requests spawned {spawns} handlers");
+    assert!(metrics.gauge("server_handler_threads").get() <= 2);
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
+/// A burst of overlapping connections spawns one handler each; once it
+/// ends, at most `max_concurrency` of them stay parked.
+#[test]
+fn idle_handlers_above_max_concurrency_exit() {
+    use std::io::Write;
+    let _quiet = quiet();
+    const BURST: usize = 6;
+    let max_concurrency = 2; // `start_server`'s service config
+    let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
+    let addr = handle.addr();
+    let mut slow: Vec<std::net::TcpStream> = (0..BURST)
+        .map(|_| {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+            s
+        })
+        .collect();
+    // Every connection is accepted (and so owns a handler) before any
+    // of them completes its request.
+    await_gauge(&handle, "server_open_connections", BURST as i64);
+    for s in &mut slow {
+        s.write_all(b"\r\n").unwrap();
+        let mut response = String::new();
+        std::io::Read::read_to_string(s, &mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+    let metrics = handle.metrics();
+    assert_eq!(metrics.counter("server_handler_spawns_total").get(), BURST as u64);
+    await_gauge(&handle, "server_open_connections", 0);
+    assert_eq!(metrics.gauge("server_handler_threads").get(), max_concurrency);
+
+    // The parked handlers serve what comes next without spawning.
+    assert_eq!(get(addr, "/healthz").status, 200);
+    assert_eq!(metrics.counter("server_handler_spawns_total").get(), BURST as u64);
     handle.trigger().shutdown();
     assert!(handle.join());
 }
