@@ -35,12 +35,14 @@
 //! * `benchstore` — the snapshot-store load benchmark: for every Table 2
 //!   dataset at scales 0.05 and 0.5, measures text-parse-plus-index time
 //!   against `.obdb` snapshot open time (best of 5, same `Database`
-//!   either way), records process RSS around each phase, asserts the two
-//!   loads hold identical atom counts, and writes `BENCH_store.json` in
-//!   the current directory (run alone for clean RSS numbers; not part of
-//!   `all`). With `--sweep` it first runs the lazy-hydration scale sweep
-//!   on the largest dataset at scales 0.05/0.5/2.0: lazy vs eager open
-//!   time, bytes/columns hydrated after touching a single predicate, and
+//!   either way), records each phase's peak RSS in a child process that
+//!   runs only that phase (`experiments store-phase idle|parse|open
+//!   FILE`), asserts the two loads hold identical atom counts, and writes
+//!   `BENCH_store.json` in the current directory (not part of `all`).
+//!   With `--sweep` it first runs the lazy-hydration scale sweep on the
+//!   largest dataset at scales 0.05/0.5/2.0: lazy open vs open plus a
+//!   full `hydrate` (every predicate decoded and verified, the eager
+//!   column) time, bytes/columns hydrated after touching a single predicate, and
 //!   the RSS delta across a lazy open, with in-binary gates that fail
 //!   (exit ≠ 0) on super-linear open time or a resident footprint beyond
 //!   the touched-columns budget — the CI scale gate;
@@ -137,6 +139,11 @@ fn wants(cfg: &Config, section: &str) -> bool {
 }
 
 fn main() {
+    // The child side of benchstore's per-phase RSS readings.
+    if std::env::args().nth(1).as_deref() == Some("store-phase") {
+        store_phase();
+        return;
+    }
     let cfg = parse_args();
     if let Some(dir) = &cfg.csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
@@ -734,6 +741,53 @@ fn rss_kb() -> (u64, u64) {
     (field("VmRSS:"), field("VmHWM:"))
 }
 
+/// `experiments store-phase idle|parse|open FILE`: runs exactly one
+/// benchstore phase in a fresh process and prints its peak RSS in KiB, so
+/// each phase's footprint is read without the allocator high-water marks
+/// of every phase before it. `idle` loads only the ontology (the
+/// baseline), `parse` parses the data text in FILE and builds its
+/// `Database`, `open` opens the `.obdb` snapshot FILE.
+fn store_phase() {
+    let args: Vec<String> = std::env::args().skip(2).collect();
+    let sys = paper_system();
+    let atoms = match (args.first().map(String::as_str), args.get(1)) {
+        (Some("idle"), _) => 0,
+        (Some("parse"), Some(file)) => {
+            let text = std::fs::read_to_string(file).expect("read data text");
+            Database::new(&sys.parse_data(&text).expect("parse data")).num_atoms()
+        }
+        (Some("open"), Some(file)) => {
+            let snap = obda::Snapshot::open(std::path::Path::new(file), sys.ontology().vocab())
+                .expect("open snapshot");
+            snap.database().num_atoms()
+        }
+        _ => {
+            eprintln!("usage: experiments store-phase idle|parse|open FILE");
+            std::process::exit(2);
+        }
+    };
+    println!("{} {atoms}", rss_kb().1);
+}
+
+/// Runs `experiments store-phase <phase> <file>` in a child process and
+/// returns its peak RSS in KiB.
+fn child_peak_rss_kb(phase: &str, file: &std::path::Path) -> u64 {
+    let exe = std::env::current_exe().expect("locate the experiments binary");
+    let out = std::process::Command::new(exe)
+        .arg("store-phase")
+        .arg(phase)
+        .arg(file)
+        .output()
+        .expect("run the store-phase child");
+    assert!(
+        out.status.success(),
+        "store-phase {phase} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout.split_whitespace().next().and_then(|v| v.parse().ok()).expect("peak RSS from the child")
+}
+
 /// One measured point of the lazy-hydration scale sweep.
 struct SweepPoint {
     scale: f64,
@@ -751,17 +805,19 @@ struct SweepPoint {
 }
 
 /// The lazy-hydration scale sweep and its CI gates: the largest Table 2
-/// dataset at scales 0.05 → 0.5 → 2.0, measuring lazy vs eager open
-/// time (best of 5), the bytes/columns hydrated after touching exactly
-/// one predicate, and the RSS delta across a lazy open. Asserts (so the
+/// dataset at scales 0.05 → 0.5 → 2.0, measuring lazy open time against
+/// open plus a full `hydrate` of every predicate (the eager column; best
+/// of 5), the bytes/columns hydrated after touching exactly one
+/// predicate, and the RSS delta across a lazy open. Asserts (so the
 /// process exits non-zero and fails CI) that
 ///
-/// * open time stays O(file bytes): between consecutive scales the open
-///   time may grow at most `1.6×` faster than the file, with a 1 ms
-///   noise floor on both sides of the ratio;
+/// * open time stays O(file bytes): between consecutive scales the lazy
+///   open and the open-plus-hydrate time may each grow at most `1.6×`
+///   faster than the file, with a 1 ms noise floor on both sides of the
+///   ratio;
 /// * resident bytes stay O(touched columns): touching one predicate
 ///   hydrates no more than that predicate's column + index blocks
-///   (plus slack), and strictly less than the full data section;
+///   (plus slack), and strictly less than a full hydrate touches;
 /// * the RSS delta across a lazy open plus a one-predicate touch stays
 ///   under half the file size plus an 8 MiB allocator/page-cache slack.
 ///
@@ -782,7 +838,7 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
         "atoms",
         "file KiB",
         "lazy open ms",
-        "eager open ms",
+        "open+hydrate ms",
         "touched",
         "touched KiB",
         "full KiB",
@@ -839,7 +895,8 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
         let (mut full_bytes, mut atoms) = (0u64, 0usize);
         for _ in 0..RUNS {
             let start = Instant::now();
-            let eager = obda::Snapshot::open_eager(&path, vocab).expect("eager open");
+            let eager = obda::Snapshot::open(&path, vocab).expect("open");
+            eager.database().hydrate_all().expect("hydrate every predicate");
             eager_best = eager_best.min(start.elapsed());
             full_bytes = eager.bytes_touched();
             atoms = eager.database().num_atoms();
@@ -854,7 +911,7 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
         );
         assert!(
             touched_bytes < full_bytes,
-            "lazy hydration of one predicate ('{}') touched the whole data section \
+            "lazy hydration of one predicate ('{}') touched as much as a full hydrate \
              ({touched_bytes} of {full_bytes} bytes)",
             smallest.name,
         );
@@ -900,13 +957,14 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
     for pair in points.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
         let bytes_ratio = b.file_bytes as f64 / a.file_bytes as f64;
-        for (label, ta, tb) in
-            [("lazy", a.lazy_seconds, b.lazy_seconds), ("eager", a.eager_seconds, b.eager_seconds)]
-        {
+        for (label, ta, tb) in [
+            ("lazy", a.lazy_seconds, b.lazy_seconds),
+            ("open+hydrate", a.eager_seconds, b.eager_seconds),
+        ] {
             let time_ratio = tb.max(FLOOR) / ta.max(FLOOR);
             assert!(
                 time_ratio <= bytes_ratio * SLACK,
-                "super-linear {label} open time between scales {} and {}: time grew \
+                "super-linear {label} time between scales {} and {}: time grew \
                  {time_ratio:.2}x while the file grew {bytes_ratio:.2}x",
                 a.scale,
                 b.scale,
@@ -950,7 +1008,9 @@ fn store_sweep(sys: &obda::ObdaSystem) -> String {
 
 /// The snapshot-store load benchmark behind `BENCH_store.json`: parse
 /// path (text → `DataInstance` → `Database`) vs open path (`.obdb` →
-/// `Database`), best of five each, per Table 2 dataset per scale. With
+/// `Database`), best of five each, per Table 2 dataset per scale, with
+/// each phase's peak RSS read in a child process that runs only that
+/// phase (and an idle child's as the baseline). With
 /// `--sweep`, runs [`store_sweep`] first (while RSS is clean) and
 /// splices its rows and gate parameters into the JSON.
 fn benchstore(cfg: &Config) {
@@ -958,12 +1018,23 @@ fn benchstore(cfg: &Config) {
     const RUNS: usize = 5;
     let sys = paper_system();
     let sweep_json = cfg.sweep.then(|| store_sweep(&sys));
+    let text_path =
+        std::env::temp_dir().join(format!("obda-benchstore-{}.abox", std::process::id()));
+    let idle_rss = child_peak_rss_kb("idle", &text_path);
     println!("== Snapshot store: parse+index vs .obdb open (best of {RUNS}) ==\n");
-    let header: Vec<String> =
-        ["scale", "dataset", "atoms", "file KiB", "parse ms", "open ms", "speedup"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
+    let header: Vec<String> = [
+        "scale",
+        "dataset",
+        "atoms",
+        "file KiB",
+        "parse ms",
+        "open ms",
+        "speedup",
+        "parse/open RSS KiB",
+    ]
+    .iter()
+    .map(|s| (*s).to_owned())
+    .collect();
     let mut table_rows: Vec<Vec<String>> = Vec::new();
     let mut json_rows: Vec<String> = Vec::new();
     for scale in SCALES {
@@ -984,7 +1055,6 @@ fn benchstore(cfg: &Config) {
                 parse_best = parse_best.min(start.elapsed());
                 parsed_atoms = db.num_atoms();
             }
-            let (rss_after_parse, _) = rss_kb();
 
             let mut open_best = Duration::MAX;
             let mut opened_atoms = 0;
@@ -995,7 +1065,10 @@ fn benchstore(cfg: &Config) {
                 open_best = open_best.min(start.elapsed());
                 opened_atoms = snap.database().num_atoms();
             }
-            let (rss_after_open, peak_rss) = rss_kb();
+            std::fs::write(&text_path, &text).expect("write data text");
+            let parse_rss = child_peak_rss_kb("parse", &text_path);
+            let open_rss = child_peak_rss_kb("open", &path);
+            std::fs::remove_file(&text_path).ok();
             std::fs::remove_file(&path).ok();
             assert_eq!(
                 parsed_atoms, opened_atoms,
@@ -1011,13 +1084,13 @@ fn benchstore(cfg: &Config) {
                 format!("{:.3}", parse_best.as_secs_f64() * 1e3),
                 format!("{:.3}", open_best.as_secs_f64() * 1e3),
                 format!("{speedup:.1}x"),
+                format!("{parse_rss}/{open_rss}"),
             ]);
             json_rows.push(format!(
                 "    {{\"scale\": {scale}, \"dataset\": \"{}.ttl\", \"individuals\": {}, \
                  \"atoms\": {parsed_atoms}, \"file_bytes\": {}, \"parse_seconds\": {:.6}, \
                  \"open_seconds\": {:.6}, \"speedup\": {speedup:.2}, \
-                 \"rss_after_parse_kb\": {rss_after_parse}, \
-                 \"rss_after_open_kb\": {rss_after_open}, \"peak_rss_kb\": {peak_rss}}}",
+                 \"parse_peak_rss_kb\": {parse_rss}, \"open_peak_rss_kb\": {open_rss}}}",
                 idx + 1,
                 data.num_individuals(),
                 info.file_bytes,
@@ -1034,7 +1107,9 @@ fn benchstore(cfg: &Config) {
     let json = format!(
         "{{\n  \"config\": {{\"scales\": [0.05, 0.5], \"runs\": {RUNS}, \
          \"parse_path\": \"parse_data + Database::new\", \
-         \"open_path\": \"Snapshot::open (.obdb v2, mmap lazy hydration)\"}},\n  \
+         \"open_path\": \"Snapshot::open (.obdb v2, mmap lazy hydration)\", \
+         \"rss\": \"peak RSS of a child process running one phase\", \
+         \"idle_peak_rss_kb\": {idle_rss}}},\n  \
          \"rows\": [\n{}\n  ]{sweep_section}\n}}\n",
         json_rows.join(",\n")
     );

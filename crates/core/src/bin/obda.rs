@@ -11,8 +11,7 @@
 //!               [--budget-secs N] [--budget-clauses N] [--budget-tuples N]
 //!               [--budget-steps N] [--budget-chase N] [--no-fallback]
 //!               [--threads N] [--no-prune] [--no-plan] [--retries N]
-//!               [--max-concurrency N] [--mmap | --eager]
-//!               [--trace[=pretty|json]] [--stats]
+//!               [--max-concurrency N] [--trace[=pretty|json]] [--stats]
 //! obda build    --ontology o.owlql --data d.abox -o db.obdb
 //! obda dbinfo   db.obdb
 //! obda serve    --ontology o.owlql (--db db.obdb | --data d.abox)
@@ -28,13 +27,13 @@
 //! `build` parses a data file once and writes a dictionary-encoded
 //! `.obdb` snapshot; `answer --db` (and `explain --db`) then reopen it
 //! memory-mapped — no text parsing, no re-interning — and evaluate
-//! through the same [`obda::StorageBackend`] seam as parsed data. By
-//! default segments hydrate *lazily*, on first touch, so a pruned query
-//! faults in only the columns it actually joins (`--mmap` names this
-//! default explicitly; `--eager` is the A/B switch that decodes and
-//! verifies every segment at open time). `dbinfo` prints a snapshot's
-//! header, flag bits, layout, dictionary size and per-relation row
-//! counts without needing the ontology.
+//! through the same [`obda::StorageBackend`] seam as parsed data.
+//! Segments hydrate *lazily*: a request hydrates — and verifies — the
+//! columns its pruned program joins before it plans, so a corrupt
+//! segment is a typed snapshot error (exit 3), and the rest of the file
+//! is never read. `dbinfo` prints a snapshot's header, flag bits,
+//! dictionary size and per-relation row counts without needing the
+//! ontology.
 //!
 //! `answer` evaluates with the goal-directed engine: the rewriting is
 //! relevance-pruned towards the goal (disable with `--no-prune`), each
@@ -94,7 +93,8 @@
 //! | 2    | usage error (unknown command, flag or flag value)         |
 //! | 3    | parse error in the ontology, query or data file — or a    |
 //! |      | corrupt/incompatible `.obdb` snapshot (truncation, bit    |
-//! |      | flips, bad magic, unknown version, foreign vocabulary)    |
+//! |      | flips at open or when a segment hydrates, bad magic,      |
+//! |      | retired version or layout, foreign vocabulary)            |
 //! | 4    | rewriting refused structurally (not a budget trip)        |
 //! | 5    | evaluation failed (not a budget trip)                     |
 //! | 6    | resource budget exhausted (every fallback attempt, too)   |
@@ -107,9 +107,9 @@ use obda::cq::query::Cq;
 use obda::store::{flag_names, unknown_flags};
 use obda::telemetry::{CollectingTracer, MetricsRegistry, Telemetry};
 use obda::{
-    read_info, write_snapshot, BreakerConfig, BrownoutConfig, Hydration, MemoryBackend, ObdaError,
-    ObdaSystem, OverloadConfig, QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig,
-    Snapshot, StorageBackend, StoreError, Strategy, TenantQuota, WatchdogConfig,
+    read_info, write_snapshot, BreakerConfig, BrownoutConfig, MemoryBackend, ObdaError, ObdaSystem,
+    OverloadConfig, QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig, Snapshot,
+    StorageBackend, StoreError, Strategy, TenantQuota, WatchdogConfig,
 };
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::program::ProgramDisplay;
@@ -139,7 +139,6 @@ struct Args {
     engine: EngineConfig,
     retries: Option<u32>,
     max_concurrency: Option<usize>,
-    hydration: Option<Hydration>,
     trace: Option<TraceFormat>,
     stats: bool,
     addr: Option<String>,
@@ -162,7 +161,7 @@ const USAGE: &str = "usage: obda <classify|rewrite|explain|answer> --ontology FI
     \x20      [--budget-secs N] [--budget-clauses N] [--budget-tuples N]\n\
     \x20      [--budget-steps N] [--budget-chase N] [--no-fallback]\n\
     \x20      [--threads N] [--no-prune] [--no-plan] [--retries N] [--max-concurrency N]\n\
-    \x20      [--mmap | --eager] [--trace[=pretty|json]] [--stats]\n\
+    \x20      [--trace[=pretty|json]] [--stats]\n\
     \x20      obda build --ontology FILE --data FILE (-o|--out) FILE\n\
     \x20      obda dbinfo FILE\n\
     \x20      obda serve --ontology FILE (--db FILE | --data FILE) [--addr HOST:PORT]\n\
@@ -190,7 +189,7 @@ fn print_help() {
          \x20 explain    classification, rewriting, pruned program, stratum plan\n\
          \x20 answer     rewrite and evaluate over --data or a --db snapshot\n\
          \x20 build      compile a data file into a dictionary-encoded .obdb snapshot\n\
-         \x20 dbinfo     print a snapshot's header, flags, layout and row counts\n\
+         \x20 dbinfo     print a snapshot's header, flags and row counts\n\
          \x20 serve      hardened multi-tenant HTTP query server over --db/--data\n\
          \nserve endpoints: POST /query (headers X-Obda-Tenant, X-Obda-Timeout-Ms,\n\
          X-Obda-Strategy), GET /explain?query=..., GET /metrics, GET /healthz,\n\
@@ -207,17 +206,17 @@ fn print_help() {
          --tenant-priority NAME=P (repeatable, default priority 1) ranks\n\
          tenants for shedding; --breaker-window/--breaker-threshold tune how\n\
          many failures in the rolling window trip a breaker.\n\
-         \nsnapshot hydration (answer with --db): segments hydrate lazily on\n\
-         first touch by default, so resident bytes track the columns a query\n\
-         actually joins; --mmap names that default explicitly and --eager\n\
-         decodes and verifies every segment at open time (the A/B switch).\n\
+         \nsnapshot hydration (answer with --db): a request hydrates and verifies\n\
+         the segments its pruned program joins before it plans, so resident\n\
+         bytes track the columns a query actually joins and a corrupt segment\n\
+         fails the request with exit 3.\n\
          \nstrategies: lin, log, tw, twstar, ucq, twucq, presto, adaptive (default)\n\
          \nexit codes:\n\
          \x20 0  success\n\
          \x20 1  internal error (I/O, invariant violation)\n\
          \x20 2  usage error (unknown command, flag or flag value)\n\
          \x20 3  parse error in the ontology, query or data file, or a corrupt\n\
-         \x20    or incompatible .obdb snapshot\n\
+         \x20    or incompatible .obdb snapshot (at open or when a segment hydrates)\n\
          \x20 4  rewriting refused structurally (not a budget trip)\n\
          \x20 5  evaluation failed (not a budget trip)\n\
          \x20 6  resource budget exhausted (every fallback attempt, too)\n\
@@ -250,7 +249,6 @@ fn parse_args() -> Option<Args> {
         engine: EngineConfig::default(),
         retries: None,
         max_concurrency: None,
-        hydration: None,
         trace: None,
         stats: false,
         addr: None,
@@ -391,17 +389,6 @@ fn parse_args() -> Option<Args> {
                 }
                 args.tenant_priorities.push((name.to_owned(), prio.parse().ok()?));
             }
-            // The snapshot hydration A/B pair: `--mmap` names the lazy
-            // default explicitly, `--eager` decodes and verifies every
-            // segment at open time. Asking for both is a contradiction.
-            "--mmap" => match args.hydration {
-                Some(Hydration::Eager) => return None,
-                _ => args.hydration = Some(Hydration::Lazy),
-            },
-            "--eager" => match args.hydration {
-                Some(Hydration::Lazy) => return None,
-                _ => args.hydration = Some(Hydration::Eager),
-            },
             "--trace" | "--trace=pretty" => args.trace = Some(TraceFormat::Pretty),
             "--trace=json" => args.trace = Some(TraceFormat::Json),
             "--stats" => args.stats = true,
@@ -493,6 +480,7 @@ impl From<ObdaError> for CliError {
             ObdaError::Rewrite(_) => CliError::Rewrite(msg),
             ObdaError::Eval(_) => CliError::Eval(msg),
             ObdaError::Chase(_) => CliError::Budget(msg),
+            ObdaError::Store(e) => CliError::from(e),
             // A transient fault that survived every retry behaves like an
             // exhausted evaluation; the dedicated codes cover the other two.
             ObdaError::Transient { .. } => CliError::Eval(msg),
@@ -568,12 +556,11 @@ fn run(args: &Args, telem: Telemetry<'_>) -> Result<(), CliError> {
         "explain" => run_explain(args, &system, &query, telem),
         "answer" => {
             let data = if let Some(db) = &args.db {
-                AnswerData::Snapshot(Box::new(Snapshot::open_with(
+                AnswerData::Snapshot(Box::new(Snapshot::open_budgeted(
                     std::path::Path::new(db),
                     system.ontology().vocab(),
                     &mut obda::budget::Budget::unlimited(),
                     telem,
-                    args.hydration.unwrap_or_default(),
                 )?))
             } else {
                 let dspan = telem.span("parse:data");
@@ -654,17 +641,6 @@ fn run_dbinfo(args: &Args) -> Result<(), CliError> {
     let named = flag_names(info.flags);
     let known = if named.is_empty() { "none".to_owned() } else { named.join(", ") };
     let unknown = unknown_flags(info.flags);
-    let layout = if info.version < 2 {
-        "flat (v1)"
-    } else if info.footer {
-        if info.appended {
-            "footer (appendable, has appended segments)"
-        } else {
-            "footer (appendable)"
-        }
-    } else {
-        "inline"
-    };
     println!("snapshot:       {path}");
     println!("format version: {}", info.version);
     if unknown == 0 {
@@ -676,13 +652,10 @@ fn run_dbinfo(args: &Args) -> Result<(), CliError> {
             info.flags
         );
     }
-    println!("layout:         {layout}");
     println!("file bytes:     {}", info.file_bytes);
     println!("payload bytes:  {}", info.payload_bytes);
     println!("checksum:       {:#018x} (word-folded FNV-1a 64, verified)", info.checksum);
     println!("dictionary:     {} constants, {} bytes", info.num_consts, info.dict_bytes);
-    println!("stats:          {}", info.stats_source());
-    println!("indexes:        {}", info.index_source());
     println!("atoms:          {}", info.num_atoms);
     println!("relations:      {}", info.relations.len());
     for rel in &info.relations {
@@ -708,11 +681,11 @@ impl AnswerData {
         }
     }
 
-    /// The instance view (snapshots materialise it lazily; only the
-    /// chase oracle needs it).
-    fn instance(&self) -> &obda::owlql::abox::DataInstance {
+    /// The instance view (snapshots materialise it lazily, verifying
+    /// every segment; only the chase oracle needs it).
+    fn instance(&self) -> Result<&obda::owlql::abox::DataInstance, StoreError> {
         match self {
-            AnswerData::Parsed(d) => d,
+            AnswerData::Parsed(d) => Ok(d),
             AnswerData::Snapshot(s) => s.data_instance(),
         }
     }
@@ -763,9 +736,10 @@ fn run_explain(
     // step with the cardinality it actually produced. Without data the
     // schedule falls back to the syntactic join order.
     let backend: Option<Box<dyn StorageBackend>> = if let Some(db) = &args.db {
-        Some(Box::new(Snapshot::open_traced(
+        Some(Box::new(Snapshot::open_budgeted(
             std::path::Path::new(db),
             system.ontology().vocab(),
+            &mut obda::budget::Budget::unlimited(),
             telem,
         )?))
     } else if let Some(path) = &args.data {
@@ -778,6 +752,9 @@ fn run_explain(
     println!();
     match &backend {
         Some(backend) => {
+            let program = &pruned.query.program;
+            let kinds = program.pred_ids().map(|p| program.pred(p).kind);
+            backend.database().hydrate(kinds).map_err(StoreError::from)?;
             let (plan, result) =
                 obda_ndl::explain_plan_executed(&pruned.query, backend.database(), &mut budget)
                     .map_err(|e| CliError::from(ObdaError::from(e)))?;
@@ -802,11 +779,10 @@ fn run_explain(
         println!();
         println!("== snapshot {db} (format v{}, {} bytes) ==", info.version, info.file_bytes);
         println!(
-            "{} constants, {} atoms, {} relations (stats {}):",
+            "{} constants, {} atoms, {} relations:",
             info.num_consts,
             info.num_atoms,
-            info.relations.len(),
-            info.stats_source()
+            info.relations.len()
         );
         for rel in &info.relations {
             println!("  {}/{} ({} rows)", rel.name, rel.arity, rel.rows);
@@ -825,7 +801,12 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
     use std::io::Write as _;
 
     let backend: Box<dyn StorageBackend + Send + Sync> = if let Some(db) = &args.db {
-        Box::new(Snapshot::open_traced(std::path::Path::new(db), system.ontology().vocab(), telem)?)
+        Box::new(Snapshot::open_budgeted(
+            std::path::Path::new(db),
+            system.ontology().vocab(),
+            &mut obda::budget::Budget::unlimited(),
+            telem,
+        )?)
     } else if let Some(path) = &args.data {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Internal(format!("cannot read {path}: {e}")))?;
@@ -1054,7 +1035,7 @@ fn run_answer(
         result.stats.num_answers, result.stats.generated_tuples, strategy_used
     );
     // The lazy snapshot's whole point, made visible: how much of the file
-    // this query actually faulted in (everything, under --eager).
+    // this query actually faulted in.
     if let AnswerData::Snapshot(s) = data {
         eprintln!(
             "# snapshot resident: {} bytes across {} hydrated columns",
@@ -1065,14 +1046,15 @@ fn run_answer(
     if args.oracle {
         let ospan = telem.span("oracle-check");
         let mut budget = args.spec.start();
-        let oracle =
-            match host.system().certain_answers_budgeted(query, data.instance(), &mut budget) {
-                Ok(ans) => ans.tuples(),
-                Err(e) => {
-                    ospan.error(&e.to_string());
-                    return Err(e.into());
-                }
-            };
+        let oracle = match data.instance().map_err(ObdaError::from).and_then(|instance| {
+            host.system().certain_answers_budgeted(query, instance, &mut budget)
+        }) {
+            Ok(ans) => ans.tuples(),
+            Err(e) => {
+                ospan.error(&e.to_string());
+                return Err(e.into());
+            }
+        };
         if oracle == result.answers {
             ospan.end();
             eprintln!("# oracle agrees ✓");

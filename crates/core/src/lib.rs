@@ -64,8 +64,8 @@ pub use service::{
 // instances.
 pub use obda_store as store;
 pub use obda_store::{
-    append_snapshot, read_info, write_snapshot, write_snapshot_footer, Hydration, MemoryBackend,
-    RelationInfo, Snapshot, SnapshotInfo, StorageBackend, StoreError,
+    read_info, write_snapshot, MemoryBackend, RelationInfo, Snapshot, SnapshotInfo, StorageBackend,
+    StoreError,
 };
 
 // Substrate re-exports.

@@ -7,15 +7,15 @@ use obda_chase::model::ChaseError;
 use obda_cq::query::Cq;
 use obda_ndl::analysis::{analyze, Analysis};
 use obda_ndl::engine::{
-    evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, EngineConfig,
+    evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, prune_traced, EngineConfig,
 };
 use obda_ndl::eval::{evaluate, EvalError, EvalResult};
 use obda_ndl::explain::{explain_plan_with, PlanExplanation};
 use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::planner::{plan_query, QueryPlan};
-use obda_ndl::program::NdlQuery;
+use obda_ndl::program::{NdlQuery, Program};
 use obda_ndl::relevance::{prune_for_goal, PruneStats, PrunedQuery};
-use obda_ndl::storage::Database;
+use obda_ndl::storage::{Database, HydrateError};
 use obda_owlql::abox::DataInstance;
 use obda_owlql::parser::ParseError;
 use obda_owlql::saturation::Taxonomy;
@@ -26,7 +26,7 @@ use obda_rewrite::twstar::inline_single_definitions;
 use obda_rewrite::{
     LinRewriter, LogRewriter, PrestoLikeRewriter, TwRewriter, TwUcqRewriter, UcqRewriter,
 };
-use obda_store::StorageBackend;
+use obda_store::{StorageBackend, StoreError};
 use obda_telemetry::Telemetry;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -97,6 +97,51 @@ pub(crate) enum DataSource<'a> {
 fn export_resident_bytes(backend: &dyn StorageBackend, telem: Telemetry<'_>) {
     if let (Some(metrics), Some(bytes)) = (telem.metrics, backend.resident_bytes()) {
         metrics.gauge("store_resident_bytes").set(bytes as i64);
+    }
+}
+
+/// Hydrates the EDB relations `program` mentions — a request's pruned
+/// program — before anything plans or evaluates over `db`, under a
+/// `hydrate` span. A corrupt snapshot segment surfaces here as
+/// [`ObdaError::Store`]; already-resident relations cost nothing.
+pub(crate) fn hydrate_program(
+    program: &Program,
+    db: &Database,
+    telem: Telemetry<'_>,
+) -> Result<(), ObdaError> {
+    let span = telem.span("hydrate");
+    match db.hydrate(program.pred_ids().map(|p| program.pred(p).kind)) {
+        Ok((relations, columns)) => {
+            span.attr("relations", relations);
+            span.attr("columns", columns);
+            span.end();
+            Ok(())
+        }
+        Err(e) => {
+            let e = ObdaError::from(e);
+            span.error(&e.to_string());
+            Err(e)
+        }
+    }
+}
+
+/// Evaluates `rewriting` over `db` with the engine configured by `cfg`,
+/// hydrating the EDB relations of the program it evaluates (the pruned
+/// one under `cfg.prune`) first, before the engine plans.
+fn evaluate_hydrated(
+    rewriting: &NdlQuery,
+    db: &Database,
+    budget: &mut Budget,
+    cfg: &EngineConfig,
+    telem: Telemetry<'_>,
+) -> Result<EvalResult, ObdaError> {
+    if cfg.prune {
+        let pruned = prune_traced(rewriting, telem);
+        hydrate_program(&pruned.query.program, db, telem)?;
+        Ok(evaluate_pruned_planned_on_traced(&pruned, db, budget, cfg, None, telem)?)
+    } else {
+        hydrate_program(&rewriting.program, db, telem)?;
+        Ok(evaluate_engine_on_traced(rewriting, db, budget, cfg, telem)?)
     }
 }
 
@@ -267,6 +312,11 @@ pub enum ObdaError {
     Eval(EvalError),
     /// The chase oracle was interrupted by a resource budget.
     Chase(ChaseError),
+    /// The data could not be read: a snapshot segment found corrupt when
+    /// the request hydrated it (a checksum mismatch, an out-of-dictionary
+    /// constant, unsorted rows). The data is at fault, not the strategy,
+    /// so the fallback ladder stops and no circuit breaker records it.
+    Store(StoreError),
     /// A transient fault interrupted the request; retrying the same
     /// request may succeed. Raised by `obda-faults` injection sites (and
     /// reserved for recoverable substrate hiccups).
@@ -342,6 +392,7 @@ impl ObdaError {
                 matches!(e, EvalError::Timeout(_) | EvalError::TupleLimit(_))
             }
             ObdaError::Chase(_) => true,
+            ObdaError::Store(e) => matches!(e, StoreError::Budget(_)),
             ObdaError::Transient { .. } => false,
             ObdaError::Internal { .. } => false,
             ObdaError::Overloaded { .. } => false,
@@ -369,6 +420,7 @@ impl fmt::Display for ObdaError {
             ObdaError::Rewrite(e) => write!(f, "{e}"),
             ObdaError::Eval(e) => write!(f, "{e}"),
             ObdaError::Chase(e) => write!(f, "{e}"),
+            ObdaError::Store(e) => write!(f, "{e}"),
             ObdaError::Transient { site } => write!(f, "transient fault at {site}"),
             ObdaError::Internal { site, payload } => {
                 write!(f, "internal error: panic caught at {site}: {payload}")
@@ -439,6 +491,16 @@ impl From<ChaseError> for ObdaError {
         ObdaError::Chase(e)
     }
 }
+impl From<StoreError> for ObdaError {
+    fn from(e: StoreError) -> Self {
+        ObdaError::Store(e)
+    }
+}
+impl From<HydrateError> for ObdaError {
+    fn from(e: HydrateError) -> Self {
+        ObdaError::Store(StoreError::from(e))
+    }
+}
 
 /// One strategy attempt inside [`ObdaSystem::answer_with_fallback`].
 #[derive(Debug)]
@@ -466,6 +528,10 @@ pub enum AttemptOutcome {
     RewriteFailed(RewriteError),
     /// Rewriting succeeded but evaluation failed.
     EvalFailed(EvalError),
+    /// Rewriting succeeded but the data its program joins could not be
+    /// hydrated (a corrupt snapshot segment). Not the strategy's fault:
+    /// the ladder stops here and no circuit breaker records it.
+    StoreFailed(StoreError),
     /// A transient fault interrupted the attempt; the [`RetryPolicy`]
     /// decides whether it is retried before the ladder degrades.
     Transient {
@@ -563,9 +629,10 @@ impl PipelineReport {
                 AttemptOutcome::EvalFailed(e) => {
                     matches!(e, EvalError::Timeout(_) | EvalError::TupleLimit(_))
                 }
-                AttemptOutcome::Transient { .. } => false,
-                AttemptOutcome::Panicked { .. } => false,
-                AttemptOutcome::Skipped { .. } => false,
+                AttemptOutcome::StoreFailed(_)
+                | AttemptOutcome::Transient { .. }
+                | AttemptOutcome::Panicked { .. }
+                | AttemptOutcome::Skipped { .. } => false,
             })
     }
 
@@ -584,6 +651,7 @@ impl PipelineReport {
             AttemptOutcome::Success(_) => None,
             AttemptOutcome::RewriteFailed(e) => Some(ObdaError::Rewrite(e.clone())),
             AttemptOutcome::EvalFailed(e) => Some(ObdaError::Eval(e.clone())),
+            AttemptOutcome::StoreFailed(e) => Some(ObdaError::Store(e.clone())),
             AttemptOutcome::Transient { site } => Some(ObdaError::Transient { site: site.clone() }),
             AttemptOutcome::Panicked { site, payload } => {
                 Some(ObdaError::Internal { site: site.clone(), payload: payload.clone() })
@@ -604,6 +672,7 @@ impl fmt::Display for PipelineReport {
                 }
                 AttemptOutcome::RewriteFailed(e) => format!("rewrite failed: {e}"),
                 AttemptOutcome::EvalFailed(e) => format!("eval failed: {e}"),
+                AttemptOutcome::StoreFailed(e) => format!("store failed: {e}"),
                 AttemptOutcome::Transient { site } => format!("transient fault at {site}"),
                 AttemptOutcome::Panicked { site, payload } => {
                     format!("panicked at {site}: {payload}")
@@ -858,10 +927,9 @@ impl ObdaSystem {
             let load = telem.span("load_data");
             load.attr_str("backend", backend.kind());
             load.end();
-            let result =
-                evaluate_engine_on_traced(&rewriting, backend.database(), &mut budget, cfg, telem)?;
+            let result = evaluate_hydrated(&rewriting, backend.database(), &mut budget, cfg, telem);
             export_resident_bytes(backend, telem);
-            Ok(result)
+            result
         })
     }
 
@@ -1041,7 +1109,7 @@ impl ObdaSystem {
                 *clauses = Some(rewriting.program.num_clauses());
                 let unpruned = EngineConfig::unpruned();
                 let cfg = engine.unwrap_or(&unpruned);
-                Ok(evaluate_engine_on_traced(&rewriting, db, budget, cfg, telem)?)
+                evaluate_hydrated(&rewriting, db, budget, cfg, telem)
             })
         };
         let outcome = match result {
@@ -1053,6 +1121,7 @@ impl ObdaSystem {
                 AttemptOutcome::RewriteFailed(re)
             }
             Err(ObdaError::Eval(e)) => AttemptOutcome::EvalFailed(e),
+            Err(ObdaError::Store(e)) => AttemptOutcome::StoreFailed(e),
             Err(ObdaError::Transient { site }) => AttemptOutcome::Transient { site },
             Err(ObdaError::Internal { site, payload }) => {
                 AttemptOutcome::Panicked { site, payload }
@@ -1187,6 +1256,7 @@ impl ObdaSystem {
                 );
                 let success = matches!(outcome, AttemptOutcome::Success(_));
                 let transient = matches!(outcome, AttemptOutcome::Transient { .. });
+                let store_failed = matches!(outcome, AttemptOutcome::StoreFailed(_));
                 match &outcome {
                     AttemptOutcome::Success(_) => {}
                     AttemptOutcome::RewriteFailed(e) => {
@@ -1194,6 +1264,9 @@ impl ObdaSystem {
                     }
                     AttemptOutcome::EvalFailed(e) => {
                         attempt_span.error(&format!("eval failed: {e}"));
+                    }
+                    AttemptOutcome::StoreFailed(e) => {
+                        attempt_span.error(&format!("store failed: {e}"));
                     }
                     AttemptOutcome::Transient { site } => {
                         attempt_span.error(&format!("transient fault at {site}"));
@@ -1222,9 +1295,10 @@ impl ObdaSystem {
                             }
                         }
                         AttemptOutcome::Panicked { .. } => AttemptClass::Failure,
-                        AttemptOutcome::Transient { .. } | AttemptOutcome::Skipped { .. } => {
-                            AttemptClass::Neutral
-                        }
+                        // Corrupt data is not the strategy's fault.
+                        AttemptOutcome::StoreFailed(_)
+                        | AttemptOutcome::Transient { .. }
+                        | AttemptOutcome::Skipped { .. } => AttemptClass::Neutral,
                     };
                     g.record_strategy(strategy, class);
                 }
@@ -1238,6 +1312,11 @@ impl ObdaSystem {
                 });
                 if success {
                     winner = Some(attempts.len() - 1);
+                    break 'ladder;
+                }
+                if store_failed {
+                    // The data is at fault, not the strategy: degrading
+                    // would only re-read it.
                     break 'ladder;
                 }
                 if !(transient && retry_no < retry.max_retries) {
@@ -1395,9 +1474,28 @@ impl PreparedOmq {
         self.pruned().stats
     }
 
+    /// Hydrates the EDB relations of the program
+    /// [`PreparedOmq::execute_engine_traced`] evaluates under `cfg` (the
+    /// pruned rewriting when `cfg.prune`, whose relations
+    /// [`PreparedOmq::query_plan`] reads too). A request over a lazily
+    /// opened snapshot calls this once, before it plans: a corrupt
+    /// segment is the typed [`ObdaError::Store`] here, and a slot that
+    /// failed stays pending for the next request to verify again.
+    pub fn hydrate(
+        &self,
+        db: &Database,
+        cfg: &EngineConfig,
+        telem: Telemetry<'_>,
+    ) -> Result<(), ObdaError> {
+        let program =
+            if cfg.prune { &self.pruned().query.program } else { &self.rewriting.program };
+        hydrate_program(program, db, telem)
+    }
+
     /// The cost-based join plan of the pruned rewriting for `db`,
     /// computed on first use per database and cached (a small LRU keyed
-    /// by [`Database::id`]).
+    /// by [`Database::id`]). Reads the relation statistics of a lazily
+    /// opened snapshot, so hydrate first ([`PreparedOmq::hydrate`]).
     pub fn query_plan(&self, db: &Database) -> Arc<QueryPlan> {
         let mut cache = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pos) = cache.iter().position(|(id, _)| *id == db.id()) {

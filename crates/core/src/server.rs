@@ -726,7 +726,7 @@ fn error_response(e: &ObdaError, salt: u64) -> HttpOut {
         ObdaError::Parse(_) => HttpOut::new(400, "Bad Request", body),
         ObdaError::Rewrite(_) => HttpOut::new(422, "Unprocessable Entity", body),
         ObdaError::Chase(_) => HttpOut::new(504, "Gateway Timeout", body),
-        ObdaError::Eval(_) | ObdaError::Internal { .. } => {
+        ObdaError::Eval(_) | ObdaError::Store(_) | ObdaError::Internal { .. } => {
             HttpOut::new(500, "Internal Server Error", body)
         }
         ObdaError::Transient { .. } | ObdaError::Overloaded { .. } => {
@@ -1045,6 +1045,11 @@ fn handle_explain(inner: &ServerInner, req: &Request) -> HttpOut {
         // The cost-based plan for the served database comes from the
         // prepared query's plan cache, so repeated /explain (and /query)
         // requests reuse one plan; `plans built` exposes the miss count.
+        omq.hydrate(
+            inner.backend.database(),
+            &inner.service.config().engine,
+            Telemetry::disabled(),
+        )?;
         let plan = omq.plan_explanation(inner.backend.database());
         let mut body = format!(
             "strategy:    {}\ndepth:       {:?}\nquery class: {:?}\ncomplexity:  {}\nclauses:     {}\npruned:      {} -> {} clauses, {} -> {} predicates\nbackend:     {} ({} atoms)\nplans built: {}\n",

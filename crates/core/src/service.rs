@@ -606,8 +606,8 @@ fn book_transition(metrics: &MetricsRegistry, key: &str, tr: breaker::Transition
 
 /// The failure classes that trip a *strategy* breaker: budget
 /// exhaustion, stalls, and panics — evidence the strategy itself is
-/// unhealthy on this workload. Transient faults and semantic errors are
-/// neutral.
+/// unhealthy on this workload. Transient faults, semantic errors and
+/// corrupt data are neutral.
 fn breaker_class(e: &ObdaError) -> AttemptClass {
     if e.is_budget() || matches!(e, ObdaError::Stalled { .. } | ObdaError::Internal { .. }) {
         AttemptClass::Failure
@@ -825,6 +825,16 @@ impl QueryService {
         }
         // From here the breaker admitted us: every early exit must report
         // back (Neutral when the request never actually ran).
+        // Hydrate the program's relations before anything plans over them:
+        // a corrupt snapshot segment is a store error here, and the data,
+        // not the strategy, is at fault.
+        if let Err(e) = omq.hydrate(backend.database(), &self.cfg.engine, telem) {
+            if let Some(b) = &brk {
+                b.record(AttemptClass::Neutral, Instant::now());
+            }
+            self.failed.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         // Cost admission: refuse work the calibrated model says cannot fit
         // the remaining deadline, instead of burning a slot to time out.
         let plan_cost = self

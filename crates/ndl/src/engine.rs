@@ -118,17 +118,24 @@ pub fn evaluate_engine_on_traced(
     telem: Telemetry<'_>,
 ) -> Result<EvalResult, EvalError> {
     if cfg.prune {
-        let span = telem.span("prune");
-        let pruned = prune_for_goal(query);
-        span.attr("clauses_before", pruned.stats.clauses_before as u64);
-        span.attr("clauses_after", pruned.stats.clauses_after as u64);
-        span.attr("preds_before", pruned.stats.preds_before as u64);
-        span.attr("preds_after", pruned.stats.preds_after as u64);
-        span.end();
+        let pruned = prune_traced(query, telem);
         evaluate_pruned_planned_on_traced(&pruned, db, budget, cfg, None, telem)
     } else {
         run(query, None, query.program.num_preds(), db, budget, cfg, None, telem, None)
     }
+}
+
+/// [`prune_for_goal`] recording a `prune` span with the clause and
+/// predicate counts before and after.
+pub fn prune_traced(query: &NdlQuery, telem: Telemetry<'_>) -> PrunedQuery {
+    let span = telem.span("prune");
+    let pruned = prune_for_goal(query);
+    span.attr("clauses_before", pruned.stats.clauses_before as u64);
+    span.attr("clauses_after", pruned.stats.clauses_after as u64);
+    span.attr("preds_before", pruned.stats.preds_before as u64);
+    span.attr("preds_after", pruned.stats.preds_after as u64);
+    span.end();
+    pruned
 }
 
 /// Evaluates an already-pruned query (callers that cache the
@@ -138,7 +145,10 @@ pub fn evaluate_engine_on_traced(
 /// query, amortising planning across repeated executions). With
 /// `qplan = None` the engine plans per [`EngineConfig::plan`].
 /// Statistics are reported against the *original* program's predicate
-/// ids via [`PrunedQuery::origin`].
+/// ids via [`PrunedQuery::origin`]. A lazily loaded `db` should have the
+/// program's EDB relations hydrated first ([`Database::hydrate`]), which
+/// is where a corrupt segment becomes a typed error; a slot still
+/// pending here hydrates on first touch.
 pub fn evaluate_pruned_planned_on_traced(
     pruned: &PrunedQuery,
     db: &Database,
@@ -147,21 +157,6 @@ pub fn evaluate_pruned_planned_on_traced(
     qplan: Option<&QueryPlan>,
     telem: Telemetry<'_>,
 ) -> Result<EvalResult, EvalError> {
-    // Hydrate exactly the EDB relations the pruned program mentions, so a
-    // lazily loaded snapshot faults in only the columns this query joins
-    // (already-hydrated slots and parse-path databases cost nothing).
-    let program = &pruned.query.program;
-    let relevant = program
-        .pred_ids()
-        .map(|p| program.pred(p).kind)
-        .filter(|k| matches!(k, PredKind::EdbClass(_) | PredKind::EdbProp(_)));
-    let (relations, columns) = db.prefetch(relevant);
-    if relations > 0 {
-        let span = telem.span("hydrate");
-        span.attr("relations", relations);
-        span.attr("columns", columns);
-        span.end();
-    }
     let orig = pruned.origin.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
     run(&pruned.query, Some(&pruned.origin), orig, db, budget, cfg, qplan, telem, None)
 }
@@ -1227,9 +1222,9 @@ mod tests {
                 let failed = Arc::clone(&failed);
                 let slot = LazyRelation::lazy(move || {
                     if !failed.swap(true, Ordering::Relaxed) {
-                        panic!("corrupted segment");
+                        return Err("corrupted segment".into());
                     }
-                    Relation::from_sorted_columns(2, &cols)
+                    Ok(Relation::from_sorted_columns(2, &cols))
                 });
                 (p, slot)
             })
@@ -1409,7 +1404,7 @@ mod tests {
         let lazy = |rel: &Relation| {
             let cols: Vec<Vec<u32>> =
                 (0..2).map(|c| rel.rows().map(|row| row[c]).collect()).collect();
-            LazyRelation::lazy(move || Relation::from_sorted_columns(2, &cols))
+            LazyRelation::lazy(move || Ok(Relation::from_sorted_columns(2, &cols)))
         };
         let props: FxHashMap<_, _> =
             eager.prop_relations().map(|(id, rel)| (id, lazy(rel))).collect();

@@ -82,4 +82,4 @@ pub use relevance::{prune_for_goal, PruneStats, PrunedQuery};
 pub use skinny::to_skinny;
 pub use star::{linear_star_transform, star_transform};
 pub use stats::RelStats;
-pub use storage::{ArenaWords, ColumnIndex, Database, LazyRelation, Relation};
+pub use storage::{ArenaWords, ColumnIndex, Database, HydrateError, LazyRelation, Relation};

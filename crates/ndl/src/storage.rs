@@ -49,13 +49,15 @@
 //!
 //! [`Database`] slots are [`LazyRelation`]s: the parse path fills them
 //! eagerly, while the snapshot store installs *hydrators* that decode a
-//! relation on first touch. Hydration runs inside a `OnceLock`
-//! initialiser through `&Database`, sound for the same reason lazy
-//! column indexes are — every reader serialises on the slot and
-//! observes the one hydrated relation, and mutation would require the
-//! `&mut` access that cannot coexist with readers. [`Database::prefetch`]
-//! hydrates a predicate set up front (the relevance pruner's relevant
-//! set), so a pruned query faults in only the columns it joins.
+//! relation on first touch. Hydration runs under the slot's lock and
+//! publishes through a `OnceLock`, all through `&Database`, sound for
+//! the same reason lazy column indexes are — every reader serialises on
+//! the slot and observes the one hydrated relation, and mutation would
+//! require the `&mut` access that cannot coexist with readers. A hydrator returns a
+//! `Result`: [`Database::hydrate`] runs the hydrators of a predicate set
+//! up front (a request's pruned program), so a pruned query faults in
+//! only the columns it joins and a corrupt segment is a typed error
+//! before anything plans or evaluates over it.
 
 use crate::completion::CompletionMemo;
 use crate::program::PredKind;
@@ -66,7 +68,7 @@ use obda_owlql::vocab::{ClassId, PropId};
 use std::cell::Cell;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 fn hash_row(row: &[u32]) -> u64 {
     let mut h = FxHasher::default();
@@ -633,17 +635,27 @@ thread_local! {
 /// Monotone id source for [`Database::id`]; never reused within a process.
 static DATABASE_IDS: AtomicUsize = AtomicUsize::new(1);
 
+/// Why a pending [`LazyRelation`] could not hydrate: the backing store's
+/// own typed error (a snapshot's `StoreError`), boxed because the store
+/// sits above this crate. Callers that know the store downcast it back.
+pub type HydrateError = Box<dyn std::error::Error + Send + Sync>;
+
+/// The hydrator a lazy slot runs on first touch.
+type Hydrator = Box<dyn Fn() -> Result<Relation, HydrateError> + Send + Sync>;
+
 /// A [`Database`] slot that hydrates its [`Relation`] on first touch.
 ///
 /// The parse path fills slots eagerly ([`LazyRelation::ready`]); the
 /// snapshot store installs a hydrator closure ([`LazyRelation::lazy`])
-/// that decodes the relation from the mapped file when some evaluation
-/// first asks for it. Hydration is serialised by a `OnceLock`, so
-/// concurrent first readers observe exactly one relation, and a panic
-/// out of the hydrator leaves the slot empty for a retried evaluation.
+/// that decodes (and verifies) the relation from the mapped file when
+/// some evaluation first asks for it. Hydration is serialised by a
+/// per-slot lock, so concurrent first readers run the hydrator once and
+/// observe exactly one relation; a hydrator that fails leaves the slot
+/// empty, so the next request verifies the block again.
 pub struct LazyRelation {
     cell: OnceLock<Arc<Relation>>,
-    init: Option<Box<dyn Fn() -> Relation + Send + Sync>>,
+    init: Option<Hydrator>,
+    hydrating: Mutex<()>,
 }
 
 impl LazyRelation {
@@ -651,17 +663,41 @@ impl LazyRelation {
     pub fn ready(rel: Relation) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(Arc::new(rel));
-        LazyRelation { cell, init: None }
+        LazyRelation { cell, init: None, hydrating: Mutex::new(()) }
     }
 
     /// A slot hydrated by `init` on first access (the snapshot path).
-    pub fn lazy(init: impl Fn() -> Relation + Send + Sync + 'static) -> Self {
-        LazyRelation { cell: OnceLock::new(), init: Some(Box::new(init)) }
+    pub fn lazy(init: impl Fn() -> Result<Relation, HydrateError> + Send + Sync + 'static) -> Self {
+        LazyRelation {
+            cell: OnceLock::new(),
+            init: Some(Box::new(init)),
+            hydrating: Mutex::new(()),
+        }
     }
 
     /// Whether the relation has been hydrated already.
     pub fn is_hydrated(&self) -> bool {
         self.cell.get().is_some()
+    }
+
+    /// The relation, hydrating it first if needed: the fallible path every
+    /// request takes (through [`Database::hydrate`]) before it plans or
+    /// evaluates.
+    pub fn try_shared(&self) -> Result<&Arc<Relation>, HydrateError> {
+        if let Some(rel) = self.cell.get() {
+            return Ok(rel);
+        }
+        let _hydrating = self.hydrating.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(rel) = self.cell.get() {
+            return Ok(rel); // a concurrent first reader hydrated it
+        }
+        let rel = match &self.init {
+            Some(init) => init()?,
+            // Unreachable: `ready` pre-fills the cell and `lazy` sets
+            // `init`, so an empty cell always has a hydrator.
+            None => return Err("LazyRelation with neither relation nor hydrator".into()),
+        };
+        Ok(self.cell.get_or_init(|| Arc::new(rel)))
     }
 
     /// The relation, hydrating it first if needed.
@@ -671,13 +707,17 @@ impl LazyRelation {
 
     /// The relation by reference count, hydrating it first if needed: the
     /// engine installs it as the relation of a renaming predicate.
+    ///
+    /// # Panics
+    /// Panics if the slot is still pending and its hydrator fails. Every
+    /// pipeline request hydrates through [`Database::hydrate`] first and
+    /// gets the failure as a typed error; only a direct library caller
+    /// that skipped it touches a pending slot here.
     pub fn shared(&self) -> &Arc<Relation> {
-        self.cell.get_or_init(|| match &self.init {
-            Some(init) => Arc::new(init()),
-            // Unreachable: `ready` pre-fills the cell and `lazy` sets
-            // `init`, so an empty cell always has a hydrator.
-            None => panic!("LazyRelation with neither relation nor hydrator"),
-        })
+        match self.try_shared() {
+            Ok(rel) => rel,
+            Err(e) => panic!("a pending relation could not hydrate: {e}"),
+        }
     }
 }
 
@@ -848,11 +888,17 @@ impl Database {
     }
 
     /// Hydrates every not-yet-hydrated slot among `kinds`, returning
-    /// `(relations, columns)` newly hydrated. The engine seeds this from
-    /// the relevance pruner's relevant-predicate set so a pruned query
-    /// faults in only the columns it joins; already-hydrated and
-    /// absent-from-data predicates cost nothing.
-    pub fn prefetch(&self, kinds: impl IntoIterator<Item = PredKind>) -> (u64, u64) {
+    /// `(relations, columns)` newly hydrated. A request calls this once,
+    /// over its pruned program's EDB predicates, before it plans or
+    /// evaluates, so a lazily loaded snapshot faults in only the columns
+    /// the query joins and a corrupt block surfaces as the store's typed
+    /// error here rather than mid-evaluation. Already-hydrated and
+    /// absent-from-data predicates cost nothing; the first failing slot
+    /// stops the pass and stays pending.
+    pub fn hydrate(
+        &self,
+        kinds: impl IntoIterator<Item = PredKind>,
+    ) -> Result<(u64, u64), HydrateError> {
         let (mut relations, mut columns) = (0u64, 0u64);
         for kind in kinds {
             let slot = match kind {
@@ -860,15 +906,20 @@ impl Database {
                 PredKind::EdbProp(p) => self.props.get(&p),
                 PredKind::Top | PredKind::Idb => None,
             };
-            if let Some(slot) = slot {
-                if !slot.is_hydrated() {
-                    let rel = slot.get();
-                    relations += 1;
-                    columns += rel.arity() as u64;
-                }
+            if let Some(slot) = slot.filter(|s| !s.is_hydrated()) {
+                let rel = slot.try_shared()?;
+                relations += 1;
+                columns += rel.arity() as u64;
             }
         }
-        (relations, columns)
+        Ok((relations, columns))
+    }
+
+    /// [`Database::hydrate`] over every stored predicate (the chase
+    /// oracle's instance view and whole-file verification).
+    pub fn hydrate_all(&self) -> Result<(u64, u64), HydrateError> {
+        let classes = self.classes.keys().map(|&c| PredKind::EdbClass(c));
+        self.hydrate(classes.chain(self.props.keys().map(|&p| PredKind::EdbProp(p))))
     }
 
     /// Number of individuals (rows of `⊤`).
@@ -1173,7 +1224,7 @@ mod tests {
         let h = Arc::clone(&hydrations);
         let lazy = LazyRelation::lazy(move || {
             h.fetch_add(1, Ordering::Relaxed);
-            Relation::from_sorted_columns(1, &[vec![7, 8]])
+            Ok(Relation::from_sorted_columns(1, &[vec![7, 8]]))
         });
         assert!(!lazy.is_hydrated());
         assert_eq!(hydrations.load(Ordering::Relaxed), 0, "construction does not hydrate");
@@ -1187,7 +1238,7 @@ mod tests {
     }
 
     #[test]
-    fn database_prefetch_hydrates_only_named_slots() {
+    fn database_hydrate_touches_only_named_slots() {
         let o = parse_ontology("Class A\nProperty P\n").unwrap();
         let d = parse_data("P(x, y)\nA(x)\nA(y)\n", &o).unwrap();
         let eager = Database::new(&d);
@@ -1201,7 +1252,7 @@ mod tests {
             let arity = rel.arity();
             LazyRelation::lazy(move || {
                 t.fetch_add(1, Ordering::Relaxed);
-                Relation::from_sorted_columns(arity, &cols)
+                Ok(Relation::from_sorted_columns(arity, &cols))
             })
         };
         let mut classes = FxHashMap::default();
@@ -1211,19 +1262,76 @@ mod tests {
         let universe = Relation::from_sorted_columns(1, &[vec![0, 1]]);
         let db = Database::from_lazy_relations(classes, props, universe, 3);
         assert_eq!(touched.load(Ordering::Relaxed), 0, "open hydrates nothing");
-        // Prefetching only the class touches one relation / one column.
-        let (rels, cols) = db.prefetch([PredKind::EdbClass(a), PredKind::Top]);
+        // Hydrating only the class touches one relation / one column.
+        let (rels, cols) = db.hydrate([PredKind::EdbClass(a), PredKind::Top]).unwrap();
         assert_eq!((rels, cols), (1, 1));
         assert_eq!(touched.load(Ordering::Relaxed), 1);
-        // Re-prefetching is free; the property hydrates on demand.
-        assert_eq!(db.prefetch([PredKind::EdbClass(a)]), (0, 0));
+        // Re-hydrating is free; the property hydrates on demand.
+        assert_eq!(db.hydrate([PredKind::EdbClass(a)]).unwrap(), (0, 0));
         assert_eq!(db.relation(PredKind::EdbProp(p)).len(), 1);
         assert_eq!(touched.load(Ordering::Relaxed), 2);
+        assert_eq!(db.hydrate_all().unwrap(), (0, 0), "everything is resident now");
         // Answers match the eager build.
         assert_eq!(
             db.relation(PredKind::EdbClass(a)).len(),
             eager.relation(PredKind::EdbClass(a)).len()
         );
+    }
+
+    #[test]
+    fn failed_hydration_is_typed_and_retried_next_time() {
+        let o = parse_ontology("Class A\nProperty P\n").unwrap();
+        let v = o.vocab();
+        let (a, p) = (v.get_class("A").unwrap(), v.get_prop("P").unwrap());
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&calls);
+        // Fails its first two runs, as a corrupt block would until the
+        // file is repaired.
+        let flaky = LazyRelation::lazy(move || match c.fetch_add(1, Ordering::Relaxed) {
+            0 | 1 => Err("checksum mismatch".into()),
+            _ => Ok(Relation::from_sorted_columns(2, &[vec![0], vec![1]])),
+        });
+        let mut props = FxHashMap::default();
+        props.insert(p, flaky);
+        let mut classes = FxHashMap::default();
+        classes.insert(a, LazyRelation::ready(Relation::from_sorted_columns(1, &[vec![0]])));
+        let universe = Relation::from_sorted_columns(1, &[vec![0, 1]]);
+        let db = Database::from_lazy_relations(classes, props, universe, 2);
+        let err = db.hydrate([PredKind::EdbProp(p)]).unwrap_err();
+        assert_eq!(err.to_string(), "checksum mismatch");
+        // The slot stays pending, so the next request runs the check again.
+        let err = db.hydrate_all().unwrap_err();
+        assert_eq!(err.to_string(), "checksum mismatch");
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(db.hydrate_all().unwrap(), (1, 2));
+        assert_eq!(db.relation(PredKind::EdbProp(p)).len(), 1);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn concurrent_first_touches_hydrate_once() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&calls);
+        let lazy = LazyRelation::lazy(move || {
+            c.fetch_add(1, Ordering::Relaxed);
+            // Widen the race window: every thread arrives while this runs.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            Ok(Relation::from_sorted_columns(1, &[vec![3]]))
+        });
+        let barrier = std::sync::Barrier::new(4);
+        let rels: Vec<*const Relation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        Arc::as_ptr(lazy.try_shared().unwrap()) as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap() as *const Relation).collect()
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one hydration for four first readers");
+        assert!(rels.windows(2).all(|w| w[0] == w[1]), "every reader sees the one relation");
     }
 
     #[test]

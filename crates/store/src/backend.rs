@@ -15,10 +15,6 @@ pub trait StorageBackend: Sync {
     /// The loaded, indexed database the evaluators run on.
     fn database(&self) -> &Database;
 
-    /// The instance view (the chase oracle's input). Snapshot backends
-    /// materialise it lazily; the eval hot path never calls this.
-    fn data_instance(&self) -> &DataInstance;
-
     /// The name of a constant, for rendering answers.
     ///
     /// # Panics
@@ -71,10 +67,6 @@ impl From<DataInstance> for MemoryBackend {
 impl StorageBackend for MemoryBackend {
     fn database(&self) -> &Database {
         &self.database
-    }
-
-    fn data_instance(&self) -> &DataInstance {
-        &self.data
     }
 
     fn constant_name(&self, c: ConstId) -> &str {

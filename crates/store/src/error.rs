@@ -1,23 +1,27 @@
 //! The typed error taxonomy of the snapshot store.
 
 use obda_budget::BudgetExceeded;
+use obda_ndl::storage::HydrateError;
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything the snapshot store can fail with. Corruption on disk —
 /// truncation, bit flips, stale versions — is always reported through
 /// this type, never a panic: the open path validates lengths before
-/// indexing and verifies the payload checksum before decoding.
-#[derive(Debug)]
+/// indexing and verifies the metadata checksum before decoding, and a
+/// segment's hydrator verifies its block and returns this type too.
+#[derive(Debug, Clone)]
 pub enum StoreError {
-    /// The underlying file could not be read or written.
-    Io(std::io::Error),
+    /// The underlying file could not be read or written (shared, so the
+    /// error clones into every report that carries it).
+    Io(Arc<std::io::Error>),
     /// The file does not start with the `OBDB` magic: not a snapshot.
     BadMagic,
     /// The snapshot's format version is not supported by this build.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The file is shorter than a length field claims (truncation).
@@ -70,7 +74,7 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             StoreError::BadMagic => write!(f, "not an .obdb snapshot (bad magic)"),
             StoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported snapshot version {found} (this build reads <= {supported})")
+                write!(f, "unsupported snapshot version {found} (this build reads version {supported})")
             }
             StoreError::Truncated { needed, available } => {
                 write!(f, "truncated snapshot: needed {needed} bytes, found {available}")
@@ -92,7 +96,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io(e) => Some(e),
+            StoreError::Io(e) => Some(e.as_ref()),
             _ => None,
         }
     }
@@ -100,12 +104,24 @@ impl std::error::Error for StoreError {
 
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
+        StoreError::Io(Arc::new(e))
     }
 }
 
 impl From<BudgetExceeded> for StoreError {
     fn from(e: BudgetExceeded) -> Self {
         StoreError::Budget(e)
+    }
+}
+
+impl From<HydrateError> for StoreError {
+    /// Recovers the typed error a snapshot segment's hydrator returned
+    /// through the [`Database`](obda_ndl::storage::Database) seam. A
+    /// hydrator installed by anything else is reported as malformed data.
+    fn from(e: HydrateError) -> Self {
+        match e.downcast::<StoreError>() {
+            Ok(e) => *e,
+            Err(other) => StoreError::Malformed(other.to_string()),
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The `.obdb` wire format: header layout, little-endian primitives, and
-//! the FNV-1a payload checksum.
+//! the FNV-1a checksum.
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "OBDB"
-//!      4     4  format version  (u32 LE, 1 or 2)
+//!      4     4  format version  (u32 LE, 2)
 //!      8     4  flags           (u32 LE; bits 0–15 required, 16–31 optional)
 //!     12     8  payload length  (u64 LE)
 //!     20     8  checksum        (u64 LE, word-folded FNV-1a 64)
@@ -20,77 +20,58 @@
 //! exercise; it is *not* cryptographic and does not defend against a
 //! deliberate forger.
 //!
-//! ## Versions
+//! ## Layout
 //!
-//! * **v1** — one flat payload, decoded front to back; the header
-//!   checksum covers the whole payload. Still written by
-//!   `snapshot_bytes_v1` and read forever.
-//! * **v2** — the metadata (dictionary + segment directory) and the
-//!   page-aligned segment data blocks are separate regions, so a reader
-//!   can decode the directory without touching a single data page (the
-//!   lazy mmap open path). The header checksum covers **only the
-//!   metadata region**; every data block carries its own checksum in
-//!   the directory, verified when (and only when) the block hydrates.
-//!   Without [`FLAG_FOOTER`] the payload starts with a `u64` metadata
-//!   length followed by the metadata; with it, the data blocks come
-//!   first and the metadata sits at the end, located by a trailing
-//!   `u64` payload offset — the appendable form: new blocks overwrite
-//!   the old footer and a fresh footer is written after them.
+//! There is one layout. The metadata (dictionary + segment directory)
+//! and the page-aligned segment data blocks are separate regions, so a
+//! reader decodes the directory without touching a single data page
+//! (the lazy mmap open path). The payload starts with a `u64` metadata
+//! length followed by the metadata; the data region follows, padded to
+//! [`SEGMENT_ALIGN`]. The header checksum covers **only the length word
+//! and the metadata**; every data block carries its own checksum in the
+//! directory, verified when (and only when) the block hydrates.
+//!
+//! Version 1 (one flat payload) and the version-2 *footer* form (data
+//! first, metadata last, located by a trailing offset — the appendable
+//! form) are retired. No writer produces them, and a reader refuses
+//! them at open: version 1 as [`StoreError::UnsupportedVersion`], the
+//! footer bit (2) as an unknown required flag.
 //!
 //! ## Flags
 //!
 //! Bits 0–15 are *required*: a reader that does not understand one
-//! cannot decode the payload and must refuse the file. Bits 16–31 are
-//! *optional* (informational): unknown ones are tolerated and surfaced
-//! by `dbinfo`, so older builds keep reading files that newer writers
-//! have annotated.
+//! cannot decode the payload and must refuse the file. Every file
+//! carries exactly [`FLAG_STATS`] and [`FLAG_INDEXES`] among them.
+//! Bits 16–31 are *optional* (informational): unknown ones are tolerated
+//! and surfaced by `dbinfo`, so older builds keep reading files that
+//! newer writers have annotated.
 
 use crate::error::StoreError;
 
 /// The four magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 4] = *b"OBDB";
 
-/// The original flat-payload format version, still fully supported.
-pub const FORMAT_VERSION: u32 = 1;
+/// The format version this build writes and reads (see the module
+/// docs). A future bump means the layout changed incompatibly and old
+/// files must be rebuilt with `obda build`; additive evolution uses
+/// optional `flags` bits instead.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// The metadata/data split format version written by the current
-/// builder (see the module docs). Readers accept both versions; a
-/// future bump means the layout changed incompatibly and old files
-/// must be rebuilt with `obda build`. Additive evolution uses `flags`
-/// bits instead.
-pub const FORMAT_VERSION_V2: u32 = 2;
-
-/// Flag bit (required): a per-segment statistics section. In v1 files
-/// the distinct counts follow the segment data; in v2 they are embedded
-/// in the directory. Readers without the bit derive stats on open.
+/// Flag bit (required): every directory entry carries its per-column
+/// distinct counts, preset into the planner's statistics on hydration.
 pub const FLAG_STATS: u32 = 1 << 0;
 
-/// Flag bit (required, v2 only): the directory carries per-column hash
+/// Flag bit (required): every directory entry locates per-column hash
 /// index blocks (CSR-encoded), so warm starts skip the index builds.
-/// Files without the bit derive indexes lazily, as always.
 pub const FLAG_INDEXES: u32 = 1 << 1;
-
-/// Flag bit (required, v2 only): the appendable *footer* form — data
-/// blocks first, metadata at the end of the payload, located by a
-/// trailing `u64` payload offset.
-pub const FLAG_FOOTER: u32 = 1 << 2;
-
-/// Flag bit (optional): the file has been grown in place by the segment
-/// appender at least once since its last full rebuild. Purely
-/// informational — readers decode appended files exactly like any other
-/// footer-form file.
-pub const FLAG_APPENDED: u32 = 1 << 16;
 
 /// The required half of the flag space: a file carrying a bit in this
 /// mask that the reader does not know is refused as undecodable.
 pub const REQUIRED_FLAGS_MASK: u32 = 0xFFFF;
 
-/// Every *required* flag bit this reader understands.
-pub const KNOWN_FLAGS: u32 = FLAG_STATS | FLAG_INDEXES | FLAG_FOOTER;
-
-/// Every *optional* flag bit this reader understands (unknown optional
-/// bits are tolerated, not refused).
-pub const KNOWN_OPTIONAL_FLAGS: u32 = FLAG_APPENDED;
+/// The required flag bits: every file sets exactly these in the
+/// required half.
+pub const KNOWN_FLAGS: u32 = FLAG_STATS | FLAG_INDEXES;
 
 /// Size of the fixed header preceding the payload.
 pub const HEADER_LEN: usize = 28;
@@ -109,12 +90,6 @@ pub fn flag_names(flags: u32) -> Vec<&'static str> {
     if flags & FLAG_INDEXES != 0 {
         names.push("indexes");
     }
-    if flags & FLAG_FOOTER != 0 {
-        names.push("footer");
-    }
-    if flags & FLAG_APPENDED != 0 {
-        names.push("appended");
-    }
     names
 }
 
@@ -122,10 +97,10 @@ pub fn flag_names(flags: u32) -> Vec<&'static str> {
 /// After a successful [`parse_file`] only *optional* (bit 16–31) ones
 /// can remain — required unknowns are refused at parse time.
 pub fn unknown_flags(flags: u32) -> u32 {
-    flags & !(KNOWN_FLAGS | KNOWN_OPTIONAL_FLAGS)
+    flags & !KNOWN_FLAGS
 }
 
-/// The version-1 payload checksum: FNV-1a 64 (offset basis
+/// The snapshot checksum: FNV-1a 64 (offset basis
 /// `0xcbf29ce484222325`, prime `0x100000001b3`) folded over the
 /// little-endian `u64` words of `bytes`. The state is seeded with the
 /// byte length and the tail word is zero-padded, so payloads that differ
@@ -192,7 +167,7 @@ impl Writer {
         }
     }
 
-    /// Appends raw bytes verbatim (the appender's block copies).
+    /// Appends raw bytes verbatim (the laid-out data region).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -213,25 +188,8 @@ impl Writer {
     }
 
     /// Finishes the payload: returns the full file image (header +
-    /// payload) with length and checksum filled in, flags clear.
-    pub fn into_file_bytes(self) -> Vec<u8> {
-        self.into_file_bytes_flagged(0)
-    }
-
-    /// Like [`Writer::into_file_bytes`], declaring the given flag bits
-    /// in the header (the caller asserts the payload actually carries
-    /// the sections those bits announce). Always writes format version
-    /// 1: the checksum covers the whole payload.
-    pub fn into_file_bytes_flagged(self, flags: u32) -> Vec<u8> {
-        let checksum = checksum64(&self.buf);
-        let mut out = file_header(FORMAT_VERSION, flags, self.buf.len() as u64, checksum).to_vec();
-        out.reserve(self.buf.len());
-        out.extend_from_slice(&self.buf);
-        out
-    }
-
-    /// Finishes a **version-2** payload whose header checksum covers
-    /// only `checked` (the metadata region; see the module docs). The
+    /// payload) declaring `flags`, whose header checksum covers only
+    /// `checked` (the length word and metadata; see the module docs). The
     /// declared payload length still covers the whole payload, so
     /// truncation anywhere in the data region is caught by the length
     /// check even though the data pages are never hashed on open.
@@ -239,18 +197,16 @@ impl Writer {
     /// # Panics
     /// Panics if `checked` is out of the payload's bounds — a builder
     /// bug, not a file-corruption condition.
-    pub fn into_file_bytes_v2(self, flags: u32, checked: std::ops::Range<usize>) -> Vec<u8> {
+    pub fn into_file_bytes(self, flags: u32, checked: std::ops::Range<usize>) -> Vec<u8> {
         let checksum = checksum64(&self.buf[checked]);
-        let mut out =
-            file_header(FORMAT_VERSION_V2, flags, self.buf.len() as u64, checksum).to_vec();
+        let mut out = file_header(FORMAT_VERSION, flags, self.buf.len() as u64, checksum).to_vec();
         out.reserve(self.buf.len());
         out.extend_from_slice(&self.buf);
         out
     }
 }
 
-/// Encodes the fixed 28-byte header (used by the writer finishers and
-/// by the segment appender when it patches a grown file in place).
+/// Encodes the fixed 28-byte header.
 pub fn file_header(version: u32, flags: u32, payload_len: u64, checksum: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..4].copy_from_slice(&MAGIC);
@@ -341,8 +297,7 @@ pub struct Header {
     pub flags: u32,
     /// Payload length in bytes.
     pub payload_len: u64,
-    /// FNV-1a 64 checksum: of the whole payload (v1) or of the metadata
-    /// region (v2).
+    /// FNV-1a 64 checksum of the metadata region (length word included).
     pub checksum: u64,
 }
 
@@ -353,22 +308,19 @@ pub struct Parsed<'a> {
     pub header: Header,
     /// The whole payload (everything after the header).
     pub payload: &'a [u8],
-    /// The checksum-verified metadata region: the whole payload for v1
-    /// files, the dictionary + directory bytes for v2 files (excluding
-    /// the locator words that framed them).
+    /// The checksum-verified metadata region: the dictionary and
+    /// directory bytes (excluding the length word that framed them).
     pub meta: &'a [u8],
 }
 
 /// Parses and validates the header, returning the payload and the
 /// verified metadata region. Verifies, in order: magic, version, flags
-/// (unknown *required* bits refused, unknown optional bits tolerated),
-/// declared payload length against the actual file size, and the
-/// checksum — over the whole payload for v1 files, over the metadata
-/// region only for v2 files (each v2 data block carries its own
-/// checksum in the directory, verified at hydration). Either way,
-/// truncation anywhere in the file is ruled out before any section is
-/// decoded; v1 additionally rules out data bit flips here, v2 defers
-/// that to the per-block hydration check so open stays O(metadata).
+/// (unknown *required* bits refused, the known required pair demanded,
+/// unknown optional bits tolerated), declared payload length against the
+/// actual file size, and the checksum of the metadata region (each data
+/// block carries its own checksum in the directory, verified at
+/// hydration). Truncation anywhere in the file is ruled out before any
+/// section is decoded, and open stays O(metadata).
 pub fn parse_file(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
     if bytes.len() < HEADER_LEN {
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
@@ -384,11 +336,8 @@ pub fn parse_file(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
     }
     let mut r = Reader::new(&bytes[4..HEADER_LEN]);
     let version = r.get_u32()?;
-    if version != FORMAT_VERSION && version != FORMAT_VERSION_V2 {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION_V2,
-        });
+    if version != FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
     }
     let flags = r.get_u32()?;
     let unknown_required = flags & REQUIRED_FLAGS_MASK & !KNOWN_FLAGS;
@@ -397,10 +346,10 @@ pub fn parse_file(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
             "unknown required flags set: {unknown_required:#x}"
         )));
     }
-    if version == FORMAT_VERSION && flags & (FLAG_INDEXES | FLAG_FOOTER) != 0 {
+    if flags & KNOWN_FLAGS != KNOWN_FLAGS {
         return Err(StoreError::Malformed(format!(
-            "v1 file declares v2-only flags {:#x}",
-            flags & (FLAG_INDEXES | FLAG_FOOTER)
+            "required flags missing: {:#x}",
+            KNOWN_FLAGS & !flags
         )));
     }
     let payload_len = r.get_u64()?;
@@ -413,59 +362,50 @@ pub fn parse_file(bytes: &[u8]) -> Result<Parsed<'_>, StoreError> {
         });
     }
     let payload = &bytes[HEADER_LEN..];
-    let (meta, checked): (&[u8], &[u8]) = if version == FORMAT_VERSION {
-        (payload, payload)
-    } else if flags & FLAG_FOOTER != 0 {
-        // Footer form: the last 8 payload bytes locate the metadata;
-        // the checksum covers metadata + locator, so a corrupted
-        // locator cannot point the reader at plausible garbage.
-        if payload.len() < 8 {
-            return Err(StoreError::Truncated {
-                needed: HEADER_LEN as u64 + 8,
-                available: bytes.len() as u64,
-            });
-        }
-        let tail = &payload[payload.len() - 8..];
-        let meta_start = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        let meta_start =
-            usize::try_from(meta_start).ok().filter(|&s| s <= payload.len() - 8).ok_or_else(
-                || StoreError::Malformed(format!("footer locator {meta_start} out of payload")),
-            )?;
-        (&payload[meta_start..payload.len() - 8], &payload[meta_start..])
-    } else {
-        // Inline form: a leading u64 metadata length; the checksum
-        // covers the length word + metadata.
-        if payload.len() < 8 {
-            return Err(StoreError::Truncated {
-                needed: HEADER_LEN as u64 + 8,
-                available: bytes.len() as u64,
-            });
-        }
-        let meta_len = u64::from_le_bytes([
-            payload[0], payload[1], payload[2], payload[3], payload[4], payload[5], payload[6],
-            payload[7],
-        ]);
-        let meta_end = usize::try_from(meta_len)
-            .ok()
-            .and_then(|l| l.checked_add(8))
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| {
-                StoreError::Malformed(format!("metadata length {meta_len} out of payload"))
-            })?;
-        (&payload[8..meta_end], &payload[..meta_end])
+    // A leading u64 metadata length; the checksum covers the length word
+    // and the metadata, so a corrupted length cannot point the reader at
+    // plausible garbage.
+    let Some(len_word) = payload.first_chunk::<8>() else {
+        return Err(StoreError::Truncated {
+            needed: HEADER_LEN as u64 + 8,
+            available: bytes.len() as u64,
+        });
     };
-    let actual = checksum64(checked);
+    let meta_len = u64::from_le_bytes(*len_word);
+    let meta_end = usize::try_from(meta_len)
+        .ok()
+        .and_then(|l| l.checked_add(8))
+        .filter(|&e| e <= payload.len())
+        .ok_or_else(|| {
+            StoreError::Malformed(format!("metadata length {meta_len} out of payload"))
+        })?;
+    let actual = checksum64(&payload[..meta_end]);
     if actual != checksum {
         return Err(StoreError::ChecksumMismatch { expected: checksum, actual });
     }
-    Ok(Parsed { header: Header { version, flags, payload_len, checksum }, payload, meta })
+    Ok(Parsed {
+        header: Header { version, flags, payload_len, checksum },
+        payload,
+        meta: &payload[8..meta_end],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A file image whose payload is `meta` framed by its length word,
+    /// followed by an aligned data block of `data`.
+    fn file_with(flags: u32, meta: &[u8], data: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(meta.len() as u64);
+        w.put_bytes(meta);
+        if !data.is_empty() {
+            w.pad_to_file_alignment(SEGMENT_ALIGN);
+            w.put_u32_column(data);
+        }
+        w.into_file_bytes(flags, 0..8 + meta.len())
+    }
 
     #[test]
     fn checksum_is_deterministic_and_bit_sensitive() {
@@ -488,37 +428,32 @@ mod tests {
 
     #[test]
     fn writer_reader_roundtrip() {
-        let mut w = Writer::new();
-        w.put_u32(7);
-        w.put_str("hello");
-        w.put_u64(u64::MAX);
-        w.put_u32_column(&[1, 2, 3]);
-        let file = w.into_file_bytes();
+        let mut meta = Writer::new();
+        meta.put_u32(7);
+        meta.put_str("hello");
+        meta.put_u64(u64::MAX);
+        meta.put_u32_column(&[1, 2, 3]);
+        let meta = meta.buf;
+        let file = file_with(KNOWN_FLAGS, &meta, &[]);
         let p = parse_file(&file).unwrap();
         assert_eq!(p.header.version, FORMAT_VERSION);
         assert_eq!(p.header.payload_len as usize, p.payload.len());
-        assert_eq!(p.meta, p.payload, "v1 metadata is the whole payload");
-        let mut r = Reader::new(p.payload);
+        assert_eq!(p.meta, meta.as_slice(), "the metadata excludes its length word");
+        let mut r = Reader::new(p.meta);
         assert_eq!(r.get_u32().unwrap(), 7);
         assert_eq!(r.get_str().unwrap(), "hello");
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_u32_column(3).unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.position(), p.header.payload_len);
+        assert_eq!(r.position(), meta.len() as u64);
     }
 
     #[test]
     fn v2_inline_parse_verifies_only_the_metadata() {
-        let mut w = Writer::new();
         let meta = b"directory bytes";
-        w.put_u64(meta.len() as u64);
-        w.put_bytes(meta);
-        let data_at = w.pad_to_file_alignment(SEGMENT_ALIGN);
-        assert_eq!(data_at % SEGMENT_ALIGN, 0);
-        w.put_u32_column(&[1, 2, 3, 4]);
-        let meta_end = 8 + meta.len();
-        let mut file = w.into_file_bytes_v2(FLAG_STATS, 0..meta_end);
+        let mut file = file_with(KNOWN_FLAGS, meta, &[1, 2, 3, 4]);
+        assert_eq!((file.len() - 16) as u64 % SEGMENT_ALIGN, 0, "the data block is aligned");
         let p = parse_file(&file).unwrap();
-        assert_eq!(p.header.version, FORMAT_VERSION_V2);
+        assert_eq!(p.header.version, FORMAT_VERSION);
         assert_eq!(p.meta, meta);
         // Flipping a *data* bit goes unnoticed at parse time (hydration
         // verifies the per-block checksum instead)…
@@ -532,57 +467,31 @@ mod tests {
     }
 
     #[test]
-    fn v2_footer_parse_locates_the_trailing_metadata() {
-        let mut w = Writer::new();
-        w.pad_to_file_alignment(SEGMENT_ALIGN);
-        w.put_u32_column(&[9, 9, 9]);
-        let meta_start = w.position();
-        w.put_bytes(b"footer directory");
-        w.put_u64(meta_start);
-        let checked = meta_start as usize..;
-        let len = w.position() as usize;
-        let file = w.into_file_bytes_v2(FLAG_FOOTER, checked.start..len);
-        let p = parse_file(&file).unwrap();
-        assert_eq!(p.meta, b"footer directory");
-        assert_ne!(p.meta.len(), p.payload.len());
-        // Truncating the tail breaks the payload-length check.
-        assert!(matches!(parse_file(&file[..file.len() - 3]), Err(StoreError::Truncated { .. })));
-    }
-
-    #[test]
     fn v2_rejects_out_of_range_locators() {
-        // Inline form claiming more metadata than the payload holds.
+        // A metadata length claiming more than the payload holds.
         let mut w = Writer::new();
         w.put_u64(1_000_000);
         w.put_bytes(b"short");
-        let file = w.into_file_bytes_v2(0, 0..13);
+        let file = w.into_file_bytes(KNOWN_FLAGS, 0..13);
         assert!(matches!(parse_file(&file), Err(StoreError::Malformed(_))));
-        // Footer form whose locator points past the end.
-        let mut w = Writer::new();
-        w.put_bytes(b"data");
-        w.put_u64(u64::MAX);
-        let len = w.position() as usize;
-        let file = w.into_file_bytes_v2(FLAG_FOOTER, len - 8..len);
-        assert!(matches!(parse_file(&file), Err(StoreError::Malformed(_))));
+        // A payload too short to hold the length word at all.
+        let file = Writer::new().into_file_bytes(KNOWN_FLAGS, 0..0);
+        assert!(matches!(parse_file(&file), Err(StoreError::Truncated { .. })));
     }
 
     #[test]
     fn bad_magic_and_truncation_are_typed() {
         assert!(matches!(parse_file(b"nope"), Err(StoreError::BadMagic)));
         assert!(matches!(parse_file(b"OBDB"), Err(StoreError::Truncated { .. })));
-        let file = Writer::new().into_file_bytes();
+        let file = file_with(KNOWN_FLAGS, b"", &[]);
         assert!(parse_file(&file).is_ok());
-        let mut w = Writer::new();
-        w.put_u64(42);
-        let file = w.into_file_bytes();
+        let file = file_with(KNOWN_FLAGS, b"", &[42]);
         assert!(matches!(parse_file(&file[..file.len() - 1]), Err(StoreError::Truncated { .. })));
     }
 
     #[test]
     fn bit_flip_fails_the_checksum() {
-        let mut w = Writer::new();
-        w.put_u32_column(&[9, 9, 9]);
-        let mut file = w.into_file_bytes();
+        let mut file = file_with(KNOWN_FLAGS, &[9, 9, 9], &[]);
         let last = file.len() - 1;
         file[last] ^= 0x40;
         assert!(matches!(parse_file(&file), Err(StoreError::ChecksumMismatch { .. })));
@@ -590,37 +499,58 @@ mod tests {
 
     #[test]
     fn known_flags_accepted_unknown_required_refused() {
-        let file = Writer::new().into_file_bytes_flagged(FLAG_STATS);
-        assert_eq!(parse_file(&file).unwrap().header.flags, FLAG_STATS);
-        let file = Writer::new().into_file_bytes_flagged(1 << 7);
+        let file = file_with(KNOWN_FLAGS, b"", &[]);
+        assert_eq!(parse_file(&file).unwrap().header.flags, KNOWN_FLAGS);
+        let file = file_with(KNOWN_FLAGS | 1 << 7, b"", &[]);
         assert!(matches!(parse_file(&file), Err(StoreError::Malformed(_))));
+        // Each required bit is demanded: no writer omits one.
+        for flags in [0, FLAG_STATS, FLAG_INDEXES] {
+            let file = file_with(flags, b"", &[]);
+            let err = parse_file(&file).unwrap_err();
+            assert!(err.to_string().contains("required flags missing"), "{flags:#x}: {err}");
+        }
+    }
+
+    #[test]
+    fn footer_bit_is_refused_as_an_unknown_required_flag() {
+        // Bit 2 marked the retired footer form (data first, metadata
+        // last): a reader without that layout must refuse the file.
+        let file = file_with(KNOWN_FLAGS | 1 << 2, b"", &[]);
+        let err = parse_file(&file).unwrap_err();
+        assert!(err.to_string().contains("unknown required flags set: 0x4"), "{err}");
     }
 
     #[test]
     fn unknown_optional_flags_are_tolerated() {
-        let exotic = 1 << 31;
-        let file = Writer::new().into_file_bytes_flagged(FLAG_STATS | FLAG_APPENDED | exotic);
+        let exotic = 1 << 31 | 1 << 16;
+        let file = file_with(KNOWN_FLAGS | exotic, b"", &[]);
         let p = parse_file(&file).unwrap();
         assert_eq!(p.header.flags & exotic, exotic);
         assert_eq!(unknown_flags(p.header.flags), exotic);
-        assert_eq!(flag_names(p.header.flags), vec!["stats", "appended"]);
+        assert_eq!(flag_names(p.header.flags), vec!["stats", "indexes"]);
     }
 
     #[test]
     fn v1_files_cannot_declare_v2_layout_flags() {
-        let file = Writer::new().into_file_bytes_flagged(FLAG_FOOTER);
-        assert!(matches!(parse_file(&file), Err(StoreError::Malformed(_))));
-        let file = Writer::new().into_file_bytes_flagged(FLAG_INDEXES);
-        assert!(matches!(parse_file(&file), Err(StoreError::Malformed(_))));
+        // Version 1 is retired: a v1 header is refused whatever it
+        // declares, before any flag or payload is looked at.
+        for flags in [0, FLAG_STATS, KNOWN_FLAGS, KNOWN_FLAGS | 1 << 2] {
+            let mut file = file_with(flags, b"", &[]);
+            file[4] = 1;
+            assert!(matches!(
+                parse_file(&file),
+                Err(StoreError::UnsupportedVersion { found: 1, supported: FORMAT_VERSION })
+            ));
+        }
     }
 
     #[test]
     fn unknown_version_is_refused() {
-        let mut file = Writer::new().into_file_bytes();
+        let mut file = file_with(KNOWN_FLAGS, b"", &[]);
         file[4] = 99;
         assert!(matches!(
             parse_file(&file),
-            Err(StoreError::UnsupportedVersion { found: 99, supported: FORMAT_VERSION_V2 })
+            Err(StoreError::UnsupportedVersion { found: 99, supported: FORMAT_VERSION })
         ));
     }
 

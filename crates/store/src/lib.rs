@@ -12,34 +12,36 @@
 //! dictionary in front of persistent indexes:
 //!
 //! * [`write_snapshot`] serialises a [`DataInstance`] into a versioned,
-//!   checksummed `.obdb` file ([`mod@format`]): the constant dictionary in
-//!   [`ConstId`] order plus one *sorted, page-aligned segment* per
-//!   non-empty EDB relation, with per-segment checksums, statistics and
-//!   CSR index blocks in the directory ([`write_snapshot_footer`] emits
-//!   the appendable footer form [`append_snapshot`] grows in place);
+//!   checksummed `.obdb` file in the one layout of [`mod@format`]: the
+//!   constant dictionary in [`ConstId`] order plus one *sorted,
+//!   page-aligned segment* per non-empty EDB relation, with per-segment
+//!   checksums, statistics and CSR index blocks in the directory;
 //! * [`Snapshot::open`] memory-maps the file ([`mod@map`]) and decodes
 //!   *only* the metadata: every relation enters the [`Database`] as a
 //!   lazy segment hydrated — verified, zero-copy where the platform
 //!   allows — on first touch, so open time is O(metadata) and resident
-//!   bytes track the columns a query actually joins
-//!   ([`Snapshot::open_eager`] restores the decode-everything
-//!   behaviour; version-1 flat files still open through it). Predicates
-//!   are resolved *by name* against the current ontology's [`Vocab`],
-//!   so a snapshot survives re-interning; constants keep their dense
-//!   ids verbatim;
+//!   bytes track the columns a query actually joins. Predicates are
+//!   resolved *by name* against the current ontology's [`Vocab`], so a
+//!   snapshot survives re-interning; constants keep their dense ids
+//!   verbatim;
 //! * [`StorageBackend`] is the seam the pipeline evaluates through:
 //!   [`MemoryBackend`] (parse path) and [`Snapshot`] (open path) expose
 //!   the *same* [`Database`], so both share one eval hot path.
 //!
 //! ## Failure model
 //!
-//! Everything that can go wrong on disk — truncation, bit flips, a stale
-//! format version, an unknown predicate — surfaces as a typed
-//! [`StoreError`], never a panic. The open path carries a deterministic
-//! fault-injection site (`store::open`, behind the `faults` feature): a
-//! transient injected fault is caught at the store boundary and mapped to
-//! [`StoreError::Injected`]; a deliberate injected *panic* is re-raised
-//! so the pipeline's isolation boundaries above are exercised too.
+//! Everything that can go wrong on disk — truncation, bit flips, a
+//! retired format version or layout, an unknown predicate — surfaces as
+//! a typed [`StoreError`], never a panic. Open verifies the header and
+//! the metadata checksum; a segment's hydrator verifies its data and
+//! index blocks and returns the same type through
+//! [`Database::hydrate`] (recover it with `StoreError::from`), so a
+//! corrupt block found on first touch is a store error too. The open
+//! path carries a deterministic fault-injection site (`store::open`,
+//! behind the `faults` feature): a transient injected fault is caught at
+//! the store boundary and mapped to [`StoreError::Injected`]; a
+//! deliberate injected *panic* is re-raised so the pipeline's isolation
+//! boundaries above are exercised too.
 //!
 //! ## Observability
 //!
@@ -75,12 +77,10 @@ pub mod snapshot;
 
 pub use backend::{MemoryBackend, StorageBackend};
 pub use error::StoreError;
-pub use format::{flag_names, unknown_flags, FLAG_APPENDED, FLAG_FOOTER, FLAG_INDEXES, FLAG_STATS};
+pub use format::{flag_names, unknown_flags, FLAG_INDEXES, FLAG_STATS};
 pub use map::Mapping;
 pub use snapshot::{
-    append_snapshot, read_info, snapshot_bytes, snapshot_bytes_footer, snapshot_bytes_legacy,
-    snapshot_bytes_v1, temp_sibling, write_snapshot, write_snapshot_footer, Hydration,
-    RelationInfo, Snapshot, SnapshotInfo,
+    read_info, snapshot_bytes, temp_sibling, write_snapshot, RelationInfo, Snapshot, SnapshotInfo,
 };
 
 // Re-exported so downstream callers name the dictionary types through one

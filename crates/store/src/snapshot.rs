@@ -1,33 +1,16 @@
-//! Snapshot serialisation (`write_snapshot`) and the fast open path
+//! Snapshot serialisation ([`write_snapshot`]) and the open path
 //! ([`Snapshot::open`]).
 //!
-//! ## Payload layouts
+//! ## Payload layout
 //!
-//! The fixed header of [`crate::format`] is followed by one of two
-//! payload shapes.
-//!
-//! **Version 1** (still read forever, written by [`snapshot_bytes_v1`]):
-//! one flat payload decoded front to back —
+//! The fixed header of [`crate::format`] is followed by one payload
+//! shape: metadata and segment data are separate regions, so the open
+//! path is O(metadata) —
 //!
 //! ```text
-//! dictionary   u32 num_consts, then num_consts × string
-//!              (name i belongs to ConstId(i); ids are preserved verbatim)
-//! classes      u32 count, then count × segment(arity = 1)
-//! properties   u32 count, then count × segment(arity = 2)
+//! payload      u64 meta_len, metadata, zero padding to SEGMENT_ALIGN,
+//!              data blocks (each SEGMENT_ALIGN-aligned), index blocks
 //!
-//! segment      string predicate name        (resolved by name on open)
-//!              u64 num_rows
-//!              arity × u64 column offset    (bytes from payload start)
-//!              arity × column               (num_rows × u32 LE each)
-//!
-//! stats        (only when header flag FLAG_STATS is set)
-//!              per segment, in file order: arity × u64 distinct counts
-//! ```
-//!
-//! **Version 2** (the current writer): metadata and segment data are
-//! separate regions so the open path is O(metadata) —
-//!
-//! ```text
 //! metadata     u32 num_consts, then num_consts × string
 //!              u32 class count, then count × dirent(arity = 1)
 //!              u32 property count, then count × dirent(arity = 2)
@@ -37,9 +20,9 @@
 //!              u64 data offset              (absolute file offset,
 //!                                            SEGMENT_ALIGN-aligned)
 //!              u64 data checksum            (verified at hydration)
-//!              arity × u64 distinct         (iff FLAG_STATS)
+//!              arity × u64 distinct         (FLAG_STATS)
 //!              arity × (u64 offset, u64 len, u64 checksum)
-//!                                           (iff FLAG_INDEXES)
+//!                                           (FLAG_INDEXES)
 //!
 //! data block   num_rows × arity × u32 LE, row-major interleaved —
 //!              exactly the in-memory arena of
@@ -50,15 +33,6 @@
 //!              (num_keys+1) × u32 starts, num_rows × u32 row ids —
 //!              the CSR form of [`ColumnIndex::from_csr`]
 //! ```
-//!
-//! Without [`FLAG_FOOTER`] the payload is `u64 meta_len`, the metadata,
-//! zero padding, then the data region (index blocks packed after all
-//! data blocks). With it — the **appendable form** written by
-//! [`write_snapshot_footer`] — the data region comes first (at file
-//! offset [`SEGMENT_ALIGN`]) and the metadata sits at the end, located
-//! by a trailing `u64` payload offset: [`append_snapshot`] keeps every
-//! old block byte at its old offset, writes new blocks over the old
-//! footer and a fresh footer after them.
 //!
 //! Segments are written in predicate-name order with their rows sorted
 //! lexicographically, so the same instance always serialises to the same
@@ -72,18 +46,16 @@
 //! shared [`Mapping`] and its directory entry. The first touch of a
 //! predicate faults in exactly its own pages — checksum, dictionary
 //! range and sort order are verified then, stats and persisted indexes
-//! are preset then. A violation discovered during lazy hydration cannot
-//! return an error through `&self` access paths, so it raises a panic
-//! with a `snapshot segment … failed to hydrate` payload that the
-//! pipeline's isolation boundary maps back to a typed error;
-//! [`Snapshot::open_eager`] hydrates everything up front and reports the
-//! same violations as typed [`StoreError`]s directly.
+//! are preset then. A violation is returned by the hydrator as a typed
+//! [`StoreError`]: a request hydrates its predicates through
+//! [`Database::hydrate`] before it plans or evaluates, so a corrupt
+//! block reaches the caller as a store error, and the failed slot stays
+//! pending so the next request verifies the block again.
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::format::{
-    checksum64, parse_file, Parsed, Reader, Writer, FLAG_APPENDED, FLAG_FOOTER, FLAG_INDEXES,
-    FLAG_STATS, FORMAT_VERSION, FORMAT_VERSION_V2, HEADER_LEN, SEGMENT_ALIGN,
+    checksum64, parse_file, Reader, Writer, FLAG_INDEXES, FLAG_STATS, HEADER_LEN, SEGMENT_ALIGN,
 };
 use crate::map::Mapping;
 use obda_budget::Budget;
@@ -119,8 +91,7 @@ pub struct SnapshotInfo {
     pub file_bytes: u64,
     /// Payload size in bytes.
     pub payload_bytes: u64,
-    /// Word-folded FNV-1a 64 checksum of the payload (v1) or of the
-    /// metadata region (v2).
+    /// Word-folded FNV-1a 64 checksum of the metadata region.
     pub checksum: u64,
     /// Number of dictionary entries (constants).
     pub num_consts: usize,
@@ -128,60 +99,12 @@ pub struct SnapshotInfo {
     pub dict_bytes: u64,
     /// Total atoms across all relation segments.
     pub num_atoms: u64,
-    /// Whether the file carries persisted statistics (`FLAG_STATS`);
-    /// when `false`, planner stats are derived on open.
-    pub has_stats: bool,
-    /// Whether the file carries persisted per-column index blocks
-    /// (`FLAG_INDEXES`); when `false`, indexes are built on first probe.
-    pub has_indexes: bool,
-    /// Whether the payload uses the appendable footer form
-    /// (`FLAG_FOOTER`).
-    pub footer: bool,
-    /// Whether the file has been grown by [`append_snapshot`] since its
-    /// last full rebuild (`FLAG_APPENDED`).
-    pub appended: bool,
     /// Whether the bytes behind the opened snapshot are genuinely
     /// memory-mapped (always `false` for [`read_info`], which never
     /// maps).
     pub mmapped: bool,
     /// Per-relation name, arity and row count, in file order.
     pub relations: Vec<RelationInfo>,
-}
-
-impl SnapshotInfo {
-    /// Where the planner statistics come from: `"embedded"` when the
-    /// file carries the stats section, `"derived"` otherwise.
-    pub fn stats_source(&self) -> &'static str {
-        if self.has_stats {
-            "embedded"
-        } else {
-            "derived"
-        }
-    }
-
-    /// Where column indexes come from: `"embedded"` when the file
-    /// carries index blocks, `"derived"` otherwise.
-    pub fn index_source(&self) -> &'static str {
-        if self.has_indexes {
-            "embedded"
-        } else {
-            "derived"
-        }
-    }
-}
-
-/// How [`Snapshot::open_with`] materialises relation segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Hydration {
-    /// Segments hydrate on first touch (the default): open cost and
-    /// resident bytes stay proportional to the metadata plus the
-    /// columns a query actually joins.
-    #[default]
-    Lazy,
-    /// Every segment is decoded and verified at open time, as v1 files
-    /// always are — corruption anywhere surfaces as a typed error from
-    /// `open` itself.
-    Eager,
 }
 
 /// Hydration progress shared between a [`Snapshot`] and its lazy
@@ -193,7 +116,7 @@ struct HydrationCounters {
 }
 
 // ---------------------------------------------------------------------
-// Writers
+// Writer
 // ---------------------------------------------------------------------
 
 /// One relation ready for serialisation: rows sorted lexicographically,
@@ -215,7 +138,7 @@ struct Placed {
     indexes: Vec<(u64, u64, u64)>,
 }
 
-/// One decoded v2 directory entry. `seg_off`/index offsets are absolute
+/// One decoded directory entry. `seg_off`/index offsets are absolute
 /// file offsets.
 #[derive(Debug, Clone)]
 struct SegmentMeta {
@@ -224,27 +147,18 @@ struct SegmentMeta {
     rows: u64,
     seg_off: u64,
     seg_check: u64,
-    distinct: Option<Vec<u64>>,
-    indexes: Option<Vec<(u64, u64, u64)>>,
+    distinct: Vec<u64>,
+    indexes: Vec<(u64, u64, u64)>,
 }
 
 /// Collects `data`'s relations into name-sorted [`SegmentBuild`]s
-/// (classes, then properties). `remap` translates the instance's
-/// constant ids into the target dictionary's ids (the appender's path);
-/// rows are sorted *after* remapping so the on-disk order invariant
-/// holds either way.
-fn collect_segments(
-    vocab: &Vocab,
-    data: &DataInstance,
-    remap: Option<&[u32]>,
-) -> (Vec<SegmentBuild>, Vec<SegmentBuild>) {
-    let map = |id: u32| remap.map_or(id, |m| m[id as usize]);
-
+/// (classes, then properties).
+fn collect_segments(vocab: &Vocab, data: &DataInstance) -> (Vec<SegmentBuild>, Vec<SegmentBuild>) {
     let mut classes: Vec<SegmentBuild> = data
         .members_by_class()
         .into_iter()
         .map(|(c, members)| {
-            let mut col: Vec<u32> = members.into_iter().map(|a| map(a.0)).collect();
+            let mut col: Vec<u32> = members.into_iter().map(|a| a.0).collect();
             col.sort_unstable();
             let rows = col.len();
             SegmentBuild {
@@ -264,8 +178,7 @@ fn collect_segments(
         .pairs_by_prop()
         .into_iter()
         .map(|(p, pairs)| {
-            let mut rows: Vec<(u32, u32)> =
-                pairs.into_iter().map(|(a, b)| (map(a.0), map(b.0))).collect();
+            let mut rows: Vec<(u32, u32)> = pairs.into_iter().map(|(a, b)| (a.0, b.0)).collect();
             rows.sort_unstable();
             // Distinct col 0 counts runs (rows are lex-sorted); col 1
             // needs a hash pass.
@@ -323,7 +236,7 @@ fn csr_block(words: &[u32], arity: usize, col: usize, rows: usize) -> Vec<u8> {
 /// aligned file offset, so relative alignment is absolute alignment),
 /// then all index blocks packed behind them (u32-granular, so always
 /// 4-byte aligned).
-fn place_region(segs: &[&SegmentBuild], with_indexes: bool) -> (Vec<u8>, Vec<Placed>) {
+fn place_region(segs: &[&SegmentBuild]) -> (Vec<u8>, Vec<Placed>) {
     let mut region: Vec<u8> = Vec::new();
     let mut placed: Vec<Placed> = Vec::with_capacity(segs.len());
     for seg in segs {
@@ -335,13 +248,11 @@ fn place_region(segs: &[&SegmentBuild], with_indexes: bool) -> (Vec<u8>, Vec<Pla
         let seg_check = checksum64(&region[seg_rel as usize..]);
         placed.push(Placed { seg_rel, seg_check, indexes: Vec::new() });
     }
-    if with_indexes {
-        for (seg, p) in segs.iter().zip(&mut placed) {
-            for c in 0..seg.arity {
-                let block = csr_block(&seg.words, seg.arity, c, seg.rows);
-                p.indexes.push((region.len() as u64, block.len() as u64, checksum64(&block)));
-                region.extend_from_slice(&block);
-            }
+    for (seg, p) in segs.iter().zip(&mut placed) {
+        for c in 0..seg.arity {
+            let block = csr_block(&seg.words, seg.arity, c, seg.rows);
+            p.indexes.push((region.len() as u64, block.len() as u64, checksum64(&block)));
+            region.extend_from_slice(&block);
         }
     }
     (region, placed)
@@ -349,12 +260,7 @@ fn place_region(segs: &[&SegmentBuild], with_indexes: bool) -> (Vec<u8>, Vec<Pla
 
 /// Absolute-offset directory entries for freshly placed segments:
 /// region-relative offsets shifted by the region's file offset `base`.
-fn metas_from(
-    segs: &[&SegmentBuild],
-    placed: &[Placed],
-    base: u64,
-    flags: u32,
-) -> Vec<SegmentMeta> {
+fn metas_from(segs: &[&SegmentBuild], placed: &[Placed], base: u64) -> Vec<SegmentMeta> {
     segs.iter()
         .zip(placed)
         .map(|(seg, p)| SegmentMeta {
@@ -363,23 +269,15 @@ fn metas_from(
             rows: seg.rows as u64,
             seg_off: base + p.seg_rel,
             seg_check: p.seg_check,
-            distinct: (flags & FLAG_STATS != 0).then(|| seg.distinct.clone()),
-            indexes: (flags & FLAG_INDEXES != 0)
-                .then(|| p.indexes.iter().map(|&(o, l, c)| (base + o, l, c)).collect()),
+            distinct: seg.distinct.clone(),
+            indexes: p.indexes.iter().map(|&(o, l, c)| (base + o, l, c)).collect(),
         })
         .collect()
 }
 
-/// Encodes the v2 metadata region: dictionary, class directory,
-/// property directory. Stats and index locators are written iff the
-/// corresponding flag is set (the dirents must agree with the header).
-fn encode_meta(
-    w: &mut Writer,
-    dict: &[&str],
-    classes: &[SegmentMeta],
-    props: &[SegmentMeta],
-    flags: u32,
-) {
+/// Encodes the metadata region: dictionary, class directory, property
+/// directory.
+fn encode_meta(w: &mut Writer, dict: &[&str], classes: &[SegmentMeta], props: &[SegmentMeta]) {
     w.put_u32(dict.len() as u32);
     for name in dict {
         w.put_str(name);
@@ -391,166 +289,76 @@ fn encode_meta(
             w.put_u64(s.rows);
             w.put_u64(s.seg_off);
             w.put_u64(s.seg_check);
-            if flags & FLAG_STATS != 0 {
-                let d = s.distinct.as_deref().unwrap_or(&[]);
-                debug_assert_eq!(d.len(), s.arity);
-                for &v in d {
-                    w.put_u64(v);
-                }
+            for &v in &s.distinct {
+                w.put_u64(v);
             }
-            if flags & FLAG_INDEXES != 0 {
-                let idx = s.indexes.as_deref().unwrap_or(&[]);
-                debug_assert_eq!(idx.len(), s.arity);
-                for &(o, l, c) in idx {
-                    w.put_u64(o);
-                    w.put_u64(l);
-                    w.put_u64(c);
-                }
+            for &(o, l, c) in &s.indexes {
+                w.put_u64(o);
+                w.put_u64(l);
+                w.put_u64(c);
             }
         }
     }
 }
 
-/// The v2 builder behind [`snapshot_bytes`] (inline form) and
-/// [`snapshot_bytes_footer`] (appendable footer form).
-fn snapshot_bytes_v2(vocab: &Vocab, data: &DataInstance, footer: bool) -> Vec<u8> {
-    let flags = FLAG_STATS | FLAG_INDEXES;
-    let (classes, props) = collect_segments(vocab, data, None);
+/// Serialises `data` into `.obdb` file bytes (in memory): persisted
+/// statistics and per-column index blocks (`FLAG_STATS | FLAG_INDEXES`)
+/// in the one layout of [`crate::format`]. Relations are exported by
+/// *name* through `vocab`, rows sorted lexicographically, segments sorted
+/// by predicate name — the encoding is deterministic.
+pub fn snapshot_bytes(vocab: &Vocab, data: &DataInstance) -> Vec<u8> {
+    let (classes, props) = collect_segments(vocab, data);
     let segs: Vec<&SegmentBuild> = classes.iter().chain(&props).collect();
-    let (region, placed) = place_region(&segs, true);
+    let (region, placed) = place_region(&segs);
     let dict: Vec<&str> = data.constant_names().collect();
     let nc = classes.len();
 
-    if footer {
-        let base = SEGMENT_ALIGN;
-        let metas = metas_from(&segs, &placed, base, flags);
-        let (cm, pm) = metas.split_at(nc);
-        let mut w = Writer::new();
-        if !region.is_empty() {
-            let at = w.pad_to_file_alignment(SEGMENT_ALIGN);
-            debug_assert_eq!(at, base);
-            w.put_bytes(&region);
-        }
-        let meta_start = w.position();
-        encode_meta(&mut w, &dict, cm, pm, flags);
-        w.put_u64(meta_start);
-        let len = w.position() as usize;
-        w.into_file_bytes_v2(flags | FLAG_FOOTER, meta_start as usize..len)
+    // The metadata length is offset-independent (offsets are fixed
+    // width u64), so a dry encode with base 0 sizes it exactly.
+    let metas0 = metas_from(&segs, &placed, 0);
+    let (cm0, pm0) = metas0.split_at(nc);
+    let mut dry = Writer::new();
+    encode_meta(&mut dry, &dict, cm0, pm0);
+    let meta_len = dry.position();
+    let base = if region.is_empty() {
+        0
     } else {
-        // The metadata length is offset-independent (offsets are fixed
-        // width u64), so a dry encode with base 0 sizes it exactly.
-        let metas0 = metas_from(&segs, &placed, 0, flags);
-        let (cm0, pm0) = metas0.split_at(nc);
-        let mut dry = Writer::new();
-        encode_meta(&mut dry, &dict, cm0, pm0, flags);
-        let meta_len = dry.position();
-        let base = if region.is_empty() {
-            0
-        } else {
-            (HEADER_LEN as u64 + 8 + meta_len).next_multiple_of(SEGMENT_ALIGN)
-        };
-        let metas = metas_from(&segs, &placed, base, flags);
-        let (cm, pm) = metas.split_at(nc);
-        let mut w = Writer::new();
-        w.put_u64(meta_len);
-        encode_meta(&mut w, &dict, cm, pm, flags);
-        debug_assert_eq!(w.position(), 8 + meta_len);
-        if !region.is_empty() {
-            let at = w.pad_to_file_alignment(SEGMENT_ALIGN);
-            debug_assert_eq!(at, base);
-            w.put_bytes(&region);
-        }
-        let meta_end = 8 + meta_len as usize;
-        w.into_file_bytes_v2(flags, 0..meta_end)
-    }
-}
-
-/// Serialises `data` into `.obdb` file bytes (in memory): the current
-/// v2 inline form with persisted statistics and per-column index blocks
-/// (`FLAG_STATS | FLAG_INDEXES`). Relations are exported by *name*
-/// through `vocab`, rows sorted lexicographically, segments sorted by
-/// predicate name — the encoding is deterministic.
-pub fn snapshot_bytes(vocab: &Vocab, data: &DataInstance) -> Vec<u8> {
-    snapshot_bytes_v2(vocab, data, false)
-}
-
-/// The appendable v2 **footer** form (`FLAG_FOOTER`): data blocks
-/// first, metadata at the end — [`append_snapshot`] can grow such a
-/// file without rewriting a single data block.
-pub fn snapshot_bytes_footer(vocab: &Vocab, data: &DataInstance) -> Vec<u8> {
-    snapshot_bytes_v2(vocab, data, true)
-}
-
-/// The version-1 flat encoding with the statistics section, exactly as
-/// the previous builder wrote it. Kept public so compatibility tests
-/// can prove v1 files still open with identical answers.
-pub fn snapshot_bytes_v1(vocab: &Vocab, data: &DataInstance) -> Vec<u8> {
-    snapshot_bytes_v1_with(vocab, data, true)
-}
-
-/// The pre-stats version-1 encoding (flags 0), exactly as written
-/// before the stats section existed. Kept public so compatibility tests
-/// can produce the oldest files and prove they still open (with stats
-/// derived on open).
-pub fn snapshot_bytes_legacy(vocab: &Vocab, data: &DataInstance) -> Vec<u8> {
-    snapshot_bytes_v1_with(vocab, data, false)
-}
-
-fn snapshot_bytes_v1_with(vocab: &Vocab, data: &DataInstance, with_stats: bool) -> Vec<u8> {
-    let (classes, props) = collect_segments(vocab, data, None);
+        (HEADER_LEN as u64 + 8 + meta_len).next_multiple_of(SEGMENT_ALIGN)
+    };
+    let metas = metas_from(&segs, &placed, base);
+    let (cm, pm) = metas.split_at(nc);
     let mut w = Writer::new();
-    // Dictionary, in ConstId order.
-    w.put_u32(data.num_individuals() as u32);
-    for name in data.constant_names() {
-        w.put_str(name);
+    w.put_u64(meta_len);
+    encode_meta(&mut w, &dict, cm, pm);
+    debug_assert_eq!(w.position(), 8 + meta_len);
+    if !region.is_empty() {
+        let at = w.pad_to_file_alignment(SEGMENT_ALIGN);
+        debug_assert_eq!(at, base);
+        w.put_bytes(&region);
     }
-
-    w.put_u32(classes.len() as u32);
-    for seg in &classes {
-        w.put_str(&seg.name);
-        w.put_u64(seg.rows as u64);
-        // One offset per column, each pointing at the column's first byte.
-        let data_start = w.position() + 8;
-        w.put_u64(data_start);
-        w.put_u32_column(&seg.words);
-    }
-
-    w.put_u32(props.len() as u32);
-    for seg in &props {
-        w.put_str(&seg.name);
-        w.put_u64(seg.rows as u64);
-        let col_bytes = seg.rows as u64 * 4;
-        let data_start = w.position() + 16;
-        w.put_u64(data_start);
-        w.put_u64(data_start + col_bytes);
-        // v1 stores columns, not interleaved rows: de-interleave.
-        let col0: Vec<u32> = seg.words.iter().step_by(2).copied().collect();
-        let col1: Vec<u32> = seg.words.iter().skip(1).step_by(2).copied().collect();
-        w.put_u32_column(&col0);
-        w.put_u32_column(&col1);
-    }
-    if !with_stats {
-        return w.into_file_bytes();
-    }
-
-    // Statistics section, segment order.
-    for seg in classes.iter().chain(&props) {
-        for &d in &seg.distinct {
-            w.put_u64(d);
-        }
-    }
-    w.into_file_bytes_flagged(FLAG_STATS)
+    let meta_end = 8 + meta_len as usize;
+    w.into_file_bytes(FLAG_STATS | FLAG_INDEXES, 0..meta_end)
 }
 
-/// Stages `bytes` into a temporary sibling, fsyncs, then renames over
-/// `path` — the crash-atomic publish every writer shares. The temporary
+/// Serialises `data` to an `.obdb` file at `path`, returning the written
+/// snapshot's [`SnapshotInfo`]. See [`snapshot_bytes`] for the encoding.
+///
+/// The write is **atomic**: the bytes go to a temporary file in the
+/// target directory first, are fsynced, and only then renamed over
+/// `path`. A crash (or fault) at any point mid-write leaves either the
+/// old snapshot or the new one — never a torn `.obdb`. The temporary
 /// file is removed on every failure path.
-fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+pub fn write_snapshot(
+    path: &Path,
+    vocab: &Vocab,
+    data: &DataInstance,
+) -> Result<SnapshotInfo, StoreError> {
+    let bytes = snapshot_bytes(vocab, data);
     let tmp = temp_sibling(path);
     let write_and_rename = || -> Result<(), StoreError> {
         {
             let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, bytes)?;
+            std::io::Write::write_all(&mut f, &bytes)?;
             // The rename must never publish a file whose bytes are still
             // in the page cache only; fsync before the rename makes the
             // temp durable, so the renamed snapshot is too.
@@ -571,122 +379,6 @@ fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
     }
-    Ok(())
-}
-
-/// Serialises `data` to an `.obdb` file at `path` (the v2 inline form),
-/// returning the written snapshot's [`SnapshotInfo`]. See
-/// [`snapshot_bytes`] for the encoding.
-///
-/// The write is **atomic**: the bytes go to a temporary file in the
-/// target directory first, are fsynced, and only then renamed over
-/// `path`. A crash (or fault) at any point mid-write leaves either the
-/// old snapshot or the new one — never a torn `.obdb`.
-pub fn write_snapshot(
-    path: &Path,
-    vocab: &Vocab,
-    data: &DataInstance,
-) -> Result<SnapshotInfo, StoreError> {
-    let bytes = snapshot_bytes(vocab, data);
-    write_bytes_atomic(path, &bytes)?;
-    info_from_bytes(&bytes)
-}
-
-/// Like [`write_snapshot`] but in the appendable **footer** form, the
-/// seam the delta-overlay roadmap item compacts into: a snapshot
-/// written this way can later be grown by [`append_snapshot`].
-pub fn write_snapshot_footer(
-    path: &Path,
-    vocab: &Vocab,
-    data: &DataInstance,
-) -> Result<SnapshotInfo, StoreError> {
-    let bytes = snapshot_bytes_footer(vocab, data);
-    write_bytes_atomic(path, &bytes)?;
-    info_from_bytes(&bytes)
-}
-
-/// Grows a footer-form snapshot with `delta`'s relations without
-/// rewriting a single existing data block: the old payload up to the
-/// old footer is kept byte-for-byte (so already-mapped offsets stay
-/// valid), the new segments' blocks land where the old footer was, and
-/// a fresh footer — extended dictionary, old dirents verbatim, new
-/// dirents after them — is written at the end. The publish is atomic
-/// (temp + rename), and the result carries `FLAG_APPENDED`.
-///
-/// `delta`'s constants are remapped *by name* into the snapshot's
-/// dictionary; unseen names extend it. A delta predicate that already
-/// has a segment is refused — merging rows into an existing segment is
-/// the delta-overlay compactor's job, not the appender's.
-pub fn append_snapshot(
-    path: &Path,
-    vocab: &Vocab,
-    delta: &DataInstance,
-) -> Result<SnapshotInfo, StoreError> {
-    let old = std::fs::read(path)?;
-    let parsed = parse_file(&old)?;
-    if parsed.header.version != FORMAT_VERSION_V2 || parsed.header.flags & FLAG_FOOTER == 0 {
-        return Err(StoreError::Malformed(
-            "append requires the v2 footer form (rebuild with write_snapshot_footer)".to_owned(),
-        ));
-    }
-    let flags = parsed.header.flags;
-    let (dict, old_segs, _) = decode_meta(parsed.meta, flags, &mut Budget::unlimited())?;
-    let meta_start = parsed.payload.len() - 8 - parsed.meta.len();
-
-    // Extend the dictionary: delta constants resolve by name, unseen
-    // names get the next dense ids. `remap[delta_id] = snapshot_id`.
-    let index: FxHashMap<&str, u32> =
-        dict.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
-    let mut new_names: Vec<String> = Vec::new();
-    let remap: Vec<u32> = delta
-        .constant_names()
-        .map(|name| match index.get(name) {
-            Some(&id) => id,
-            None => {
-                new_names.push(name.to_owned());
-                (dict.len() + new_names.len() - 1) as u32
-            }
-        })
-        .collect();
-
-    let (d_classes, d_props) = collect_segments(vocab, delta, Some(&remap));
-    let old_keys: FxHashSet<(usize, &str)> =
-        old_segs.iter().map(|s| (s.arity, s.name.as_str())).collect();
-    for seg in d_classes.iter().chain(&d_props) {
-        if old_keys.contains(&(seg.arity, seg.name.as_str())) {
-            return Err(StoreError::Malformed(format!(
-                "segment '{}' already exists; the appender cannot merge into an existing predicate",
-                seg.name
-            )));
-        }
-    }
-
-    let segs: Vec<&SegmentBuild> = d_classes.iter().chain(&d_props).collect();
-    let (region, placed) = place_region(&segs, flags & FLAG_INDEXES != 0);
-    let new_base = (HEADER_LEN as u64 + meta_start as u64).next_multiple_of(SEGMENT_ALIGN);
-    let metas = metas_from(&segs, &placed, new_base, flags);
-    let (new_c, new_p) = metas.split_at(d_classes.len());
-
-    let mut classes: Vec<SegmentMeta> = old_segs.iter().filter(|s| s.arity == 1).cloned().collect();
-    classes.extend_from_slice(new_c);
-    let mut props: Vec<SegmentMeta> = old_segs.iter().filter(|s| s.arity == 2).cloned().collect();
-    props.extend_from_slice(new_p);
-    let full_dict: Vec<&str> =
-        dict.iter().map(String::as_str).chain(new_names.iter().map(String::as_str)).collect();
-
-    let mut w = Writer::new();
-    w.put_bytes(&parsed.payload[..meta_start]);
-    if !region.is_empty() {
-        let at = w.pad_to_file_alignment(SEGMENT_ALIGN);
-        debug_assert_eq!(at, new_base);
-        w.put_bytes(&region);
-    }
-    let new_meta_start = w.position();
-    encode_meta(&mut w, &full_dict, &classes, &props, flags);
-    w.put_u64(new_meta_start);
-    let len = w.position() as usize;
-    let bytes = w.into_file_bytes_v2(flags | FLAG_APPENDED, new_meta_start as usize..len);
-    write_bytes_atomic(path, &bytes)?;
     info_from_bytes(&bytes)
 }
 
@@ -703,13 +395,15 @@ pub fn temp_sibling(path: &Path) -> std::path::PathBuf {
 // Metadata decoding and validation
 // ---------------------------------------------------------------------
 
-/// Decodes the v2 metadata region into the dictionary and the segment
+/// Decodes the metadata region into the dictionary and the segment
 /// directory, ticking `budget` per entry. Returns the dictionary, the
 /// directory (classes first, then properties, in file order) and the
-/// dictionary's byte length.
+/// dictionary's byte length. The open path deliberately does *not*
+/// build a name→id interner — rendering answers only ever goes id→name,
+/// and the lazy [`DataInstance`] view re-interns for the one caller (the
+/// chase oracle) that needs the reverse direction.
 fn decode_meta(
     meta: &[u8],
-    flags: u32,
     budget: &mut Budget,
 ) -> Result<(Vec<String>, Vec<SegmentMeta>, u64), StoreError> {
     let mut r = Reader::new(meta);
@@ -736,24 +430,14 @@ fn decode_meta(
             let rows = r.get_u64()?;
             let seg_off = r.get_u64()?;
             let seg_check = r.get_u64()?;
-            let distinct = if flags & FLAG_STATS != 0 {
-                let mut d = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    d.push(r.get_u64()?);
-                }
-                Some(d)
-            } else {
-                None
-            };
-            let indexes = if flags & FLAG_INDEXES != 0 {
-                let mut v = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    v.push((r.get_u64()?, r.get_u64()?, r.get_u64()?));
-                }
-                Some(v)
-            } else {
-                None
-            };
+            let mut distinct = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                distinct.push(r.get_u64()?);
+            }
+            let mut indexes = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                indexes.push((r.get_u64()?, r.get_u64()?, r.get_u64()?));
+            }
             segs.push(SegmentMeta { name, arity, rows, seg_off, seg_check, distinct, indexes });
         }
     }
@@ -789,20 +473,18 @@ fn validate_ranges(segs: &[SegmentMeta], file_len: u64) -> Result<(), StoreError
         if end > file_len {
             return Err(StoreError::Truncated { needed: end, available: file_len });
         }
-        if let Some(indexes) = &s.indexes {
-            for (c, &(off, len, _)) in indexes.iter().enumerate() {
-                if off % 4 != 0 {
-                    return Err(StoreError::Malformed(format!(
-                        "segment '{}' column {c} index offset {off} is not 4-byte aligned",
-                        s.name
-                    )));
-                }
-                let end = off.checked_add(len).ok_or_else(|| {
-                    StoreError::Malformed(format!("segment '{}' index overflow", s.name))
-                })?;
-                if end > file_len {
-                    return Err(StoreError::Truncated { needed: end, available: file_len });
-                }
+        for (c, &(off, len, _)) in s.indexes.iter().enumerate() {
+            if off % 4 != 0 {
+                return Err(StoreError::Malformed(format!(
+                    "segment '{}' column {c} index offset {off} is not 4-byte aligned",
+                    s.name
+                )));
+            }
+            let end = off.checked_add(len).ok_or_else(|| {
+                StoreError::Malformed(format!("segment '{}' index overflow", s.name))
+            })?;
+            if end > file_len {
+                return Err(StoreError::Truncated { needed: end, available: file_len });
             }
         }
     }
@@ -814,65 +496,21 @@ fn validate_ranges(segs: &[SegmentMeta], file_len: u64) -> Result<(), StoreError
 fn info_from_bytes(bytes: &[u8]) -> Result<SnapshotInfo, StoreError> {
     let parsed = parse_file(bytes)?;
     let header = parsed.header;
-    let (num_consts, dict_bytes, num_atoms, relations) = if header.version == FORMAT_VERSION {
-        let mut r = Reader::new(parsed.payload);
-        let num_consts = r.get_u32()? as usize;
-        for _ in 0..num_consts {
-            r.get_str()?;
-        }
-        let dict_bytes = r.position();
-        let mut relations = Vec::new();
-        let mut num_atoms = 0u64;
-        for arity in [1usize, 2] {
-            let count = r.get_u32()?;
-            for _ in 0..count {
-                let name = r.get_str()?.to_owned();
-                let rows = r.get_u64()?;
-                for _ in 0..arity {
-                    r.get_u64()?; // column offsets; verified by the open path
-                }
-                let bytes_to_skip = rows.checked_mul(4 * arity as u64).ok_or_else(|| {
-                    StoreError::Malformed(format!("segment '{name}' row overflow"))
-                })?;
-                r.take(usize::try_from(bytes_to_skip).map_err(|_| StoreError::Truncated {
-                    needed: r.position() + bytes_to_skip,
-                    available: parsed.payload.len() as u64,
-                })?)?;
-                num_atoms += rows;
-                relations.push(RelationInfo { name, arity, rows });
-            }
-        }
-        if header.flags & FLAG_STATS != 0 {
-            // One u64 distinct count per column of every segment.
-            let words: u64 = relations.iter().map(|ri| ri.arity as u64).sum();
-            r.take((words * 8) as usize)?;
-        }
-        (num_consts, dict_bytes, num_atoms, relations)
-    } else {
-        let (dict, segs, dict_bytes) =
-            decode_meta(parsed.meta, header.flags, &mut Budget::unlimited())?;
-        let num_atoms = segs.iter().map(|s| s.rows).sum();
-        let relations = segs
-            .iter()
-            .map(|s| RelationInfo { name: s.name.clone(), arity: s.arity, rows: s.rows })
-            .collect();
-        (dict.len(), dict_bytes, num_atoms, relations)
-    };
+    let (dict, segs, dict_bytes) = decode_meta(parsed.meta, &mut Budget::unlimited())?;
     Ok(SnapshotInfo {
         version: header.version,
         flags: header.flags,
         file_bytes: bytes.len() as u64,
         payload_bytes: header.payload_len,
         checksum: header.checksum,
-        num_consts,
+        num_consts: dict.len(),
         dict_bytes,
-        num_atoms,
-        has_stats: header.flags & FLAG_STATS != 0,
-        has_indexes: header.flags & FLAG_INDEXES != 0,
-        footer: header.flags & FLAG_FOOTER != 0,
-        appended: header.flags & FLAG_APPENDED != 0,
+        num_atoms: segs.iter().map(|s| s.rows).sum(),
         mmapped: false,
-        relations,
+        relations: segs
+            .into_iter()
+            .map(|s| RelationInfo { name: s.name, arity: s.arity, rows: s.rows })
+            .collect(),
     })
 }
 
@@ -920,11 +558,16 @@ struct SegmentArena {
 }
 
 impl ArenaWords for SegmentArena {
+    // The one panic of this crate's library code, on an invariant rather
+    // than on file contents: the arena is built only after this very view
+    // succeeded at hydration, and the mapping is immutable and lives as
+    // long as the arena, so the view cannot fail here. `words` returns a
+    // slice, so it has no error path — and fabricating data would be
+    // worse than stopping.
+    #[allow(clippy::panic)]
     fn words(&self) -> &[u32] {
         match self.mapping.u32_view(self.byte_off, self.words) {
             Some(w) => w,
-            // Unreachable: the view succeeded at hydration and the
-            // mapping is immutable — but never silently fabricate data.
             None => panic!("snapshot segment view invalidated"),
         }
     }
@@ -967,7 +610,7 @@ fn validate_words(
     Ok(())
 }
 
-/// Decodes one v2 segment from the mapping: verifies the block
+/// Decodes one segment from the mapping: verifies the block
 /// checksum, dictionary range and sort order, serves the words
 /// zero-copy from the mapped pages where possible (little-endian,
 /// aligned) and by a decoding copy otherwise, presets persisted stats
@@ -1010,40 +653,36 @@ fn hydrate_segment(
             Relation::from_shared(seg.arity, rows, Arc::new(decoded))
         }
     };
-    if let Some(d) = &seg.distinct {
-        rel.preset_stats(d.clone(), true);
-    }
-    if let Some(indexes) = &seg.indexes {
-        for (col, &(ioff, ilen, icheck)) in indexes.iter().enumerate() {
-            let bad = || {
-                StoreError::Malformed(format!(
-                    "segment '{}' column {col} carries an invalid index block",
-                    seg.name
-                ))
-            };
-            let ioff_u = usize::try_from(ioff).map_err(|_| bad())?;
-            let ilen_u = usize::try_from(ilen).map_err(|_| bad())?;
-            let iend = ioff_u.checked_add(ilen_u).ok_or_else(bad)?;
-            let iblock = mapping.bytes().get(ioff_u..iend).ok_or(StoreError::Truncated {
-                needed: iend as u64,
-                available: mapping.len() as u64,
-            })?;
-            let actual = checksum64(iblock);
-            if actual != icheck {
-                return Err(StoreError::ChecksumMismatch { expected: icheck, actual });
-            }
-            let mut r = Reader::new(iblock);
-            let num_keys = r.get_u32()? as usize;
-            let keys = r.get_u32_column(num_keys)?;
-            let starts = r.get_u32_column(num_keys.checked_add(1).ok_or_else(bad)?)?;
-            let rowids = r.get_u32_column(rows)?;
-            if r.position() != iblock.len() as u64 {
-                return Err(bad());
-            }
-            let idx = ColumnIndex::from_csr(keys, starts, rowids).ok_or_else(bad)?;
-            rel.preset_index(col, idx);
-            touched += ilen;
+    rel.preset_stats(seg.distinct.clone(), true);
+    for (col, &(ioff, ilen, icheck)) in seg.indexes.iter().enumerate() {
+        let bad = || {
+            StoreError::Malformed(format!(
+                "segment '{}' column {col} carries an invalid index block",
+                seg.name
+            ))
+        };
+        let ioff_u = usize::try_from(ioff).map_err(|_| bad())?;
+        let ilen_u = usize::try_from(ilen).map_err(|_| bad())?;
+        let iend = ioff_u.checked_add(ilen_u).ok_or_else(bad)?;
+        let iblock = mapping.bytes().get(ioff_u..iend).ok_or(StoreError::Truncated {
+            needed: iend as u64,
+            available: mapping.len() as u64,
+        })?;
+        let actual = checksum64(iblock);
+        if actual != icheck {
+            return Err(StoreError::ChecksumMismatch { expected: icheck, actual });
         }
+        let mut r = Reader::new(iblock);
+        let num_keys = r.get_u32()? as usize;
+        let keys = r.get_u32_column(num_keys)?;
+        let starts = r.get_u32_column(num_keys.checked_add(1).ok_or_else(bad)?)?;
+        let rowids = r.get_u32_column(rows)?;
+        if r.position() != iblock.len() as u64 {
+            return Err(bad());
+        }
+        let idx = ColumnIndex::from_csr(keys, starts, rowids).ok_or_else(bad)?;
+        rel.preset_index(col, idx);
+        touched += ilen;
     }
     counters.columns.fetch_add(seg.arity as u64, Ordering::Relaxed);
     counters.bytes.fetch_add(touched, Ordering::Relaxed);
@@ -1051,10 +690,10 @@ fn hydrate_segment(
 }
 
 /// A loaded snapshot: the constant dictionary plus the [`Database`],
-/// sharing the evaluators' hot path with the in-memory backend. With
-/// [`Hydration::Lazy`] (the default) relations hydrate from the mapped
-/// file on first touch; the [`DataInstance`] view (needed only by the
-/// chase oracle) is materialised lazily on first use either way.
+/// sharing the evaluators' hot path with the in-memory backend.
+/// Relations hydrate from the mapped file on first touch; the
+/// [`DataInstance`] view (needed only by the chase oracle) is
+/// materialised on first use.
 pub struct Snapshot {
     dict: Vec<String>,
     database: Database,
@@ -1065,58 +704,25 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Opens the snapshot at `path` against `vocab` (untraced, unlimited
-    /// budget, lazy hydration).
+    /// budget).
     pub fn open(path: &Path, vocab: &Vocab) -> Result<Self, StoreError> {
         Self::open_budgeted(path, vocab, &mut Budget::unlimited(), Telemetry::disabled())
     }
 
-    /// [`Snapshot::open`] with every segment hydrated — and verified —
-    /// at open time (the `--eager` A/B path; also how corruption in any
-    /// data block is surfaced as a typed error instead of a hydration
-    /// panic later).
-    pub fn open_eager(path: &Path, vocab: &Vocab) -> Result<Self, StoreError> {
-        Self::open_with(
-            path,
-            vocab,
-            &mut Budget::unlimited(),
-            Telemetry::disabled(),
-            Hydration::Eager,
-        )
-    }
-
-    /// [`Snapshot::open`] recording `load_data` → `open`/`dict`/`segments`
-    /// spans and the `store_open_seconds`/`store_bytes` metrics.
-    pub fn open_traced(
-        path: &Path,
-        vocab: &Vocab,
-        telem: Telemetry<'_>,
-    ) -> Result<Self, StoreError> {
-        Self::open_budgeted(path, vocab, &mut Budget::unlimited(), telem)
-    }
-
-    /// The budgeted lazy open (see [`Snapshot::open_with`]).
+    /// The open path: maps the file, verifies the header and metadata
+    /// checksum, decodes the dictionary and segment directory,
+    /// pre-validates every declared byte range against the mapped
+    /// length, resolves every predicate by name, and hands each relation
+    /// to the [`Database`] as a slot hydrated on first touch. Ticks
+    /// `budget` while decoding so a pipeline deadline interrupts the open
+    /// with a typed error. Records a `load_data` span with `open` (map +
+    /// header and checksum), `dict` and `segments` children, observes the
+    /// `store_open_seconds` histogram and sets the `store_bytes` gauge.
     pub fn open_budgeted(
         path: &Path,
         vocab: &Vocab,
         budget: &mut Budget,
         telem: Telemetry<'_>,
-    ) -> Result<Self, StoreError> {
-        Self::open_with(path, vocab, budget, telem, Hydration::default())
-    }
-
-    /// The full open path: maps the file, verifies the header and
-    /// metadata checksum, decodes the dictionary and segment directory,
-    /// pre-validates every declared byte range against the mapped
-    /// length, and hands every relation to the [`Database`] — hydrated
-    /// on first touch ([`Hydration::Lazy`]) or right here
-    /// ([`Hydration::Eager`]). Ticks `budget` while decoding so a
-    /// pipeline deadline interrupts the open with a typed error.
-    pub fn open_with(
-        path: &Path,
-        vocab: &Vocab,
-        budget: &mut Budget,
-        telem: Telemetry<'_>,
-        hydration: Hydration,
     ) -> Result<Self, StoreError> {
         let start = Instant::now();
         let load = telem.span("load_data");
@@ -1141,120 +747,8 @@ impl Snapshot {
         }
         open_span.end();
 
-        let counters = Arc::new(HydrationCounters::default());
-        let (dict, database, relations, dict_bytes) = if header.version == FORMAT_VERSION {
-            Self::open_v1(&t, &parsed, vocab, budget, &counters)?
-        } else {
-            Self::open_v2(&t, &mapping, &parsed, vocab, budget, hydration, &counters)?
-        };
-        load.end();
-
-        if let Some(metrics) = telem.metrics {
-            metrics.histogram("store_open_seconds").observe(start.elapsed());
-            metrics.gauge("store_bytes").set(mapping.len() as i64);
-        }
-
-        let num_atoms = relations.iter().map(|r| r.rows).sum();
-        Ok(Snapshot {
-            info: SnapshotInfo {
-                version: header.version,
-                flags: header.flags,
-                file_bytes: mapping.len() as u64,
-                payload_bytes: header.payload_len,
-                checksum: header.checksum,
-                num_consts: dict.len(),
-                dict_bytes,
-                num_atoms,
-                has_stats: header.flags & FLAG_STATS != 0,
-                has_indexes: header.flags & FLAG_INDEXES != 0,
-                footer: header.flags & FLAG_FOOTER != 0,
-                appended: header.flags & FLAG_APPENDED != 0,
-                mmapped: mapping.is_mmapped(),
-                relations,
-            },
-            dict,
-            database,
-            counters,
-            instance: OnceLock::new(),
-        })
-    }
-
-    /// The version-1 open: one eager front-to-back decode, exactly the
-    /// original path, so pre-v2 files keep opening with identical
-    /// answers. Counters report the whole data section as touched.
-    fn open_v1(
-        t: &Telemetry<'_>,
-        parsed: &Parsed<'_>,
-        vocab: &Vocab,
-        budget: &mut Budget,
-        counters: &HydrationCounters,
-    ) -> Result<(Vec<String>, Database, Vec<RelationInfo>, u64), StoreError> {
-        let payload = parsed.payload;
-        let has_stats = parsed.header.flags & FLAG_STATS != 0;
-
-        // dict: the constant dictionary, ids preserved verbatim.
         let dict_span = t.span("dict");
-        let mut r = Reader::new(payload);
-        let dict = match Self::load_dict(&mut r, budget) {
-            Ok(d) => d,
-            Err(e) => return fail_span(dict_span, e),
-        };
-        dict_span.attr("consts", dict.len() as u64);
-        dict_span.end();
-
-        // segments: one bulk column load per relation.
-        let seg_span = t.span("segments");
-        let (database, relations) =
-            match Self::load_segments(&mut r, vocab, dict.len() as u32, has_stats, budget) {
-                Ok(out) => out,
-                Err(e) => return fail_span(seg_span, e),
-            };
-        if r.position() != payload.len() as u64 {
-            let e = StoreError::Malformed(format!(
-                "{} trailing bytes after the last segment",
-                payload.len() as u64 - r.position()
-            ));
-            return fail_span(seg_span, e);
-        }
-        seg_span.attr("relations", relations.len() as u64);
-        seg_span.attr("atoms", database.num_atoms() as u64);
-        seg_span.attr_str("hydration", "eager");
-        seg_span.end();
-
-        counters.columns.store(relations.iter().map(|ri| ri.arity as u64).sum(), Ordering::Relaxed);
-        counters.bytes.store(
-            relations.iter().map(|ri| ri.rows * ri.arity as u64 * 4).sum(),
-            Ordering::Relaxed,
-        );
-
-        let dict_bytes = {
-            // Recompute the dictionary section length for the info block.
-            let mut probe = Reader::new(payload);
-            let n = probe.get_u32()? as usize;
-            for _ in 0..n {
-                probe.get_str()?;
-            }
-            probe.position()
-        };
-        Ok((dict, database, relations, dict_bytes))
-    }
-
-    /// The version-2 open: decode the metadata only, pre-validate every
-    /// declared range, resolve predicates eagerly, and wire each
-    /// segment's hydrator to the shared mapping.
-    fn open_v2(
-        t: &Telemetry<'_>,
-        mapping: &Arc<Mapping>,
-        parsed: &Parsed<'_>,
-        vocab: &Vocab,
-        budget: &mut Budget,
-        hydration: Hydration,
-        counters: &Arc<HydrationCounters>,
-    ) -> Result<(Vec<String>, Database, Vec<RelationInfo>, u64), StoreError> {
-        let flags = parsed.header.flags;
-
-        let dict_span = t.span("dict");
-        let (dict, segs, dict_bytes) = match decode_meta(parsed.meta, flags, budget) {
+        let (dict, segs, dict_bytes) = match decode_meta(parsed.meta, budget) {
             Ok(out) => out,
             Err(e) => return fail_span(dict_span, e),
         };
@@ -1266,6 +760,7 @@ impl Snapshot {
             return fail_span(seg_span, e);
         }
         let num_consts = dict.len() as u32;
+        let counters = Arc::new(HydrationCounters::default());
         let mut classes: FxHashMap<ClassId, LazyRelation> = FxHashMap::default();
         let mut props: FxHashMap<PropId, LazyRelation> = FxHashMap::default();
         let mut relations = Vec::with_capacity(segs.len());
@@ -1282,52 +777,20 @@ impl Snapshot {
                 rows: seg.rows,
             });
             let slot = if seg.arity == 1 {
-                match vocab.get_class(&seg.name) {
-                    Some(c) => Slot::C(c),
-                    None => {
-                        let e =
-                            StoreError::UnknownPredicate { kind: "class", name: seg.name.clone() };
-                        return fail_span(seg_span, e);
-                    }
-                }
+                vocab.get_class(&seg.name).map(Slot::C)
             } else {
-                match vocab.get_prop(&seg.name) {
-                    Some(p) => Slot::P(p),
-                    None => {
-                        let e = StoreError::UnknownPredicate {
-                            kind: "property",
-                            name: seg.name.clone(),
-                        };
-                        return fail_span(seg_span, e);
-                    }
-                }
+                vocab.get_prop(&seg.name).map(Slot::P)
             };
-            let lazy = match hydration {
-                Hydration::Eager => {
-                    let rows = usize::try_from(seg.rows).unwrap_or(usize::MAX);
-                    if let Err(e) = budget.charge_steps_for_rows(rows) {
-                        return fail_span(seg_span, e.into());
-                    }
-                    match hydrate_segment(mapping, &seg, num_consts, counters) {
-                        Ok(rel) => LazyRelation::ready(rel),
-                        Err(e) => return fail_span(seg_span, e),
-                    }
-                }
-                Hydration::Lazy => {
-                    let m = Arc::clone(mapping);
-                    let c = Arc::clone(counters);
-                    LazyRelation::lazy(move || match hydrate_segment(&m, &seg, num_consts, &c) {
-                        Ok(rel) => rel,
-                        // `&self` access paths cannot return an error;
-                        // the typed message rides a panic payload the
-                        // pipeline's isolation boundary maps back.
-                        Err(e) => std::panic::panic_any(format!(
-                            "snapshot segment '{}' failed to hydrate: {e}",
-                            seg.name
-                        )),
-                    })
-                }
+            let Some(slot) = slot else {
+                let kind = if seg.arity == 1 { "class" } else { "property" };
+                let e = StoreError::UnknownPredicate { kind, name: seg.name.clone() };
+                return fail_span(seg_span, e);
             };
+            let m = Arc::clone(&mapping);
+            let c = Arc::clone(&counters);
+            let lazy = LazyRelation::lazy(move || {
+                hydrate_segment(&m, &seg, num_consts, &c).map_err(Into::into)
+            });
             match slot {
                 Slot::C(c) => {
                     classes.insert(c, lazy);
@@ -1342,175 +805,47 @@ impl Snapshot {
         // trivially all-distinct and sorted — always hydrated.
         let universe = Relation::from_sorted_columns(1, &[(0..num_consts).collect()]);
         universe.preset_stats(vec![num_consts as u64], true);
-        let atoms = usize::try_from(num_atoms)
-            .map_err(|_| StoreError::Malformed("atom count overflow".to_owned()))?;
+        let atoms = match usize::try_from(num_atoms) {
+            Ok(n) => n,
+            Err(_) => {
+                return fail_span(seg_span, StoreError::Malformed("atom count overflow".into()))
+            }
+        };
         let database = Database::from_lazy_relations(classes, props, universe, atoms);
         seg_span.attr("relations", relations.len() as u64);
         seg_span.attr("atoms", num_atoms);
-        seg_span.attr_str(
-            "hydration",
-            match hydration {
-                Hydration::Lazy => "lazy",
-                Hydration::Eager => "eager",
-            },
-        );
         seg_span.end();
-        Ok((dict, database, relations, dict_bytes))
-    }
+        load.end();
 
-    /// Decodes the dictionary as a plain id-ordered name table. The open
-    /// path deliberately does *not* rebuild a name→id interner — rendering
-    /// answers only ever goes id→name, and the lazy [`DataInstance`]
-    /// materialisation re-interns for the one caller (the chase oracle)
-    /// that needs the reverse direction. Duplicates are rejected with a
-    /// borrow-only `FxHashSet` pass over the payload slices, so the whole
-    /// load is one `String` allocation per constant.
-    fn load_dict(r: &mut Reader<'_>, budget: &mut Budget) -> Result<Vec<String>, StoreError> {
-        let num_consts = r.get_u32()? as usize;
-        let mut raw = Vec::with_capacity(num_consts);
-        for _ in 0..num_consts {
-            budget.tick()?;
-            raw.push(r.get_str()?);
-        }
-        let mut seen = FxHashSet::default();
-        seen.reserve(num_consts);
-        for &name in &raw {
-            if !seen.insert(name) {
-                return Err(StoreError::Malformed("duplicate dictionary entries".to_owned()));
-            }
-        }
-        Ok(raw.into_iter().map(str::to_owned).collect())
-    }
-
-    fn load_segments(
-        r: &mut Reader<'_>,
-        vocab: &Vocab,
-        num_consts: u32,
-        has_stats: bool,
-        budget: &mut Budget,
-    ) -> Result<(Database, Vec<RelationInfo>), StoreError> {
-        let mut relations = Vec::new();
-        let mut num_atoms = 0usize;
-
-        let mut class_rels: Vec<(ClassId, Relation)> = Vec::new();
-        let num_classes = r.get_u32()?;
-        for _ in 0..num_classes {
-            budget.tick()?;
-            let (name, cols) = Self::load_segment(r, 1, num_consts, budget)?;
-            let class = vocab.get_class(&name).ok_or_else(|| StoreError::UnknownPredicate {
-                kind: "class",
-                name: name.clone(),
-            })?;
-            num_atoms += cols[0].len();
-            relations.push(RelationInfo { name, arity: 1, rows: cols[0].len() as u64 });
-            class_rels.push((class, Relation::from_sorted_columns(1, &cols)));
+        if let Some(metrics) = telem.metrics {
+            metrics.histogram("store_open_seconds").observe(start.elapsed());
+            metrics.gauge("store_bytes").set(mapping.len() as i64);
         }
 
-        let mut prop_rels: Vec<(PropId, Relation)> = Vec::new();
-        let num_props = r.get_u32()?;
-        for _ in 0..num_props {
-            budget.tick()?;
-            let (name, cols) = Self::load_segment(r, 2, num_consts, budget)?;
-            let prop = vocab.get_prop(&name).ok_or_else(|| StoreError::UnknownPredicate {
-                kind: "property",
-                name: name.clone(),
-            })?;
-            num_atoms += cols[0].len();
-            relations.push(RelationInfo { name, arity: 2, rows: cols[0].len() as u64 });
-            prop_rels.push((prop, Relation::from_sorted_columns(2, &cols)));
-        }
-
-        // Persisted planner statistics: preset into every relation so
-        // reopening a snapshot never re-scans the columns. Segment rows
-        // are sorted by construction, so column 0 always is.
-        if has_stats {
-            for (_, rel) in &class_rels {
-                let d0 = r.get_u64()?;
-                rel.preset_stats(vec![d0], true);
-            }
-            for (_, rel) in &prop_rels {
-                let d0 = r.get_u64()?;
-                let d1 = r.get_u64()?;
-                rel.preset_stats(vec![d0, d1], true);
-            }
-        }
-
-        // The universe (⊤) is the whole dictionary: ConstId(0)..ConstId(n),
-        // trivially all-distinct and sorted.
-        let universe = Relation::from_sorted_columns(1, &[(0..num_consts).collect()]);
-        universe.preset_stats(vec![num_consts as u64], true);
-        let classes: FxHashMap<ClassId, Relation> = class_rels.into_iter().collect();
-        let props: FxHashMap<PropId, Relation> = prop_rels.into_iter().collect();
-        Ok((Database::from_relations(classes, props, universe, num_atoms), relations))
-    }
-
-    /// Decodes one v1 segment: name, row count, per-column offsets
-    /// (verified against the actual positions), then one bulk load per
-    /// column. Validates that every value is a dictionary id and that
-    /// rows are strictly ascending — which proves them distinct, the
-    /// precondition of the no-dedup bulk load.
-    fn load_segment(
-        r: &mut Reader<'_>,
-        arity: usize,
-        num_consts: u32,
-        budget: &mut Budget,
-    ) -> Result<(String, Vec<Vec<u32>>), StoreError> {
-        let name = r.get_str()?.to_owned();
-        let rows_u64 = r.get_u64()?;
-        let rows = usize::try_from(rows_u64)
-            .map_err(|_| StoreError::Malformed(format!("segment '{name}' row overflow")))?;
-        let mut offsets = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            offsets.push(r.get_u64()?);
-        }
-        let mut cols = Vec::with_capacity(arity);
-        for (c, &offset) in offsets.iter().enumerate() {
-            if offset != r.position() {
-                return Err(StoreError::Malformed(format!(
-                    "segment '{name}' column {c} offset {offset} != position {}",
-                    r.position()
-                )));
-            }
-            budget.charge_steps_for_rows(rows)?;
-            let col = r.get_u32_column(rows)?;
-            // One vectorisable max pass; only a corrupt column pays a
-            // second scan to name the offending value.
-            if col.iter().copied().max().is_some_and(|max| max >= num_consts) {
-                let bad = col.iter().copied().find(|&v| v >= num_consts).unwrap_or(u32::MAX);
-                return Err(StoreError::Malformed(format!(
-                    "segment '{name}' references constant {bad} outside the dictionary of {num_consts}"
-                )));
-            }
-            cols.push(col);
-        }
-        // Strictly-ascending rows prove distinctness (the precondition of
-        // the no-dedup bulk load). Specialised per arity so the hot loop
-        // compares `u32`s in place — no per-row allocation.
-        let sorted = match cols.as_slice() {
-            [] => true,
-            [col] => col.windows(2).all(|w| w[0] < w[1]),
-            [a, b] => (1..rows).all(|i| (a[i - 1], b[i - 1]) < (a[i], b[i])),
-            _ => (1..rows).all(|i| {
-                cols.iter().map(|c| c[i - 1]).cmp(cols.iter().map(|c| c[i]))
-                    == std::cmp::Ordering::Less
-            }),
-        };
-        if !sorted {
-            let row = (1..rows)
-                .find(|&i| {
-                    cols.iter().map(|c| c[i - 1]).cmp(cols.iter().map(|c| c[i]))
-                        != std::cmp::Ordering::Less
-                })
-                .unwrap_or(0);
-            return Err(StoreError::Malformed(format!(
-                "segment '{name}' rows not strictly sorted at row {row}"
-            )));
-        }
-        Ok((name, cols))
+        Ok(Snapshot {
+            info: SnapshotInfo {
+                version: header.version,
+                flags: header.flags,
+                file_bytes: mapping.len() as u64,
+                payload_bytes: header.payload_len,
+                checksum: header.checksum,
+                num_consts: dict.len(),
+                dict_bytes,
+                num_atoms,
+                mmapped: mapping.is_mmapped(),
+                relations,
+            },
+            dict,
+            database,
+            counters,
+            instance: OnceLock::new(),
+        })
     }
 
     /// The database, sharing the in-memory backend's eval hot path.
-    /// Relations of a lazily opened v2 snapshot hydrate on first touch.
+    /// Relations hydrate on first touch; [`Database::hydrate`] hydrates a
+    /// predicate set up front and reports a corrupt segment as the typed
+    /// [`StoreError`] (recovered with `StoreError::from`).
     pub fn database(&self) -> &Database {
         &self.database
     }
@@ -1520,14 +855,13 @@ impl Snapshot {
         &self.info
     }
 
-    /// Columns hydrated so far (for a v1 or eager open: all of them).
+    /// Columns hydrated so far.
     pub fn columns_touched(&self) -> u64 {
         self.counters.columns.load(Ordering::Relaxed)
     }
 
     /// Data + index bytes hydrated so far — the store's contribution to
-    /// the resident set (for a v1 or eager open: the whole data
-    /// section).
+    /// the resident set.
     pub fn bytes_touched(&self) -> u64 {
         self.counters.bytes.load(Ordering::Relaxed)
     }
@@ -1543,9 +877,14 @@ impl Snapshot {
 
     /// The instance view, materialised from the loaded relations on first
     /// use (only the chase oracle needs it; the hot path never does).
-    /// Hydrates every segment of a lazily opened snapshot.
-    pub fn data_instance(&self) -> &DataInstance {
-        self.instance.get_or_init(|| {
+    /// Hydrates — and so verifies — every segment first: a corrupt one is
+    /// the typed error.
+    pub fn data_instance(&self) -> Result<&DataInstance, StoreError> {
+        if let Some(data) = self.instance.get() {
+            return Ok(data);
+        }
+        self.database.hydrate_all()?;
+        Ok(self.instance.get_or_init(|| {
             let mut data = DataInstance::from_dictionary(self.dict.iter().map(String::as_str));
             for (c, rel) in self.database.class_relations() {
                 for row in rel.rows() {
@@ -1558,7 +897,7 @@ impl Snapshot {
                 }
             }
             data
-        })
+        }))
     }
 }
 
@@ -1578,10 +917,6 @@ impl StorageBackend for Snapshot {
         Snapshot::database(self)
     }
 
-    fn data_instance(&self) -> &DataInstance {
-        Snapshot::data_instance(self)
-    }
-
     fn constant_name(&self, c: ConstId) -> &str {
         Snapshot::constant_name(self, c)
     }
@@ -1595,32 +930,11 @@ impl StorageBackend for Snapshot {
     }
 }
 
-/// Bulk-decode budget accounting: one [`Budget::tick`] per 1024 rows so
-/// decoding a large column stays interruptible without per-value cost.
-trait ColumnBudget {
-    fn charge_steps_for_rows(&mut self, rows: usize) -> Result<(), obda_budget::BudgetExceeded>;
-}
-
-impl ColumnBudget for Budget {
-    fn charge_steps_for_rows(&mut self, rows: usize) -> Result<(), obda_budget::BudgetExceeded> {
-        for _ in 0..(rows / 1024 + 1) {
-            self.tick()?;
-        }
-        Ok(())
-    }
-}
-
-/// Sanity constant re-exported for tests: header length in bytes.
-pub const SNAPSHOT_HEADER_LEN: usize = HEADER_LEN;
-
-/// Current snapshot format version (see
-/// [`crate::format::FORMAT_VERSION_V2`]).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = FORMAT_VERSION_V2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
+    use crate::format::FORMAT_VERSION;
     use obda_ndl::program::PredKind;
     use obda_owlql::parser::{parse_data, parse_ontology};
     use obda_owlql::Ontology;
@@ -1667,10 +981,10 @@ mod tests {
         let (o, d) = example();
         let path = temp_path("roundtrip");
         let info = write_snapshot(&path, o.vocab(), &d).unwrap();
-        assert_eq!(info.version, SNAPSHOT_FORMAT_VERSION);
+        assert_eq!(info.version, FORMAT_VERSION);
+        assert_eq!(info.flags, FLAG_STATS | FLAG_INDEXES);
         assert_eq!(info.num_consts, 3);
         assert_eq!(info.num_atoms, 6);
-        assert!(info.has_indexes && !info.footer && !info.appended);
         let snap = Snapshot::open(&path, o.vocab()).unwrap();
         assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&d)));
         // Dictionary ids preserved verbatim.
@@ -1678,7 +992,7 @@ mod tests {
             assert_eq!(snap.constant_name(c), d.constant_name(c));
         }
         // The lazy instance view is atom-for-atom the original.
-        assert_eq!(snap.data_instance().to_text(&o), d.to_text(&o));
+        assert_eq!(snap.data_instance().unwrap().to_text(&o), d.to_text(&o));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1686,20 +1000,14 @@ mod tests {
     fn encoding_is_deterministic() {
         let (o, d) = example();
         assert_eq!(snapshot_bytes(o.vocab(), &d), snapshot_bytes(o.vocab(), &d));
-        assert_eq!(snapshot_bytes_footer(o.vocab(), &d), snapshot_bytes_footer(o.vocab(), &d));
-        assert_eq!(snapshot_bytes_v1(o.vocab(), &d), snapshot_bytes_v1(o.vocab(), &d));
-        assert_eq!(snapshot_bytes_legacy(o.vocab(), &d), snapshot_bytes_legacy(o.vocab(), &d));
     }
 
     #[test]
     fn stats_section_roundtrips_into_relation_stats() {
         let (o, d) = example();
         let path = temp_path("stats");
-        let info = write_snapshot(&path, o.vocab(), &d).unwrap();
-        assert!(info.has_stats);
-        assert_eq!(info.stats_source(), "embedded");
+        write_snapshot(&path, o.vocab(), &d).unwrap();
         let snap = Snapshot::open(&path, o.vocab()).unwrap();
-        assert!(snap.info().has_stats);
         // P = {(x,y), (y,z)}: 2 distinct subjects, 2 distinct objects.
         let p = o.vocab().get_prop("P").unwrap();
         let rel = snap.database().prop_relations().find(|&(q, _)| q == p).unwrap().1;
@@ -1710,53 +1018,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn legacy_snapshot_without_stats_opens_and_derives() {
+    /// Writes the current encoding of `example()` with its header patched
+    /// by `patch`, and opens it.
+    fn open_patched(tag: &str, patch: impl Fn(&mut Vec<u8>)) -> Result<Snapshot, StoreError> {
         let (o, d) = example();
-        let legacy = snapshot_bytes_legacy(o.vocab(), &d);
-        let current = snapshot_bytes(o.vocab(), &d);
-        assert!(legacy.len() < current.len(), "page-aligned v2 adds bytes");
-        let path = temp_path("legacy");
-        std::fs::write(&path, &legacy).unwrap();
-        let info = read_info(&path).unwrap();
-        assert!(!info.has_stats && !info.has_indexes);
-        assert_eq!(info.stats_source(), "derived");
-        assert_eq!(info.index_source(), "derived");
-        let snap = Snapshot::open(&path, o.vocab()).unwrap();
-        assert!(!snap.info().has_stats);
-        // Same database as the current encoding; stats derive lazily
-        // from the columns and agree with the persisted ones.
-        assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&d)));
-        let p = o.vocab().get_prop("P").unwrap();
-        let rel = snap.database().prop_relations().find(|&(q, _)| q == p).unwrap().1;
-        assert_eq!(rel.stats().distinct, vec![2, 2]);
+        let mut bytes = snapshot_bytes(o.vocab(), &d);
+        patch(&mut bytes);
+        let path = temp_path(tag);
+        std::fs::write(&path, &bytes).unwrap();
+        let out = Snapshot::open(&path, o.vocab());
+        let info = read_info(&path);
         std::fs::remove_file(&path).ok();
+        assert_eq!(info.err().map(|e| e.to_string()), out.as_ref().err().map(|e| e.to_string()));
+        out
     }
 
     #[test]
-    fn v1_snapshot_opens_through_the_eager_path() {
-        let (o, d) = example();
-        let path = temp_path("v1");
-        std::fs::write(&path, snapshot_bytes_v1(o.vocab(), &d)).unwrap();
-        let snap = Snapshot::open(&path, o.vocab()).unwrap();
-        assert_eq!(snap.info().version, 1);
-        assert!(snap.info().has_stats && !snap.info().has_indexes);
-        assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&d)));
-        // v1 decodes everything at open: counters report the totals.
-        assert_eq!(snap.columns_touched(), 6);
-        assert_eq!(snap.bytes_touched(), (2 + 1) * 4 + (2 + 1) * 2 * 4);
-        std::fs::remove_file(&path).ok();
+    fn v1_snapshot_is_refused_at_open() {
+        // Header bytes 4..8 carry the version: a version-1 file is refused
+        // with the typed incompatibility error, by open and dbinfo alike.
+        let err = open_patched("v1", |b| b[4] = 1).unwrap_err();
+        assert!(
+            matches!(err, StoreError::UnsupportedVersion { found: 1, supported: FORMAT_VERSION }),
+            "{err}"
+        );
     }
 
     #[test]
-    fn stats_and_legacy_info_report_the_same_structure() {
-        let (o, d) = example();
-        let with = info_from_bytes(&snapshot_bytes(o.vocab(), &d)).unwrap();
-        let without = info_from_bytes(&snapshot_bytes_legacy(o.vocab(), &d)).unwrap();
-        assert_eq!(with.relations, without.relations);
-        assert_eq!(with.num_atoms, without.num_atoms);
-        assert_eq!(with.num_consts, without.num_consts);
-        assert!(with.has_stats && !without.has_stats);
+    fn footer_form_is_refused_at_open() {
+        // Flags live at header bytes 8..12; bit 2 marked the retired
+        // footer form, now an unknown required bit.
+        let err = open_patched("footer", |b| b[8] |= 1 << 2).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("unknown required flags set: 0x4"), "{err}");
     }
 
     #[test]
@@ -1766,12 +1060,12 @@ mod tests {
         write_snapshot(&path, o.vocab(), &d).unwrap();
         let info = read_info(&path).unwrap();
         assert_eq!(info.file_bytes, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(info.payload_bytes + SNAPSHOT_HEADER_LEN as u64, info.file_bytes);
+        assert_eq!(info.payload_bytes + HEADER_LEN as u64, info.file_bytes);
         let names: Vec<(&str, usize, u64)> =
             info.relations.iter().map(|r| (r.name.as_str(), r.arity, r.rows)).collect();
         assert_eq!(names, vec![("A", 1, 2), ("B", 1, 1), ("P", 2, 2), ("Q", 2, 1)]);
         assert!(info.dict_bytes > 0);
-        assert_eq!(info.index_source(), "embedded");
+        assert!(!info.mmapped, "read_info never maps");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1780,10 +1074,14 @@ mod tests {
         let (o, d) = example();
         let path = temp_path("vocab");
         write_snapshot(&path, o.vocab(), &d).unwrap();
-        let other = parse_ontology("Class A\nProperty P\n").unwrap(); // lacks B and Q
-                                                                      // Name resolution is eager even under lazy hydration.
+        // Lacks B and Q. Name resolution happens at open, before any
+        // segment hydrates.
+        let other = parse_ontology("Class A\nProperty P\n").unwrap();
         let err = Snapshot::open(&path, other.vocab()).unwrap_err();
         assert!(matches!(err, StoreError::UnknownPredicate { kind: "class", .. }), "{err}");
+        let other = parse_ontology("Class A\nClass B\nProperty P\n").unwrap();
+        let err = Snapshot::open(&path, other.vocab()).unwrap_err();
+        assert!(matches!(err, StoreError::UnknownPredicate { kind: "property", .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1801,15 +1099,17 @@ mod tests {
                 "cut={cut}: {err}"
             );
         }
-        // Flip one data-region bit: the per-block checksum catches it on
-        // hydration — the eager open reports it as a typed error.
+        // Flip one data-region bit (the last byte is in an index block):
+        // the per-block checksum catches it when the segment hydrates.
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        let err = Snapshot::open_eager(&path, o.vocab()).unwrap_err();
+        let snap = Snapshot::open(&path, o.vocab()).unwrap();
+        let err = StoreError::from(snap.database().hydrate_all().unwrap_err());
         assert!(matches!(err, StoreError::ChecksumMismatch { .. }), "{err}");
-        // Flip one metadata bit: caught at open even lazily.
+        assert!(matches!(snap.data_instance(), Err(StoreError::ChecksumMismatch { .. })));
+        // Flip one metadata bit: caught at open.
         let mut meta_flipped = bytes.clone();
         meta_flipped[HEADER_LEN + 9] ^= 0x01;
         std::fs::write(&path, &meta_flipped).unwrap();
@@ -1821,25 +1121,29 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_segment_panics_on_lazy_hydration_with_a_typed_message() {
+    fn corrupt_segment_is_a_typed_error_on_lazy_hydration() {
         let (o, d) = example();
-        let mut bytes = snapshot_bytes_footer(o.vocab(), &d);
-        // The first data block starts at file offset SEGMENT_ALIGN in
-        // the footer form: flip a byte inside segment "A"'s column.
+        let mut bytes = snapshot_bytes(o.vocab(), &d);
+        // The first data block starts at file offset SEGMENT_ALIGN (the
+        // metadata is far smaller than a page): flip a byte inside
+        // segment "A"'s column.
         bytes[SEGMENT_ALIGN as usize] ^= 0x01;
         let path = temp_path("lazycorrupt");
         std::fs::write(&path, &bytes).unwrap();
-        // Lazy open succeeds — the data pages were never touched.
+        // Open succeeds — the data pages were never touched.
         let snap = Snapshot::open(&path, o.vocab()).unwrap();
         let a = o.vocab().get_class("A").unwrap();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            snap.database().relation(PredKind::EdbClass(a)).len()
-        }));
-        let payload = caught.unwrap_err();
-        let msg = payload.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("failed to hydrate"), "{msg}");
+        for _ in 0..2 {
+            let err = snap.database().hydrate([PredKind::EdbClass(a)]).unwrap_err();
+            let err = StoreError::from(err);
+            assert!(matches!(err, StoreError::ChecksumMismatch { .. }), "{err}");
+        }
+        // The failed slot stays pending and counts nothing.
+        assert_eq!(snap.columns_touched(), 0);
+        assert_eq!(snap.bytes_touched(), 0);
         // The untouched segments still hydrate fine.
         let p = o.vocab().get_prop("P").unwrap();
+        assert_eq!(snap.database().hydrate([PredKind::EdbProp(p)]).unwrap(), (1, 2));
         assert_eq!(snap.database().relation(PredKind::EdbProp(p)).len(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -1869,14 +1173,43 @@ mod tests {
 
     #[test]
     fn eager_open_matches_lazy_and_prefills_counters() {
+        // "Eager" is an open followed by one `hydrate_all`: every segment
+        // decoded and verified up front, counted once each.
         let (o, d) = example();
         let path = temp_path("eager");
         write_snapshot(&path, o.vocab(), &d).unwrap();
         let lazy = Snapshot::open(&path, o.vocab()).unwrap();
-        let eager = Snapshot::open_eager(&path, o.vocab()).unwrap();
+        let eager = Snapshot::open(&path, o.vocab()).unwrap();
+        assert_eq!(eager.database().hydrate_all().unwrap(), (4, 6));
         assert_eq!(eager.columns_touched(), 6);
-        assert!(eager.bytes_touched() > 0);
+        let full = eager.bytes_touched();
+        assert!(full > 0);
+        assert_eq!(eager.database().hydrate_all().unwrap(), (0, 0), "hydrated once");
+        assert_eq!(eager.bytes_touched(), full);
         assert_eq!(fingerprint(lazy.database()), fingerprint(eager.database()));
+        assert_eq!(lazy.bytes_touched(), full, "touching everything lazily costs the same");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_first_hydrations_count_each_segment_once() {
+        let (o, d) = example();
+        let path = temp_path("race");
+        write_snapshot(&path, o.vocab(), &d).unwrap();
+        let snap = Snapshot::open(&path, o.vocab()).unwrap();
+        let reference = Snapshot::open(&path, o.vocab()).unwrap();
+        reference.database().hydrate_all().unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    snap.database().hydrate_all().unwrap();
+                });
+            }
+        });
+        assert_eq!(snap.columns_touched(), 6);
+        assert_eq!(snap.bytes_touched(), reference.bytes_touched());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1895,76 +1228,6 @@ mod tests {
         assert_eq!(rel.column_index(0).probe(1), &[1]);
         assert_eq!(rel.column_index(1).probe(1), &[0]);
         assert_eq!(rel.column_index(0).probe(2), &[] as &[u32]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn footer_form_roundtrips_and_matches_inline() {
-        let (o, d) = example();
-        let path = temp_path("footer");
-        let info = write_snapshot_footer(&path, o.vocab(), &d).unwrap();
-        assert!(info.footer && info.has_indexes && !info.appended);
-        assert_eq!(info.num_atoms, 6);
-        let snap = Snapshot::open(&path, o.vocab()).unwrap();
-        assert!(snap.info().footer);
-        assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&d)));
-        // Structure agrees with the inline form.
-        let inline = info_from_bytes(&snapshot_bytes(o.vocab(), &d)).unwrap();
-        assert_eq!(info.relations, inline.relations);
-        assert_eq!(info.num_consts, inline.num_consts);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_grows_a_footer_snapshot_without_rewriting_blocks() {
-        let o = parse_ontology("Class A\nClass B\nProperty P\nProperty Q\n").unwrap();
-        let d1 = parse_data("A(x)\nP(x, y)\n", &o).unwrap();
-        let path = temp_path("append");
-        write_snapshot_footer(&path, o.vocab(), &d1).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        // The delta reuses x and introduces z.
-        let d2 = parse_data("B(z)\nQ(z, x)\n", &o).unwrap();
-        let info = append_snapshot(&path, o.vocab(), &d2).unwrap();
-        assert!(info.appended && info.footer);
-        assert_eq!(info.num_consts, 3);
-        assert_eq!(info.num_atoms, 4);
-        let after = std::fs::read(&path).unwrap();
-        assert!(after.len() > before.len());
-        // Every old data block byte is still at its old offset: the old
-        // payload up to the old footer is preserved verbatim.
-        let old_meta_start = {
-            let p = parse_file(&before).unwrap();
-            p.payload.len() - 8 - p.meta.len()
-        };
-        assert_eq!(
-            &after[HEADER_LEN..HEADER_LEN + old_meta_start],
-            &before[HEADER_LEN..HEADER_LEN + old_meta_start],
-            "old data region must be byte-identical"
-        );
-        // The merged database equals building everything at once.
-        let combined = parse_data("A(x)\nP(x, y)\nB(z)\nQ(z, x)\n", &o).unwrap();
-        let snap = Snapshot::open(&path, o.vocab()).unwrap();
-        assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&combined)));
-        let z = combined.get_constant("z").unwrap();
-        assert_eq!(snap.constant_name(z), "z");
-        // A delta touching an existing predicate is refused — merging is
-        // the compactor's job.
-        let d3 = parse_data("A(w)\n", &o).unwrap();
-        let err = append_snapshot(&path, o.vocab(), &d3).unwrap_err();
-        assert!(matches!(err, StoreError::Malformed(_)), "A already has a segment: {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_refuses_non_footer_files() {
-        let (o, d) = example();
-        let path = temp_path("appendinline");
-        write_snapshot(&path, o.vocab(), &d).unwrap();
-        let delta = DataInstance::new();
-        let err = append_snapshot(&path, o.vocab(), &delta).unwrap_err();
-        assert!(matches!(err, StoreError::Malformed(_)), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("footer"), "{msg}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1988,7 +1251,7 @@ mod tests {
         let tracer = CollectingTracer::new();
         let metrics = obda_telemetry::MetricsRegistry::new();
         let telem = Telemetry::new(&tracer, Some(&metrics));
-        Snapshot::open_traced(&path, o.vocab(), telem).unwrap();
+        Snapshot::open_budgeted(&path, o.vocab(), &mut Budget::unlimited(), telem).unwrap();
         let tree = tracer.snapshot();
         let load = &tree.roots[0];
         assert_eq!(load.name, "load_data");
@@ -1998,7 +1261,6 @@ mod tests {
         assert!(load.children[0].attr("file_bytes").unwrap() > 0);
         assert_eq!(load.children[1].attr("consts"), Some(3));
         assert_eq!(load.children[2].attr("atoms"), Some(6));
-        assert_eq!(load.children[2].attr_str("hydration"), Some("lazy"));
         assert_eq!(metrics.histogram("store_open_seconds").count(), 1);
         assert!(metrics.gauge("store_bytes").get() > 0);
         std::fs::remove_file(&path).ok();
@@ -2018,8 +1280,8 @@ mod tests {
         for b in backends {
             assert_eq!(b.database().num_atoms(), 6);
             assert_eq!(b.database().num_individuals(), 3);
-            assert_eq!(b.data_instance().num_atoms(), 6);
         }
+        assert_eq!(snap.data_instance().unwrap().num_atoms(), mem.data().num_atoms());
         let x = mem.data().get_constant("x").unwrap();
         assert_eq!(snap.constant_name(x), "x");
         std::fs::remove_file(&path).ok();
@@ -2063,17 +1325,12 @@ mod tests {
     fn empty_instance_roundtrips() {
         let o = parse_ontology("Class A\n").unwrap();
         let d = DataInstance::new();
-        type WriteFn = fn(&Path, &Vocab, &DataInstance) -> Result<SnapshotInfo, StoreError>;
-        let writers: [(&str, WriteFn); 2] =
-            [("empty", write_snapshot), ("emptyfooter", write_snapshot_footer)];
-        for (tag, write) in writers {
-            let path = temp_path(tag);
-            let info = write(&path, o.vocab(), &d).unwrap();
-            assert_eq!(info.num_atoms, 0);
-            let snap = Snapshot::open(&path, o.vocab()).unwrap();
-            assert_eq!(snap.database().num_individuals(), 0);
-            assert_eq!(snap.database().num_atoms(), 0);
-            std::fs::remove_file(&path).ok();
-        }
+        let path = temp_path("empty");
+        let info = write_snapshot(&path, o.vocab(), &d).unwrap();
+        assert_eq!(info.num_atoms, 0);
+        let snap = Snapshot::open(&path, o.vocab()).unwrap();
+        assert_eq!(snap.database().num_individuals(), 0);
+        assert_eq!(snap.database().num_atoms(), 0);
+        std::fs::remove_file(&path).ok();
     }
 }

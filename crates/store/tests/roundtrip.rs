@@ -81,7 +81,7 @@ proptest! {
         let snap = Snapshot::open(&path, ontology.vocab()).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(fingerprint(snap.database()), fingerprint(&Database::new(&data)));
-        prop_assert_eq!(snap.data_instance().to_text(&ontology), data.to_text(&ontology));
+        prop_assert_eq!(snap.data_instance().unwrap().to_text(&ontology), data.to_text(&ontology));
         for c in data.individuals() {
             prop_assert_eq!(snap.constant_name(c), data.constant_name(c));
         }

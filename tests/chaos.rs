@@ -36,10 +36,7 @@ const DATA: &str = "Professor(ada)\nProfessor(bob)\nteaches(carol, logic)\nCours
 
 /// Routes injected-fault panics to silence (they are the *point* of this
 /// suite) while forwarding genuine panics — assertion failures included —
-/// to the previous hook. The store's typed lazy-hydration panics
-/// ("snapshot segment … failed to hydrate") are silenced too: the
-/// corruption sweeps below raise them deliberately, thousands of times.
-/// Installed once for the whole test binary.
+/// to the previous hook. Installed once for the whole test binary.
 fn quiet_injected_panics() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
@@ -47,9 +44,7 @@ fn quiet_injected_panics() {
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
             let deliberate = p.downcast_ref::<obda::faults::FaultError>().is_some()
-                || p.downcast_ref::<String>().is_some_and(|s| {
-                    s.starts_with("injected panic at") || s.starts_with("snapshot segment ")
-                });
+                || p.downcast_ref::<String>().is_some_and(|s| s.starts_with("injected panic at"));
             if !deliberate {
                 prev(info);
             }
@@ -568,21 +563,18 @@ fn store_open_injected_panic_unwinds_cleanly() {
     assert!(snap.database().num_atoms() > 0);
 }
 
-/// Every truncation point and a sweep of single-bit flips, against both
-/// hydration modes. The invariant is *never a wrong tuple, never an
-/// untyped escape*:
+/// Every truncation point and a sweep of single-bit flips. The invariant
+/// is *never a wrong tuple, never an unwind*:
 ///
-/// * any truncation fails typed at open, even lazily — every declared
-///   byte range is pre-validated against the mapped length, so a short
-///   file can never SIGBUS a later column touch;
-/// * a bit flip either fails typed (at open, or — lazily — as the typed
-///   "failed to hydrate" panic on first touch, which the pipeline's
-///   isolation boundary catches) or lands in dead padding bytes, in
-///   which case the decoded instance must be byte-identical to the
-///   original.
+/// * any truncation fails typed at open — every declared byte range is
+///   pre-validated against the mapped length, so a short file can never
+///   SIGBUS a later column touch;
+/// * a bit flip either fails typed (at open, or when the segment
+///   hydrates) or lands in dead padding bytes, in which case the decoded
+///   instance must be byte-identical to the original.
 #[test]
 fn truncated_and_bit_flipped_snapshots_fail_typed() {
-    use obda::{Hydration, Snapshot, StoreError};
+    use obda::{Snapshot, StoreError};
 
     quiet_injected_panics();
     let path = store_temp_path();
@@ -597,80 +589,58 @@ fn truncated_and_bit_flipped_snapshots_fail_typed() {
             "{ctx}: corruption must surface as a format error, got {err}"
         );
     };
-    // Opens the corrupted bytes and decodes every segment (the instance
-    // reconstruction touches all of them). Returns whether anything
-    // succeeded end to end — in which case the data must be pristine.
-    let open_and_touch = |bytes: &[u8], mode: Hydration, ctx: &str| -> bool {
+    // Opens the bytes and hydrates every segment (the instance view
+    // verifies all of them). Returns whether anything succeeded end to
+    // end — in which case the data must be pristine.
+    let open_and_touch = |bytes: &[u8], ctx: &str| -> bool {
         std::fs::write(&path, bytes).unwrap();
         let vocab = sys.ontology().vocab();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            match mode {
-                Hydration::Eager => Snapshot::open_eager(&path, vocab),
-                Hydration::Lazy => Snapshot::open(&path, vocab),
-            }
-            .map(|snap| snap.data_instance().to_text(sys.ontology()))
+            let snap = Snapshot::open(&path, vocab)?;
+            snap.data_instance().map(|data| data.to_text(sys.ontology()))
         }));
-        match caught {
-            Ok(Ok(text)) => {
+        match caught
+            .unwrap_or_else(|_| panic!("{ctx}: corruption unwound instead of failing typed"))
+        {
+            Ok(text) => {
                 assert_eq!(text, expected, "{ctx}: corrupted bytes decoded to wrong data");
                 true
             }
-            Ok(Err(err)) => {
+            Err(err) => {
                 assert_typed(&err, ctx);
-                false
-            }
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .unwrap_or_else(|| panic!("{ctx}: untyped panic payload"));
-                assert!(
-                    msg.contains("failed to hydrate"),
-                    "{ctx}: panic must be the typed hydration message, got: {msg}"
-                );
-                assert!(
-                    matches!(mode, Hydration::Lazy),
-                    "{ctx}: the eager open must never panic on corruption"
-                );
                 false
             }
         }
     };
 
-    // Truncations fail typed at open in both modes — lazy included,
-    // because range pre-validation runs before any segment is touched.
+    // Truncations fail typed at open: range pre-validation runs before
+    // any segment is touched.
     for len in 0..original.len() {
-        for mode in [Hydration::Lazy, Hydration::Eager] {
-            let ctx = format!("truncated to {len} bytes ({mode:?})");
-            std::fs::write(&path, &original[..len]).unwrap();
-            let vocab = sys.ontology().vocab();
-            let caught = catch_unwind(AssertUnwindSafe(|| match mode {
-                Hydration::Eager => Snapshot::open_eager(&path, vocab),
-                Hydration::Lazy => Snapshot::open(&path, vocab),
-            }));
-            let result = caught.unwrap_or_else(|_| panic!("{ctx}: open panicked"));
-            let err = result.err().unwrap_or_else(|| panic!("{ctx}: truncated snapshot opened"));
-            assert_typed(&err, &ctx);
-        }
+        let ctx = format!("truncated to {len} bytes");
+        std::fs::write(&path, &original[..len]).unwrap();
+        let vocab = sys.ontology().vocab();
+        let caught = catch_unwind(AssertUnwindSafe(|| Snapshot::open(&path, vocab)));
+        let result = caught.unwrap_or_else(|_| panic!("{ctx}: open panicked"));
+        let err = result.err().unwrap_or_else(|| panic!("{ctx}: truncated snapshot opened"));
+        assert_typed(&err, &ctx);
     }
     // Bit flips: typed failure or provably-harmless (dead padding).
     for pos in (0..original.len()).step_by(7) {
         for bit in [0u8, 3, 7] {
             let mut flipped = original.clone();
             flipped[pos] ^= 1 << bit;
-            for mode in [Hydration::Lazy, Hydration::Eager] {
-                open_and_touch(&flipped, mode, &format!("bit {bit} at byte {pos} ({mode:?})"));
-            }
+            open_and_touch(&flipped, &format!("bit {bit} at byte {pos}"));
         }
     }
 
     // The pristine bytes still open: corruption detection has no memory.
-    assert!(open_and_touch(&original, Hydration::Lazy, "pristine bytes"));
+    assert!(open_and_touch(&original, "pristine bytes"));
     std::fs::remove_file(&path).ok();
 }
 
 /// The `store::map` site: a transient fault at the mapping boundary is
-/// the typed [`StoreError::Injected`] — lazy and eager alike — and the
-/// very same file maps and answers once the plan is disarmed.
+/// the typed [`StoreError::Injected`], and the very same file maps and
+/// answers once the plan is disarmed.
 #[test]
 fn store_map_transient_fault_is_typed_then_recovers() {
     use obda::{Snapshot, StoreError};
@@ -680,13 +650,8 @@ fn store_map_transient_fault_is_typed_then_recovers() {
     let sys = store_fixture(&path);
     let plan = FaultPlan::always(23, site::STORE_MAP, FaultKind::Transient);
     let guard = plan.install();
-    for open in [Snapshot::open, Snapshot::open_eager] {
-        let err = open(&path, sys.ontology().vocab()).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Injected { site } if site == site::STORE_MAP),
-            "got {err}"
-        );
-    }
+    let err = Snapshot::open(&path, sys.ontology().vocab()).unwrap_err();
+    assert!(matches!(&err, StoreError::Injected { site } if site == site::STORE_MAP), "got {err}");
     guard.disarm();
 
     let snap = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
@@ -701,40 +666,111 @@ fn store_map_transient_fault_is_typed_then_recovers() {
     );
 }
 
-/// A corrupted segment reached through the *pipeline* (not a direct
-/// touch): the lazy hydration panic is caught at the pipeline's
-/// isolation boundary and recorded as a typed internal error — never an
-/// escaped unwind, never a wrong answer.
+/// A corrupted segment reached through the *pipeline*: the request
+/// hydrates its program's relations before it plans, so the bad block is
+/// a typed store error — one attempt, the ladder stops, nothing panics,
+/// and no strategy breaker records a failure (a threshold of one would
+/// open on the first). The failed slot stays pending, so the same
+/// snapshot fails the same way on the next request, on the ladder path
+/// and the prepared (served) path alike; a pristine reopen answers.
 #[test]
-fn lazy_hydration_panic_is_isolated_by_the_pipeline() {
-    use obda::Snapshot;
+fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
+    use obda::{BreakerConfig, Snapshot, StoreError, Telemetry};
 
     quiet_injected_panics();
     let path = store_temp_path();
     let sys = store_fixture(&path);
     let _quiet = quiet();
-    let mut bytes = std::fs::read(&path).unwrap();
-    // Flip a byte in the first data block: page-aligned after the
-    // header, so file offset 4096 is segment data, not metadata.
+    let pristine = std::fs::read(&path).unwrap();
+    let mut bytes = pristine.clone();
+    // Data blocks are page-aligned after the metadata (which fits the
+    // first page): flip the first byte of every later page, so whatever
+    // the pruned program joins is corrupt.
     assert!(bytes.len() > 4096, "fixture must have a page-aligned data region");
-    bytes[4096] ^= 0xff;
+    for page in (4096..bytes.len()).step_by(4096) {
+        bytes[page] ^= 0xff;
+    }
     std::fs::write(&path, &bytes).unwrap();
-
-    let snap = Snapshot::open(&path, sys.ontology().vocab()).expect("lazy open reads only meta");
+    let snap = Snapshot::open(&path, sys.ontology().vocab()).expect("open reads only meta");
     std::fs::remove_file(&path).ok();
-    let q = sys.parse_query(QUERY).unwrap();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &BudgetSpec::unlimited())
-    }));
-    let report = caught.expect("the hydration panic must not escape the pipeline");
-    assert!(report.result().is_none(), "corrupted segments cannot produce answers");
-    assert!(
-        report.attempts.iter().any(|a| matches!(
-            &a.outcome,
-            AttemptOutcome::Panicked { payload, .. } if payload.contains("failed to hydrate")
-        )),
-        "the typed hydration panic must surface in the report:\n{report}"
+    // A fresh file: rewriting the mapped one in place would repair `snap`.
+    let path = store_temp_path();
+    std::fs::write(&path, &pristine).unwrap();
+    let healthy = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let svc = QueryService::new(
+        ObdaSystem::from_text(ONTOLOGY).unwrap(),
+        ServiceConfig {
+            max_concurrency: 1,
+            max_queue: 0,
+            budget: BudgetSpec::unlimited(),
+            retry: fast_retry(),
+            engine: engine_cfg(1),
+            overload: OverloadConfig {
+                breaker: Some(BreakerConfig {
+                    window: 2,
+                    threshold: 1,
+                    cooldown: Duration::from_secs(60),
+                    probes: 1,
+                    seed: 1,
+                }),
+                ..OverloadConfig::default()
+            },
+        },
     );
+    let q = svc.system().parse_query(QUERY).unwrap();
+    for round in 0..2 {
+        let caught = catch_unwind(AssertUnwindSafe(|| svc.answer_backend(&q, &snap, Strategy::Tw)));
+        let report = caught.expect("corruption must not unwind").unwrap().report;
+        assert!(report.result().is_none(), "round {round}: corrupted segments cannot answer");
+        assert_eq!(report.attempts.len(), 1, "round {round}: the ladder stops:\n{report}");
+        assert!(
+            matches!(
+                &report.attempts[0].outcome,
+                AttemptOutcome::StoreFailed(StoreError::ChecksumMismatch { .. })
+            ),
+            "round {round}: the store error must be the attempt's outcome:\n{report}"
+        );
+        assert!(!report
+            .attempts
+            .iter()
+            .any(|a| matches!(a.outcome, AttemptOutcome::Panicked { .. })));
+        let err = report.final_error().unwrap();
+        assert!(matches!(err, ObdaError::Store(StoreError::ChecksumMismatch { .. })), "{err}");
+    }
+    // The prepared (served) path hydrates before cost admission and
+    // planning, and fails the same typed way.
+    let id = svc.prepare(&q, Strategy::Tw).unwrap();
+    let omq = svc.prepared(id).unwrap();
+    for _ in 0..2 {
+        let err = svc
+            .execute_prepared_backend_traced(
+                &omq,
+                &snap,
+                &BudgetSpec::unlimited(),
+                Telemetry::disabled(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ObdaError::Store(StoreError::ChecksumMismatch { .. })), "{err}");
+    }
+    assert_eq!(svc.metrics().counter("service_breaker_opened_total_tw").get(), 0);
+    assert_eq!(svc.metrics().counter("service_breaker_skipped_total_tw").get(), 0);
+
+    // A pristine snapshot answers through the same service.
+    let d = svc.system().parse_data(DATA).unwrap();
+    let oracle = svc.system().certain_answers(&q, &d).tuples();
+    let report = svc.answer_backend(&q, &healthy, Strategy::Tw).unwrap();
+    assert_eq!(report.result().expect("pristine snapshot answers").answers, oracle);
+    let run = svc
+        .execute_prepared_backend_traced(
+            &omq,
+            &healthy,
+            &BudgetSpec::unlimited(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+    assert_eq!(run.result.answers, oracle);
 }
 
 // ---------------------------------------------------------------------------

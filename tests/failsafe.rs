@@ -445,6 +445,44 @@ fn cli_help_names_every_exit_code() {
     assert_eq!(code, 0);
 }
 
+/// A snapshot whose data block is corrupt opens (open reads only the
+/// metadata), and the request that hydrates the bad block fails with the
+/// snapshot exit code and the checksum message — served, bare
+/// (`--no-fallback`) and through `explain` alike — never an isolated panic
+/// (exit 8).
+#[test]
+fn cli_corrupt_snapshot_segment_exits_with_the_snapshot_code() {
+    use obda::datagen::erdos::TABLE_2;
+
+    let fx = Fixture::new("corrupt");
+    let onto_text = "P SubPropertyOf S\nP SubPropertyOf R-\n";
+    let o = fx.file("o.owlql", onto_text);
+    let q = fx.file("q.cq", "q(x0, x2) :- R(x0, x1), R(x1, x2)");
+    let sys = obda::ObdaSystem::from_text(onto_text).unwrap();
+    let data = TABLE_2[0].scaled(0.003).generate(sys.ontology());
+    let d = fx.file("d.abox", &data.to_text(sys.ontology()));
+    let db = fx.dir.join("d.obdb").to_string_lossy().into_owned();
+    let (code, _, err) = run_cli(&["build", "--ontology", &o, "--data", &d, "-o", &db]);
+    assert_eq!(code, 0, "stderr: {err}");
+    let answer = ["answer", "--ontology", &o, "--query", &q, "--db", &db];
+    let (code, pristine, err) = run_cli(&answer);
+    assert_eq!(code, 0, "stderr: {err}");
+    assert!(!pristine.is_empty(), "the fixture query has answers");
+
+    let mut bytes = std::fs::read(&db).unwrap();
+    assert!(bytes.len() > 4096, "the fixture has a page-aligned data region");
+    bytes[4096] ^= 0x01;
+    std::fs::write(&db, &bytes).unwrap();
+    let bare = [&answer[..], &["--no-fallback"]].concat();
+    let explain = ["explain", "--ontology", &o, "--query", &q, "--db", &db];
+    for args in [&answer[..], &bare[..], &explain[..]] {
+        let (code, _, err) = run_cli(args);
+        assert_eq!(code, 3, "{args:?}: corrupt data is a snapshot error, stderr: {err}");
+        assert!(err.contains("snapshot checksum mismatch"), "{args:?}: stderr: {err}");
+        assert!(!err.contains("panic"), "{args:?}: no panic may be involved: {err}");
+    }
+}
+
 #[test]
 fn cli_reports_malformed_inputs_as_parse_errors() {
     let fx = Fixture::new("malformed");

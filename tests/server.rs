@@ -1059,10 +1059,99 @@ mod faulted {
 // concurrent tenants, quota shedding, drain on stdin, exit 0.
 // ---------------------------------------------------------------------------
 
+/// Spawns `obda serve` with `args` and returns the child and the address
+/// from its banner.
+fn spawn_serve(args: &[&str]) -> (std::process::Child, SocketAddr) {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_obda"))
+        .arg("serve")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr: SocketAddr = line
+        .trim()
+        .strip_prefix("listening on http://")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .parse()
+        .unwrap();
+    (child, addr)
+}
+
+/// Asks a spawned `obda serve` to drain over stdin and waits for a clean
+/// exit.
+fn shutdown_serve(mut child: std::process::Child) {
+    use std::io::Write;
+    child.stdin.take().unwrap().write_all(b"shutdown\n").unwrap();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "serve must exit 0 after a clean drain, got {status:?}");
+}
+
+/// A snapshot whose data block is corrupt still boots `obda serve` (open
+/// reads only the metadata), and a query that joins the bad block gets a
+/// typed `500` naming the checksum mismatch — every time, since the failed
+/// segment stays pending — while the server keeps serving. A server over
+/// the pristine file answers the same query with the oracle's set.
+#[test]
+fn serve_binary_reports_a_corrupt_segment_typed() {
+    let tag = std::process::id();
+    let dir = std::env::temp_dir();
+    let ontology_path = dir.join(format!("obda-serve-corrupt-{tag}.owlql"));
+    let db_path = dir.join(format!("obda-serve-corrupt-{tag}.obdb"));
+    std::fs::write(&ontology_path, ONTOLOGY).unwrap();
+    let sys = paper_system();
+    let data = table2_data(&sys, 0, SCALE);
+    write_snapshot(&db_path, sys.ontology().vocab(), &data).unwrap();
+    let pristine = std::fs::read(&db_path).unwrap();
+    let mut corrupt = pristine.clone();
+    // Data blocks start on page boundaries after the metadata: corrupt the
+    // first byte of every page past the first, so whatever the query joins
+    // is bad.
+    for page in (4096..corrupt.len()).step_by(4096) {
+        corrupt[page] ^= 0x01;
+    }
+    std::fs::write(&db_path, &corrupt).unwrap();
+    let query = word_query_text("RR");
+    let want = oracle_lines(&sys, &data, &query);
+    let args = [
+        "--ontology",
+        ontology_path.to_str().unwrap(),
+        "--db",
+        db_path.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+    ];
+
+    let (child, addr) = spawn_serve(&args);
+    for _ in 0..2 {
+        let resp = post_query(addr, "alice", &query);
+        assert_eq!(resp.status, 500, "corrupt data must be a typed error: {}", resp.body);
+        assert!(resp.body.contains("snapshot checksum mismatch"), "body: {}", resp.body);
+    }
+    assert_eq!(get(addr, "/healthz").status, 200, "the server survives corrupt data");
+    shutdown_serve(child);
+
+    std::fs::write(&db_path, &pristine).unwrap();
+    let (child, addr) = spawn_serve(&args);
+    let resp = post_query(addr, "alice", &query);
+    assert_eq!(resp.status, 200, "a pristine reopen answers: {}", resp.body);
+    assert_eq!(body_lines(&resp), want);
+    shutdown_serve(child);
+
+    std::fs::remove_file(&ontology_path).ok();
+    std::fs::remove_file(&db_path).ok();
+}
+
 #[test]
 fn serve_binary_end_to_end() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::process::{Command, Stdio};
+    use std::io::Write;
 
     let tag = std::process::id();
     let dir = std::env::temp_dir();
@@ -1075,37 +1164,20 @@ fn serve_binary_end_to_end() {
 
     // A default tenant quota small enough that a greedy tenant is shed:
     // 2 rps with a burst of 3 tokens, each tenant with its own bucket.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_obda"))
-        .args([
-            "serve",
-            "--ontology",
-            ontology_path.to_str().unwrap(),
-            "--db",
-            db_path.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--quota-rate",
-            "2",
-            "--quota-burst",
-            "3",
-            "--drain-secs",
-            "8",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut line = String::new();
-    stdout.read_line(&mut line).unwrap();
-    let addr: SocketAddr = line
-        .trim()
-        .strip_prefix("listening on http://")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .parse()
-        .unwrap();
+    let (mut child, addr) = spawn_serve(&[
+        "--ontology",
+        ontology_path.to_str().unwrap(),
+        "--db",
+        db_path.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        "--quota-rate",
+        "2",
+        "--quota-burst",
+        "3",
+        "--drain-secs",
+        "8",
+    ]);
 
     let expected: Vec<(String, Vec<String>)> = ["R", "RR"]
         .iter()

@@ -13,12 +13,11 @@ use obda::datagen::erdos::TABLE_2;
 use obda::datagen::sequences::{example_11_ontology, word_query};
 use obda::ndl::engine::EngineConfig;
 use obda::ndl::eval::EvalResult;
-use obda::owlql::abox::{ConstId, DataInstance};
+use obda::owlql::abox::DataInstance;
 use obda::{
-    append_snapshot, read_info, write_snapshot, write_snapshot_footer, MemoryBackend, ObdaSystem,
-    PreparedOmq, QueryService, ServiceConfig, Snapshot, StorageBackend, Strategy, Telemetry,
+    read_info, write_snapshot, MemoryBackend, ObdaError, ObdaSystem, PreparedOmq, QueryService,
+    ServiceConfig, Snapshot, StorageBackend, StoreError, Strategy, Telemetry,
 };
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Small enough that the chase oracle answers in milliseconds, large
@@ -114,54 +113,6 @@ fn parallel_engine_on_snapshot_matches_oracle() {
     }
 }
 
-/// Forward compatibility with pre-stats snapshots: a legacy file (no
-/// stats section, flags 0) opens cleanly, derives its relation
-/// statistics on first use, and the cost-based planner over those
-/// derived stats answers exactly like the chase oracle.
-#[test]
-fn pre_stats_snapshot_opens_and_derives_statistics() {
-    let sys = paper_system();
-    let data = table2_dataset(&sys, 0);
-    let vocab = sys.ontology().vocab();
-
-    let legacy = obda::store::snapshot_bytes_legacy(vocab, &data);
-    let current = obda::store::snapshot_bytes(vocab, &data);
-    assert!(legacy.len() < current.len(), "the stats section must be optional");
-
-    let path = temp_path();
-    std::fs::write(&path, &legacy).unwrap();
-    let info = read_info(&path).unwrap();
-    assert_eq!(info.flags, 0, "legacy snapshots set no format flags");
-    assert_eq!(info.stats_source(), "derived", "dbinfo must report derived stats");
-
-    let snap = Snapshot::open(&path, vocab).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(snap.info().stats_source(), "derived");
-
-    let spec = BudgetSpec::unlimited();
-    for word in WORDS {
-        let q = word_query(sys.ontology(), word);
-        let oracle = sys.certain_answers(&q, &data).tuples();
-        let res = sys
-            .answer_with_budget_engine_backend_traced(
-                &q,
-                &snap,
-                Strategy::Tw,
-                &spec,
-                &EngineConfig::default(),
-                obda::Telemetry::disabled(),
-            )
-            .unwrap();
-        assert_eq!(res.answers, oracle, "legacy snapshot, word {word}");
-    }
-
-    // The current writer embeds the stats section and reports so.
-    let path = temp_path();
-    std::fs::write(&path, &current).unwrap();
-    assert_eq!(read_info(&path).unwrap().stats_source(), "embedded");
-    std::fs::remove_file(&path).ok();
-}
-
 /// The service's backend entry points answer exactly like its parse
 /// entry points, for both prepared (`submit_backend`) and one-shot
 /// (`answer_backend`) requests.
@@ -204,7 +155,7 @@ fn memory_backend_is_the_parse_path_behind_the_seam() {
         assert_eq!(mem.constant_name(c), snap.constant_name(c), "dictionary ids must agree");
     }
     assert_eq!(
-        snap.data_instance().to_text(sys.ontology()),
+        snap.data_instance().unwrap().to_text(sys.ontology()),
         data.to_text(sys.ontology()),
         "the lazy instance view must reconstruct the original"
     );
@@ -220,64 +171,47 @@ fn memory_backend_is_the_parse_path_behind_the_seam() {
     }
 }
 
-/// The mmap differential, closed over every on-disk layout: for the
-/// lazily hydrated open (`--mmap`, the default), the eager A/B open
-/// (`--eager`), and the v2-inline / v2-footer / v1-stats / v1-legacy
-/// forms of the *same* instance, the fallback ladder answers exactly
-/// the chase oracle — and the lazy open never hydrates more than the
-/// eager one.
+/// The lazy-hydration differential: a lazily opened snapshot, the
+/// in-memory backend (which shares no decode code with the store) and
+/// the chase oracle agree on every query word through the fallback
+/// ladder, and the lazy open hydrates no more than a full hydrate of the
+/// same file.
 #[test]
-fn lazy_eager_and_every_layout_agree_with_oracle() {
+fn lazy_snapshot_memory_and_oracle_agree() {
     let sys = paper_system();
     let vocab = sys.ontology().vocab();
     let spec = BudgetSpec::unlimited();
     let data = table2_dataset(&sys, 0);
-    let queries: Vec<_> = WORDS
-        .iter()
-        .map(|w| {
-            let q = word_query(sys.ontology(), w);
-            let oracle = sys.certain_answers(&q, &data).tuples();
-            (*w, q, oracle)
-        })
-        .collect();
-    let variants: [(&str, Vec<u8>); 4] = [
-        ("v2-inline", obda::store::snapshot_bytes(vocab, &data)),
-        ("v2-footer", obda::store::snapshot_bytes_footer(vocab, &data)),
-        ("v1-stats", obda::store::snapshot_bytes_v1(vocab, &data)),
-        ("v1-legacy", obda::store::snapshot_bytes_legacy(vocab, &data)),
-    ];
-    for (tag, bytes) in &variants {
-        let path = temp_path();
-        std::fs::write(&path, bytes).unwrap();
-        let lazy = Snapshot::open(&path, vocab).unwrap();
-        let eager = Snapshot::open_eager(&path, vocab).unwrap();
-        std::fs::remove_file(&path).ok();
-        for (word, q, oracle) in &queries {
-            for (mode, snap) in [("lazy", &lazy), ("eager", &eager)] {
-                let report = sys.answer_with_fallback_backend(q, snap, Strategy::Tw, &spec);
-                assert_eq!(
-                    report.result().map(|r| &r.answers),
-                    Some(oracle),
-                    "{tag} {mode} word {word}"
-                );
-            }
+    let path = temp_path();
+    write_snapshot(&path, vocab, &data).unwrap();
+    let lazy = Snapshot::open(&path, vocab).unwrap();
+    let full = Snapshot::open(&path, vocab).unwrap();
+    std::fs::remove_file(&path).ok();
+    full.database().hydrate_all().unwrap();
+    let memory = MemoryBackend::new(data.clone());
+    for word in WORDS {
+        let q = word_query(sys.ontology(), word);
+        let oracle = sys.certain_answers(&q, &data).tuples();
+        for (tag, backend) in [("lazy", &lazy as &dyn StorageBackend), ("memory", &memory)] {
+            let report = sys.answer_with_fallback_backend(&q, backend, Strategy::Tw, &spec);
+            assert_eq!(report.result().map(|r| &r.answers), Some(&oracle), "{tag} word {word}");
         }
-        assert!(
-            lazy.bytes_touched() <= eager.bytes_touched(),
-            "{tag}: lazy hydration ({}) must not exceed the eager footprint ({})",
-            lazy.bytes_touched(),
-            eager.bytes_touched()
-        );
-        assert_eq!(
-            lazy.resident_bytes(),
-            Some(lazy.bytes_touched()),
-            "{tag}: the backend seam must export the hydrated footprint"
-        );
     }
+    assert!(
+        lazy.bytes_touched() <= full.bytes_touched(),
+        "lazy hydration ({}) must not exceed the full footprint ({})",
+        lazy.bytes_touched(),
+        full.bytes_touched()
+    );
+    assert_eq!(
+        lazy.resident_bytes(),
+        Some(lazy.bytes_touched()),
+        "the backend seam must export the hydrated footprint"
+    );
 }
 
 /// With every backend's completion memo warm, the engine still answers
-/// exactly the chase oracle for every strategy: lazy ≡ eager ≡ memory ≡
+/// exactly the chase oracle for every strategy: lazy ≡ memory ≡
 /// oracle on every Table-2 dataset, for words whose rewritings keep `R*`
 /// and `S*` as completion predicates. Each (word, strategy) runs twice
 /// per backend, so later runs reuse what earlier ones derived.
@@ -297,11 +231,9 @@ fn warm_completion_memo_keeps_every_backend_on_the_oracle() {
         let path = temp_path();
         write_snapshot(&path, sys.ontology().vocab(), &data).unwrap();
         let lazy = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
-        let eager = Snapshot::open_eager(&path, sys.ontology().vocab()).unwrap();
         std::fs::remove_file(&path).ok();
         let memory = MemoryBackend::new(data.clone());
-        let backends: [(&str, &dyn StorageBackend); 3] =
-            [("lazy", &lazy), ("eager", &eager), ("memory", &memory)];
+        let backends: [(&str, &dyn StorageBackend); 2] = [("lazy", &lazy), ("memory", &memory)];
         let mut oracle = std::collections::HashMap::new();
         for (word, strategy, q, omq) in &prepared {
             let oracle =
@@ -358,90 +290,22 @@ fn execute(omq: &PreparedOmq, db: &obda::ndl::storage::Database, cfg: &EngineCon
     omq.execute_engine_traced(db, &mut Budget::unlimited(), cfg, Telemetry::disabled()).unwrap()
 }
 
-/// Renders answer tuples as name tuples, so answer sets from backends
-/// with *different* constant dictionaries can be compared.
-fn named_answers(
-    tuples: &[Vec<ConstId>],
-    name: impl Fn(ConstId) -> String,
-) -> BTreeSet<Vec<String>> {
-    tuples.iter().map(|t| t.iter().map(|&c| name(c)).collect()).collect()
-}
-
-/// The appendable footer form end to end: a base snapshot of the
-/// property atoms grown by [`append_snapshot`] with the class markers
-/// answers exactly like the monolithic instance, lazy and eager — the
-/// delta's constants are remapped by name, so answers are compared as
-/// name tuples.
-#[test]
-fn appended_snapshot_answers_like_the_monolithic_instance() {
-    let sys = paper_system();
-    let vocab = sys.ontology().vocab();
-    let spec = BudgetSpec::unlimited();
-
-    // Split by predicate — the appender refuses to merge into an
-    // existing segment, so the base gets one property wholesale and the
-    // delta gets every other predicate. Not every Table-2 dataset has
-    // two predicates at this scale; take the first that splits.
-    let (data, base, delta) = (0..TABLE_2.len())
-        .find_map(|idx| {
-            let data = table2_dataset(&sys, idx);
-            let first_prop = data.prop_atoms().next().map(|(p, _, _)| p)?;
-            let mut base = DataInstance::new();
-            let mut delta = DataInstance::new();
-            for (p, a, b) in data.prop_atoms() {
-                let tgt = if p == first_prop { &mut base } else { &mut delta };
-                let x = tgt.constant(data.constant_name(a));
-                let y = tgt.constant(data.constant_name(b));
-                tgt.add_prop_atom(p, x, y);
-            }
-            for (c, a) in data.class_atoms() {
-                let x = delta.constant(data.constant_name(a));
-                delta.add_class_atom(c, x);
-            }
-            (base.num_atoms() > 0 && delta.num_atoms() > 0).then_some((data, base, delta))
-        })
-        .expect("some Table-2 dataset must split into two nonempty halves");
-
-    let path = temp_path();
-    write_snapshot_footer(&path, vocab, &base).unwrap();
-    let info = append_snapshot(&path, vocab, &delta).unwrap();
-    assert!(info.footer && info.appended, "the grown file stays appendable and says so");
-    assert_eq!(info.num_atoms as usize, data.num_atoms());
-
-    let lazy = Snapshot::open(&path, vocab).unwrap();
-    let eager = Snapshot::open_eager(&path, vocab).unwrap();
-    std::fs::remove_file(&path).ok();
-    for word in WORDS {
-        let q = word_query(sys.ontology(), word);
-        let oracle = named_answers(&sys.certain_answers(&q, &data).tuples(), |c| {
-            data.constant_name(c).to_owned()
-        });
-        for (mode, snap) in [("lazy", &lazy), ("eager", &eager)] {
-            let report = sys.answer_with_fallback_backend(&q, snap, Strategy::Tw, &spec);
-            let result = report.result().unwrap_or_else(|| panic!("{mode} word {word} failed"));
-            assert_eq!(
-                named_answers(&result.answers, |c| snap.constant_name(c).to_owned()),
-                oracle,
-                "{mode} word {word}: appended snapshot vs oracle"
-            );
-        }
-    }
-}
-
 /// Lazy hydration through the query service: prepared and one-shot
-/// backend requests over a lazily opened snapshot answer exactly like
-/// the eagerly opened one, and only the touched columns hydrate.
+/// backend requests over a lazily opened snapshot answer exactly like the
+/// in-memory backend, and only the touched columns hydrate.
 #[test]
-fn service_requests_hydrate_lazily_and_match_eager() {
+fn service_requests_hydrate_lazily_and_match_memory() {
     let sys = paper_system();
     let vocab = sys.ontology().vocab();
     let data = table2_dataset(&sys, 2);
     let path = temp_path();
     write_snapshot(&path, vocab, &data).unwrap();
     let lazy = Snapshot::open(&path, vocab).unwrap();
-    let eager = Snapshot::open_eager(&path, vocab).unwrap();
+    let full = Snapshot::open(&path, vocab).unwrap();
     std::fs::remove_file(&path).ok();
+    full.database().hydrate_all().unwrap();
     assert_eq!(lazy.columns_touched(), 0, "opening alone must hydrate nothing");
+    let memory = MemoryBackend::new(data);
 
     let svc = QueryService::new(
         sys,
@@ -450,21 +314,64 @@ fn service_requests_hydrate_lazily_and_match_eager() {
     let q = word_query(svc.system().ontology(), "RS");
     let id = svc.prepare(&q, Strategy::Tw).unwrap();
     let via_lazy = svc.submit_backend(id, &lazy).unwrap();
-    let via_eager = svc.submit_backend(id, &eager).unwrap();
-    assert_eq!(
-        via_lazy.result().expect("lazy answers").answers,
-        via_eager.result().expect("eager answers").answers,
-    );
+    let via_memory = svc.submit_backend(id, &memory).unwrap();
+    let answers = &via_memory.result().expect("memory answers").answers;
+    assert_eq!(&via_lazy.result().expect("lazy answers").answers, answers);
     let oneshot = svc.answer_backend(&q, &lazy, Strategy::Tw).unwrap();
-    assert_eq!(
-        oneshot.result().expect("one-shot answers").answers,
-        via_eager.result().expect("eager answers").answers,
-    );
+    assert_eq!(&oneshot.result().expect("one-shot answers").answers, answers);
     assert!(lazy.columns_touched() > 0, "answering must have hydrated the joined columns");
     assert!(
-        lazy.bytes_touched() <= eager.bytes_touched(),
+        lazy.bytes_touched() <= full.bytes_touched(),
         "the service path must not hydrate past the full footprint"
     );
+}
+
+/// A request over a snapshot with a corrupt data block gets the typed
+/// store error from the prepared path, the fallback ladder and the
+/// one-engine entry point alike, before anything plans; the data still
+/// opens, and the untouched relations are never read.
+#[test]
+fn corrupt_segment_fails_every_entry_point_typed() {
+    let sys = paper_system();
+    let vocab = sys.ontology().vocab();
+    let data = table2_dataset(&sys, 0);
+    let path = temp_path();
+    write_snapshot(&path, vocab, &data).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Data blocks start on page boundaries after the metadata (which
+    // fits the first page here): flip the first byte of every page past
+    // it, so every block the query joins is corrupt.
+    assert!(bytes.len() > 4096, "the fixture has a data region");
+    for page in (4096..bytes.len()).step_by(4096) {
+        bytes[page] ^= 0x01;
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    let snap = Snapshot::open(&path, vocab).expect("open reads only the metadata");
+    std::fs::remove_file(&path).ok();
+    let q = word_query(sys.ontology(), "RS");
+    let is_store =
+        |e: &ObdaError| matches!(e, ObdaError::Store(StoreError::ChecksumMismatch { .. }));
+
+    let spec = BudgetSpec::unlimited();
+    let cfg = EngineConfig::default();
+    let err = sys
+        .answer_with_budget_engine_backend_traced(
+            &q,
+            &snap,
+            Strategy::Tw,
+            &spec,
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .unwrap_err();
+    assert!(is_store(&err), "{err}");
+    let report = sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &spec);
+    assert_eq!(report.attempts.len(), 1, "the ladder stops on corrupt data:\n{report}");
+    assert!(report.final_error().is_some_and(|e| is_store(&e)), "{report}");
+    let omq = sys.prepare(&q, Strategy::Tw).unwrap();
+    let err = omq.hydrate(snap.database(), &cfg, Telemetry::disabled()).unwrap_err();
+    assert!(is_store(&err), "{err}");
+    assert_eq!(snap.bytes_touched(), 0, "nothing that failed verification counts as resident");
 }
 
 /// `read_info` (the `dbinfo` entry point) reports the structure the
@@ -500,51 +407,28 @@ fn run_dbinfo(path: &std::path::Path) -> (i32, String, String) {
 
 /// Pins `obda dbinfo`'s flag reporting: known bits are printed by name,
 /// an unknown-but-optional bit from a future writer is called out as
-/// tolerated (and still exits 0), an unknown *required* bit refuses with
-/// the snapshot exit code, and the layout/index lines track the form.
+/// tolerated (and still exits 0), and an unknown *required* bit — the
+/// retired footer bit among them — or a retired version refuses with the
+/// snapshot exit code.
 #[test]
-fn dbinfo_prints_known_and_unknown_flags_layout_and_index_source() {
+fn dbinfo_prints_known_and_unknown_flags() {
     let sys = paper_system();
     let vocab = sys.ontology().vocab();
     let data = table2_dataset(&sys, 0);
     let path = temp_path();
 
-    // The default v2 inline writer: stats + indexes, no unknown bits.
+    // The writer: stats + indexes, no unknown bits.
     write_snapshot(&path, vocab, &data).unwrap();
     let (code, out, err) = run_dbinfo(&path);
     assert_eq!(code, 0, "stderr: {err}");
+    assert!(out.contains("format version: 2"), "stdout: {out}");
     assert!(out.contains("(known: stats, indexes)"), "stdout: {out}");
     assert!(!out.contains("unknown:"), "no unknown bits to report: {out}");
-    assert!(out.contains("layout:         inline"), "stdout: {out}");
-    assert!(out.contains("indexes:        embedded"), "stdout: {out}");
-
-    // The footer form grown by the appender names both extra bits.
-    write_snapshot_footer(&path, vocab, &data).unwrap();
-    let mut delta = DataInstance::new();
-    let c = delta.constant("dbinfo-fresh-constant");
-    let class = data.class_atoms().next().map(|(cl, _)| cl);
-    if let Some(class) = class {
-        // Appending needs a predicate absent from the base file: drop the
-        // class segments from the base by rebuilding it property-only.
-        let mut base = DataInstance::new();
-        for (p, a, b) in data.prop_atoms() {
-            let x = base.constant(data.constant_name(a));
-            let y = base.constant(data.constant_name(b));
-            base.add_prop_atom(p, x, y);
-        }
-        write_snapshot_footer(&path, vocab, &base).unwrap();
-        delta.add_class_atom(class, c);
-        append_snapshot(&path, vocab, &delta).unwrap();
-        let (code, out, _) = run_dbinfo(&path);
-        assert_eq!(code, 0);
-        assert!(out.contains("(known: stats, indexes, footer, appended)"), "stdout: {out}");
-        assert!(out.contains("layout:         footer (appendable, has appended segments)"));
-    }
 
     // An unknown *optional* (upper-half) flag bit — a future writer's
     // hint — is tolerated and reported. Flags live at header bytes 8..12.
-    write_snapshot(&path, vocab, &data).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let mut bytes = pristine.clone();
     bytes[10] |= 0x02; // bit 17
     std::fs::write(&path, &bytes).unwrap();
     let (code, out, err) = run_dbinfo(&path);
@@ -553,22 +437,23 @@ fn dbinfo_prints_known_and_unknown_flags_layout_and_index_source() {
     assert!(out.contains("optional bits tolerated"), "stdout: {out}");
     assert!(out.contains("(known: stats, indexes;"), "known names still print: {out}");
 
-    // An unknown *required* (lower-half) bit refuses with the snapshot
-    // exit code (3), naming the bit.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[10] &= !0x02;
-    bytes[8] |= 0x08; // bit 3: required, unknown
+    // Unknown *required* (lower-half) bits refuse with the snapshot exit
+    // code (3), naming the bit: bit 3, and bit 2 (the retired footer form).
+    for (bit, name) in [(0x08u8, "0x8"), (0x04, "0x4")] {
+        let mut bytes = pristine.clone();
+        bytes[8] |= bit;
+        std::fs::write(&path, &bytes).unwrap();
+        let (code, _, err) = run_dbinfo(&path);
+        assert_eq!(code, 3, "unknown required bits are incompatibility, stderr: {err}");
+        assert!(err.contains(&format!("unknown required flags set: {name}")), "stderr: {err}");
+    }
+
+    // A retired version-1 header refuses the same way.
+    let mut bytes = pristine;
+    bytes[4] = 1;
     std::fs::write(&path, &bytes).unwrap();
     let (code, _, err) = run_dbinfo(&path);
-    assert_eq!(code, 3, "unknown required bits are incompatibility, stderr: {err}");
-
-    // A v1 file: flat layout, no flags, everything derived on open.
-    std::fs::write(&path, obda::store::snapshot_bytes_legacy(vocab, &data)).unwrap();
-    let (code, out, _) = run_dbinfo(&path);
-    assert_eq!(code, 0);
-    assert!(out.contains("(known: none)"), "stdout: {out}");
-    assert!(out.contains("layout:         flat (v1)"), "stdout: {out}");
-    assert!(out.contains("stats:          derived"), "stdout: {out}");
-    assert!(out.contains("indexes:        derived"), "stdout: {out}");
+    assert_eq!(code, 3, "stderr: {err}");
+    assert!(err.contains("unsupported snapshot version 1"), "stderr: {err}");
     std::fs::remove_file(&path).ok();
 }
