@@ -21,7 +21,8 @@ use obda_owlql::parser::ParseError;
 use obda_owlql::saturation::Taxonomy;
 use obda_owlql::Ontology;
 use obda_rewrite::adaptive::AdaptiveRewriter;
-use obda_rewrite::omq::{add_inconsistency_clauses, Omq, RewriteError, Rewriter};
+use obda_rewrite::omq::{add_inconsistency_clauses, star_lift, Omq, RewriteError, Rewriter};
+use obda_rewrite::tree_witness::TreeWitnessMemo;
 use obda_rewrite::twstar::inline_single_definitions;
 use obda_rewrite::{
     LinRewriter, LogRewriter, PrestoLikeRewriter, TwRewriter, TwUcqRewriter, UcqRewriter,
@@ -699,13 +700,16 @@ impl fmt::Display for PipelineReport {
 pub struct ObdaSystem {
     ontology: Ontology,
     taxonomy: Taxonomy,
+    /// Tree-witness generators by candidate shape, shared by every
+    /// rewriting over `ontology` (DESIGN §16).
+    tree_witness_memo: TreeWitnessMemo,
 }
 
 impl ObdaSystem {
     /// Builds a system from a normalised ontology.
     pub fn new(ontology: Ontology) -> Self {
         let taxonomy = ontology.taxonomy();
-        ObdaSystem { ontology, taxonomy }
+        ObdaSystem { ontology, taxonomy, tree_witness_memo: TreeWitnessMemo::new() }
     }
 
     /// Parses the ontology from the textual syntax.
@@ -729,7 +733,7 @@ impl ObdaSystem {
         let sat = telem.span("saturate");
         let taxonomy = ontology.taxonomy();
         sat.end();
-        Ok(ObdaSystem { ontology, taxonomy })
+        Ok(ObdaSystem { ontology, taxonomy, tree_witness_memo: TreeWitnessMemo::new() })
     }
 
     /// The ontology.
@@ -740,6 +744,17 @@ impl ObdaSystem {
     /// The saturated taxonomy.
     pub fn taxonomy(&self) -> &Taxonomy {
         &self.taxonomy
+    }
+
+    /// The tree-witness memo every rewriting of this system shares.
+    pub fn tree_witness_memo(&self) -> &TreeWitnessMemo {
+        &self.tree_witness_memo
+    }
+
+    /// The OMQ `(T, query)`, enumerating tree witnesses through the
+    /// system's memo.
+    fn omq<'a>(&'a self, query: &'a Cq) -> Omq<'a> {
+        Omq::new(&self.ontology, query).with_tree_witness_memo(&self.tree_witness_memo)
     }
 
     /// Parses a CQ against the ontology's vocabulary.
@@ -773,7 +788,7 @@ impl ObdaSystem {
         // Fail fast when the deadline has already passed, instead of letting
         // a small rewriting slip through before the first amortised check.
         budget.check_time().map_err(|e| RewriteError::from_budget(e, 0, 0))?;
-        let omq = Omq { ontology: &self.ontology, query };
+        let omq = self.omq(query);
         let rewritten = match strategy {
             Strategy::Lin => LinRewriter::default().rewrite_budgeted(&omq, budget)?,
             Strategy::Log => LogRewriter::default().rewrite_budgeted(&omq, budget)?,
@@ -804,27 +819,14 @@ impl ObdaSystem {
         strategy: Strategy,
         budget: &mut Budget,
     ) -> Result<NdlQuery, ObdaError> {
-        let omq = Omq { ontology: &self.ontology, query };
         let mut complete = self.rewrite_complete_budgeted(query, strategy, budget)?;
         if self.ontology.has_negative_axioms() {
-            add_inconsistency_clauses(&mut complete, &self.taxonomy, &omq);
+            add_inconsistency_clauses(&mut complete, &self.taxonomy, &self.omq(query));
         }
         if strategy.produces_arbitrary() && !self.ontology.has_negative_axioms() {
             return Ok(complete);
         }
-        let vocab = self.ontology.vocab();
-        let starred = if obda_ndl::analysis::is_linear(&complete.program) {
-            obda_ndl::star::linear_star_transform(&complete, &self.taxonomy, vocab)
-        } else {
-            obda_ndl::star::star_transform(&complete, &self.taxonomy, vocab)
-        };
-        let before = complete.program.num_clauses();
-        let after = starred.program.num_clauses();
-        budget.charge_clauses(after.saturating_sub(before) as u64).map_err(|e| {
-            let atoms = starred.program.clauses().iter().map(|c| c.body.len()).sum();
-            ObdaError::Rewrite(RewriteError::from_budget(e, after, atoms))
-        })?;
-        Ok(starred)
+        Ok(star_lift(&complete, &self.taxonomy, self.ontology.vocab(), budget)?)
     }
 
     /// Answers the OMQ over a data instance by rewriting and evaluating.
@@ -1624,6 +1626,30 @@ mod tests {
             assert_eq!(res.answers, oracle, "strategy {strategy}");
         }
         assert!(!oracle.is_empty());
+    }
+
+    /// Preparing an alpha-renamed query a second time on the same system
+    /// answers every tree-witness candidate from the system's memo: no
+    /// candidate misses, so no homomorphism search runs and no generator
+    /// model is built, and the rewriting is the same.
+    #[test]
+    fn alpha_renamed_prepare_is_answered_by_the_tree_witness_memo() {
+        let sys = system();
+        let memo = sys.tree_witness_memo();
+        let text = "q(x0, x5) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4), R(x4, x5)";
+        let first = sys.prepare(&sys.parse_query(text).unwrap(), Strategy::Adaptive).unwrap();
+        let (hits, misses, entries) = (memo.hits(), memo.misses(), memo.len());
+        assert!(misses > 0 && entries > 0);
+        let renamed = sys.parse_query(&text.replace('x', "fresh_")).unwrap();
+        let second = sys.prepare(&renamed, Strategy::Adaptive).unwrap();
+        assert_eq!(memo.misses(), misses, "a renamed query must not search");
+        assert!(memo.hits() > hits);
+        assert_eq!(memo.len(), entries);
+        assert_eq!(
+            second.rewriting().program.clauses(),
+            first.rewriting().program.clauses(),
+            "same rewriting"
+        );
     }
 
     #[test]

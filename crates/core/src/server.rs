@@ -788,7 +788,10 @@ fn route(inner: &ServerInner, req: &Request) -> HttpOut {
                 HttpOut::new(200, "OK", "ready\n")
             }
         }
-        ("GET", "/metrics") => HttpOut::new(200, "OK", inner.service.metrics().render_text()),
+        ("GET", "/metrics") => {
+            publish_rewrite_metrics(inner);
+            HttpOut::new(200, "OK", inner.service.metrics().render_text())
+        }
         ("GET", "/explain") => handle_explain(inner, req),
         ("POST", "/query") => handle_query(inner, req),
         ("POST", "/shutdown") => {
@@ -831,6 +834,15 @@ fn requested_strategy(req: &Request, from: Option<&str>) -> Result<Strategy, Htt
             HttpOut::new(400, "Bad Request", format!("error: unknown strategy '{name}'\n"))
         }),
     }
+}
+
+/// Copies the system's tree-witness memo totals into the registry.
+fn publish_rewrite_metrics(inner: &ServerInner) {
+    let memo = inner.service.system().tree_witness_memo();
+    let metrics = inner.service.metrics();
+    metrics.counter("rewrite_tree_witness_memo_hits_total").raise_to(memo.hits());
+    metrics.counter("rewrite_tree_witness_memo_misses_total").raise_to(memo.misses());
+    metrics.gauge("rewrite_tree_witness_memo_entries").set(memo.len() as i64);
 }
 
 /// Looks the OMQ up in the bounded LRU or prepares it (classify +

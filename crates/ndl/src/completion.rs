@@ -129,6 +129,7 @@ mod tests {
     use crate::program::{Clause, NdlQuery};
     use crate::relevance::prune_for_goal;
     use crate::star::star_transform;
+    use obda_budget::Budget;
     use obda_owlql::parser::parse_ontology;
     use obda_owlql::Ontology;
 
@@ -156,7 +157,8 @@ mod tests {
             body,
             num_vars,
         });
-        let star = star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v);
+        let star = star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v, &mut Budget::unlimited())
+            .unwrap();
         prune_for_goal(&star).query.program
     }
 

@@ -1076,7 +1076,13 @@ mod tests {
             ],
             num_vars: 4,
         });
-        let starred = crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v);
+        let starred = crate::star::star_transform(
+            &NdlQuery::new(p, g),
+            &o.taxonomy(),
+            v,
+            &mut Budget::unlimited(),
+        )
+        .unwrap();
         (starred, d)
     }
 
@@ -1291,7 +1297,13 @@ mod tests {
                 })
                 .collect();
             p.add_clause(Clause { head: g, head_args: head, body, num_vars: 3 });
-            crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v)
+            crate::star::star_transform(
+                &NdlQuery::new(p, g),
+                &o.taxonomy(),
+                v,
+                &mut Budget::unlimited(),
+            )
+            .unwrap()
         };
         // R*'s second column is dead here, so the engine sees R*↓.
         let projected = starred(vec![CVar(0)], vec![("R", [0, 1]), ("S", [0, 2])]);
@@ -1563,7 +1575,13 @@ mod tests {
         let s = p.edb_prop(v.get_prop("S").unwrap(), v);
         let g = p.add_pred("G", 2, PredKind::Idb);
         p.add_clause(clause(g, &[0, 2], vec![atom(r, &[0, 1]), atom(s, &[1, 2])]));
-        let q = crate::star::star_transform(&NdlQuery::new(p, g), &o.taxonomy(), v);
+        let q = crate::star::star_transform(
+            &NdlQuery::new(p, g),
+            &o.taxonomy(),
+            v,
+            &mut Budget::unlimited(),
+        )
+        .unwrap();
         let db = Database::new(&d);
         let oracle = oracle(&q, &d);
         for cfg in [EngineConfig::unpruned(), EngineConfig::default()] {

@@ -21,6 +21,7 @@
 //! `≤ w + 1`.
 
 use crate::program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program};
+use obda_budget::{Budget, BudgetExceeded};
 use obda_owlql::axiom::ClassExpr;
 use obda_owlql::saturation::Taxonomy;
 use obda_owlql::util::FxHashMap;
@@ -85,9 +86,28 @@ fn implying_atoms(
     out
 }
 
+/// Adds a clause the transformation introduced, charging it to `budget`
+/// first, so a clause cap trips as soon as it is crossed.
+fn add_charged(
+    program: &mut Program,
+    clause: Clause,
+    budget: &mut Budget,
+) -> Result<(), BudgetExceeded> {
+    budget.charge_clauses(1)?;
+    program.add_clause(clause);
+    Ok(())
+}
+
 /// The naive `*`-transformation: every EDB predicate `S` of the rewriting
 /// becomes an IDB predicate `S*` defined from the atoms that imply it.
-pub fn star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Vocab) -> NdlQuery {
+/// Each defining clause is charged to `budget` as it is added (the input's
+/// own clauses were charged by whoever built them).
+pub fn star_transform(
+    query: &NdlQuery,
+    taxonomy: &Taxonomy,
+    vocab: &Vocab,
+    budget: &mut Budget,
+) -> Result<NdlQuery, BudgetExceeded> {
     let mut out = Program::new();
     let mut pred_map: FxHashMap<PredId, PredId> = FxHashMap::default();
     // Recreate predicates: EDB → starred IDB; IDB → as-is.
@@ -130,15 +150,16 @@ pub fn star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Vocab) -> N
         let fresh = CVar(arity);
         for (body, uses_fresh) in implying_atoms(&mut out, info.kind, &args, fresh, taxonomy, vocab)
         {
-            out.add_clause(Clause {
-                head: pred_map[&p],
-                head_args: args.clone(),
-                body,
-                num_vars: arity + u32::from(uses_fresh),
-            });
+            let head = pred_map[&p];
+            let num_vars = arity + u32::from(uses_fresh);
+            add_charged(
+                &mut out,
+                Clause { head, head_args: args.clone(), body, num_vars },
+                budget,
+            )?;
         }
     }
-    NdlQuery::new(out, pred_map[&query.goal])
+    Ok(NdlQuery::new(out, pred_map[&query.goal]))
 }
 
 /// Lemma 3: the linearity-preserving `*`-transformation.
@@ -147,9 +168,18 @@ pub fn star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Vocab) -> N
 /// if any) becomes a chain of fresh predicates threading the bound variables
 /// forward, with each `Eᵢ` replaced by one of the atoms in `υ(Eᵢ)`.
 ///
+/// Each chain clause is charged to `budget` as it is added; the final
+/// clause of a chain stands for the input clause, which is already paid
+/// for.
+///
 /// # Panics
 /// Panics if the input program is not linear.
-pub fn linear_star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Vocab) -> NdlQuery {
+pub fn linear_star_transform(
+    query: &NdlQuery,
+    taxonomy: &Taxonomy,
+    vocab: &Vocab,
+    budget: &mut Budget,
+) -> Result<NdlQuery, BudgetExceeded> {
     assert!(crate::analysis::is_linear(&query.program), "input must be linear");
     let mut out = Program::new();
     let mut pred_map: FxHashMap<PredId, PredId> = FxHashMap::default();
@@ -233,7 +263,8 @@ pub fn linear_star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Voca
                     body.push(prev_atom.clone());
                 }
                 body.extend(variant);
-                out.add_clause(Clause { head: stage, head_args: keep.clone(), body, num_vars });
+                let clause = Clause { head: stage, head_args: keep.clone(), body, num_vars };
+                add_charged(&mut out, clause, budget)?;
             }
             prev = Some((BodyAtom::Pred(stage, keep.clone()), keep));
         }
@@ -251,7 +282,7 @@ pub fn linear_star_transform(query: &NdlQuery, taxonomy: &Taxonomy, vocab: &Voca
             num_vars,
         });
     }
-    NdlQuery::new(out, pred_map[&query.goal])
+    Ok(NdlQuery::new(out, pred_map[&query.goal]))
 }
 
 fn sorted_dedup(mut v: Vec<CVar>) -> Vec<CVar> {
@@ -317,7 +348,7 @@ mod tests {
         let (o, d) = fixture();
         let tx = o.taxonomy();
         let q = sample(&o);
-        let starred = star_transform(&q, &tx, o.vocab());
+        let starred = star_transform(&q, &tx, o.vocab(), &mut Budget::unlimited()).unwrap();
         let r_star = evaluate(&starred, &Database::new(&d)).unwrap();
         let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
         assert_eq!(r_star.answers, r_complete.answers);
@@ -331,7 +362,7 @@ mod tests {
         let tx = o.taxonomy();
         let q = sample(&o);
         assert!(is_linear(&q.program));
-        let starred = linear_star_transform(&q, &tx, o.vocab());
+        let starred = linear_star_transform(&q, &tx, o.vocab(), &mut Budget::unlimited()).unwrap();
         assert!(is_linear(&starred.program), "Lemma 3 must preserve linearity");
         let r_lin = evaluate(&starred, &Database::new(&d)).unwrap();
         let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
@@ -345,7 +376,7 @@ mod tests {
         let (o, _) = fixture();
         let tx = o.taxonomy();
         let q = sample(&o);
-        let starred = star_transform(&q, &tx, o.vocab());
+        let starred = star_transform(&q, &tx, o.vocab(), &mut Budget::unlimited()).unwrap();
         // R* and B* are IDB, so the main clause has two IDB atoms.
         assert!(!is_linear(&starred.program));
     }
@@ -365,7 +396,7 @@ mod tests {
             num_vars: 2,
         });
         let q = NdlQuery::new(p, g);
-        let starred = star_transform(&q, &tx, v);
+        let starred = star_transform(&q, &tx, v, &mut Budget::unlimited()).unwrap();
         let d = parse_data("B(a)\nB(b)\n", &o).unwrap();
         let res = evaluate(&starred, &Database::new(&d)).unwrap();
         // R*(x,x) holds for every individual.
@@ -391,7 +422,7 @@ mod tests {
             num_vars: 2,
         });
         let q = NdlQuery::new(p, g);
-        let starred = linear_star_transform(&q, &tx, v);
+        let starred = linear_star_transform(&q, &tx, v, &mut Budget::unlimited()).unwrap();
         let r_lin = evaluate(&starred, &Database::new(&d)).unwrap();
         let r_complete = evaluate(&q, &Database::new(&d.complete(&tx))).unwrap();
         assert_eq!(r_lin.answers, r_complete.answers);

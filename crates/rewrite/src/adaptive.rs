@@ -202,7 +202,7 @@ mod tests {
         .unwrap();
         let q = parse_cq("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)", &o).unwrap();
         let d = parse_data("P(w, a)\nR(a, b)\nR(b, c)\nS(c, d)\nR(d, e)\n", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let adaptive = AdaptiveRewriter { stats: DataStats::of(&d) };
         let (rw, winner, cost) = adaptive.rewrite_with_report(&omq).unwrap();
         assert!(cost.is_finite());
@@ -221,7 +221,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- P(x, y), P(y, z)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let adaptive = AdaptiveRewriter::default();
         let (_, winner, _) = adaptive.rewrite_with_report(&omq).unwrap();
         assert!(winner == "Tw" || winner == "Tw*", "Lin/Log cannot handle infinite depth");
@@ -236,7 +236,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x0, x4) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let subsets =
             connected_existential_subsets(&q, TwRewriter::default().tree_witness_cap).len();
         CANDIDATES_VISITED.with(|c| c.set(0));
@@ -261,7 +261,7 @@ mod tests {
     fn cost_scales_with_data() {
         let o = parse_ontology("Class A\nProperty R\n").unwrap();
         let q = parse_cq("q(x) :- R(x, y), A(y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = TwRewriter::default().rewrite_complete(&omq).unwrap();
         let small = DataStats {
             domain_size: 10,

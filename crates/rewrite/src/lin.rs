@@ -264,7 +264,7 @@ mod tests {
     fn produces_linear_program() {
         let o = example_11_ontology();
         let q = parse_cq("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = LinRewriter::default().rewrite_complete(&omq).unwrap();
         assert!(is_linear(&rw.program));
         // Width ≤ 2ℓ = 4 for a linear query.
@@ -279,7 +279,7 @@ mod tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LinRewriter::default(), &omq, &tx).unwrap();
         assert!(is_linear(&rw.program), "Lemma 3 preserves linearity");
@@ -299,7 +299,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q() :- P(x, y), B(y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LinRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
@@ -319,7 +319,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(c) :- P(c, l1), P(c, l2), B(l1), C(l2)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LinRewriter::default(), &omq, &tx).unwrap();
         // u: anonymous witness covers l1 but not l2 (C is not implied).
@@ -334,7 +334,7 @@ mod tests {
     fn rejects_cyclic_query() {
         let o = example_11_ontology();
         let q = parse_cq("q() :- R(x, y), R(y, z), R(z, x)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         assert_eq!(
             LinRewriter::default().rewrite_complete(&omq).unwrap_err(),
             RewriteError::NotTreeShaped
@@ -349,7 +349,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- P(x, y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         assert_eq!(
             LinRewriter::default().rewrite_complete(&omq).unwrap_err(),
             RewriteError::InfiniteDepth

@@ -313,7 +313,7 @@ mod tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
@@ -332,7 +332,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- R(x, y), R(y, z), R(z, w), R(w, x)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("R(a, b)\nR(b, c)\nR(c, d)\nR(d, a)\nR(e, e)\n", &o).unwrap();
@@ -351,7 +351,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q() :- P(x, y), S(y, z), B(z)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&LogRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
@@ -370,7 +370,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- P(x, y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         assert_eq!(
             LogRewriter::default().rewrite_complete(&omq).unwrap_err(),
             RewriteError::InfiniteDepth

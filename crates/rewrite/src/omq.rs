@@ -1,5 +1,6 @@
 //! Ontology-mediated queries and the rewriter interface.
 
+use crate::tree_witness::TreeWitnessMemo;
 use obda_budget::{Budget, BudgetExceeded};
 use obda_cq::query::Cq;
 use obda_ndl::program::{BodyAtom, CVar, Clause, NdlQuery, Program};
@@ -7,7 +8,7 @@ use obda_ndl::star::{linear_star_transform, star_transform};
 use obda_owlql::axiom::ClassExpr;
 use obda_owlql::ontology::Ontology;
 use obda_owlql::saturation::Taxonomy;
-use obda_owlql::vocab::Role;
+use obda_owlql::vocab::{Role, Vocab};
 use std::fmt;
 
 /// An ontology-mediated query `Q(x) = (T, q(x))`.
@@ -17,6 +18,22 @@ pub struct Omq<'a> {
     pub ontology: &'a Ontology,
     /// The CQ `q(x)`.
     pub query: &'a Cq,
+    /// Tree-witness generators already searched over `T`, shared across
+    /// queries; without one every enumeration searches every candidate.
+    pub tree_witness_memo: Option<&'a TreeWitnessMemo>,
+}
+
+impl<'a> Omq<'a> {
+    /// The OMQ `(ontology, query)`, without a tree-witness memo.
+    pub fn new(ontology: &'a Ontology, query: &'a Cq) -> Self {
+        Omq { ontology, query, tree_witness_memo: None }
+    }
+
+    /// The same OMQ, enumerating its tree witnesses through `memo`, which
+    /// must only ever serve OMQs over this ontology.
+    pub fn with_tree_witness_memo(self, memo: &'a TreeWitnessMemo) -> Self {
+        Omq { tree_witness_memo: Some(memo), ..self }
+    }
 }
 
 /// Why a rewriter refused an OMQ.
@@ -151,20 +168,29 @@ pub fn rewrite_arbitrary_budgeted(
     budget: &mut Budget,
 ) -> Result<NdlQuery, RewriteError> {
     let complete = rewriter.rewrite_budgeted(omq, budget)?;
-    let vocab = omq.ontology.vocab();
+    star_lift(&complete, taxonomy, omq.ontology.vocab(), budget)
+}
+
+/// Lifts a rewriting over complete instances to arbitrary ones with the
+/// `*`-transformation (Lemma 3's linear variant when the program is
+/// linear). Each clause the transformation adds is charged to `budget` as
+/// it is built; a trip reports the size of the rewriting being lifted.
+pub fn star_lift(
+    complete: &NdlQuery,
+    taxonomy: &Taxonomy,
+    vocab: &Vocab,
+    budget: &mut Budget,
+) -> Result<NdlQuery, RewriteError> {
     let starred = if obda_ndl::analysis::is_linear(&complete.program) {
-        linear_star_transform(&complete, taxonomy, vocab)
+        linear_star_transform(complete, taxonomy, vocab, budget)
     } else {
-        star_transform(&complete, taxonomy, vocab)
+        star_transform(complete, taxonomy, vocab, budget)
     };
-    // Charge the delta added by the star transformation.
-    let before = complete.program.clauses().len();
-    let after = starred.program.clauses().len();
-    let atoms: usize = starred.program.clauses().iter().map(|c| c.body.len()).sum();
-    budget
-        .charge_clauses(after.saturating_sub(before) as u64)
-        .map_err(|e| RewriteError::from_budget(e, after, atoms))?;
-    Ok(starred)
+    starred.map_err(|e| {
+        let clauses = complete.program.num_clauses();
+        let atoms = complete.program.clauses().iter().map(|c| c.body.len()).sum();
+        RewriteError::from_budget(e, clauses, atoms)
+    })
 }
 
 /// Adds the inconsistency clauses of Section 2's final remark: if the
@@ -254,7 +280,7 @@ mod tests {
     fn omq_construction() {
         let o = parse_ontology("Class A\n").unwrap();
         let q = parse_cq("q(x) :- A(x)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         assert_eq!(omq.query.num_atoms(), 1);
     }
 }

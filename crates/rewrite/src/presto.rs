@@ -500,7 +500,7 @@ mod tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = PrestoLikeRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
             .unwrap();
@@ -520,12 +520,12 @@ mod tests {
         )
         .unwrap();
         let n_short = PrestoLikeRewriter::default()
-            .rewrite_complete(&Omq { ontology: &o, query: &short })
+            .rewrite_complete(&Omq::new(&o, &short))
             .unwrap()
             .program
             .num_clauses();
         let n_long = PrestoLikeRewriter::default()
-            .rewrite_complete(&Omq { ontology: &o, query: &long })
+            .rewrite_complete(&Omq::new(&o, &long))
             .unwrap()
             .program
             .num_clauses();
@@ -540,7 +540,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q() :- P(x, y), B(y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = PrestoLikeRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
         let res = evaluate(&rw, &Database::new(&d)).unwrap();
@@ -569,7 +569,7 @@ mod tw_ucq_tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = TwUcqRewriter::default().rewrite_complete(&omq).unwrap();
         assert_eq!(rw.program.num_clauses(), 9, "Appendix A.6.1 lists exactly 9 CQs");
     }
@@ -582,7 +582,7 @@ mod tw_ucq_tests {
         )
         .unwrap();
         let q = parse_cq("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = TwUcqRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(b, c)\nS(c, d)\n", &o).unwrap();
         let tx = o.taxonomy();

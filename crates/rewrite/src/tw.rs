@@ -603,7 +603,7 @@ mod tests {
         ) {
             let o = random_ontology(&axioms, cyclic);
             let q = random_tree_cq(&edges, &classes, answers);
-            let omq = Omq { ontology: &o, query: &q };
+            let omq = Omq::new(&o, &q);
             let cap = TwRewriter::default().tree_witness_cap;
             let host = tree_witnesses(&omq, cap);
             let mut budget = Budget::unlimited();
@@ -621,7 +621,7 @@ mod tests {
                         .collect(),
                 );
                 let (sub, to_host, atom_map) = materialise_subquery(&q, key);
-                let own = tree_witnesses(&Omq { ontology: &o, query: &sub }, cap);
+                let own = tree_witnesses(&Omq::new(&o, &sub), cap);
                 let own = sorted(
                     own.into_iter()
                         .map(|t| (
@@ -637,6 +637,38 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96 })]
+
+        /// A sequence of queries over one ontology sharing one memo finds
+        /// exactly the tree witnesses each finds without a memo, whatever
+        /// the ontology's depth, the queries' sizes (so word bounds) and
+        /// whether they are Boolean.
+        #[test]
+        fn shared_memo_equals_memo_less_enumeration(
+            axioms in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()), 0..5),
+            cyclic in any::<bool>(),
+            queries in prop::collection::vec(
+                (
+                    prop::collection::vec((any::<u8>(), any::<u8>()), 1..7),
+                    prop::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+                    0u8..4,
+                ),
+                1..6,
+            ),
+        ) {
+            let o = random_ontology(&axioms, cyclic);
+            let memo = crate::tree_witness::TreeWitnessMemo::new();
+            let cap = TwRewriter::default().tree_witness_cap;
+            for (edges, classes, answers) in &queries {
+                let q = random_tree_cq(edges, classes, *answers);
+                let plain = tree_witnesses(&Omq::new(&o, &q), cap);
+                let shared = tree_witnesses(&Omq::new(&o, &q).with_tree_witness_memo(&memo), cap);
+                prop_assert_eq!(shared, plain);
+            }
+        }
+    }
+
     /// `Tw` enumerates the host's tree witnesses once: one visit per
     /// connected existential subset of the whole query, not one
     /// enumeration per subquery.
@@ -648,7 +680,7 @@ mod tests {
             "q() :- R(x0, x1), S(x1, x2), R(x2, x3), R(x3, x4)",
         ] {
             let q = parse_cq(text, &o).unwrap();
-            let omq = Omq { ontology: &o, query: &q };
+            let omq = Omq::new(&o, &q);
             let rw = TwRewriter::default();
             let subsets = connected_existential_subsets(&q, rw.tree_witness_cap).len();
             CANDIDATES_VISITED.with(|c| c.set(0));
@@ -674,7 +706,7 @@ mod tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&TwRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(w2, b)\nR(b, c)\nR(c, e)\nR(e, f)\nS(f, g)\n", &o)
@@ -695,7 +727,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- P(x, y), P(y, z), B(z)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&TwRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(u)\nP(v, w)\nP(w, r)\nB(r)\nB(s)\n", &o).unwrap();
@@ -717,7 +749,7 @@ mod tests {
         // Both variables existential: the match sits entirely below the
         // A-individual, so the Boolean top-clauses G ← A(z) matter.
         let q = parse_cq("q() :- P(x, y), S(y, z)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let tx = o.taxonomy();
         let rw = rewrite_arbitrary(&TwRewriter::default(), &omq, &tx).unwrap();
         let d = parse_data("A(a)\n", &o).unwrap();
@@ -732,7 +764,7 @@ mod tests {
     fn rejects_cyclic_query() {
         let o = example_11_ontology();
         let q = parse_cq("q() :- R(x, y), R(y, z), R(z, x)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         assert_eq!(
             TwRewriter::default().rewrite_complete(&omq).unwrap_err(),
             RewriteError::NotTreeShaped

@@ -388,7 +388,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = UcqRewriter::default().rewrite_complete(&omq).unwrap();
         let d = parse_data("P(w1, a)\nR(a, b)\nP(b, c)\nS(c, d)\n", &o).unwrap();
         let res = evaluate(&rw, &Database::new(&d)).unwrap();
@@ -404,7 +404,7 @@ mod tests {
         )
         .unwrap();
         let q = parse_cq("q(x) :- P(x, y), B(y)", &o).unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let rw = UcqRewriter::default().rewrite_complete(&omq).unwrap();
         // A(a) alone suffices: the disjunct A(x) must be produced (P(x,y)
         // with unbound y after B(y) is rewritten into ∃P⁻, reduced, etc.).
@@ -431,7 +431,7 @@ mod tests {
         .iter()
         .map(|src| {
             let q = parse_cq(src, &o).unwrap();
-            let omq = Omq { ontology: &o, query: &q };
+            let omq = Omq::new(&o, &q);
             UcqRewriter::default().rewrite_complete(&omq).unwrap().program.num_clauses()
         })
         .collect();
@@ -450,7 +450,7 @@ mod tests {
             &o,
         )
         .unwrap();
-        let omq = Omq { ontology: &o, query: &q };
+        let omq = Omq::new(&o, &q);
         let r = UcqRewriter { cap: 3 }.rewrite_complete(&omq);
         assert_eq!(r.unwrap_err(), RewriteError::TooLarge(3));
     }

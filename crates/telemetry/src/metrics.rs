@@ -37,6 +37,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Raise the value to `total` if it is below: mirrors a monotone total
+    /// kept elsewhere, safely under concurrent calls.
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
 }
 
 /// A signed instantaneous value (queue depths, active workers).
@@ -330,6 +336,9 @@ mod tests {
         c.inc();
         reg.clone().counter("requests").add(2);
         assert_eq!(reg.counter("requests").get(), 3);
+        c.raise_to(7);
+        c.raise_to(5);
+        assert_eq!(reg.counter("requests").get(), 7, "raise_to never lowers");
         let g = reg.gauge("active");
         g.set(4);
         g.add(-1);

@@ -62,7 +62,7 @@ fn main() {
     // The adaptive rewriter reports which strategy its cost model picked.
     let query = system.parse_query("q(x) :- involvedIn(x, y), Course(y)").expect("query parses");
     let adaptive = AdaptiveRewriter { stats: DataStats::of(&data) };
-    let omq = Omq { ontology: system.ontology(), query: &query };
+    let omq = Omq::new(system.ontology(), &query);
     let (_, winner, cost) = adaptive.rewrite_with_report(&omq).expect("a strategy applies");
     println!("\nadaptive choice: {winner} (estimated cost {cost:.1})");
 

@@ -489,6 +489,48 @@ fn prepare_under_faults_fails_typed_then_recovers() {
     assert!(svc.prepare(&query, Strategy::Tw).is_ok());
 }
 
+/// A fault injected partway through a tree-witness enumeration leaves the
+/// system's memo as it was, and the next prepare rewrites exactly like a
+/// system that never saw the fault.
+#[test]
+fn tree_witness_fault_leaves_the_memo_untouched() {
+    quiet_injected_panics();
+    const EXAMPLE_11: &str = "P SubPropertyOf S\nP SubPropertyOf R-\n";
+    const TEXT: &str = "q(x0, x5) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4), R(x4, x5)";
+    let (svc, query, reference) = {
+        let _quiet = quiet();
+        let svc = QueryService::new(ObdaSystem::from_text(EXAMPLE_11).unwrap(), Default::default());
+        let warm =
+            svc.system().parse_query("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)").unwrap();
+        svc.prepare(&warm, Strategy::Tw).unwrap();
+        let query = svc.system().parse_query(TEXT).unwrap();
+        let fresh = ObdaSystem::from_text(EXAMPLE_11).unwrap();
+        (svc, query, fresh.rewrite(&fresh.parse_query(TEXT).unwrap(), Strategy::Tw).unwrap())
+    };
+    let memo = svc.system().tree_witness_memo();
+    let entries = memo.len();
+    assert!(entries > 0);
+    for (nth, kind) in [(2, FaultKind::Transient), (6, FaultKind::Panic)] {
+        let plan = FaultPlan::new(17)
+            .with(site::REWRITE_TREE_WITNESS, FaultSpec { kind, trigger: Trigger::Nth(nth) });
+        let guard = plan.install();
+        let err = svc.prepare(&query, Strategy::Tw).unwrap_err();
+        assert!(
+            matches!(err, ObdaError::Transient { .. } | ObdaError::Internal { .. }),
+            "{kind:?} at candidate {nth}: got {err}"
+        );
+        guard.disarm();
+        assert_eq!(memo.len(), entries, "{kind:?} at candidate {nth} stored a shape");
+    }
+    let _quiet = quiet();
+    let id = svc.prepare(&query, Strategy::Tw).unwrap();
+    assert_eq!(
+        svc.prepared(id).unwrap().rewriting().program.clauses(),
+        reference.program.clauses()
+    );
+    assert!(memo.len() > entries, "the completed prepare stores its shapes");
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot store chaos: injected faults on the `.obdb` open path, plus
 // systematically truncated and bit-flipped files. The invariants mirror

@@ -45,7 +45,7 @@ fn zoo_lin_rewriting_structure() {
     // = 4, with one goal clause per viable slice-0 type.
     let sys = system();
     let q = example_8_query(&sys);
-    let omq = Omq { ontology: sys.ontology(), query: &q };
+    let omq = Omq::new(sys.ontology(), &q);
     let rw = LinRewriter::default().rewrite_complete(&omq).unwrap();
     let a = analyze(&rw);
     assert!(a.nonrecursive && a.linear);
@@ -62,7 +62,7 @@ fn zoo_log_rewriting_structure() {
     // 3(t+1) = 6.
     let sys = system();
     let q = example_8_query(&sys);
-    let omq = Omq { ontology: sys.ontology(), query: &q };
+    let omq = Omq::new(sys.ontology(), &q);
     let rw = LogRewriter::default().rewrite_complete(&omq).unwrap();
     let a = analyze(&rw);
     assert!(a.nonrecursive);
@@ -77,7 +77,7 @@ fn zoo_tw_rewriting_structure() {
     // (Lemma 14), width ≤ ℓ + 1 = 3.
     let sys = system();
     let q = example_8_query(&sys);
-    let omq = Omq { ontology: sys.ontology(), query: &q };
+    let omq = Omq::new(sys.ontology(), &q);
     let rw = TwRewriter::default().rewrite_complete(&omq).unwrap();
     let a = analyze(&rw);
     assert!(a.nonrecursive);
@@ -94,7 +94,7 @@ fn figure_2_shape_lin_log_tw_linear_baselines_exponential() {
     let mut counts: Vec<[usize; 5]> = Vec::new();
     for n in [3usize, 6, 9, 12] {
         let q = word_query(sys.ontology(), &SEQUENCES[0][..n]);
-        let omq = Omq { ontology: sys.ontology(), query: &q };
+        let omq = Omq::new(sys.ontology(), &q);
         let lin = LinRewriter::default().rewrite_complete(&omq).unwrap();
         let log = LogRewriter::default().rewrite_complete(&omq).unwrap();
         let tw = TwRewriter::default().rewrite_complete(&omq).unwrap();

@@ -2,12 +2,13 @@
 //! their brute-force oracles: through the chase, and through the pipeline
 //! (every strategy, over a snapshot).
 
-use obda::budget::BudgetSpec;
+use obda::budget::{BudgetSpec, Resource};
 use obda::cq::query::Cq;
 use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::DataInstance;
 use obda::owlql::Ontology;
-use obda::{write_snapshot, ObdaSystem, Snapshot, Strategy, Telemetry};
+use obda::rewrite::RewriteError;
+use obda::{write_snapshot, ObdaError, ObdaSystem, Snapshot, Strategy, Telemetry};
 use obda_chase::answer::{certain_answers, CertainAnswers};
 use obda_chase::homomorphism::HomSearch;
 use obda_chase::linear_walk::linear_boolean_entails;
@@ -173,5 +174,29 @@ fn theorem_17_and_22_through_the_pipeline() {
         let w = parse_word(word);
         let q = word_to_query(&o, &w);
         pipeline_agrees(&o, &q, &d, in_l(&w), &format!("Thm 22 word {word}"));
+    }
+}
+
+/// The `*`-transformation charges each clause as it adds it. The Thm 15
+/// TwUCQ rewriting at `k = 2` fits a 50 000-clause cap over complete
+/// instances, but Lemma 3's linear star chain outgrows it by an order of
+/// magnitude; the budget must stop it within one clause of the cap.
+#[test]
+fn star_transformation_trips_the_clause_cap_as_it_builds() {
+    let h = Hypergraph::random(5, 4, 3, 100);
+    let r = hitting_set_to_omq(&h, 2);
+    let sys = ObdaSystem::new(r.ontology.clone());
+    let cap = 50_000;
+    let complete = sys.rewrite_complete(&r.query, Strategy::TwUcq).unwrap();
+    assert!(complete.program.num_clauses() < cap as usize, "the complete rewriting fits the cap");
+    let spec = BudgetSpec { max_clauses: Some(cap), ..BudgetSpec::unlimited() };
+    match sys.rewrite_budgeted(&r.query, Strategy::TwUcq, &mut spec.start()) {
+        Err(ObdaError::Rewrite(RewriteError::BudgetExceeded { exceeded, .. })) => {
+            assert_eq!(exceeded.resource, Resource::Clauses);
+            assert!(exceeded.spent <= cap + 1, "{} clauses spent of {cap}", exceeded.spent);
+        }
+        other => {
+            panic!("expected a clause-cap trip, got {:?}", other.map(|q| q.program.num_clauses()))
+        }
     }
 }

@@ -330,9 +330,46 @@ fn metrics_parse_as_prometheus_text() {
         "server_handler_spawns_total",
         "server_open_connections",
         "server_latency_seconds_count",
+        "rewrite_tree_witness_memo_hits_total",
+        "rewrite_tree_witness_memo_misses_total",
+        "rewrite_tree_witness_memo_entries",
     ] {
         assert!(samples.iter().any(|(n, _, _)| n == name), "no {name} in\n{body}");
     }
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
+/// The tree-witness memo's counters: the first prepare of a query misses
+/// and stores shapes; an alpha-renamed text, a new prepared-cache entry,
+/// finds every shape and searches nothing.
+#[test]
+fn tree_witness_memo_metrics_count_hits_and_misses() {
+    let _quiet = quiet();
+    let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
+    let addr = handle.addr();
+    let memo = || {
+        let body = get(addr, "/metrics").body;
+        let samples = parse_exposition(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+        let value = |name: &str| {
+            samples.iter().find(|(n, _, _)| n == name).map(|s| s.2).unwrap_or_else(|| {
+                panic!("no {name} in\n{body}");
+            })
+        };
+        (
+            value("rewrite_tree_witness_memo_hits_total"),
+            value("rewrite_tree_witness_memo_misses_total"),
+            value("rewrite_tree_witness_memo_entries"),
+        )
+    };
+    let text = word_query_text("SRRSR");
+    assert_eq!(post_query(addr, "t", &text).status, 200);
+    let (hits, misses, entries) = memo();
+    assert!(misses > 0.0 && entries > 0.0, "first prepare: {misses} misses, {entries} entries");
+    assert_eq!(post_query(addr, "t", &text.replace('x', "renamed_")).status, 200);
+    let (hits2, misses2, entries2) = memo();
+    assert_eq!((misses2, entries2), (misses, entries), "a renamed query must not search");
+    assert!(hits2 > hits, "a renamed query is answered by the memo");
     handle.trigger().shutdown();
     assert!(handle.join());
 }
