@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the substrates: ontology saturation, canonical-model
-//! construction, homomorphism search, and the two NDL evaluators — plus the
-//! head-to-head of the indexed join path against the seed hash-set engine.
+//! construction, homomorphism search, and bottom-up NDL evaluation — plus
+//! the head-to-head of the indexed join path against the seed hash-set
+//! engine.
 //!
 //! Bottom-up evaluation is measured warm: the database memoises the
 //! `*`-completions the engine derives, so every iteration after the first
-//! reuses them. The linear evaluator and the hash-set engine keep no such
-//! memo and derive everything on every call.
+//! reuses them. The hash-set engine keeps no such memo and derives
+//! everything on every call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use obda::budget::Budget;
@@ -14,7 +15,6 @@ use obda_bench::{dataset, paper_system, prefix_query};
 use obda_chase::homomorphism::HomSearch;
 use obda_chase::model::{word_bound, CanonicalModel};
 use obda_ndl::eval::evaluate;
-use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
@@ -46,11 +46,6 @@ fn bench_evaluators(c: &mut Criterion) {
     let db = Database::new(&data);
     let lin = sys.rewrite(&q, Strategy::Lin).unwrap();
     c.bench_function("eval_bottom_up_lin", |b| b.iter(|| black_box(evaluate(&lin, &db).unwrap())));
-    c.bench_function("eval_linear_reachability", |b| {
-        b.iter(|| {
-            black_box(evaluate_linear_on_budgeted(&lin, &db, &mut Budget::unlimited()).unwrap())
-        })
-    });
 }
 
 /// Indexed join path over the shared columnar [`Database`] vs the seed

@@ -53,8 +53,8 @@
 //!   first-request cache-miss cost) to `BENCH_serve.json` (timing-noise
 //!   sensitive, so not part of `all`);
 //! * `benchsoak` — the sustained-load soak: the server with the full
-//!   adaptive overload stack (cost admission, circuit breakers,
-//!   brownout, watchdog) driven over TCP by two well-behaved tenants and
+//!   adaptive overload stack (cost admission, circuit breakers) driven
+//!   over TCP by two well-behaved tenants and
 //!   one abusive tenant while deterministic faults fire server-side;
 //!   asserts every `200` body is oracle-exact and the server survives,
 //!   and writes per-tenant status/latency breakdowns, per-second
@@ -342,7 +342,7 @@ fn benchsoak(_cfg: &Config) {
 
 /// The sustained-load soak behind `BENCH_soak.json`: the in-process
 /// server with the full adaptive overload stack enabled (cost admission,
-/// strategy and tenant circuit breakers, brownout, watchdog), driven
+/// strategy and tenant circuit breakers), driven
 /// over real TCP by two well-behaved tenants and one abusive tenant
 /// whose requests carry deadlines their queries cannot meet — all while
 /// deterministic faults (transient evaluation failures plus handler
@@ -361,8 +361,8 @@ fn benchsoak(cfg: &Config) {
     use obda::server::client;
     use obda::telemetry::Histogram;
     use obda::{
-        BreakerConfig, BrownoutConfig, CostAdmissionConfig, MemoryBackend, OverloadConfig,
-        QueryService, Server, ServerConfig, ServiceConfig, WatchdogConfig,
+        BreakerConfig, CostAdmissionConfig, MemoryBackend, OverloadConfig, QueryService, Server,
+        ServerConfig, ServiceConfig,
     };
     use std::collections::BTreeMap;
 
@@ -399,11 +399,6 @@ fn benchsoak(cfg: &Config) {
             overload: OverloadConfig {
                 breaker: Some(BreakerConfig::default()),
                 cost: Some(CostAdmissionConfig::default()),
-                brownout: Some(BrownoutConfig {
-                    queue_high: Duration::from_millis(50),
-                    ..BrownoutConfig::default()
-                }),
-                watchdog: Some(WatchdogConfig::default()),
             },
         },
     );
@@ -414,21 +409,18 @@ fn benchsoak(cfg: &Config) {
             addr: "127.0.0.1:0".to_owned(),
             max_timeout: cfg.timeout,
             tenant_breaker: Some(BreakerConfig::default()),
-            shed_priority_below: 1,
             ..ServerConfig::default()
         },
     )
     .expect("bind benchsoak server");
-    // The abusive tenant is first against the wall when brownout sheds.
-    server.governor().set_priority("greedy", 0);
     let handle = server.start();
     let addr = handle.addr();
 
     // (tenant, query word, client deadline header, pause between sends).
     // greedy's one-millisecond deadline is one its six-atom query cannot
     // meet: every admitted attempt burns its budget, so the typed
-    // overload machinery — tenant breaker, cost admission, brownout —
-    // is what keeps it from starving everyone else.
+    // overload machinery — tenant breaker, cost admission — is what
+    // keeps it from starving everyone else.
     let word_query = |word: &str| {
         let n = word.len();
         let atoms: Vec<String> =
@@ -693,9 +685,8 @@ fn benchsoak(cfg: &Config) {
          \"faults\": \"engine transient p=0.02, handler panic p=0.002\"}},\n  \
          \"phases\": [\n{}\n  ],\n  \"p99_ratios\": [\n{}\n  ],\n  \
          \"overload_counters\": {{\"tenant_breaker_opened_greedy\": {}, \
-         \"tenant_breaker_rejected_greedy\": {}, \"shed_greedy\": {}, \
-         \"cost_rejected\": {}, \"brownout_entered\": {}, \"brownout_exited\": {}, \
-         \"watchdog_stalls\": {}, \"panics_past_isolation\": {}}},\n  \
+         \"tenant_breaker_rejected_greedy\": {}, \"cost_rejected\": {}, \
+         \"panics_past_isolation\": {}}},\n  \
          \"invariants\": {{\"wrong_200s\": {wrong_total}, \"io_errors\": {io_total}, \
          \"escaped_panics\": {escaped_panics}}},\n  \"trajectory\": [\n{}\n  ]\n}}\n",
         cfg.scale,
@@ -706,11 +697,7 @@ fn benchsoak(cfg: &Config) {
         ratios.join(",\n"),
         metric("server_tenant_breaker_opened_total_greedy "),
         metric("server_tenant_breaker_rejected_total_greedy "),
-        metric("server_shed_total_greedy "),
         metric("service_cost_rejected_total "),
-        metric("service_brownout_entered_total "),
-        metric("service_brownout_exited_total "),
-        metric("service_watchdog_stalls_total "),
         metric("server_panics_total "),
         trajectory.join(",\n"),
     );

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How many [`Budget::tick`] calls go between wall-clock checks.
@@ -39,12 +39,6 @@ pub enum Resource {
     /// carried in the same channel so every budget check doubles as a
     /// cancellation point.
     Cancelled,
-    /// A watchdog cancelled the run because its [`ProgressMeter`] stopped
-    /// ticking: the evaluation was alive but made no observable forward
-    /// progress for the configured window. Like [`Resource::Cancelled`],
-    /// carried in the budget channel so every check is a cancellation
-    /// point — the run ends with a typed error, never an abort.
-    Stalled,
 }
 
 impl fmt::Display for Resource {
@@ -56,7 +50,6 @@ impl fmt::Display for Resource {
             Resource::Tuples => write!(f, "tuples"),
             Resource::ChaseElements => write!(f, "chase elements"),
             Resource::Cancelled => write!(f, "cancelled"),
-            Resource::Stalled => write!(f, "stalled"),
         }
     }
 }
@@ -80,68 +73,12 @@ impl fmt::Display for BudgetExceeded {
                 write!(f, "budget exceeded: {}ms elapsed of {}ms allowed", self.spent, self.limit)
             }
             Resource::Cancelled => write!(f, "evaluation cancelled after a sibling failure"),
-            Resource::Stalled => write!(
-                f,
-                "evaluation stalled: no forward progress for {}ms, cancelled by the watchdog",
-                self.spent
-            ),
             r => write!(f, "budget exceeded: {} {} of {} allowed", self.spent, r, self.limit),
         }
     }
 }
 
 impl std::error::Error for BudgetExceeded {}
-
-/// An externally observable progress signal for one evaluation, shared
-/// between the budget that drives it and a watchdog thread that watches
-/// it. The budget bumps `progress` as work is charged; the watchdog
-/// samples it and, when the count stops moving for its stall window,
-/// calls [`ProgressMeter::cancel_stalled`]. Every subsequent budget
-/// check on the metered run fails with a [`Resource::Stalled`] trip —
-/// cooperative, poison-first, never an abort.
-#[derive(Debug, Default)]
-pub struct ProgressMeter {
-    progress: AtomicU64,
-    cancelled: AtomicBool,
-    stalled_for_ms: AtomicU64,
-}
-
-impl ProgressMeter {
-    /// A fresh meter: zero progress, not cancelled.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Monotone progress count (abstract work units charged so far).
-    pub fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    /// Advances the progress count by `n` units.
-    pub fn bump(&self, n: u64) {
-        self.progress.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Marks the metered run as stalled after `stalled_for` without
-    /// progress. Idempotent; the first call's duration is kept.
-    pub fn cancel_stalled(&self, stalled_for: Duration) {
-        if !self.cancelled.swap(true, Ordering::AcqRel) {
-            self.stalled_for_ms.store(stalled_for.as_millis() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether a watchdog has cancelled the metered run.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-
-    /// The typed trip a cancelled meter turns into at the next budget
-    /// check (`spent`/`limit` both carry the stall window, in ms).
-    pub fn stalled_error(&self) -> BudgetExceeded {
-        let ms = self.stalled_for_ms.load(Ordering::Relaxed);
-        BudgetExceeded { resource: Resource::Stalled, spent: ms, limit: ms }
-    }
-}
 
 /// A declarative budget: what the caps *are*, independent of when the
 /// clock starts. Produced by CLI flags or API callers; call
@@ -202,10 +139,6 @@ pub struct Budget {
     max_tuples: Option<u64>,
     chase_elements: u64,
     max_chase_elements: Option<u64>,
-    /// Optional watchdog hookup: progress is reported here on tick
-    /// boundaries and tuple charges, and a cancelled meter turns the
-    /// next check into a [`Resource::Stalled`] trip.
-    meter: Option<Arc<ProgressMeter>>,
 }
 
 impl Default for Budget {
@@ -230,7 +163,6 @@ impl Budget {
             max_tuples: None,
             chase_elements: 0,
             max_chase_elements: None,
-            meter: None,
         }
     }
 
@@ -260,14 +192,6 @@ impl Budget {
         self
     }
 
-    /// Attaches a watchdog [`ProgressMeter`]: progress is reported to it
-    /// and cancellation is honoured at every amortised check. The meter
-    /// survives [`Budget::renew`] and [`Budget::share`].
-    pub fn with_meter(mut self, meter: Arc<ProgressMeter>) -> Self {
-        self.meter = Some(meter);
-        self
-    }
-
     /// True when nothing can ever trip this budget.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none()
@@ -294,7 +218,6 @@ impl Budget {
             max_tuples: self.max_tuples,
             chase_elements: 0,
             max_chase_elements: self.max_chase_elements,
-            meter: self.meter.clone(),
         }
     }
 
@@ -329,18 +252,8 @@ impl Budget {
                 });
             }
         }
-        if (self.deadline.is_some() || self.meter.is_some())
-            && self.steps.is_multiple_of(TICK_CHECK_INTERVAL)
-        {
-            if let Some(m) = &self.meter {
-                m.bump(TICK_CHECK_INTERVAL);
-                if m.is_cancelled() {
-                    return Err(m.stalled_error());
-                }
-            }
-            if self.deadline.is_some() {
-                self.check_time()?;
-            }
+        if self.deadline.is_some() && self.steps.is_multiple_of(TICK_CHECK_INTERVAL) {
+            self.check_time()?;
         }
         Ok(())
     }
@@ -359,12 +272,6 @@ impl Budget {
     /// Charges `n` derived tuples against the tuple cap.
     pub fn charge_tuples(&mut self, n: u64) -> Result<(), BudgetExceeded> {
         self.tuples += n;
-        if let Some(m) = &self.meter {
-            m.bump(n);
-            if m.is_cancelled() {
-                return Err(m.stalled_error());
-            }
-        }
         match self.max_tuples {
             Some(cap) if self.tuples > cap => {
                 Err(BudgetExceeded { resource: Resource::Tuples, spent: self.tuples, limit: cap })
@@ -449,7 +356,6 @@ impl Budget {
             tuples: AtomicU64::new(self.tuples),
             poisoned: AtomicBool::new(false),
             first_trip: Mutex::new(None),
-            meter: self.meter.clone(),
         }
     }
 
@@ -484,7 +390,6 @@ pub struct SharedBudget {
     tuples: AtomicU64,
     poisoned: AtomicBool,
     first_trip: Mutex<Option<BudgetExceeded>>,
-    meter: Option<Arc<ProgressMeter>>,
 }
 
 impl SharedBudget {
@@ -544,12 +449,6 @@ impl SharedBudget {
         if let Some(e) = self.tripped() {
             return Err(e);
         }
-        if let Some(m) = &self.meter {
-            m.bump(n);
-            if m.is_cancelled() {
-                return Err(self.trip(m.stalled_error()));
-            }
-        }
         let before = self.steps.fetch_add(n, Ordering::Relaxed);
         let after = before + n;
         if let Some(cap) = self.max_steps {
@@ -571,12 +470,6 @@ impl SharedBudget {
     pub fn charge_tuples(&self, n: u64) -> Result<(), BudgetExceeded> {
         if let Some(e) = self.tripped() {
             return Err(e);
-        }
-        if let Some(m) = &self.meter {
-            m.bump(n);
-            if m.is_cancelled() {
-                return Err(self.trip(m.stalled_error()));
-            }
         }
         let after = self.tuples.fetch_add(n, Ordering::Relaxed) + n;
         match self.max_tuples {
@@ -880,64 +773,6 @@ mod tests {
         // Cancelling afterwards reports — and preserves — the first trip.
         assert_eq!(shared.cancel(), first);
         assert_eq!(shared.tripped(), Some(first));
-    }
-
-    #[test]
-    fn cancelled_meter_trips_sequential_budget_as_stalled() {
-        let meter = Arc::new(ProgressMeter::new());
-        let mut b = Budget::unlimited().with_meter(Arc::clone(&meter));
-        // Progress is reported on tick-interval boundaries.
-        for _ in 0..TICK_CHECK_INTERVAL {
-            b.tick().unwrap();
-        }
-        assert_eq!(meter.progress(), TICK_CHECK_INTERVAL);
-        meter.cancel_stalled(Duration::from_millis(250));
-        let err = (0..TICK_CHECK_INTERVAL).find_map(|_| b.tick().err()).unwrap();
-        assert_eq!(err.resource, Resource::Stalled);
-        assert_eq!(err.spent, 250);
-        assert!(err.to_string().contains("stalled"), "{err}");
-        // Tuple charges notice the cancellation immediately.
-        let mut b2 = Budget::unlimited().with_meter(Arc::clone(&meter));
-        assert_eq!(b2.charge_tuples(1).unwrap_err().resource, Resource::Stalled);
-    }
-
-    #[test]
-    fn cancelled_meter_poisons_shared_budget_as_stalled() {
-        let meter = Arc::new(ProgressMeter::new());
-        let b = Budget::unlimited().with_meter(Arc::clone(&meter));
-        let shared = b.share();
-        shared.charge_steps(10).unwrap();
-        assert_eq!(meter.progress(), 10);
-        meter.cancel_stalled(Duration::from_millis(40));
-        // The stall poisons the whole pool: every worker's next check
-        // fails with the same typed trip.
-        assert_eq!(shared.charge_steps(1).unwrap_err().resource, Resource::Stalled);
-        assert_eq!(shared.tripped().unwrap().resource, Resource::Stalled);
-        let mut w = WorkerBudget::new(&shared);
-        assert_eq!(w.flush().unwrap_err().resource, Resource::Stalled);
-    }
-
-    #[test]
-    fn stall_cancellation_keeps_an_earlier_trip() {
-        // Poison-first: a real budget trip that happened before the
-        // watchdog fired stays the reported cause.
-        let meter = Arc::new(ProgressMeter::new());
-        let b = Budget::unlimited().max_tuples(1).with_meter(Arc::clone(&meter));
-        let shared = b.share();
-        let first = shared.charge_tuples(2).unwrap_err();
-        assert_eq!(first.resource, Resource::Tuples);
-        meter.cancel_stalled(Duration::from_millis(5));
-        assert_eq!(shared.charge_steps(1).unwrap_err(), first);
-    }
-
-    #[test]
-    fn meter_cancellation_is_idempotent_and_keeps_first_window() {
-        let meter = ProgressMeter::new();
-        assert!(!meter.is_cancelled());
-        meter.cancel_stalled(Duration::from_millis(100));
-        meter.cancel_stalled(Duration::from_millis(999));
-        assert!(meter.is_cancelled());
-        assert_eq!(meter.stalled_error().spent, 100);
     }
 
     #[test]

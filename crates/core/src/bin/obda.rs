@@ -18,9 +18,7 @@
 //!               [--addr HOST:PORT] [--max-concurrency N] [--max-queue N]
 //!               [--timeout-secs N] [--quota-rate N] [--quota-burst N]
 //!               [--quota-concurrency N] [--drain-secs N] [--cache-capacity N]
-//!               [--brownout-queue-ms N] [--brownout-shed-below P]
 //!               [--breaker-window N] [--breaker-threshold N]
-//!               [--watchdog-stall-ms N] [--tenant-priority NAME=P]...
 //! obda --help
 //! ```
 //!
@@ -72,14 +70,8 @@
 //!
 //! The server runs the adaptive overload stack by default: cost-based
 //! admission (429 when the estimated work exceeds the remaining
-//! deadline), per-strategy and per-tenant circuit breakers
-//! (`--breaker-window`/`--breaker-threshold`), brownout degradation when
-//! queue wait exceeds `--brownout-queue-ms` (polynomial strategies
-//! forced, budgets shrunk, tenants with priority below
-//! `--brownout-shed-below` shed with 503, responses stamped
-//! `X-Obda-Degraded: 1`), and a stuck-evaluation watchdog
-//! (`--watchdog-stall-ms`). `--tenant-priority NAME=P` (repeatable)
-//! ranks tenants for shedding; unnamed tenants default to priority 1.
+//! deadline) and per-strategy and per-tenant circuit breakers
+//! (`--breaker-window`/`--breaker-threshold`).
 //!
 //! Strategies: `lin`, `log`, `tw`, `twstar`, `ucq`, `twucq`, `presto`,
 //! `adaptive` (default).
@@ -107,9 +99,9 @@ use obda::cq::query::Cq;
 use obda::store::{flag_names, unknown_flags};
 use obda::telemetry::{CollectingTracer, MetricsRegistry, Telemetry};
 use obda::{
-    read_info, write_snapshot, BreakerConfig, BrownoutConfig, MemoryBackend, ObdaError, ObdaSystem,
-    OverloadConfig, QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig, Snapshot,
-    StorageBackend, StoreError, Strategy, TenantQuota, WatchdogConfig,
+    read_info, write_snapshot, BreakerConfig, MemoryBackend, ObdaError, ObdaSystem, OverloadConfig,
+    QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig, Snapshot, StorageBackend,
+    StoreError, Strategy, TenantQuota,
 };
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::program::ProgramDisplay;
@@ -148,12 +140,8 @@ struct Args {
     quota_concurrency: Option<usize>,
     drain_secs: Option<f64>,
     cache_capacity: Option<usize>,
-    brownout_queue_ms: Option<f64>,
-    brownout_shed_below: Option<u8>,
     breaker_window: Option<usize>,
     breaker_threshold: Option<usize>,
-    watchdog_stall_ms: Option<f64>,
-    tenant_priorities: Vec<(String, u8)>,
 }
 
 const USAGE: &str = "usage: obda <classify|rewrite|explain|answer> --ontology FILE --query FILE\n\
@@ -167,9 +155,8 @@ const USAGE: &str = "usage: obda <classify|rewrite|explain|answer> --ontology FI
     \x20      obda serve --ontology FILE (--db FILE | --data FILE) [--addr HOST:PORT]\n\
     \x20      [--max-concurrency N] [--max-queue N] [--timeout-secs N]\n\
     \x20      [--quota-rate N] [--quota-burst N] [--quota-concurrency N]\n\
-    \x20      [--drain-secs N] [--cache-capacity N] [--brownout-queue-ms N]\n\
-    \x20      [--brownout-shed-below P] [--breaker-window N] [--breaker-threshold N]\n\
-    \x20      [--watchdog-stall-ms N] [--tenant-priority NAME=P]...\n\
+    \x20      [--drain-secs N] [--cache-capacity N] [--breaker-window N]\n\
+    \x20      [--breaker-threshold N]\n\
     \x20      obda --help";
 
 fn usage() -> ExitCode {
@@ -197,15 +184,10 @@ fn print_help() {
          Retry-After; overload answers 503; budget exhaustion answers 504.\n\
          \nserve overload control (on by default, tuned with the flags below):\n\
          cost-based admission rejects requests whose estimated work exceeds\n\
-         the remaining deadline (429), per-strategy and per-tenant circuit\n\
-         breakers fail fast after repeated failures (503), brownout mode\n\
-         forces polynomial strategies, shrinks budgets and sheds tenants with\n\
-         priority below --brownout-shed-below when queue wait exceeds\n\
-         --brownout-queue-ms (degraded responses carry X-Obda-Degraded: 1),\n\
-         and a watchdog cancels evaluations stalled for --watchdog-stall-ms.\n\
-         --tenant-priority NAME=P (repeatable, default priority 1) ranks\n\
-         tenants for shedding; --breaker-window/--breaker-threshold tune how\n\
-         many failures in the rolling window trip a breaker.\n\
+         the remaining deadline (429), and per-strategy and per-tenant\n\
+         circuit breakers fail fast after repeated failures (503);\n\
+         --breaker-window/--breaker-threshold tune how many failures in the\n\
+         rolling window trip a breaker.\n\
          \nsnapshot hydration (answer with --db): a request hydrates and verifies\n\
          the segments its pruned program joins before it plans, so resident\n\
          bytes track the columns a query actually joins and a corrupt segment\n\
@@ -258,12 +240,8 @@ fn parse_args() -> Option<Args> {
         quota_concurrency: None,
         drain_secs: None,
         cache_capacity: None,
-        brownout_queue_ms: None,
-        brownout_shed_below: None,
         breaker_window: None,
         breaker_threshold: None,
-        watchdog_stall_ms: None,
-        tenant_priorities: Vec::new(),
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -348,16 +326,6 @@ fn parse_args() -> Option<Args> {
                 }
                 args.cache_capacity = Some(n);
             }
-            "--brownout-queue-ms" => {
-                let ms: f64 = argv.next()?.parse().ok()?;
-                if !ms.is_finite() || ms < 0.0 {
-                    return None;
-                }
-                args.brownout_queue_ms = Some(ms);
-            }
-            "--brownout-shed-below" => {
-                args.brownout_shed_below = Some(argv.next()?.parse().ok()?);
-            }
             "--breaker-window" => {
                 let n: usize = argv.next()?.parse().ok()?;
                 if n == 0 {
@@ -371,23 +339,6 @@ fn parse_args() -> Option<Args> {
                     return None;
                 }
                 args.breaker_threshold = Some(n);
-            }
-            "--watchdog-stall-ms" => {
-                let ms: f64 = argv.next()?.parse().ok()?;
-                if !ms.is_finite() || ms <= 0.0 {
-                    return None;
-                }
-                args.watchdog_stall_ms = Some(ms);
-            }
-            // Repeatable NAME=PRIORITY pairs; higher priorities survive
-            // brownout shedding longer.
-            "--tenant-priority" => {
-                let pair = argv.next()?;
-                let (name, prio) = pair.split_once('=')?;
-                if name.is_empty() {
-                    return None;
-                }
-                args.tenant_priorities.push((name.to_owned(), prio.parse().ok()?));
             }
             "--trace" | "--trace=pretty" => args.trace = Some(TraceFormat::Pretty),
             "--trace=json" => args.trace = Some(TraceFormat::Json),
@@ -494,9 +445,6 @@ impl From<ObdaError> for CliError {
             ObdaError::CostRejected { .. } | ObdaError::BreakerOpen { .. } => {
                 CliError::Overloaded(msg)
             }
-            // A stalled evaluation was cancelled by the watchdog: the
-            // evaluation failed, it did not exhaust its budget.
-            ObdaError::Stalled { .. } => CliError::Eval(msg),
         }
     }
 }
@@ -828,18 +776,6 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
     };
     let mut overload = OverloadConfig::enabled();
     overload.breaker = Some(breaker.clone());
-    if let Some(ms) = args.brownout_queue_ms {
-        overload.brownout = Some(BrownoutConfig {
-            queue_high: Duration::from_secs_f64(ms / 1e3),
-            ..BrownoutConfig::default()
-        });
-    }
-    if let Some(ms) = args.watchdog_stall_ms {
-        overload.watchdog = Some(WatchdogConfig {
-            stall_after: Duration::from_secs_f64(ms / 1e3),
-            ..WatchdogConfig::default()
-        });
-    }
     let service = QueryService::new(
         system,
         ServiceConfig {
@@ -870,14 +806,10 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
         cache_capacity: args.cache_capacity.unwrap_or(defaults.cache_capacity),
         default_quota: quota,
         tenant_breaker: Some(breaker),
-        shed_priority_below: args.brownout_shed_below.unwrap_or(defaults.shed_priority_below),
         ..defaults
     };
     let server = Server::bind(service, backend, cfg)
         .map_err(|e| CliError::Internal(format!("cannot bind: {e}")))?;
-    for (tenant, priority) in &args.tenant_priorities {
-        server.governor().set_priority(tenant, *priority);
-    }
     println!("listening on http://{}", server.local_addr());
     let _ = std::io::stdout().flush();
     let handle = server.start();

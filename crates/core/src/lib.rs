@@ -53,9 +53,8 @@ pub use pipeline::{
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::breaker::{BreakerConfig, BreakerSet, CircuitBreaker, Transition};
 pub use service::{
-    BrownoutConfig, CostAdmissionConfig, OverloadConfig, PreparedRun, QueryService, RejectReason,
-    ServiceConfig, ServiceReport, ServiceStats, TenantGovernor, TenantPermit, TenantQuota,
-    WatchdogConfig, DEFAULT_TENANT_PRIORITY,
+    CostAdmissionConfig, OverloadConfig, PreparedRun, QueryService, RejectReason, ServiceConfig,
+    ServiceReport, ServiceStats, TenantGovernor, TenantPermit, TenantQuota,
 };
 
 // The persistent snapshot store: build `.obdb` files with

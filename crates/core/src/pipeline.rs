@@ -11,7 +11,6 @@ use obda_ndl::engine::{
 };
 use obda_ndl::eval::{evaluate, EvalError, EvalResult};
 use obda_ndl::explain::{explain_plan_with, PlanExplanation};
-use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::planner::{plan_query, QueryPlan};
 use obda_ndl::program::{NdlQuery, Program};
 use obda_ndl::relevance::{prune_for_goal, PruneStats, PrunedQuery};
@@ -373,13 +372,6 @@ pub enum ObdaError {
         /// Time left until the breaker half-opens for a probe.
         retry_after: std::time::Duration,
     },
-    /// The stuck-evaluation watchdog cancelled the request: its budget
-    /// progress counters stopped ticking for the configured window. A
-    /// typed outcome — never a wrong answer, never an aborted process.
-    Stalled {
-        /// How long the evaluation made no observable progress.
-        stalled_for: std::time::Duration,
-    },
 }
 
 impl ObdaError {
@@ -398,11 +390,10 @@ impl ObdaError {
             ObdaError::Internal { .. } => false,
             ObdaError::Overloaded { .. } => false,
             ObdaError::QuotaExceeded { .. } => false,
-            // Admission refusals and watchdog stalls are load-control
-            // verdicts, not "the instance is too big for the budget".
+            // Admission refusals are load-control verdicts, not "the
+            // instance is too big for the budget".
             ObdaError::CostRejected { .. } => false,
             ObdaError::BreakerOpen { .. } => false,
-            ObdaError::Stalled { .. } => false,
         }
     }
 
@@ -450,13 +441,6 @@ impl fmt::Display for ObdaError {
                     f,
                     "circuit breaker open for {scope}: retry after {:.3}s",
                     retry_after.as_secs_f64()
-                )
-            }
-            ObdaError::Stalled { stalled_for } => {
-                write!(
-                    f,
-                    "evaluation stalled: no progress for {:.3}s, cancelled by the watchdog",
-                    stalled_for.as_secs_f64()
                 )
             }
         }
@@ -962,27 +946,6 @@ impl ObdaSystem {
         )
     }
 
-    /// [`ObdaSystem::answer_with_fallback`] with every evaluation stage run
-    /// by the parallel, goal-directed engine configured by `cfg`.
-    pub fn answer_with_fallback_engine(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        cfg: &EngineConfig,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Parse(data),
-            preferred,
-            spec,
-            Some(cfg),
-            &RetryPolicy::default(),
-            Telemetry::disabled(),
-        )
-    }
-
     /// [`ObdaSystem::answer_with_fallback`] with full control: an optional
     /// engine configuration (`None` runs [`EngineConfig::unpruned`], as
     /// every ladder entry point without one does) and an explicit
@@ -1053,30 +1016,6 @@ impl ObdaSystem {
             None,
             &RetryPolicy::default(),
             Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback_backend`] with full control:
-    /// optional engine configuration, retry policy, and telemetry.
-    #[allow(clippy::too_many_arguments)] // the traced superset of the backend facade
-    pub fn answer_with_fallback_backend_traced(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-        telem: Telemetry<'_>,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Backend(backend),
-            preferred,
-            spec,
-            engine,
-            retry,
-            telem,
         )
     }
 
@@ -1558,16 +1497,6 @@ impl PreparedOmq {
         }
     }
 
-    /// Evaluates with Theorem 2's reachability engine (the rewriting must
-    /// be linear — see [`PreparedOmq::analysis`]), drawing on `budget`.
-    pub fn execute_linear_budgeted(
-        &self,
-        db: &Database,
-        budget: &mut Budget,
-    ) -> Result<EvalResult, EvalError> {
-        evaluate_linear_on_budgeted(&self.rewriting, db, budget)
-    }
-
     /// Validates the rewriting against the chase oracle on one data
     /// instance: evaluates over `db` (which must be built from `data`) with
     /// the engine at [`EngineConfig::unpruned`] and compares with the
@@ -1692,12 +1621,6 @@ mod tests {
             assert!(prepared.analysis().nonrecursive);
             let res = run(&prepared, &db, &EngineConfig::unpruned());
             assert_eq!(res.answers, oracle, "strategy {strategy}");
-            // Linear rewritings also run on Theorem 2's engine, over the
-            // very same database.
-            if prepared.analysis().linear {
-                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
-                assert_eq!(lin.answers, oracle, "linear strategy {strategy}");
-            }
         }
         assert_eq!(Database::build_count(), before, "execute must not rebuild");
     }
@@ -1806,7 +1729,9 @@ mod tests {
         let spec = BudgetSpec::default();
         let plain = sys.answer_with_fallback(&q, &d, Strategy::Tw, &spec);
         let cfg = EngineConfig { threads: 2, prune: true, ..EngineConfig::default() };
-        let engine = sys.answer_with_fallback_engine(&q, &d, Strategy::Tw, &spec, &cfg);
+        let retry = RetryPolicy::default();
+        let engine =
+            sys.answer_with_fallback_policy(&q, &d, Strategy::Tw, &spec, Some(&cfg), &retry);
         assert_eq!(plain.winning_strategy(), engine.winning_strategy());
         assert_eq!(
             plain.result().map(|r| r.answers.clone()),

@@ -55,16 +55,13 @@
 //! | `QuotaExceeded` (tenant)                    | 429 + `Retry-After`     |
 //! | `CostRejected` (admission estimate)         | 429 + `Retry-After`     |
 //! | `BreakerOpen` (strategy or tenant breaker)  | 503 + `Retry-After`     |
-//! | `Stalled` (watchdog cancellation)           | 503 + `Retry-After`     |
-//! | brownout shed (low-priority tenant)         | 503 + `Retry-After`     |
 //! | draining                                    | 503 + `Retry-After`     |
 //! | oversized body / slow read / malformed HTTP | 413 / 408 / 400         |
 //!
 //! `Retry-After` values that stem from a typed refusal carry
 //! deterministic seeded jitter (base + up to 50%), so a herd of
 //! synchronized clients spreads its retries instead of re-spiking the
-//! governor in lockstep. While brownout is active every `/query`
-//! response additionally carries `X-Obda-Degraded: 1`.
+//! governor in lockstep.
 
 use crate::pipeline::{AttemptClass, ObdaError, PreparedOmq, Strategy};
 use crate::service::breaker::{BreakerConfig, BreakerSet};
@@ -119,13 +116,9 @@ pub struct ServerConfig {
     /// Quota applied to tenants never registered explicitly.
     pub default_quota: TenantQuota,
     /// Per-tenant circuit breakers: a tenant whose requests keep burning
-    /// budget (or stalling) is refused fast instead of re-occupying
-    /// slots. `None` disables.
+    /// budget is refused fast instead of re-occupying slots. `None`
+    /// disables.
     pub tenant_breaker: Option<BreakerConfig>,
-    /// While brownout is active, tenants whose
-    /// [`priority`](TenantGovernor::priority) is *below* this threshold
-    /// are shed with 503. `0` (the default) never sheds.
-    pub shed_priority_below: u8,
 }
 
 impl Default for ServerConfig {
@@ -141,7 +134,6 @@ impl Default for ServerConfig {
             drain_timeout: Duration::from_secs(5),
             default_quota: TenantQuota::unlimited(),
             tenant_breaker: None,
-            shed_priority_below: 0,
         }
     }
 }
@@ -742,8 +734,6 @@ fn error_response(e: &ObdaError, salt: u64) -> HttpOut {
             HttpOut::new(503, "Service Unavailable", body)
                 .with("Retry-After", jittered_retry_after(*retry_after, salt))
         }
-        ObdaError::Stalled { .. } => HttpOut::new(503, "Service Unavailable", body)
-            .with("Retry-After", jittered_retry_after(Duration::from_secs(1), salt)),
     }
 }
 
@@ -873,12 +863,12 @@ fn prepared_omq(
     Ok(omq)
 }
 
-/// The failures a tenant *caused* — budget exhaustion, cost rejections,
-/// stalls — count against its breaker; infrastructure noise (transients,
+/// The failures a tenant *caused* — budget exhaustion and cost
+/// rejections — count against its breaker; infrastructure noise (transients,
 /// injected panics) does not, so chaos testing cannot shed a
 /// well-behaved tenant.
 fn tenant_breaker_class(e: &ObdaError) -> AttemptClass {
-    if e.is_budget() || matches!(e, ObdaError::CostRejected { .. } | ObdaError::Stalled { .. }) {
+    if e.is_budget() || matches!(e, ObdaError::CostRejected { .. }) {
         AttemptClass::Failure
     } else {
         AttemptClass::Neutral
@@ -898,30 +888,14 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
     let tenant = req.header("x-obda-tenant").unwrap_or("anonymous").to_owned();
     let suffix = metric_suffix(&tenant);
     metrics.counter(&format!("server_requests_total_{suffix}")).inc();
-    let degraded = inner.service.degraded();
-    // Brownout sheds the lowest-priority tenants first: while degraded,
-    // anyone below the threshold is refused before any budget is spent.
-    if degraded && inner.governor.priority(&tenant) < inner.cfg.shed_priority_below {
-        metrics.counter("server_shed_total").inc();
-        metrics.counter(&format!("server_shed_total_{suffix}")).inc();
-        return HttpOut::new(503, "Service Unavailable", "error: shedding low-priority tenants\n")
-            .with("Retry-After", jittered_retry_after(Duration::from_secs(1), salt))
-            .with("X-Obda-Degraded", 1);
-    }
     let timeout = match effective_timeout(req, inner.cfg.max_timeout) {
         Ok(t) => t,
         Err(out) => return out,
     };
-    let mut strategy = match requested_strategy(req, None) {
+    let strategy = match requested_strategy(req, None) {
         Ok(s) => s,
         Err(out) => return out,
     };
-    // Brownout forces the polynomial strategy: the exponential rewriters
-    // are exactly the requests that dig the hole deeper.
-    if degraded && matches!(strategy, Strategy::Ucq | Strategy::PrestoLike) {
-        strategy = Strategy::Tw;
-        metrics.counter("server_brownout_forced_total").inc();
-    }
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return HttpOut::new(400, "Bad Request", "error: body is not UTF-8\n");
     };
@@ -945,8 +919,7 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
                 metrics.counter("server_tenant_breaker_rejected_total").inc();
                 metrics.counter(&format!("server_tenant_breaker_rejected_total_{suffix}")).inc();
                 let e = ObdaError::BreakerOpen { scope: format!("tenant {tenant}"), retry_after };
-                let out = error_response(&e, salt);
-                return if degraded { out.with("X-Obda-Degraded", 1) } else { out };
+                return error_response(&e, salt);
             }
         }
     }
@@ -962,8 +935,7 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
             }
             metrics.counter("server_rejected_quota_total").inc();
             metrics.counter(&format!("server_rejected_quota_total_{suffix}")).inc();
-            let out = error_response(&e, salt);
-            return if degraded { out.with("X-Obda-Degraded", 1) } else { out };
+            return error_response(&e, salt);
         }
     };
     let deadline = arrival + timeout;
@@ -997,7 +969,7 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
     let latency = arrival.elapsed();
     metrics.histogram("server_latency_seconds").observe(latency);
     metrics.histogram(&format!("server_latency_seconds_{suffix}")).observe(latency);
-    let out = match outcome {
+    match outcome {
         Ok(run) => {
             // One line `(a, b)` per answer, written straight into a body
             // sized exactly in a first pass over the names.
@@ -1032,11 +1004,6 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
             metrics.counter("server_errors_total").inc();
             error_response(&e, salt)
         }
-    };
-    if degraded {
-        out.with("X-Obda-Degraded", 1)
-    } else {
-        out
     }
 }
 
@@ -1259,10 +1226,6 @@ mod tests {
         assert_eq!(out.status, 503);
         let hint: u64 = out.extra[0].1.parse().unwrap();
         assert!((4..=6).contains(&hint), "base 4 + up to 50%: {hint}");
-        let stalled = ObdaError::Stalled { stalled_for: Duration::from_secs(2) };
-        let out = error_response(&stalled, 0);
-        assert_eq!(out.status, 503);
-        assert!(out.extra.iter().any(|(k, _)| k == "Retry-After"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::pipeline::{
     Strategy, StrategyGate,
 };
 use breaker::{BreakerConfig, BreakerSet};
-use obda_budget::{BudgetSpec, ProgressMeter};
+use obda_budget::BudgetSpec;
 use obda_cq::query::Cq;
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::eval::EvalResult;
@@ -32,7 +32,7 @@ use obda_owlql::abox::DataInstance;
 use obda_store::StorageBackend;
 use obda_telemetry::{Ewma, MetricsRegistry, Telemetry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -72,53 +72,6 @@ impl Default for CostAdmissionConfig {
     }
 }
 
-/// Brownout mode: when the queue-wait EWMA crosses `queue_high` the
-/// service degrades gracefully — per-attempt wall budgets shrink by
-/// `budget_factor`, and the embedding server may force polynomial
-/// strategies and shed low-priority tenants — instead of queueing into a
-/// timeout storm. Hysteresis: brownout exits only when the EWMA falls
-/// below `queue_high × exit_factor`.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Queue-wait EWMA watermark that enters brownout.
-    pub queue_high: Duration,
-    /// Exit watermark as a fraction of `queue_high` (hysteresis).
-    pub exit_factor: f64,
-    /// Multiplier applied to per-attempt wall budgets while degraded.
-    pub budget_factor: f64,
-    /// EWMA smoothing factor for the queue-wait signal.
-    pub alpha: f64,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            queue_high: Duration::from_millis(250),
-            exit_factor: 0.5,
-            budget_factor: 0.5,
-            alpha: 0.2,
-        }
-    }
-}
-
-/// The stuck-evaluation watchdog: a background thread that cancels
-/// evaluations whose progress counters stop ticking (the cancellation
-/// poisons the budget, first trip wins — a typed error, never an abort).
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Cancel an evaluation whose progress counter has not moved for
-    /// this long.
-    pub stall_after: Duration,
-    /// Watchdog poll interval.
-    pub poll: Duration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { stall_after: Duration::from_secs(2), poll: Duration::from_millis(50) }
-    }
-}
-
 /// The overload-control switchboard: each mechanism is independently
 /// optional and `None` disables it. The all-`None` default keeps the
 /// library behaviour identical to a service without overload control;
@@ -129,10 +82,6 @@ pub struct OverloadConfig {
     pub breaker: Option<BreakerConfig>,
     /// Cost-based admission against the remaining deadline.
     pub cost: Option<CostAdmissionConfig>,
-    /// Brownout degradation on queue pressure.
-    pub brownout: Option<BrownoutConfig>,
-    /// Stuck-evaluation watchdog.
-    pub watchdog: Option<WatchdogConfig>,
 }
 
 impl OverloadConfig {
@@ -141,8 +90,6 @@ impl OverloadConfig {
         OverloadConfig {
             breaker: Some(BreakerConfig::default()),
             cost: Some(CostAdmissionConfig::default()),
-            brownout: Some(BrownoutConfig::default()),
-            watchdog: Some(WatchdogConfig::default()),
         }
     }
 }
@@ -163,8 +110,8 @@ pub struct ServiceConfig {
     /// Engine configuration for every evaluation stage, on the fallback
     /// ladder and on the prepared path alike.
     pub engine: EngineConfig,
-    /// Adaptive overload control (breakers, cost admission, brownout,
-    /// watchdog); everything off by default.
+    /// Adaptive overload control (breakers, cost admission); everything
+    /// off by default.
     pub overload: OverloadConfig,
 }
 
@@ -424,168 +371,10 @@ impl CostModel {
     }
 }
 
-/// The brownout latch: a queue-wait EWMA against a watermark, with
-/// hysteresis so the service doesn't flap at the boundary.
-#[derive(Debug)]
-struct Brownout {
-    cfg: BrownoutConfig,
-    wait: Ewma,
-    degraded: AtomicBool,
-}
-
-impl Brownout {
-    fn new(cfg: BrownoutConfig) -> Self {
-        let alpha = cfg.alpha;
-        Brownout { cfg, wait: Ewma::new(alpha), degraded: AtomicBool::new(false) }
-    }
-
-    /// Folds one queue wait into the EWMA, flips the latch when a
-    /// watermark is crossed (booking the transition as metrics), and
-    /// returns whether the service is degraded now.
-    fn observe(&self, queue_wait: Duration, metrics: &MetricsRegistry) -> bool {
-        self.wait.observe(queue_wait.as_secs_f64());
-        let avg = self.wait.get().unwrap_or(0.0);
-        let high = self.cfg.queue_high.as_secs_f64();
-        let was = self.degraded.load(Ordering::Relaxed);
-        let now = if was { avg > high * self.cfg.exit_factor } else { avg >= high };
-        if now != was && self.degraded.swap(now, Ordering::Relaxed) == was {
-            let booked = if now {
-                "service_brownout_entered_total"
-            } else {
-                "service_brownout_exited_total"
-            };
-            metrics.counter(booked).inc();
-            metrics.gauge("service_brownout").set(i64::from(now));
-        }
-        now
-    }
-
-    fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-}
-
-/// One evaluation watched for forward progress.
-struct WatchEntry {
-    id: u64,
-    meter: Arc<ProgressMeter>,
-    last_progress: u64,
-    last_change: Instant,
-}
-
-struct WatchShared {
-    cfg: WatchdogConfig,
-    entries: Mutex<Vec<WatchEntry>>,
-    next_id: AtomicU64,
-    stop: AtomicBool,
-    wake: Condvar,
-}
-
-/// The stuck-evaluation watchdog thread. Evaluations register their
-/// [`ProgressMeter`] for the duration of an attempt (RAII
-/// [`WatchGuard`]); the thread polls every [`WatchdogConfig::poll`] and
-/// cancels any meter that hasn't moved for
-/// [`WatchdogConfig::stall_after`] — cancellation poisons the budget at
-/// its next check (first trip wins), so the evaluation unwinds through
-/// the normal typed-error path, never an abort.
-struct Watchdog {
-    shared: Arc<WatchShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// RAII registration of one meter with the watchdog; dropping it (on any
-/// exit path) stops the watching.
-struct WatchGuard {
-    shared: Arc<WatchShared>,
-    id: u64,
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        locked(&self.shared.entries).retain(|e| e.id != self.id);
-    }
-}
-
-fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl Watchdog {
-    fn new(cfg: WatchdogConfig) -> Self {
-        let cfg = WatchdogConfig {
-            stall_after: cfg.stall_after.max(Duration::from_millis(1)),
-            poll: cfg.poll.max(Duration::from_millis(1)),
-        };
-        let shared = Arc::new(WatchShared {
-            cfg,
-            entries: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            wake: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("obda-watchdog".to_owned())
-            .spawn(move || Watchdog::run(&thread_shared))
-            .ok();
-        Watchdog { shared, handle }
-    }
-
-    fn run(shared: &WatchShared) {
-        let mut guard = locked(&shared.entries);
-        loop {
-            if shared.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let now = Instant::now();
-            for e in guard.iter_mut() {
-                let p = e.meter.progress();
-                if p != e.last_progress {
-                    e.last_progress = p;
-                    e.last_change = now;
-                    continue;
-                }
-                let idle = now.saturating_duration_since(e.last_change);
-                if idle >= shared.cfg.stall_after {
-                    e.meter.cancel_stalled(idle);
-                }
-            }
-            let (g, _timed_out) = shared
-                .wake
-                .wait_timeout(guard, shared.cfg.poll)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-        }
-    }
-
-    fn register(&self, meter: &Arc<ProgressMeter>) -> WatchGuard {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        locked(&self.shared.entries).push(WatchEntry {
-            id,
-            meter: Arc::clone(meter),
-            last_progress: meter.progress(),
-            last_change: Instant::now(),
-        });
-        WatchGuard { shared: Arc::clone(&self.shared), id }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.wake.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// The overload-control runtime built from an [`OverloadConfig`].
 struct OverloadState {
     strategy_breakers: Option<BreakerSet>,
     cost: Option<CostModel>,
-    brownout: Option<Brownout>,
-    watchdog: Option<Watchdog>,
 }
 
 impl OverloadState {
@@ -593,8 +382,6 @@ impl OverloadState {
         OverloadState {
             strategy_breakers: cfg.breaker.clone().map(BreakerSet::new),
             cost: cfg.cost.clone().map(CostModel::new),
-            brownout: cfg.brownout.clone().map(Brownout::new),
-            watchdog: cfg.watchdog.clone().map(Watchdog::new),
         }
     }
 }
@@ -605,11 +392,11 @@ fn book_transition(metrics: &MetricsRegistry, key: &str, tr: breaker::Transition
 }
 
 /// The failure classes that trip a *strategy* breaker: budget
-/// exhaustion, stalls, and panics — evidence the strategy itself is
-/// unhealthy on this workload. Transient faults, semantic errors and
+/// exhaustion and panics — evidence the strategy itself is unhealthy on
+/// this workload. Transient faults, semantic errors and
 /// corrupt data are neutral.
 fn breaker_class(e: &ObdaError) -> AttemptClass {
-    if e.is_budget() || matches!(e, ObdaError::Stalled { .. } | ObdaError::Internal { .. }) {
+    if e.is_budget() || matches!(e, ObdaError::Internal { .. }) {
         AttemptClass::Failure
     } else {
         AttemptClass::Neutral
@@ -694,12 +481,6 @@ impl QueryService {
         }
     }
 
-    /// Whether brownout mode is active (the queue-wait EWMA is above the
-    /// configured watermark); always `false` when brownout is off.
-    pub fn degraded(&self) -> bool {
-        self.overload.brownout.as_ref().is_some_and(Brownout::degraded)
-    }
-
     /// The service's metrics registry: queue-wait and per-strategy latency
     /// histograms, overload/retry counters, active/queued gauges, plus
     /// whatever the engines record when requests run with the registry
@@ -736,27 +517,22 @@ impl QueryService {
         self.prepared.read().unwrap_or_else(PoisonError::into_inner).get(id.0).cloned()
     }
 
+    /// [`QueryService::prepared`], with an unknown handle as a typed error.
+    fn registered(&self, id: QueryId) -> Result<Arc<PreparedOmq>, ObdaError> {
+        self.prepared(id).ok_or_else(|| ObdaError::Internal {
+            site: "service::submit".to_owned(),
+            payload: format!("unknown query id {}", id.0),
+        })
+    }
+
     /// Answers a registered query over `data`: waits for an execution
     /// slot (bounded queue, bounded by the request deadline), then runs
     /// the panic-isolated fallback ladder starting from the prepared
     /// strategy. Returns [`ObdaError::Overloaded`] without running
     /// anything when the gate refuses admission.
     pub fn submit(&self, id: QueryId, data: &DataInstance) -> Result<ServiceReport, ObdaError> {
-        self.submit_traced(id, data, Telemetry::disabled())
-    }
-
-    /// [`QueryService::submit`] recording pipeline spans through `telem`.
-    pub fn submit_traced(
-        &self,
-        id: QueryId,
-        data: &DataInstance,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        let omq = self.prepared(id).ok_or_else(|| ObdaError::Internal {
-            site: "service::submit".to_owned(),
-            payload: format!("unknown query id {}", id.0),
-        })?;
-        self.run(omq.query(), omq.strategy(), DataSource::Parse(data), telem)
+        let omq = self.registered(id)?;
+        self.run(omq.query(), omq.strategy(), DataSource::Parse(data), Telemetry::disabled())
     }
 
     /// [`QueryService::submit`] over a pre-loaded [`StorageBackend`]
@@ -767,22 +543,8 @@ impl QueryService {
         id: QueryId,
         backend: &dyn StorageBackend,
     ) -> Result<ServiceReport, ObdaError> {
-        self.submit_backend_traced(id, backend, Telemetry::disabled())
-    }
-
-    /// [`QueryService::submit_backend`] recording pipeline spans through
-    /// `telem`.
-    pub fn submit_backend_traced(
-        &self,
-        id: QueryId,
-        backend: &dyn StorageBackend,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        let omq = self.prepared(id).ok_or_else(|| ObdaError::Internal {
-            site: "service::submit".to_owned(),
-            payload: format!("unknown query id {}", id.0),
-        })?;
-        self.run(omq.query(), omq.strategy(), DataSource::Backend(backend), telem)
+        let omq = self.registered(id)?;
+        self.run(omq.query(), omq.strategy(), DataSource::Backend(backend), Telemetry::disabled())
     }
 
     /// Executes an already-prepared OMQ over a pre-loaded backend under a
@@ -879,58 +641,24 @@ impl QueryService {
         self.publish_load(metrics);
         let queue_wait = arrival.elapsed();
         metrics.histogram("service_queue_wait_seconds").observe(queue_wait);
-        let degraded = match &self.overload.brownout {
-            Some(b) => b.observe(queue_wait, metrics),
-            None => false,
-        };
-        let budget_factor =
-            self.overload.brownout.as_ref().map_or(1.0, |b| b.cfg.budget_factor.clamp(0.01, 1.0));
         let mut retries = 0u32;
         let mut backoff = self.cfg.retry.base_backoff;
         let outcome = loop {
             // The request's wall clock keeps running across queue wait and
             // retries: every attempt gets the *remaining* allowance, never
-            // a fresh one. Brownout shrinks that allowance further so a
-            // degraded service turns work away early instead of late.
+            // a fresh one.
             let mut attempt_spec = *spec;
             if let Some(d) = deadline {
-                let mut remaining = d.saturating_duration_since(Instant::now());
-                if degraded {
-                    remaining = remaining.mul_f64(budget_factor);
-                }
-                attempt_spec.timeout = Some(remaining);
+                attempt_spec.timeout = Some(d.saturating_duration_since(Instant::now()));
             }
-            let meter = self.overload.watchdog.as_ref().map(|w| {
-                let m = Arc::new(ProgressMeter::new());
-                (w.register(&m), m)
-            });
             let attempt = crate::pipeline::isolate("service::prepared", || {
-                let mut budget = attempt_spec.start();
-                if let Some((_guard, m)) = &meter {
-                    budget = budget.with_meter(Arc::clone(m));
-                }
                 Ok(omq.execute_engine_traced(
                     backend.database(),
-                    &mut budget,
+                    &mut attempt_spec.start(),
                     &self.cfg.engine,
                     telem,
                 )?)
             });
-            // A budget-class failure on a watchdog-cancelled meter is the
-            // stall surfacing: convert it to the typed outcome.
-            let attempt = match attempt {
-                Err(e)
-                    if e.is_budget() && meter.as_ref().is_some_and(|(_, m)| m.is_cancelled()) =>
-                {
-                    metrics.counter("service_watchdog_stalls_total").inc();
-                    let stalled_for = meter
-                        .as_ref()
-                        .map(|(_, m)| Duration::from_millis(m.stalled_error().spent))
-                        .unwrap_or_default();
-                    Err(ObdaError::Stalled { stalled_for })
-                }
-                other => other,
-            };
             match attempt {
                 Err(e)
                     if e.is_transient()
@@ -1121,16 +849,6 @@ impl QueryService {
         self.publish_load(metrics);
         let queue_wait = arrival.elapsed();
         metrics.histogram("service_queue_wait_seconds").observe(queue_wait);
-        let degraded = match &self.overload.brownout {
-            Some(b) => b.observe(queue_wait, metrics),
-            None => false,
-        };
-        let mut budget_spec = self.cfg.budget;
-        if degraded {
-            if let (Some(t), Some(b)) = (budget_spec.timeout, &self.overload.brownout) {
-                budget_spec.timeout = Some(t.mul_f64(b.cfg.budget_factor.clamp(0.01, 1.0)));
-            }
-        }
         let ladder_gate =
             self.overload.strategy_breakers.as_ref().map(|set| LadderGate { set, metrics });
         // The ladder isolates each attempt itself; this outer boundary is
@@ -1140,7 +858,7 @@ impl QueryService {
                 query,
                 source,
                 strategy,
-                &budget_spec,
+                &self.cfg.budget,
                 Some(&self.cfg.engine),
                 &self.cfg.retry,
                 telem,
@@ -1231,12 +949,7 @@ impl Drop for TenantPermit {
 pub struct TenantGovernor {
     tenants: RwLock<HashMap<String, Arc<TenantState>>>,
     default_quota: TenantQuota,
-    priorities: RwLock<HashMap<String, u8>>,
 }
-
-/// The brownout-shedding priority applied to tenants that were never
-/// given one with [`TenantGovernor::set_priority`].
-pub const DEFAULT_TENANT_PRIORITY: u8 = 1;
 
 impl Default for TenantGovernor {
     fn default() -> Self {
@@ -1248,32 +961,7 @@ impl TenantGovernor {
     /// A governor applying `default_quota` to tenants not explicitly
     /// registered with [`TenantGovernor::set_quota`].
     pub fn new(default_quota: TenantQuota) -> Self {
-        TenantGovernor {
-            tenants: RwLock::new(HashMap::new()),
-            default_quota,
-            priorities: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Registers `tenant`'s brownout-shedding priority: while the
-    /// service is degraded, the server refuses tenants whose priority
-    /// falls below its shedding threshold. Higher keeps service longer.
-    pub fn set_priority(&self, tenant: &str, priority: u8) {
-        self.priorities
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(tenant.to_owned(), priority);
-    }
-
-    /// The priority applied to `tenant`
-    /// ([`DEFAULT_TENANT_PRIORITY`] when never registered).
-    pub fn priority(&self, tenant: &str) -> u8 {
-        self.priorities
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(tenant)
-            .copied()
-            .unwrap_or(DEFAULT_TENANT_PRIORITY)
+        TenantGovernor { tenants: RwLock::new(HashMap::new()), default_quota }
     }
 
     /// Registers (or replaces) `tenant`'s quota. The bucket starts full.
@@ -1719,78 +1407,5 @@ mod tests {
             other => panic!("expected CostRejected, got {other}"),
         }
         assert_eq!(svc.metrics().counter("service_cost_rejected_total").get(), 1);
-    }
-
-    #[test]
-    fn brownout_latch_has_hysteresis_between_the_watermarks() {
-        let b = Brownout::new(BrownoutConfig {
-            queue_high: Duration::from_millis(100),
-            exit_factor: 0.5,
-            budget_factor: 0.5,
-            alpha: 1.0, // the EWMA is exactly the last sample
-        });
-        let metrics = MetricsRegistry::new();
-        assert!(!b.observe(Duration::from_millis(50), &metrics));
-        // At the watermark: enter.
-        assert!(b.observe(Duration::from_millis(100), &metrics));
-        // Below the entry watermark but above the exit one: stay degraded.
-        assert!(b.observe(Duration::from_millis(60), &metrics));
-        // At the exit watermark (high × exit_factor): recover.
-        assert!(!b.observe(Duration::from_millis(50), &metrics));
-        assert_eq!(metrics.counter("service_brownout_entered_total").get(), 1);
-        assert_eq!(metrics.counter("service_brownout_exited_total").get(), 1);
-    }
-
-    #[test]
-    fn brownout_degrades_the_service_on_queue_pressure() {
-        // A zero watermark means the first observed queue wait (always
-        // > 0) enters brownout, and a zero exit factor pins it there —
-        // the deterministic way to observe the latch end to end.
-        let svc = service(ServiceConfig {
-            overload: OverloadConfig {
-                brownout: Some(BrownoutConfig {
-                    queue_high: Duration::ZERO,
-                    exit_factor: 0.0,
-                    budget_factor: 1.0,
-                    alpha: 1.0,
-                }),
-                ..OverloadConfig::default()
-            },
-            ..ServiceConfig::default()
-        });
-        assert!(!svc.degraded());
-        let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
-        let id = svc.prepare(&q, Strategy::Tw).unwrap();
-        let data = svc.system().parse_data("Professor(ada)").unwrap();
-        assert!(svc.submit(id, &data).unwrap().is_success());
-        assert!(svc.degraded());
-        assert_eq!(svc.metrics().counter("service_brownout_entered_total").get(), 1);
-        assert_eq!(svc.metrics().gauge("service_brownout").get(), 1);
-    }
-
-    #[test]
-    fn watchdog_cancels_idle_meters_but_not_progressing_ones() {
-        let state = OverloadState::new(&OverloadConfig {
-            watchdog: Some(WatchdogConfig {
-                stall_after: Duration::from_millis(50),
-                poll: Duration::from_millis(5),
-            }),
-            ..OverloadConfig::default()
-        });
-        let watchdog = state.watchdog.as_ref().unwrap();
-        let idle = Arc::new(ProgressMeter::new());
-        let busy = Arc::new(ProgressMeter::new());
-        let _idle_guard = watchdog.register(&idle);
-        let _busy_guard = watchdog.register(&busy);
-        // 200 ms of life: the busy meter advances every 10 ms (well
-        // under the 50 ms stall window), the idle one never does.
-        for _ in 0..20 {
-            std::thread::sleep(Duration::from_millis(10));
-            busy.bump(1);
-        }
-        assert!(idle.is_cancelled(), "an idle meter must be cancelled");
-        assert!(!busy.is_cancelled(), "a progressing meter must survive");
-        // The cancelled meter reports how long it sat idle.
-        assert!(idle.stalled_error().spent >= 50);
     }
 }

@@ -21,8 +21,6 @@
 //!   shared [`obda_budget`] allowance; at one thread without pruning it is
 //!   the stand-in for RDFox in the experiments. Its join kernel, errors
 //!   and statistics live in [`eval`];
-//! * Theorem 2's reachability-based evaluator for linear programs
-//!   ([`linear_eval`]);
 //! * the original per-call hash-set engine ([`mod@reference`]), kept as
 //!   the oracle of differential tests and as the benchmark baseline;
 //! * per-relation cardinality statistics ([`stats`]) feeding a
@@ -55,7 +53,6 @@ pub mod completion;
 pub mod engine;
 pub mod eval;
 pub mod explain;
-pub mod linear_eval;
 pub mod planner;
 pub mod program;
 pub mod reference;
@@ -72,7 +69,6 @@ pub use explain::{
     explain_plan, explain_plan_executed, explain_plan_on, explain_plan_with, AtomAccess,
     ClausePlan, PlanExplanation, StratumPlan,
 };
-pub use linear_eval::evaluate_linear_on_budgeted;
 pub use planner::{
     plan_query, plans_built, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan,
 };

@@ -122,8 +122,8 @@ impl Pruner {
     }
 
     /// A predicate the passes may touch: IDB, not the goal, and not an
-    /// ordered-NDL predicate with trailing parameters (those encode a
-    /// bound pattern the linear evaluator relies on).
+    /// ordered-NDL predicate with trailing parameters (those keep the
+    /// bound pattern of an ordered program as written).
     fn prunable(&self, p: PredId) -> bool {
         p != self.goal && self.is_idb(p) && self.preds[p.0 as usize].num_params == 0
     }

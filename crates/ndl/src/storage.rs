@@ -14,8 +14,8 @@
 //!   the same column);
 //! * [`Database`] — every EDB relation of a data instance, built **once**
 //!   via the grouped-access APIs of `obda_owlql::abox` and then shared by
-//!   all evaluations (the engine and the linear evaluator) and all
-//!   rewriting strategies of the experiment harness.
+//!   all evaluations and all rewriting strategies of the experiment
+//!   harness.
 //!
 //! ## Immutability contract and thread safety
 //!
@@ -512,7 +512,7 @@ impl Relation {
     }
 
     /// Whether an equal row is present (linear scan unless dedup metadata
-    /// exists; used by tests and the linear evaluator's seed check).
+    /// exists).
     pub fn contains(&self, row: &[u32]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
         if let Some(dedup) = &self.dedup {

@@ -2,15 +2,12 @@
 //! with the seed hash-set reference engine on random nonrecursive
 //! programs (renaming clauses included) at every thread count, with and
 //! without goal-directed pruning (override the counts under test with
-//! `OBDA_TEST_THREADS=n1,n2,...`), and the linear evaluator agrees with
-//! the engine over a single shared [`Database`].
+//! `OBDA_TEST_THREADS=n1,n2,...`).
 
 use obda_budget::Budget;
-use obda_ndl::analysis::is_linear;
 use obda_ndl::engine::{evaluate_engine_on_traced, EngineConfig};
 use obda_ndl::eval::evaluate;
 use obda_ndl::explain::explain_plan_executed;
-use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
 use obda_ndl::program::{BodyAtom, CVar, Clause, NdlQuery, PredKind, Program};
 use obda_ndl::reference::evaluate_reference;
 use obda_ndl::storage::Database;
@@ -352,23 +349,5 @@ proptest! {
             indexed.stats.num_answers,
             reference.stats.num_answers
         );
-    }
-
-    /// The linear reachability evaluator and bottom-up evaluation agree on
-    /// random linear programs, both running over one shared `Database`.
-    #[test]
-    fn linear_evaluator_agrees_with_bottom_up(
-        specs in clause_specs(),
-        atoms in data_atoms(),
-    ) {
-        let q = build_program(&specs);
-        prop_assert!(is_linear(&q.program), "generator must emit linear programs");
-        let data = build_data(&atoms);
-        let db = Database::new(&data);
-        let before = Database::build_count();
-        let bottom_up = evaluate(&q, &db).unwrap();
-        let linear = evaluate_linear_on_budgeted(&q, &db, &mut Budget::unlimited()).unwrap();
-        prop_assert_eq!(&bottom_up.answers, &linear.answers);
-        prop_assert_eq!(Database::build_count(), before, "no hidden database rebuilds");
     }
 }

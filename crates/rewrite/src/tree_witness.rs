@@ -140,7 +140,7 @@ impl Shape {
     }
 }
 
-/// The generators of tree-witness candidates, by [`Shape`], for one
+/// The generators of tree-witness candidates, by `Shape`, for one
 /// ontology. `ObdaSystem` owns one next to its taxonomy and hands it to
 /// every rewriting through [`Omq::tree_witness_memo`], so a shape is
 /// searched once per system, not once per query.

@@ -855,8 +855,10 @@ fn halted_completion_fills_store_nothing() {
         assert_eq!(fresh.answers, oracle);
         (data, prepared, oracle, fresh)
     };
+    // A named halt: what stops the fill, and the budget it runs under.
+    type Halt = (&'static str, Option<FaultPlan>, fn() -> Budget);
     let transient = FaultKind::Transient;
-    let halts: [(&str, Option<FaultPlan>, fn() -> Budget); 6] = [
+    let halts: [Halt; 6] = [
         (
             "clause_task always",
             Some(FaultPlan::always(1, site::ENGINE_CLAUSE_TASK, transient)),

@@ -241,31 +241,4 @@ proptest! {
         let r2 = evaluate(&skinny, &Database::new(&data)).unwrap();
         prop_assert_eq!(r1.answers, r2.answers);
     }
-
-    /// The linear evaluator of Theorem 2 agrees with bottom-up
-    /// materialisation on Lin rewritings.
-    #[test]
-    fn linear_evaluator_agrees_with_bottom_up(
-        axioms in prop::collection::vec(axiom_spec(), 0..5),
-        qspec in query_spec(),
-        data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
-    ) {
-        use obda_ndl::eval::evaluate;
-        use obda_ndl::linear_eval::evaluate_linear_on_budgeted;
-        use obda_ndl::storage::Database;
-
-        let ontology = build_ontology(&axioms);
-        let query = build_query(&qspec, &ontology);
-        let data = build_data(&data_atoms, &ontology);
-        let system = ObdaSystem::new(ontology);
-        let Ok(rewriting) = system.rewrite(&query, Rewriting::Lin) else {
-            return Ok(());
-        };
-        prop_assert!(obda_ndl::analysis::is_linear(&rewriting.program));
-        let db = Database::new(&data);
-        let bu = evaluate(&rewriting, &db).unwrap();
-        let mut budget = obda::budget::Budget::unlimited();
-        let lin = evaluate_linear_on_budgeted(&rewriting, &db, &mut budget).unwrap();
-        prop_assert_eq!(bu.answers, lin.answers);
-    }
 }

@@ -779,7 +779,7 @@ fn concurrent_shutdown_requests_drain_exactly_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Overload control over HTTP: tenant breakers and brownout
+// Overload control over HTTP: tenant breakers
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -820,83 +820,6 @@ fn tenant_circuit_breaker_isolates_the_abusive_tenant() {
     let metrics = get(addr, "/metrics").body;
     assert!(metrics.contains("server_tenant_breaker_rejected_total_greedy 1"), "{metrics}");
     assert!(metrics.contains("server_tenant_breaker_opened_total_greedy 1"), "{metrics}");
-    handle.trigger().shutdown();
-    assert!(handle.join());
-}
-
-#[test]
-fn brownout_stamps_forces_and_sheds_over_http() {
-    let _quiet = quiet();
-    use obda::BrownoutConfig;
-    // A zero watermark (and zero exit factor) enters brownout on the
-    // first served request and pins it — deterministic degradation.
-    let sys = paper_system();
-    let data = table2_data(&sys, 0, SCALE);
-    let service = QueryService::new(
-        paper_system(),
-        ServiceConfig {
-            max_concurrency: 2,
-            max_queue: 8,
-            budget: BudgetSpec::unlimited(),
-            retry: RetryPolicy::default(),
-            engine: EngineConfig::default(),
-            overload: OverloadConfig {
-                brownout: Some(BrownoutConfig {
-                    queue_high: Duration::ZERO,
-                    exit_factor: 0.0,
-                    budget_factor: 1.0,
-                    alpha: 1.0,
-                }),
-                ..OverloadConfig::default()
-            },
-        },
-    );
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        max_timeout: Duration::from_secs(5),
-        drain_timeout: Duration::from_secs(5),
-        shed_priority_below: 1,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(service, Box::new(MemoryBackend::new(data.clone())), cfg).unwrap();
-    server.governor().set_priority("lowly", 0);
-    let handle = server.start();
-    let addr = handle.addr();
-    let query = word_query_text("RS");
-    let want = oracle_lines(&sys, &data, &query);
-
-    // The first request serves normally and tips the latch.
-    let first = post_query(addr, "alpha", &query);
-    assert_eq!(first.status, 200);
-    // From now on every response is stamped degraded; answers stay
-    // oracle-correct.
-    let second = post_query(addr, "alpha", &query);
-    assert_eq!(second.status, 200);
-    assert_eq!(second.header("x-obda-degraded"), Some("1"));
-    assert_eq!(body_lines(&second), want);
-    // Exponential strategies are forced down to the polynomial one.
-    let forced = client::request(
-        addr,
-        "POST",
-        "/query",
-        &[("X-Obda-Tenant", "alpha"), ("X-Obda-Strategy", "ucq")],
-        &query,
-        CLIENT_TIMEOUT,
-    )
-    .unwrap();
-    assert_eq!(forced.status, 200);
-    assert_eq!(forced.header("x-obda-strategy"), Some("Tw"));
-    // The lowest-priority tenant is shed before spending any budget.
-    let shed = post_query(addr, "lowly", &query);
-    assert_eq!(shed.status, 503, "{}", shed.body);
-    assert_eq!(shed.header("x-obda-degraded"), Some("1"));
-    assert!(shed.header("retry-after").is_some());
-    assert!(shed.body.contains("shedding"), "{}", shed.body);
-
-    let metrics = get(addr, "/metrics").body;
-    assert!(metrics.contains("service_brownout_entered_total 1"), "{metrics}");
-    assert!(metrics.contains("server_brownout_forced_total 1"), "{metrics}");
-    assert!(metrics.contains("server_shed_total_lowly 1"), "{metrics}");
     handle.trigger().shutdown();
     assert!(handle.join());
 }

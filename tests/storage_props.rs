@@ -93,10 +93,6 @@ proptest! {
             let mut budget = Budget::unlimited();
             let res = prepared.execute_engine_traced(&db, &mut budget, &unpruned, off).unwrap();
             prop_assert_eq!(&res.answers, &oracle, "strategy {}", strategy);
-            if prepared.analysis().linear {
-                let lin = prepared.execute_linear_budgeted(&db, &mut Budget::unlimited()).unwrap();
-                prop_assert_eq!(&lin.answers, &oracle, "linear engine, strategy {}", strategy);
-            }
         }
         prop_assert_eq!(Database::build_count(), before, "database built once per instance");
     }
