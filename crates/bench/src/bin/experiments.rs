@@ -1171,8 +1171,12 @@ fn benchguard(cfg: &Config) {
         eprintln!("error: no baseline cells found in BENCH_eval.json");
         std::process::exit(2);
     }
-    // Cells are only comparable at the scale they were recorded at.
+    // Cells are only comparable at the scale and deadline they were
+    // recorded at.
     let scale = json_value(&json, "scale").and_then(|s| s.parse().ok()).unwrap_or(cfg.scale);
+    let timeout = json_value(&json, "timeout_secs")
+        .and_then(|s| s.parse().ok())
+        .map_or(cfg.timeout, Duration::from_secs);
     let sys = paper_system();
     let pruned_cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     println!(
@@ -1203,8 +1207,7 @@ fn benchguard(cfg: &Config) {
         let Ok(prepared) = sys.prepare(&q, strategy) else {
             continue;
         };
-        let Some((secs, res)) =
-            time_engine(&mut || execute(&prepared, &db, cfg.timeout, &pruned_cfg))
+        let Some((secs, res)) = time_engine(&mut || execute(&prepared, &db, timeout, &pruned_cfg))
         else {
             failures += 1;
             rows.push(vec![

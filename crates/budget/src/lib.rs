@@ -221,6 +221,21 @@ impl Budget {
         }
     }
 
+    /// A fresh budget for the first of `parts` sequential attempts that
+    /// share what is left of this one: zeroed counters, the clause cap
+    /// lowered to the clauses this budget has left, and a deadline
+    /// `1/parts` of the remaining time away, so the attempts after it
+    /// still get their share when this one runs long.
+    pub fn share_of_rest(&self, parts: u32) -> Self {
+        let mut b = self.renew();
+        b.max_clauses = self.max_clauses.map(|cap| cap.saturating_sub(self.clauses));
+        if let Some(deadline) = self.deadline {
+            let now = Instant::now();
+            b.deadline = Some(now + deadline.saturating_duration_since(now) / parts.max(1));
+        }
+        b
+    }
+
     fn time_error(&self) -> BudgetExceeded {
         BudgetExceeded {
             resource: Resource::Time,
@@ -609,6 +624,28 @@ mod tests {
         b.charge_tuples(1 << 40).unwrap();
         b.charge_chase_elements(1 << 40).unwrap();
         assert!(b.is_unlimited());
+    }
+
+    #[test]
+    fn share_of_rest_splits_the_remaining_time_and_clauses() {
+        let mut b = BudgetSpec {
+            timeout: Some(Duration::from_secs(30)),
+            max_clauses: Some(100),
+            ..BudgetSpec::unlimited()
+        }
+        .start();
+        b.charge_clauses(40).unwrap();
+        let mut first = b.share_of_rest(3);
+        let deadline = first.deadline().unwrap();
+        let left = b.deadline().unwrap().saturating_duration_since(Instant::now());
+        assert!(deadline <= Instant::now() + left / 3 + Duration::from_millis(5));
+        assert!(deadline >= Instant::now() + Duration::from_secs(9));
+        assert_eq!(first.spent_clauses(), 0);
+        first.charge_clauses(60).unwrap();
+        assert!(first.charge_clauses(1).is_err(), "the share caps at the 60 clauses left");
+        let last = b.share_of_rest(1);
+        assert_eq!(last.deadline(), b.deadline());
+        assert!(Budget::unlimited().share_of_rest(2).is_unlimited());
     }
 
     #[test]

@@ -803,14 +803,23 @@ impl ObdaSystem {
         strategy: Strategy,
         budget: &mut Budget,
     ) -> Result<NdlQuery, ObdaError> {
-        let mut complete = self.rewrite_complete_budgeted(query, strategy, budget)?;
-        if self.ontology.has_negative_axioms() {
-            add_inconsistency_clauses(&mut complete, &self.taxonomy, &self.omq(query));
+        let omq = self.omq(query);
+        let lift = |mut complete: NdlQuery, budget: &mut Budget| {
+            if self.ontology.has_negative_axioms() {
+                add_inconsistency_clauses(&mut complete, &self.taxonomy, &omq);
+            } else if strategy.produces_arbitrary() {
+                return Ok(complete);
+            }
+            star_lift(&complete, &self.taxonomy, self.ontology.vocab(), budget)
+        };
+        if strategy == Strategy::Adaptive {
+            // Adaptive lifts its candidates cheapest first and keeps the
+            // first whose lifted program fits the budget.
+            budget.check_time().map_err(|e| RewriteError::from_budget(e, 0, 0))?;
+            return Ok(AdaptiveRewriter::default().rewrite_then_budgeted(&omq, budget, lift)?.0);
         }
-        if strategy.produces_arbitrary() && !self.ontology.has_negative_axioms() {
-            return Ok(complete);
-        }
-        Ok(star_lift(&complete, &self.taxonomy, self.ontology.vocab(), budget)?)
+        let complete = self.rewrite_complete_budgeted(query, strategy, budget)?;
+        Ok(lift(complete, budget)?)
     }
 
     /// Answers the OMQ over a data instance by rewriting and evaluating.

@@ -12,12 +12,13 @@
 //!   probe of column `c` matches `rows / distinct[c]` rows per key, a
 //!   constrained (bound or repeated) position multiplies selectivity
 //!   `1/distinct`, equalities filter by fixed factors. IDB relations do
-//!   not exist at planning time; their cardinalities are propagated
-//!   bottom-up in topological order (the estimated output size of a
-//!   clause feeds the estimates of every clause consuming its head), so
-//!   a plan is a pure function of `(query, database)` — deterministic,
-//!   cacheable per database (see `Database::id`), and identical for
-//!   `explain` and both engines.
+//!   not exist at planning time; their columns are taken as key-like up
+//!   to the domain (`distinct = min(rows, |⊤|)`) and their cardinalities
+//!   are propagated bottom-up in topological order (the estimated output
+//!   size of a clause feeds the estimates of every clause consuming its
+//!   head), so a plan is a pure function of `(query, database)` —
+//!   deterministic, cacheable per database (see `Database::id`), and
+//!   identical for `explain` and both engines.
 //! * **Search.** Greedy: equalities are applied as soon as applicable,
 //!   then the predicate atom minimising `step cost + estimated output`
 //!   is appended. For bodies with ≤ 8 predicate atoms the greedy result
@@ -139,13 +140,16 @@ fn atom_info(program: &Program, db: &Database, est_pred_rows: &[f64], p: PredId)
     match program.pred(p).kind {
         PredKind::Idb => {
             // Not materialised yet: use the bottom-up estimate and assume
-            // every column is key-like (each key matches ~1 row). Index
-            // builds on IDB relations always cost — they cannot have been
-            // built before the stratum materialises them.
+            // every column is as key-like as the domain allows — a column
+            // holds individuals, so it has at most `|⊤|` distinct values
+            // and a key matches at least `rows / |⊤|` rows. Index builds on
+            // IDB relations always cost — they cannot have been built
+            // before the stratum materialises them.
             let rows = est_pred_rows[p.0 as usize].max(0.0);
+            let domain = db.num_individuals() as f64;
             AtomInfo {
                 rows,
-                distinct: vec![rows.max(1.0); arity],
+                distinct: vec![rows.min(domain).max(1.0); arity],
                 sorted_col0: false,
                 indexed: vec![false; arity],
             }
@@ -602,6 +606,57 @@ mod tests {
         assert_eq!(plan.est_pred_rows[r.0 as usize], 3.0);
         assert_eq!(plan.est_pred_rows[h.0 as usize], 3.0, "copy of R");
         assert_eq!(plan.est_pred_rows[g.0 as usize], 3.0, "copy of H");
+    }
+
+    /// An IDB relation estimated far above `|⊤|` cannot have a key per
+    /// row: a key matches at least `rows / |⊤|` rows. Without that cap the
+    /// join through `I1` is estimated to keep one row, and the second IDB
+    /// atom is then scanned in full once per row instead of probed.
+    #[test]
+    fn idb_columns_are_capped_by_the_domain() {
+        let o = parse_ontology("Class A\nProperty R\n").unwrap();
+        let mut text = String::from("A(a0)\n");
+        for i in 0..40 {
+            for j in 0..40 {
+                text.push_str(&format!("R(a{i}, a{j})\n"));
+            }
+        }
+        let d = parse_data(&text, &o).unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let a = p.edb_class(v.get_class("A").unwrap(), v);
+        let i1 = p.add_pred("I1", 2, PredKind::Idb);
+        let i2 = p.add_pred("I2", 2, PredKind::Idb);
+        let g = p.add_pred("G", 1, PredKind::Idb);
+        for head in [i1, i2] {
+            p.add_clause(Clause {
+                head,
+                head_args: vec![CVar(0), CVar(1)],
+                body: vec![BodyAtom::Pred(r, vec![CVar(0), CVar(1)])],
+                num_vars: 2,
+            });
+        }
+        // G(z) ← A(x) ∧ I1(x, y) ∧ I2(y, z).
+        p.add_clause(Clause {
+            head: g,
+            head_args: vec![CVar(2)],
+            body: vec![
+                BodyAtom::Pred(a, vec![CVar(0)]),
+                BodyAtom::Pred(i1, vec![CVar(0), CVar(1)]),
+                BodyAtom::Pred(i2, vec![CVar(1), CVar(2)]),
+            ],
+            num_vars: 3,
+        });
+        let db = Database::new(&d);
+        let plan = plan_query(&NdlQuery::new(p, g), &db);
+        assert_eq!(plan.est_pred_rows[i2.0 as usize], 1600.0);
+        assert!(plan.est_pred_rows[i2.0 as usize] > 10.0 * db.num_individuals() as f64);
+        let jp = plan.clauses[2].as_ref().unwrap();
+        assert_eq!(jp.order, vec![0, 1, 2]);
+        assert_eq!(jp.access[2], PlannedAccess::Probe { column: 0 });
+        // Each `x` reaches 40 `y`s, not one.
+        assert_eq!(jp.est_rows[1], 40.0);
     }
 
     #[test]

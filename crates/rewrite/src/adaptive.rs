@@ -137,36 +137,66 @@ impl AdaptiveRewriter {
         self.rewrite_with_report_budgeted(omq, &mut Budget::unlimited())
     }
 
-    /// Budgeted [`Self::rewrite_with_report`]: each rewriter run (`Lin`,
-    /// `Log`, and the one `Tw` run behind both `Tw` and `Tw*`) draws on a
-    /// renewed copy of the budget (same deadline, fresh counters), so a
-    /// blow-up in one strategy cannot starve the others; a budget trip in
-    /// one run counts as its candidates failing, and only if *every*
-    /// candidate fails is the last error returned.
+    /// Budgeted [`Self::rewrite_with_report`]; see
+    /// [`Self::rewrite_then_budgeted`].
     pub fn rewrite_with_report_budgeted(
         &self,
         omq: &Omq<'_>,
         budget: &mut Budget,
     ) -> Result<(NdlQuery, &'static str, f64), RewriteError> {
-        let lin = LinRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
-        let log = LogRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
-        let tw = TwRewriter::default().rewrite_budgeted(omq, &mut budget.renew());
+        self.rewrite_then_budgeted(omq, budget, |q, _| Ok(q))
+    }
+
+    /// Runs `Lin`, `Log` and `Tw` once each, then takes the candidates
+    /// cheapest first and returns the first that fits what is left of
+    /// `budget` once its clauses are charged and `finish` (say, the
+    /// `*`-transformation) has run on it.
+    ///
+    /// Each rewriter run draws on its own share of `budget` (fresh
+    /// counters, the clauses left, an equal part of the remaining time),
+    /// so a blow-up in one strategy cannot starve the others. A budget
+    /// trip in one run counts as its candidates failing; only if every
+    /// candidate fails is the last error returned.
+    pub fn rewrite_then_budgeted(
+        &self,
+        omq: &Omq<'_>,
+        budget: &mut Budget,
+        mut finish: impl FnMut(NdlQuery, &mut Budget) -> Result<NdlQuery, RewriteError>,
+    ) -> Result<(NdlQuery, &'static str, f64), RewriteError> {
+        let lin = LinRewriter::default().rewrite_budgeted(omq, &mut budget.share_of_rest(3));
+        let log = LogRewriter::default().rewrite_budgeted(omq, &mut budget.share_of_rest(2));
+        let tw = TwRewriter::default().rewrite_budgeted(omq, &mut budget.share_of_rest(1));
         // `Tw*` is a post-pass over `Tw`'s program, not a rewriter run.
         let twstar = tw.as_ref().map(|q| inline_single_definitions(q, 2)).map_err(Clone::clone);
-        let mut best: Option<(NdlQuery, &'static str, f64)> = None;
+        let mut ranked = Vec::new();
         let mut last_err = RewriteError::NotTreeShaped;
         for (name, attempt) in [("Lin", lin), ("Log", log), ("Tw", tw), ("Tw*", twstar)] {
             match attempt {
                 Ok(q) => {
                     let cost = estimate_cost(&q, &self.stats);
-                    if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-                        best = Some((q, name, cost));
-                    }
+                    ranked.push((q, name, cost));
                 }
                 Err(e) => last_err = e,
             }
         }
-        best.ok_or(last_err)
+        // A stable sort: of equally cheap candidates, the earlier wins.
+        ranked.sort_by(|a, b| a.2.total_cmp(&b.2));
+        for (q, name, cost) in ranked {
+            let mut trial = budget.clone();
+            let clauses = q.program.num_clauses();
+            let charged = trial.charge_clauses(clauses as u64).map_err(|e| {
+                let atoms = q.program.clauses().iter().map(|c| c.body.len()).sum();
+                RewriteError::from_budget(e, clauses, atoms)
+            });
+            match charged.and_then(|()| finish(q, &mut trial)) {
+                Ok(q) => {
+                    *budget = trial;
+                    return Ok((q, name, cost));
+                }
+                Err(e) => last_err = e,
+            }
+        }
+        Err(last_err)
     }
 }
 
@@ -255,6 +285,47 @@ mod tests {
         .map(|c| estimate_cost(c, &stats))
         .fold(f64::INFINITY, f64::min);
         assert_eq!(estimate_cost(&rw, &stats), best);
+    }
+
+    /// The returned program's clauses are charged to the caller's budget,
+    /// so no result exceeds its clause cap: under any cap that one of the
+    /// rewriter runs fits, Adaptive answers within it, and below all of
+    /// them it refuses with a typed clause-cap trip.
+    #[test]
+    fn results_never_exceed_the_clause_cap() {
+        use obda_budget::{BudgetSpec, Resource};
+        let o = parse_ontology(
+            "P SubPropertyOf S\n\
+             P SubPropertyOf R-\n",
+        )
+        .unwrap();
+        let q = parse_cq("q(x0, x4) :- S(x0, x1), R(x1, x2), R(x2, x3), S(x3, x4)", &o).unwrap();
+        let omq = Omq::new(&o, &q);
+        let (unbounded, _, _) = AdaptiveRewriter::default().rewrite_with_report(&omq).unwrap();
+        let smallest = [
+            LinRewriter::default().rewrite_complete(&omq).unwrap(),
+            LogRewriter::default().rewrite_complete(&omq).unwrap(),
+            TwRewriter::default().rewrite_complete(&omq).unwrap(),
+        ]
+        .iter()
+        .map(|c| c.program.num_clauses())
+        .min()
+        .unwrap();
+        for cap in 0..=unbounded.program.num_clauses() + 1 {
+            let spec = BudgetSpec { max_clauses: Some(cap as u64), ..BudgetSpec::unlimited() };
+            let mut budget = spec.start();
+            match AdaptiveRewriter::default().rewrite_with_report_budgeted(&omq, &mut budget) {
+                Ok((rw, _, _)) => {
+                    assert!(rw.program.num_clauses() <= cap, "cap {cap}");
+                    assert_eq!(budget.spent_clauses(), rw.program.num_clauses() as u64);
+                }
+                Err(RewriteError::BudgetExceeded { exceeded, .. }) => {
+                    assert_eq!(exceeded.resource, Resource::Clauses);
+                    assert!(cap < smallest, "cap {cap} fits a rewriter run");
+                }
+                Err(e) => panic!("cap {cap}: expected a clause-cap trip, got {e}"),
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub(crate) mod fault {
 pub mod lin;
 pub mod log;
 pub mod omq;
+#[cfg(test)]
+mod testgen;
 pub mod tree_witness;
 pub mod tw;
 pub mod types;

@@ -54,7 +54,7 @@ impl Rewriter for LinRewriter {
         };
         let arena = WordArena::new_budgeted(&taxonomy, depth, budget)
             .map_err(|e| RewriteError::from_budget(e, 0, 0))?;
-        let ctx = TypeCtx { ontology: omq.ontology, taxonomy: &taxonomy, arena: &arena, q };
+        let ctx = TypeCtx::new(omq.ontology, &taxonomy, &arena, q);
 
         // Slices by BFS distance from the root.
         let root = self.root.or_else(|| q.answer_vars().first().copied()).unwrap_or(Var(0));
@@ -95,8 +95,8 @@ impl Rewriter for LinRewriter {
         };
 
         // Bottom slice M: G^w_M(z^M_∃, x^M) ← At^w(z^M).
-        for t in ctx.enumerate_types(&slices[max_dist], &TypeMap::empty()) {
-            tick_rewrite(budget, &program)?;
+        let mut bottom = ctx.types(&slices[max_dist], &TypeMap::empty());
+        while let Some(t) = bottom.next(budget, &program)? {
             let heads = head_vars(max_dist);
             let pid = program.add_idb_with_params(
                 format!("G{}_{}", max_dist, t.display(q, &arena, omq.ontology)),
@@ -110,20 +110,25 @@ impl Rewriter for LinRewriter {
         }
 
         // Upper slices: G^w_n ← At^{w∪s}(z^n, z^{n+1}) ∧ G^s_{n+1}.
+        // Both slice types are compatible on their own slice, so the join
+        // checks only the atoms between slices n and n+1.
         for n in (0..max_dist).rev() {
-            let candidates = ctx.enumerate_types(&slices[n], &TypeMap::empty());
+            let across = ctx.atoms_across(&slices[n], &slices[n + 1]);
             let child_types: Vec<(TypeMap, obda_ndl::program::PredId)> =
                 defined[n + 1].iter().map(|(t, &p)| (t.clone(), p)).collect();
-            for w in candidates {
+            let mut candidates = ctx.types(&slices[n], &TypeMap::empty());
+            while let Some(w) = candidates.next(budget, &program)? {
                 let mut pid = None;
                 for (s, child_pid) in &child_types {
                     tick_rewrite(budget, &program)?;
-                    let union = w.union(s);
-                    let mut both: Vec<Var> = slices[n].clone();
-                    both.extend(slices[n + 1].iter().copied());
-                    if !ctx.compatible_on(&union, &both) {
+                    let word = |v: Var| w.get(v).or_else(|| s.get(v));
+                    if !across.iter().all(|&(role, y, z)| match (word(y), word(z)) {
+                        (Some(wy), Some(wz)) => ctx.edge_compatible(role, wy, wz),
+                        _ => true,
+                    }) {
                         continue;
                     }
+                    let union = w.union(s);
                     let heads = head_vars(n);
                     let id = *pid.get_or_insert_with(|| {
                         program.add_idb_with_params(

@@ -9,7 +9,7 @@
 //! type `s` over the splitting bag `λ(σ(D))` and recurses into the subtrees
 //! `D′ ≺ D`.
 
-use crate::omq::{charge_clause, tick_rewrite, Omq, RewriteError, Rewriter};
+use crate::omq::{charge_clause, Omq, RewriteError, Rewriter};
 use crate::types::{TypeCtx, TypeMap};
 use obda_budget::Budget;
 use obda_cq::gaifman::Gaifman;
@@ -48,7 +48,7 @@ struct NodeInfo {
 }
 
 struct Builder<'a> {
-    ctx: TypeCtx<'a>,
+    ctx: &'a TypeCtx<'a>,
     info: Vec<NodeInfo>,
     program: Program,
     memo: FxHashMap<(usize, TypeMap), Option<PredId>>,
@@ -76,7 +76,7 @@ impl Rewriter for LogRewriter {
         };
         let arena = WordArena::new_budgeted(&taxonomy, depth, budget)
             .map_err(|e| RewriteError::from_budget(e, 0, 0))?;
-        let ctx = TypeCtx { ontology: omq.ontology, taxonomy: &taxonomy, arena: &arena, q };
+        let ctx = TypeCtx::new(omq.ontology, &taxonomy, &arena, q);
 
         let g = Gaifman::new(q);
         let td = if self.natural_tree_decomposition && g.is_tree() {
@@ -136,7 +136,7 @@ impl Rewriter for LogRewriter {
         }
 
         let mut builder = Builder {
-            ctx,
+            ctx: &ctx,
             info,
             program: Program::new(),
             memo: FxHashMap::default(),
@@ -188,10 +188,10 @@ impl Builder<'_> {
         let bag = self.info[node].bag.clone();
         let children = self.info[node].children.clone();
         let q = omq.query;
-        let types = self.ctx.enumerate_types(&bag, w);
+        let ctx = self.ctx;
+        let mut types = ctx.types(&bag, w);
         let mut pid: Option<PredId> = None;
-        for s in types {
-            tick_rewrite(self.budget, &self.program)?;
+        while let Some(s) = types.next(self.budget, &self.program)? {
             let union = s.union(&w.restrict_outside(&bag));
             // Resolve children first.
             let mut child_atoms: Vec<(PredId, Vec<Var>)> = Vec::new();

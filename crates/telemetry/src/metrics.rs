@@ -118,12 +118,6 @@ impl Ewma {
         let bits = self.bits.load(Ordering::Relaxed);
         (bits != EWMA_EMPTY).then(|| f64::from_bits(bits))
     }
-
-    /// Forget all observations (used when leaving a degraded mode so the
-    /// next episode starts from fresh evidence).
-    pub fn reset(&self) {
-        self.bits.store(EWMA_EMPTY, Ordering::Relaxed);
-    }
 }
 
 impl Default for Ewma {
@@ -388,8 +382,6 @@ mod tests {
         e.observe(f64::NAN);
         e.observe(f64::INFINITY);
         assert_eq!(e.get(), Some(50.0), "non-finite samples are ignored");
-        e.reset();
-        assert_eq!(e.get(), None);
         // Registry path: alpha is fixed on first registration.
         let reg = MetricsRegistry::new();
         reg.ewma("queue_wait", 0.5).observe(10.0);
