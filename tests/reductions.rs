@@ -162,10 +162,10 @@ fn theorem_15_and_16_through_the_pipeline() {
 }
 
 /// Adaptive runs `Lin`, `Log` and `Tw` on shares of one budget. On these
-/// instances `Log` outgrows its share and `Lin`'s program outgrows the
-/// clause cap once lifted to arbitrary data, but `Tw` answers alone in
-/// tens of milliseconds: Adaptive must still answer, within the deadline
-/// and the cap.
+/// instances `Lin`'s program outgrows the clause cap once lifted to
+/// arbitrary data and `Log` needs about its whole share or more, but `Tw`
+/// answers alone in tens of milliseconds: Adaptive must still answer,
+/// within the deadline and the cap.
 #[test]
 fn adaptive_keeps_to_its_budget_on_theorem_16() {
     use std::time::Instant;
@@ -185,9 +185,15 @@ fn adaptive_keeps_to_its_budget_on_theorem_16() {
         let rewriting = sys.rewrite_budgeted(&r.query, Strategy::Adaptive, &mut budget);
         let elapsed = started.elapsed();
         let rewriting = rewriting.unwrap_or_else(|e| panic!("seed {seed}: Adaptive refused: {e}"));
-        assert!(elapsed <= timeout * 21 / 20, "seed {seed}: returned after {elapsed:?}");
+        // The deadline gate of ROADMAP item 10: 5% or 100 ms, whichever
+        // is larger, so a scheduling stall on a shared runner is not a
+        // failure.
+        let slack = (timeout / 20).max(Duration::from_millis(100));
+        assert!(elapsed <= timeout + slack, "seed {seed}: returned after {elapsed:?}");
+        // `Tw*` wins with 434 and 293 clauses; on seed 201 `Log` sometimes
+        // finishes within its share and wins with 648.
         let clauses = rewriting.program.num_clauses();
-        assert!(clauses <= 443, "seed {seed}: {clauses} clauses");
+        assert!(clauses <= 648, "seed {seed}: {clauses} clauses");
         assert!(budget.spent_clauses() <= 20_000, "seed {seed}: the cap holds");
     }
 }
