@@ -2,7 +2,6 @@
 //!
 //! * splitting strategy (Lin vs Log vs Tw vs Tw* vs the adaptive chooser) —
 //!   the Section 6 observation that none dominates;
-//! * skinny transform on/off for evaluation;
 //! * natural vs min-fill tree decomposition for the Log rewriting;
 //! * Adaptive `prepare` of never-seen query texts with the system's
 //!   tree-witness memo warm vs empty (DESIGN §16).
@@ -15,7 +14,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obda::{ObdaSystem, Strategy};
 use obda_bench::{dataset, paper_system, prefix_query};
 use obda_ndl::eval::evaluate;
-use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
 use obda_rewrite::log::LogRewriter;
 use obda_rewrite::omq::{Omq, Rewriter};
@@ -40,20 +38,6 @@ fn bench_splitting_strategies(c: &mut Criterion) {
             );
         }
     }
-    group.finish();
-}
-
-fn bench_skinny_on_off(c: &mut Criterion) {
-    let sys = paper_system();
-    let data = dataset(&sys, 1, 0.04);
-    let db = Database::new(&data);
-    let q = prefix_query(&sys, 0, 7);
-    let log = sys.rewrite(&q, Strategy::Log).unwrap();
-    let skinny = to_skinny(&log);
-    let mut group = c.benchmark_group("ablation_skinny");
-    group.sample_size(10);
-    group.bench_function("log_plain", |b| b.iter(|| black_box(evaluate(&log, &db).unwrap())));
-    group.bench_function("log_skinny", |b| b.iter(|| black_box(evaluate(&skinny, &db).unwrap())));
     group.finish();
 }
 
@@ -138,7 +122,6 @@ fn bench_cold_prepare(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_splitting_strategies,
-    bench_skinny_on_off,
     bench_tree_decomposition_choice,
     bench_cold_prepare
 );

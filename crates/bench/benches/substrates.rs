@@ -16,7 +16,6 @@ use obda_chase::homomorphism::HomSearch;
 use obda_chase::model::{word_bound, CanonicalModel};
 use obda_ndl::eval::evaluate;
 use obda_ndl::reference::evaluate_reference;
-use obda_ndl::skinny::to_skinny;
 use obda_ndl::storage::Database;
 use std::hint::black_box;
 
@@ -65,19 +64,5 @@ fn bench_storage_substrate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_skinny(c: &mut Criterion) {
-    let sys = paper_system();
-    let q = prefix_query(&sys, 0, 8);
-    let log = sys.rewrite_complete(&q, Strategy::Log).unwrap();
-    c.bench_function("skinny_transform_log8", |b| b.iter(|| black_box(to_skinny(&log))));
-}
-
-criterion_group!(
-    benches,
-    bench_saturation,
-    bench_chase,
-    bench_evaluators,
-    bench_storage_substrate,
-    bench_skinny
-);
+criterion_group!(benches, bench_saturation, bench_chase, bench_evaluators, bench_storage_substrate);
 criterion_main!(benches);

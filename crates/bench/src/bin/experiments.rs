@@ -19,7 +19,8 @@
 //!   thread vs pruned on `--threads` workers, over the Table 2 datasets,
 //!   written as
 //!   JSON to `BENCH_eval.json` in the current directory, with every row
-//!   cross-checked against the budgeted chase oracle;
+//!   cross-checked against the budgeted chase oracle; the parallel
+//!   speedup is `null` when `--threads` exceeds the available cores;
 //! * `benchguard` — re-measures the `BENCH_eval.json` cells on the current
 //!   build and fails (exit 1) if any cell derives a different tuple count
 //!   or regresses measurably in time — the guard that the compiled-out
@@ -1606,7 +1607,11 @@ fn bencheval(cfg: &Config) {
                 Some(_) => "DISAGREE",
                 None => "budget",
             };
-            let speedup = seq_run.as_ref().map(|(seq_secs, _)| seq_secs / par_secs);
+            // More workers than cores cannot show a parallel speedup, so
+            // none is reported (`null`, `-` in the table).
+            let cores_suffice = cfg.threads <= available_parallelism();
+            let speedup =
+                seq_run.as_ref().filter(|_| cores_suffice).map(|(seq_secs, _)| seq_secs / par_secs);
             let saved = seq_run.as_ref().map(|(_, seq_res)| {
                 seq_res.stats.generated_tuples.saturating_sub(pruned_res.stats.generated_tuples)
             });
@@ -1618,7 +1623,11 @@ fn bencheval(cfg: &Config) {
                 fmt_opt(seq_run.as_ref().map(|(s, _)| format!("{s:.3}"))),
                 format!("{pruned_secs:.3}"),
                 format!("{par_secs:.3}"),
-                fmt_opt(speedup.map(|x| format!("{x:.2}x"))),
+                if cores_suffice {
+                    fmt_opt(speedup.map(|x| format!("{x:.2}x")))
+                } else {
+                    "-".to_owned()
+                },
                 fmt_opt(seq_run.as_ref().map(|(_, r)| r.stats.generated_tuples.to_string())),
                 pruned_res.stats.generated_tuples.to_string(),
                 oracle_tag.to_owned(),

@@ -309,11 +309,6 @@ impl Budget {
         }
     }
 
-    /// Would charging `pending` more tuples trip the cap?
-    pub fn tuples_would_exceed(&self, pending: u64) -> bool {
-        self.check_tuple_headroom(pending).is_err()
-    }
-
     /// Charges `n` materialised chase elements against the chase cap.
     pub fn charge_chase_elements(&mut self, n: u64) -> Result<(), BudgetExceeded> {
         self.chase_elements += n;
@@ -688,11 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn tuples_would_exceed_is_a_dry_run() {
+    fn tuple_headroom_check_is_a_dry_run() {
         let mut b = Budget::unlimited().max_tuples(5);
         b.charge_tuples(3).unwrap();
-        assert!(!b.tuples_would_exceed(2));
-        assert!(b.tuples_would_exceed(3));
+        assert!(b.check_tuple_headroom(2).is_ok());
+        assert!(b.check_tuple_headroom(3).is_err());
         assert_eq!(b.spent_tuples(), 3);
     }
 

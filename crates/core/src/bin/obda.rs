@@ -99,9 +99,9 @@ use obda::cq::query::Cq;
 use obda::store::{flag_names, unknown_flags};
 use obda::telemetry::{CollectingTracer, MetricsRegistry, Telemetry};
 use obda::{
-    read_info, write_snapshot, BreakerConfig, MemoryBackend, ObdaError, ObdaSystem, OverloadConfig,
-    QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig, Snapshot, StorageBackend,
-    StoreError, Strategy, TenantQuota,
+    read_info, write_snapshot, AnswerRequest, BreakerConfig, DataSource, MemoryBackend, ObdaError,
+    ObdaSystem, OverloadConfig, QueryService, RetryPolicy, Server, ServerConfig, ServiceConfig,
+    Snapshot, StorageBackend, StoreError, Strategy, TenantQuota,
 };
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::program::ProgramDisplay;
@@ -629,6 +629,14 @@ impl AnswerData {
         }
     }
 
+    /// Where a request reads this data from.
+    fn source(&self) -> DataSource<'_> {
+        match self {
+            AnswerData::Parsed(d) => DataSource::Parse(d),
+            AnswerData::Snapshot(s) => DataSource::Backend(s.as_ref()),
+        }
+    }
+
     /// The instance view (snapshots materialise it lazily, verifying
     /// every segment; only the chase oracle needs it).
     fn instance(&self) -> Result<&obda::owlql::abox::DataInstance, StoreError> {
@@ -882,33 +890,16 @@ fn run_answer(
     };
     let (result, strategy_used) = match &host {
         Host::Bare(system) => {
-            let res = match data {
-                AnswerData::Parsed(d) => system.answer_with_budget_engine_traced(
-                    query,
-                    d,
-                    args.strategy,
-                    &args.spec,
-                    &args.engine,
-                    telem,
-                )?,
-                AnswerData::Snapshot(s) => system.answer_with_budget_engine_backend_traced(
-                    query,
-                    s.as_ref(),
-                    args.strategy,
-                    &args.spec,
-                    &args.engine,
-                    telem,
-                )?,
-            };
-            (res, args.strategy)
+            let report = system.run(&AnswerRequest {
+                spec: args.spec,
+                engine: args.engine.clone(),
+                telem,
+                ..AnswerRequest::new(query, data.source(), args.strategy)
+            });
+            (report.into_result()?, args.strategy)
         }
         Host::Served(service) => {
-            let service_report = match data {
-                AnswerData::Parsed(d) => service.answer_traced(query, d, args.strategy, telem)?,
-                AnswerData::Snapshot(s) => {
-                    service.answer_backend_traced(query, s.as_ref(), args.strategy, telem)?
-                }
-            };
+            let service_report = service.answer(query, args.strategy, data.source(), telem)?;
             // One consistent block: every ladder attempt, then the
             // service-level accounting (queue wait is time the attempts
             // never see, so the report and the latency line belong
@@ -923,26 +914,14 @@ fn run_answer(
                 total.as_secs_f64() * 1e3,
             );
             let report = service_report.report;
-            match report.winning_strategy() {
-                Some(winner) => match report.into_result() {
-                    Some(res) => (res, winner),
-                    None => {
-                        return Err(CliError::Internal("winner without a result".into()));
-                    }
-                },
-                None => {
-                    if report.all_exhausted() {
-                        return Err(CliError::Budget(format!(
-                            "budget exhausted: all {} strategies tripped the budget",
-                            report.attempts.len()
-                        )));
-                    }
-                    let err = report.final_error().ok_or_else(|| {
-                        CliError::Budget("the deadline passed before any strategy could run".into())
-                    })?;
-                    return Err(err.into());
-                }
+            if report.all_exhausted() {
+                return Err(CliError::Budget(format!(
+                    "budget exhausted: all {} strategies tripped the budget",
+                    report.attempts.len()
+                )));
             }
+            let winner = report.winning_strategy().unwrap_or(args.strategy);
+            (report.into_result()?, winner)
         }
     };
     // Through one buffer on the locked handle: stdout is line-buffered,

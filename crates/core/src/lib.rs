@@ -47,8 +47,8 @@ pub use complexity::{
     PeSize, QueryClass, Succinctness,
 };
 pub use pipeline::{
-    Attempt, AttemptClass, AttemptOutcome, ObdaError, ObdaSystem, PipelineReport, PreparedOmq,
-    RetryPolicy, Strategy, StrategyGate,
+    AnswerRequest, Attempt, AttemptClass, AttemptOutcome, DataSource, ObdaError, ObdaSystem,
+    PipelineReport, PreparedOmq, RetryPolicy, Strategy, StrategyGate,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::breaker::{BreakerConfig, BreakerSet, CircuitBreaker, Transition};

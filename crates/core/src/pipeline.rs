@@ -9,7 +9,7 @@ use obda_ndl::analysis::{analyze, Analysis};
 use obda_ndl::engine::{
     evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, prune_traced, EngineConfig,
 };
-use obda_ndl::eval::{evaluate, EvalError, EvalResult};
+use obda_ndl::eval::{EvalError, EvalResult, EvalStats};
 use obda_ndl::explain::{explain_plan_with, PlanExplanation};
 use obda_ndl::planner::{plan_query, QueryPlan};
 use obda_ndl::program::{NdlQuery, Program};
@@ -76,9 +76,10 @@ pub(crate) fn isolate<T>(
     }
 }
 
-/// Where a pipeline run gets its data: both arms evaluate on the same
+/// Where a request gets its data: both arms evaluate on the same
 /// [`Database`] type, so the ladder's hot path is identical either way.
-pub(crate) enum DataSource<'a> {
+#[derive(Clone, Copy)]
+pub enum DataSource<'a> {
     /// A freshly parsed instance: the ladder builds the database itself,
     /// inside the pipeline's isolation boundary (the build exercises the
     /// faultable storage-insert path).
@@ -86,6 +87,49 @@ pub(crate) enum DataSource<'a> {
     /// A pre-loaded backend (in-memory or `.obdb` snapshot): the database
     /// is already built and validated, so the ladder evaluates in place.
     Backend(&'a dyn StorageBackend),
+}
+
+/// One request to answer an OMQ, the input of [`ObdaSystem::run`]: the
+/// query and its data, the strategy to start from, and how to run it.
+pub struct AnswerRequest<'a> {
+    /// The conjunctive query of the OMQ (over the system's ontology).
+    pub query: &'a Cq,
+    /// Where the data comes from.
+    pub data: DataSource<'a>,
+    /// The strategy tried first.
+    pub strategy: Strategy,
+    /// Whether a failed `strategy` degrades down its
+    /// [`Strategy::fallback_ladder`]; `false` is a ladder of one rung.
+    pub fallback: bool,
+    /// The resource budget of the whole request, every rung included.
+    pub spec: BudgetSpec,
+    /// The evaluation engine's configuration.
+    pub engine: EngineConfig,
+    /// How transient faults are retried before a rung is given up.
+    pub retry: RetryPolicy,
+    /// Where spans and metrics go.
+    pub telem: Telemetry<'a>,
+    /// Per-strategy circuit breakers consulted before each rung, if any.
+    pub gate: Option<&'a dyn StrategyGate>,
+}
+
+impl<'a> AnswerRequest<'a> {
+    /// A request for `strategy` alone: no fallback, no retries, no budget,
+    /// the unpruned engine, no telemetry and no gate. Override fields with
+    /// struct-update syntax.
+    pub fn new(query: &'a Cq, data: DataSource<'a>, strategy: Strategy) -> Self {
+        AnswerRequest {
+            query,
+            data,
+            strategy,
+            fallback: false,
+            spec: BudgetSpec::unlimited(),
+            engine: EngineConfig::unpruned(),
+            retry: RetryPolicy::none(),
+            telem: Telemetry::disabled(),
+            gate: None,
+        }
+    }
 }
 
 /// Exports a backend's resident footprint as the `store_resident_bytes`
@@ -487,7 +531,7 @@ impl From<HydrateError> for ObdaError {
     }
 }
 
-/// One strategy attempt inside [`ObdaSystem::answer_with_fallback`].
+/// One strategy attempt inside [`ObdaSystem::run`].
 #[derive(Debug)]
 pub struct Attempt {
     /// The strategy tried.
@@ -589,13 +633,16 @@ impl PipelineReport {
     }
 
     /// Consumes the report, returning the winning attempt's evaluation
-    /// result, if any strategy succeeded.
-    pub fn into_result(self) -> Option<EvalResult> {
-        let w = self.winner?;
-        self.attempts.into_iter().nth(w).and_then(|a| match a.outcome {
-            AttemptOutcome::Success(res) => Some(res),
-            _ => None,
-        })
+    /// result, or else the [`PipelineReport::final_error`]. A report with
+    /// no attempt at all (the deadline passed before the first rung of a
+    /// degrading ladder) is a wall-clock trip with empty statistics.
+    pub fn into_result(mut self) -> Result<EvalResult, ObdaError> {
+        if let Some(w) = self.winner {
+            if let AttemptOutcome::Success(res) = self.attempts.swap_remove(w).outcome {
+                return Ok(res);
+            }
+        }
+        Err(self.final_error().unwrap_or(ObdaError::Eval(EvalError::Timeout(EvalStats::default()))))
     }
 
     /// The winning strategy, if any.
@@ -763,7 +810,7 @@ impl ObdaSystem {
 
     /// Budgeted [`ObdaSystem::rewrite_complete`]: the chosen rewriter ticks
     /// and charges the shared [`Budget`] as it works.
-    pub fn rewrite_complete_budgeted(
+    fn rewrite_complete_budgeted(
         &self,
         query: &Cq,
         strategy: Strategy,
@@ -822,24 +869,24 @@ impl ObdaSystem {
         Ok(lift(complete, budget)?)
     }
 
-    /// Answers the OMQ over a data instance by rewriting and evaluating.
+    /// Answers the OMQ over a data instance by rewriting and evaluating:
+    /// `strategy` alone, unbudgeted, on the unpruned engine.
     pub fn answer(
         &self,
         query: &Cq,
         data: &DataInstance,
         strategy: Strategy,
     ) -> Result<EvalResult, ObdaError> {
-        let rewriting = self.rewrite(query, strategy)?;
-        Ok(evaluate(&rewriting, &Database::new(data))?)
+        self.run(&AnswerRequest::new(query, DataSource::Parse(data), strategy)).into_result()
     }
 
-    /// Answers the OMQ under a unified resource budget covering *both* the
-    /// rewriting and the evaluation stage, evaluated by the engine
-    /// configured by `cfg` (relevance pruning and worker threads). A trip
-    /// in either stage surfaces as a typed [`ObdaError`] carrying partial
-    /// statistics; with several workers the budget is shared across all of
-    /// them, so a deadline or cap trips the whole pool with one typed
-    /// error.
+    /// Answers the OMQ with `strategy` alone under a unified resource
+    /// budget covering *both* the rewriting and the evaluation stage,
+    /// evaluated by the engine configured by `cfg` (relevance pruning and
+    /// worker threads). A trip in either stage surfaces as a typed
+    /// [`ObdaError`] carrying partial statistics; with several workers the
+    /// budget is shared across all of them, so a deadline or cap trips the
+    /// whole pool with one typed error.
     pub fn answer_with_budget_engine(
         &self,
         query: &Cq,
@@ -848,278 +895,32 @@ impl ObdaSystem {
         spec: &BudgetSpec,
         cfg: &EngineConfig,
     ) -> Result<EvalResult, ObdaError> {
-        self.answer_with_budget_engine_traced(
-            query,
-            data,
-            strategy,
-            spec,
-            cfg,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// Like [`ObdaSystem::answer_with_budget_engine`], recording `rewrite`,
-    /// `load_data` and engine spans through `telem`.
-    pub fn answer_with_budget_engine_traced(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        spec: &BudgetSpec,
-        cfg: &EngineConfig,
-        telem: Telemetry<'_>,
-    ) -> Result<EvalResult, ObdaError> {
-        isolate("pipeline::answer_with_budget_engine", || {
-            let mut budget = spec.start();
-            let span = telem.span("rewrite");
-            span.attr_str("strategy", &strategy.to_string());
-            let rewriting = match self.rewrite_budgeted(query, strategy, &mut budget) {
-                Ok(r) => {
-                    span.attr("clauses", r.program.num_clauses() as u64);
-                    span.end();
-                    r
-                }
-                Err(e) => {
-                    span.error(&e.to_string());
-                    return Err(e);
-                }
-            };
-            let load = telem.span("load_data");
-            load.attr_str("backend", "memory");
-            let db = Database::new(data);
-            load.end();
-            Ok(evaluate_engine_on_traced(&rewriting, &db, &mut budget, cfg, telem)?)
+        self.run(&AnswerRequest {
+            spec: *spec,
+            engine: cfg.clone(),
+            ..AnswerRequest::new(query, DataSource::Parse(data), strategy)
         })
+        .into_result()
     }
 
-    /// [`ObdaSystem::answer_with_budget_engine_traced`] over a pre-loaded
-    /// [`StorageBackend`]: no database build, the engine runs directly on
-    /// the backend's (possibly snapshot-loaded) database.
-    pub fn answer_with_budget_engine_backend_traced(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        strategy: Strategy,
-        spec: &BudgetSpec,
-        cfg: &EngineConfig,
-        telem: Telemetry<'_>,
-    ) -> Result<EvalResult, ObdaError> {
-        isolate("pipeline::answer_with_budget_engine", || {
-            let mut budget = spec.start();
-            let span = telem.span("rewrite");
-            span.attr_str("strategy", &strategy.to_string());
-            let rewriting = match self.rewrite_budgeted(query, strategy, &mut budget) {
-                Ok(r) => {
-                    span.attr("clauses", r.program.num_clauses() as u64);
-                    span.end();
-                    r
-                }
-                Err(e) => {
-                    span.error(&e.to_string());
-                    return Err(e);
-                }
-            };
-            let load = telem.span("load_data");
-            load.attr_str("backend", backend.kind());
-            load.end();
-            let result = evaluate_hydrated(&rewriting, backend.database(), &mut budget, cfg, telem);
-            export_resident_bytes(backend, telem);
-            result
-        })
-    }
-
-    /// Answers the OMQ with graceful degradation: tries `preferred` under
-    /// the budget; when it exceeds its rewriting or evaluation budget (or
-    /// is structurally inapplicable), automatically retries each strategy
-    /// on the [`Strategy::fallback_ladder`]. Transient faults are retried
-    /// per the default [`RetryPolicy`] before degrading. Every attempt
-    /// gets fresh counters but the *same* absolute wall-clock deadline,
-    /// so the whole run respects the spec's timeout. Always terminates;
+    /// Answers one [`AnswerRequest`]: gets the data (building the database
+    /// of a parsed instance), then walks the request's ladder —
+    /// `req.strategy` alone, or with `req.fallback` the whole
+    /// [`Strategy::fallback_ladder`] — until a rung answers. Each rung
+    /// rewrites and evaluates behind its own panic-isolation boundary, and
+    /// a transient fault is retried per `req.retry` before the ladder
+    /// degrades. Every try gets fresh counters but the *same* absolute
+    /// wall-clock deadline, so the whole run respects the spec's timeout.
+    /// A rung whose `req.gate` breaker is open is recorded as
+    /// [`AttemptOutcome::Skipped`] without spending any budget, and every
+    /// admitted try's outcome is fed back to the gate. Always terminates;
     /// the report lists every attempt (retries included) and the winner,
-    /// if any.
-    pub fn answer_with_fallback(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Parse(data),
-            preferred,
-            spec,
-            None,
-            &RetryPolicy::default(),
-            Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback`] with full control: an optional
-    /// engine configuration (`None` runs [`EngineConfig::unpruned`], as
-    /// every ladder entry point without one does) and an explicit
-    /// transient-fault [`RetryPolicy`].
-    pub fn answer_with_fallback_policy(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-    ) -> PipelineReport {
-        self.answer_with_fallback_traced(
-            query,
-            data,
-            preferred,
-            spec,
-            engine,
-            retry,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback_policy`] recording per-attempt
-    /// spans through `telem`: each ladder try gets an `attempt` span
-    /// (strategy and retry number attached, error-tagged on failure) whose
-    /// children are the stage spans of rewriting and evaluation.
-    #[allow(clippy::too_many_arguments)] // the traced superset of the policy facade
-    pub fn answer_with_fallback_traced(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-        telem: Telemetry<'_>,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Parse(data),
-            preferred,
-            spec,
-            engine,
-            retry,
-            telem,
-        )
-    }
-
-    /// [`ObdaSystem::answer_with_fallback`] over a pre-loaded
-    /// [`StorageBackend`] — an in-memory build or an opened `.obdb`
-    /// snapshot. The ladder skips the data-loading step entirely and
-    /// evaluates every attempt on the backend's database, so snapshot-
-    /// backed and parse-backed runs share the exact same hot path.
-    pub fn answer_with_fallback_backend(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-    ) -> PipelineReport {
-        self.fallback_ladder_run(
-            query,
-            DataSource::Backend(backend),
-            preferred,
-            spec,
-            None,
-            &RetryPolicy::default(),
-            Telemetry::disabled(),
-        )
-    }
-
-    /// One isolated try of one strategy: rewrite + evaluate behind a
-    /// `catch_unwind` boundary, classified into an [`AttemptOutcome`].
-    #[allow(clippy::too_many_arguments)] // internal driver behind the public facades
-    fn run_attempt(
-        &self,
-        query: &Cq,
-        db: &Database,
-        strategy: Strategy,
-        budget: &mut Budget,
-        engine: Option<&EngineConfig>,
-        telem: Telemetry<'_>,
-    ) -> (AttemptOutcome, Option<usize>) {
-        let mut clauses = None;
-        let result = {
-            let clauses = &mut clauses;
-            isolate("pipeline::attempt", || {
-                let span = telem.span("rewrite");
-                let rewriting = match self.rewrite_budgeted(query, strategy, budget) {
-                    Ok(r) => {
-                        span.attr("clauses", r.program.num_clauses() as u64);
-                        span.end();
-                        r
-                    }
-                    Err(e) => {
-                        span.error(&e.to_string());
-                        return Err(e);
-                    }
-                };
-                *clauses = Some(rewriting.program.num_clauses());
-                let unpruned = EngineConfig::unpruned();
-                let cfg = engine.unwrap_or(&unpruned);
-                evaluate_hydrated(&rewriting, db, budget, cfg, telem)
-            })
-        };
-        let outcome = match result {
-            Ok(res) => AttemptOutcome::Success(res),
-            Err(ObdaError::Rewrite(re)) => {
-                if let RewriteError::BudgetExceeded { clauses: c, .. } = &re {
-                    clauses = Some(*c);
-                }
-                AttemptOutcome::RewriteFailed(re)
-            }
-            Err(ObdaError::Eval(e)) => AttemptOutcome::EvalFailed(e),
-            Err(ObdaError::Store(e)) => AttemptOutcome::StoreFailed(e),
-            Err(ObdaError::Transient { site }) => AttemptOutcome::Transient { site },
-            Err(ObdaError::Internal { site, payload }) => {
-                AttemptOutcome::Panicked { site, payload }
-            }
-            // Parse/Chase/Overloaded cannot arise from rewrite+evaluate;
-            // represent them as a zero-size refusal to keep the report
-            // total, matching the pre-retry behaviour.
-            Err(_) => AttemptOutcome::RewriteFailed(RewriteError::TooLarge(0)),
-        };
-        (outcome, clauses)
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal driver behind the public facades
-    pub(crate) fn fallback_ladder_run(
-        &self,
-        query: &Cq,
-        source: DataSource<'_>,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-        telem: Telemetry<'_>,
-    ) -> PipelineReport {
-        self.fallback_ladder_run_gated(query, source, preferred, spec, engine, retry, telem, None)
-    }
-
-    /// [`ObdaSystem::fallback_ladder_run`] consulting a [`StrategyGate`]
-    /// (per-strategy circuit breakers): a rung whose breaker is open is
-    /// recorded as [`AttemptOutcome::Skipped`] and the ladder degrades
-    /// past it without spending any budget; every admitted attempt's
-    /// outcome is fed back to drive the breaker state machine.
-    #[allow(clippy::too_many_arguments)] // internal driver behind the public facades
-    pub(crate) fn fallback_ladder_run_gated(
-        &self,
-        query: &Cq,
-        source: DataSource<'_>,
-        preferred: Strategy,
-        spec: &BudgetSpec,
-        engine: Option<&EngineConfig>,
-        retry: &RetryPolicy,
-        telem: Telemetry<'_>,
-        gate: Option<&dyn StrategyGate>,
-    ) -> PipelineReport {
-        let master = spec.start();
-        let resident_source: Option<&dyn StorageBackend> = match &source {
-            DataSource::Backend(b) => Some(*b),
-            DataSource::Parse(_) => None,
-        };
+    /// if any. With telemetry on, each try is an `attempt` span (strategy
+    /// and retry number attached, error-tagged on failure) whose children
+    /// are the stage spans of rewriting and evaluation.
+    pub fn run(&self, req: &AnswerRequest<'_>) -> PipelineReport {
+        let telem = req.telem;
+        let master = req.spec.start();
         // Loading parsed data into the shared store is itself a faultable
         // step (it exercises the storage insert path); an unwind here
         // becomes a single failed pseudo-attempt instead of escaping the
@@ -1129,7 +930,7 @@ impl ObdaSystem {
         let load_start = Instant::now();
         let load_span = telem.span("load_data");
         let built;
-        let db: &Database = match source {
+        let db: &Database = match req.data {
             DataSource::Backend(backend) => {
                 load_span.attr_str("backend", backend.kind());
                 load_span.end();
@@ -1156,7 +957,7 @@ impl ObdaSystem {
                             },
                         };
                         let attempt = Attempt {
-                            strategy: preferred,
+                            strategy: req.strategy,
                             retry: 0,
                             outcome,
                             clauses: None,
@@ -1167,10 +968,11 @@ impl ObdaSystem {
                 }
             }
         };
+        let ladder = if req.fallback { req.strategy.fallback_ladder() } else { vec![req.strategy] };
         let mut attempts: Vec<Attempt> = Vec::new();
         let mut winner = None;
-        'ladder: for strategy in preferred.fallback_ladder() {
-            if let Some(g) = gate {
+        'ladder: for strategy in ladder {
+            if let Some(g) = req.gate {
                 if let Some(retry_after) = g.admit_strategy(strategy) {
                     attempts.push(Attempt {
                         strategy,
@@ -1186,22 +988,25 @@ impl ObdaSystem {
                 }
             }
             let mut retry_no = 0u32;
-            let mut backoff = retry.base_backoff;
+            let mut backoff = req.retry.base_backoff;
             loop {
                 let mut budget = master.renew();
-                if budget.check_time().is_err() {
-                    break 'ladder; // the global deadline has passed: stop trying
+                // Past the global deadline a degrading ladder stops trying.
+                // A one-rung ladder still runs its rung once, so a passed
+                // deadline is its rewrite's typed trip, not an empty report.
+                if (req.fallback || retry_no > 0) && budget.check_time().is_err() {
+                    break 'ladder;
                 }
                 let start = Instant::now();
                 let attempt_span = telem.span("attempt");
                 attempt_span.attr_str("strategy", &strategy.to_string());
                 attempt_span.attr("retry", u64::from(retry_no));
                 let (outcome, clauses) = self.run_attempt(
-                    query,
+                    req.query,
                     db,
                     strategy,
                     &mut budget,
-                    engine,
+                    &req.engine,
                     telem.under(&attempt_span),
                 );
                 let success = matches!(outcome, AttemptOutcome::Success(_));
@@ -1227,7 +1032,7 @@ impl ObdaSystem {
                     // Skipped rows are pushed before the attempt loop runs.
                     AttemptOutcome::Skipped { .. } => unreachable!("skip happens before attempts"),
                 }
-                if let Some(g) = gate {
+                if let Some(g) = req.gate {
                     let class = match &outcome {
                         AttemptOutcome::Success(_) => AttemptClass::Success,
                         AttemptOutcome::EvalFailed(e) => {
@@ -1269,11 +1074,11 @@ impl ObdaSystem {
                     // would only re-read it.
                     break 'ladder;
                 }
-                if !(transient && retry_no < retry.max_retries) {
+                if !(transient && retry_no < req.retry.max_retries) {
                     break; // not retryable (or retries spent): degrade
                 }
                 retry_no += 1;
-                backoff = retry.next_backoff(attempts.len() as u64, backoff);
+                backoff = req.retry.next_backoff(attempts.len() as u64, backoff);
                 // Sleep never past the shared absolute deadline.
                 let sleep = match master.deadline() {
                     Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
@@ -1284,10 +1089,63 @@ impl ObdaSystem {
                 }
             }
         }
-        if let Some(backend) = resident_source {
+        if let DataSource::Backend(backend) = req.data {
             export_resident_bytes(backend, telem);
         }
         PipelineReport { attempts, winner }
+    }
+
+    /// One isolated try of one strategy: rewrite + evaluate behind a
+    /// `catch_unwind` boundary, classified into an [`AttemptOutcome`].
+    fn run_attempt(
+        &self,
+        query: &Cq,
+        db: &Database,
+        strategy: Strategy,
+        budget: &mut Budget,
+        engine: &EngineConfig,
+        telem: Telemetry<'_>,
+    ) -> (AttemptOutcome, Option<usize>) {
+        let mut clauses = None;
+        let result = {
+            let clauses = &mut clauses;
+            isolate("pipeline::attempt", || {
+                let span = telem.span("rewrite");
+                let rewriting = match self.rewrite_budgeted(query, strategy, budget) {
+                    Ok(r) => {
+                        span.attr("clauses", r.program.num_clauses() as u64);
+                        span.end();
+                        r
+                    }
+                    Err(e) => {
+                        span.error(&e.to_string());
+                        return Err(e);
+                    }
+                };
+                *clauses = Some(rewriting.program.num_clauses());
+                evaluate_hydrated(&rewriting, db, budget, engine, telem)
+            })
+        };
+        let outcome = match result {
+            Ok(res) => AttemptOutcome::Success(res),
+            Err(ObdaError::Rewrite(re)) => {
+                if let RewriteError::BudgetExceeded { clauses: c, .. } = &re {
+                    clauses = Some(*c);
+                }
+                AttemptOutcome::RewriteFailed(re)
+            }
+            Err(ObdaError::Eval(e)) => AttemptOutcome::EvalFailed(e),
+            Err(ObdaError::Store(e)) => AttemptOutcome::StoreFailed(e),
+            Err(ObdaError::Transient { site }) => AttemptOutcome::Transient { site },
+            Err(ObdaError::Internal { site, payload }) => {
+                AttemptOutcome::Panicked { site, payload }
+            }
+            // Parse/Chase/Overloaded cannot arise from rewrite+evaluate;
+            // represent them as a zero-size refusal to keep the report
+            // total, matching the pre-retry behaviour.
+            Err(_) => AttemptOutcome::RewriteFailed(RewriteError::TooLarge(0)),
+        };
+        (outcome, clauses)
     }
 
     /// Certain answers via the chase oracle (ground truth; slow on large
@@ -1403,11 +1261,6 @@ impl PreparedOmq {
         &self.analysis
     }
 
-    /// Goal arity (number of answer variables).
-    pub fn goal_arity(&self) -> usize {
-        self.rewriting.arity()
-    }
-
     /// Number of clauses of the rewriting.
     pub fn num_clauses(&self) -> usize {
         self.rewriting.program.num_clauses()
@@ -1505,33 +1358,6 @@ impl PreparedOmq {
             evaluate_engine_on_traced(&self.rewriting, db, budget, cfg, telem)
         }
     }
-
-    /// Validates the rewriting against the chase oracle on one data
-    /// instance: evaluates over `db` (which must be built from `data`) with
-    /// the engine at [`EngineConfig::unpruned`] and compares with the
-    /// certain answers. Returns the evaluation result on agreement.
-    pub fn validate_against_oracle(
-        &self,
-        system: &ObdaSystem,
-        data: &DataInstance,
-        db: &Database,
-    ) -> Result<EvalResult, ObdaError> {
-        let res = self.execute_engine_traced(
-            db,
-            &mut Budget::unlimited(),
-            &EngineConfig::unpruned(),
-            Telemetry::disabled(),
-        )?;
-        let oracle = system.certain_answers(&self.query, data).tuples();
-        if res.answers != oracle {
-            return Err(ObdaError::Eval(EvalError::Unsafe(format!(
-                "rewriting disagrees with the chase oracle: {} answers vs {} certain",
-                res.answers.len(),
-                oracle.len()
-            ))));
-        }
-        Ok(res)
-    }
 }
 
 #[cfg(test)]
@@ -1625,24 +1451,12 @@ mod tests {
         for strategy in Strategy::ALL {
             let prepared = sys.prepare(&q, strategy).unwrap();
             assert_eq!(prepared.strategy(), strategy);
-            assert_eq!(prepared.goal_arity(), 2);
             assert!(prepared.num_clauses() > 0);
             assert!(prepared.analysis().nonrecursive);
             let res = run(&prepared, &db, &EngineConfig::unpruned());
             assert_eq!(res.answers, oracle, "strategy {strategy}");
         }
         assert_eq!(Database::build_count(), before, "execute must not rebuild");
-    }
-
-    #[test]
-    fn prepared_omq_validates_against_oracle() {
-        let sys = system();
-        let q = sys.parse_query("q(x0, x2) :- R(x0, x1), S(x1, x2)").unwrap();
-        let d = sys.parse_data("P(w, a)\nR(a, b)\nS(b, c)\n").unwrap();
-        let db = Database::new(&d);
-        let prepared = sys.prepare(&q, Strategy::Tw).unwrap();
-        let res = prepared.validate_against_oracle(&sys, &d, &db).unwrap();
-        assert_eq!(res.answers.len(), res.stats.num_answers);
     }
 
     #[test]
@@ -1735,17 +1549,51 @@ mod tests {
         let sys = system();
         let q = sys.parse_query("q(x0, x2) :- R(x0, x1), S(x1, x2)").unwrap();
         let d = sys.parse_data("P(w, a)\nR(a, b)\nS(b, c)\n").unwrap();
-        let spec = BudgetSpec::default();
-        let plain = sys.answer_with_fallback(&q, &d, Strategy::Tw, &spec);
+        let ladder = AnswerRequest {
+            fallback: true,
+            retry: RetryPolicy::default(),
+            ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Tw)
+        };
+        let plain = sys.run(&ladder);
         let cfg = EngineConfig { threads: 2, prune: true, ..EngineConfig::default() };
-        let retry = RetryPolicy::default();
-        let engine =
-            sys.answer_with_fallback_policy(&q, &d, Strategy::Tw, &spec, Some(&cfg), &retry);
+        let engine = sys.run(&AnswerRequest { engine: cfg, ..ladder });
         assert_eq!(plain.winning_strategy(), engine.winning_strategy());
         assert_eq!(
             plain.result().map(|r| r.answers.clone()),
             engine.result().map(|r| r.answers.clone())
         );
+    }
+
+    /// `fallback: false` is a ladder of one rung: a budget trip is one
+    /// attempt and the typed rewrite trip the bare path always returned,
+    /// where the degrading ladder goes on to the next rungs. A deadline
+    /// that has already passed still runs the rung, so it too is a typed
+    /// trip rather than an empty report.
+    #[test]
+    fn one_rung_ladder_never_degrades() {
+        let sys = system();
+        let q = sys.parse_query("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)").unwrap();
+        let d = sys.parse_data("P(w, a)\nR(a, b)\nR(b, c)\nS(c, d)\nR(d, e)\n").unwrap();
+        let tripped =
+            |e: &ObdaError| matches!(e, ObdaError::Rewrite(RewriteError::BudgetExceeded { .. }));
+        let passed = BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() };
+        let capped = BudgetSpec { max_clauses: Some(1), ..BudgetSpec::unlimited() };
+        for spec in [capped, passed] {
+            let bare = AnswerRequest {
+                spec,
+                ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Tw)
+            };
+            let report = sys.run(&bare);
+            assert_eq!(report.attempts.len(), 1, "{report}");
+            assert_eq!(report.attempts[0].strategy, Strategy::Tw);
+            assert!(report.into_result().is_err_and(|e| tripped(&e)));
+            let err = sys
+                .answer_with_budget_engine(&q, &d, Strategy::Tw, &spec, &EngineConfig::default())
+                .unwrap_err();
+            assert!(tripped(&err), "{err}");
+            let ladder = sys.run(&AnswerRequest { fallback: true, ..bare });
+            assert!(ladder.attempts.len() != 1, "{ladder}");
+        }
     }
 
     #[test]

@@ -949,12 +949,7 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
         let omq = prepared_omq(inner, text, strategy, deadline)?;
         let mut spec = inner.cfg.budget;
         spec.timeout = Some(deadline.saturating_duration_since(Instant::now()));
-        inner.service.execute_prepared_backend_traced(
-            &omq,
-            inner.backend.as_ref(),
-            &spec,
-            Telemetry::disabled(),
-        )
+        inner.service.execute_prepared(&omq, inner.backend.as_ref(), &spec, Telemetry::disabled())
     });
     inflight.add(-1);
     if let Some(b) = &brk {

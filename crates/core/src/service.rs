@@ -20,15 +20,14 @@
 pub mod breaker;
 
 use crate::pipeline::{
-    AttemptClass, DataSource, ObdaError, ObdaSystem, PipelineReport, PreparedOmq, RetryPolicy,
-    Strategy, StrategyGate,
+    AnswerRequest, AttemptClass, DataSource, ObdaError, ObdaSystem, PipelineReport, PreparedOmq,
+    RetryPolicy, Strategy, StrategyGate,
 };
 use breaker::{BreakerConfig, BreakerSet};
 use obda_budget::BudgetSpec;
 use obda_cq::query::Cq;
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::eval::EvalResult;
-use obda_owlql::abox::DataInstance;
 use obda_store::StorageBackend;
 use obda_telemetry::{Ewma, MetricsRegistry, Telemetry};
 use std::collections::HashMap;
@@ -172,7 +171,7 @@ impl ServiceReport {
 }
 
 /// Outcome of one prepared-OMQ execution through the gate
-/// ([`QueryService::execute_prepared_backend_traced`]): the evaluation
+/// ([`QueryService::execute_prepared`]): the evaluation
 /// result plus the same timing split as [`ServiceReport`].
 #[derive(Debug)]
 pub struct PreparedRun {
@@ -438,14 +437,14 @@ impl StrategyGate for LadderGate<'_> {
 /// A concurrency-limited, panic-isolated query-answering service.
 ///
 /// ```
-/// use obda::{ObdaSystem, QueryService, ServiceConfig, Strategy};
+/// use obda::{DataSource, ObdaSystem, QueryService, ServiceConfig, Strategy};
 ///
 /// let system = ObdaSystem::from_text("A SubClassOf B\n").unwrap();
 /// let service = QueryService::new(system, ServiceConfig::default());
 /// let query = service.system().parse_query("q(x) :- B(x)").unwrap();
 /// let id = service.prepare(&query, Strategy::Tw).unwrap();
 /// let data = service.system().parse_data("A(a)").unwrap();
-/// let report = service.submit(id, &data).unwrap();
+/// let report = service.submit(id, DataSource::Parse(&data)).unwrap();
 /// assert_eq!(report.result().unwrap().answers.len(), 1);
 /// ```
 pub struct QueryService {
@@ -529,27 +528,17 @@ impl QueryService {
     /// slot (bounded queue, bounded by the request deadline), then runs
     /// the panic-isolated fallback ladder starting from the prepared
     /// strategy. Returns [`ObdaError::Overloaded`] without running
-    /// anything when the gate refuses admission.
-    pub fn submit(&self, id: QueryId, data: &DataInstance) -> Result<ServiceReport, ObdaError> {
+    /// anything when the gate refuses admission. Over a pre-loaded
+    /// [`StorageBackend`] (in-memory build or opened `.obdb` snapshot) no
+    /// per-request database is built.
+    pub fn submit(&self, id: QueryId, data: DataSource<'_>) -> Result<ServiceReport, ObdaError> {
         let omq = self.registered(id)?;
-        self.run(omq.query(), omq.strategy(), DataSource::Parse(data), Telemetry::disabled())
-    }
-
-    /// [`QueryService::submit`] over a pre-loaded [`StorageBackend`]
-    /// (in-memory build or opened `.obdb` snapshot): same gate, same
-    /// isolation, same retries — but no per-request database build.
-    pub fn submit_backend(
-        &self,
-        id: QueryId,
-        backend: &dyn StorageBackend,
-    ) -> Result<ServiceReport, ObdaError> {
-        let omq = self.registered(id)?;
-        self.run(omq.query(), omq.strategy(), DataSource::Backend(backend), Telemetry::disabled())
+        self.answer(omq.query(), omq.strategy(), data, Telemetry::disabled())
     }
 
     /// Executes an already-prepared OMQ over a pre-loaded backend under a
     /// *per-request* budget — the server's hot path. Unlike
-    /// [`QueryService::submit_backend`], no ladder runs and nothing is
+    /// [`QueryService::submit`], no ladder runs and nothing is
     /// re-rewritten: the cached rewriting (and its cached pruning)
     /// evaluates directly, so the per-OMQ cost of classification,
     /// rewriting and pruning is paid once per [`PreparedOmq`], not per
@@ -557,7 +546,7 @@ impl QueryService {
     /// queue-wait deadline), the attempt is panic-isolated, and transient
     /// faults are retried per the configured [`RetryPolicy`] as long as
     /// the request's own deadline has not passed.
-    pub fn execute_prepared_backend_traced(
+    pub fn execute_prepared(
         &self,
         omq: &PreparedOmq,
         backend: &dyn StorageBackend,
@@ -706,50 +695,6 @@ impl QueryService {
         }
     }
 
-    /// [`QueryService::submit`] for an ad-hoc query (no registration):
-    /// same gate, same isolation, same retries.
-    pub fn answer(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-    ) -> Result<ServiceReport, ObdaError> {
-        self.run(query, strategy, DataSource::Parse(data), Telemetry::disabled())
-    }
-
-    /// [`QueryService::answer`] recording pipeline spans through `telem`.
-    pub fn answer_traced(
-        &self,
-        query: &Cq,
-        data: &DataInstance,
-        strategy: Strategy,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        self.run(query, strategy, DataSource::Parse(data), telem)
-    }
-
-    /// [`QueryService::answer`] over a pre-loaded [`StorageBackend`].
-    pub fn answer_backend(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        strategy: Strategy,
-    ) -> Result<ServiceReport, ObdaError> {
-        self.run(query, strategy, DataSource::Backend(backend), Telemetry::disabled())
-    }
-
-    /// [`QueryService::answer_backend`] recording pipeline spans through
-    /// `telem`.
-    pub fn answer_backend_traced(
-        &self,
-        query: &Cq,
-        backend: &dyn StorageBackend,
-        strategy: Strategy,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        self.run(query, strategy, DataSource::Backend(backend), telem)
-    }
-
     /// Cumulative counters since construction.
     pub fn stats(&self) -> ServiceStats {
         let rejected_overloaded = self.rejected_overloaded.load(Ordering::Relaxed);
@@ -816,7 +761,10 @@ impl QueryService {
         metrics.gauge("service_queued").set(s.queued as i64);
     }
 
-    fn run(
+    /// [`QueryService::submit`] for an ad-hoc query (no registration):
+    /// same gate, same isolation, same retries, recording pipeline spans
+    /// through `telem`.
+    pub fn answer(
         &self,
         query: &Cq,
         strategy: Strategy,
@@ -854,16 +802,15 @@ impl QueryService {
         // The ladder isolates each attempt itself; this outer boundary is
         // the per-request backstop so nothing can unwind past the permit.
         let report = crate::pipeline::isolate("service::request", || {
-            Ok(self.system.fallback_ladder_run_gated(
-                query,
-                source,
-                strategy,
-                &self.cfg.budget,
-                Some(&self.cfg.engine),
-                &self.cfg.retry,
+            Ok(self.system.run(&AnswerRequest {
+                fallback: true,
+                spec: self.cfg.budget,
+                engine: self.cfg.engine.clone(),
+                retry: self.cfg.retry,
                 telem,
-                ladder_gate.as_ref().map(|g| g as &dyn StrategyGate),
-            ))
+                gate: ladder_gate.as_ref().map(|g| g as &dyn StrategyGate),
+                ..AnswerRequest::new(query, source, strategy)
+            }))
         })?;
         drop(permit);
         self.publish_load(metrics);
@@ -1073,7 +1020,7 @@ mod tests {
         let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
         let id = svc.prepare(&q, Strategy::Tw).unwrap();
         let data = svc.system().parse_data("Professor(ada)").unwrap();
-        let report = svc.submit(id, &data).unwrap();
+        let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
         assert!(report.is_success());
         assert_eq!(report.result().unwrap().answers.len(), 1);
         assert_eq!(report.retries(), 0);
@@ -1085,7 +1032,7 @@ mod tests {
     fn unknown_id_is_a_typed_internal_error() {
         let svc = service(ServiceConfig::default());
         let data = svc.system().parse_data("Professor(ada)").unwrap();
-        let err = svc.submit(QueryId(42), &data).unwrap_err();
+        let err = svc.submit(QueryId(42), DataSource::Parse(&data)).unwrap_err();
         assert!(matches!(err, ObdaError::Internal { .. }));
     }
 
@@ -1101,7 +1048,9 @@ mod tests {
         let permit = svc.gate.acquire(1, 0, None).unwrap();
         let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
         let data = svc.system().parse_data("Course(c)").unwrap();
-        let err = svc.answer(&q, &data, Strategy::Tw).unwrap_err();
+        let err = svc
+            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+            .unwrap_err();
         match err {
             ObdaError::Overloaded { active, queued } => {
                 assert_eq!((active, queued), (1, 0));
@@ -1111,7 +1060,10 @@ mod tests {
         assert_eq!(svc.stats().rejected, 1);
         drop(permit);
         // The slot is free again: the same request now succeeds.
-        assert!(svc.answer(&q, &data, Strategy::Tw).unwrap().is_success());
+        assert!(svc
+            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+            .unwrap()
+            .is_success());
     }
 
     #[test]
@@ -1137,7 +1089,8 @@ mod tests {
         gate_held.wait();
         // The slot is busy, so this request queues until the holder lets
         // go — and then runs to completion.
-        let report = svc.answer(&q, &data, Strategy::Tw).unwrap();
+        let report =
+            svc.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled()).unwrap();
         assert!(report.is_success());
         assert!(report.queue_wait >= Duration::from_millis(10));
         holder.join().unwrap();
@@ -1157,7 +1110,9 @@ mod tests {
         let _slot = svc.gate.acquire(1, 4, None).unwrap();
         let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
         let data = svc.system().parse_data("Course(c)").unwrap();
-        let err = svc.answer(&q, &data, Strategy::Tw).unwrap_err();
+        let err = svc
+            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+            .unwrap_err();
         assert!(matches!(err, ObdaError::Overloaded { .. }));
     }
 
@@ -1170,7 +1125,8 @@ mod tests {
         // Queue full while the one slot is held.
         {
             let _slot = svc.gate.acquire(1, 0, None).unwrap();
-            svc.answer(&q, &data, Strategy::Tw).unwrap_err();
+            svc.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+                .unwrap_err();
         }
         // Deadline expires while queued.
         let svc2 = service(ServiceConfig {
@@ -1184,7 +1140,8 @@ mod tests {
         });
         {
             let _slot = svc2.gate.acquire(1, 4, None).unwrap();
-            svc2.answer(&q, &data, Strategy::Tw).unwrap_err();
+            svc2.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+                .unwrap_err();
         }
         assert_eq!(svc.stats().rejected_overloaded, 1);
         assert_eq!(svc.stats().rejected, 1);
@@ -1216,7 +1173,9 @@ mod tests {
         assert!(svc.drain(Duration::from_secs(5)), "in-flight must finish inside the timeout");
         assert!(svc.is_draining());
         // After drain: every new request is refused, typed, and counted.
-        let err = svc.answer(&q, &data, Strategy::Tw).unwrap_err();
+        let err = svc
+            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+            .unwrap_err();
         assert!(matches!(err, ObdaError::Overloaded { .. }));
         assert_eq!(svc.stats().rejected_draining, 1);
         holder.join().unwrap();
@@ -1232,12 +1191,7 @@ mod tests {
         let data = svc.system().parse_data("Professor(ada)").unwrap();
         let backend = obda_store::MemoryBackend::new(data);
         let run = svc
-            .execute_prepared_backend_traced(
-                &omq,
-                &backend,
-                &BudgetSpec::unlimited(),
-                Telemetry::disabled(),
-            )
+            .execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
             .unwrap();
         assert_eq!(run.result.answers.len(), 1);
         assert_eq!(run.retries, 0);
@@ -1304,7 +1258,7 @@ mod tests {
                 let peak = Arc::clone(&peak);
                 std::thread::spawn(move || {
                     let data = svc.system().parse_data(&format!("Professor(p{i})")).unwrap();
-                    let report = svc.submit(id, &data).unwrap();
+                    let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
                     let (active, _) = svc.load();
                     peak.fetch_max(active, Ordering::Relaxed);
                     assert!(report.is_success());
@@ -1343,19 +1297,12 @@ mod tests {
         // A zero-tuple allowance trips the budget on the first derived
         // tuple; one failure in a window of two crosses the threshold.
         let strict = BudgetSpec { max_tuples: Some(0), ..BudgetSpec::unlimited() };
-        let err = svc
-            .execute_prepared_backend_traced(&omq, &backend, &strict, Telemetry::disabled())
-            .unwrap_err();
+        let err = svc.execute_prepared(&omq, &backend, &strict, Telemetry::disabled()).unwrap_err();
         assert!(err.is_budget(), "{err}");
         // The breaker is now open: the next request fails fast with the
         // typed refusal, without burning a slot.
         let err = svc
-            .execute_prepared_backend_traced(
-                &omq,
-                &backend,
-                &BudgetSpec::unlimited(),
-                Telemetry::disabled(),
-            )
+            .execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
             .unwrap_err();
         match err {
             ObdaError::BreakerOpen { scope, retry_after } => {
@@ -1385,20 +1332,13 @@ mod tests {
         let backend = MemoryBackend::new(svc.system().parse_data(&data).unwrap());
         // Calibration: one successful run with no deadline teaches the
         // model this plan's seconds-per-cost-unit.
-        svc.execute_prepared_backend_traced(
-            &omq,
-            &backend,
-            &BudgetSpec::unlimited(),
-            Telemetry::disabled(),
-        )
-        .unwrap();
+        svc.execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
+            .unwrap();
         // A one-nanosecond deadline cannot fit the calibrated estimate:
         // the request is shed before queueing, typed.
         let strict =
             BudgetSpec { timeout: Some(Duration::from_nanos(1)), ..BudgetSpec::unlimited() };
-        let err = svc
-            .execute_prepared_backend_traced(&omq, &backend, &strict, Telemetry::disabled())
-            .unwrap_err();
+        let err = svc.execute_prepared(&omq, &backend, &strict, Telemetry::disabled()).unwrap_err();
         match err {
             ObdaError::CostRejected { estimated_cost, estimated, remaining } => {
                 assert!(estimated_cost > 0.0);

@@ -83,11 +83,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with the given thread count and pruning enabled.
-    pub fn with_threads(threads: usize) -> Self {
-        EngineConfig { threads, ..EngineConfig::default() }
-    }
-
     /// One thread, no pruning: the rewriting materialised as written, the
     /// RDFox stand-in of the evaluation tables.
     pub fn unpruned() -> Self {

@@ -9,7 +9,6 @@
 //! * structural analysis — nonrecursiveness, depth, linearity, width,
 //!   weight functions, skinny depth ([`analysis`], Section 3.1 of Bienvenu
 //!   et al., PODS 2017);
-//! * the Huffman-based skinny transformation of Lemma 5 ([`skinny`]);
 //! * the `*`-transformation to arbitrary data instances and Lemma 3's
 //!   linearity-preserving variant ([`star`]);
 //! * a shared indexed relation storage layer ([`storage`]): columnar
@@ -57,7 +56,6 @@ pub mod planner;
 pub mod program;
 pub mod reference;
 pub mod relevance;
-pub mod skinny;
 pub mod star;
 pub mod stats;
 pub mod storage;
@@ -75,7 +73,6 @@ pub use planner::{
 pub use program::{BodyAtom, CVar, Clause, NdlQuery, PredId, PredKind, Program, ProgramDisplay};
 pub use reference::evaluate_reference;
 pub use relevance::{prune_for_goal, PruneStats, PrunedQuery};
-pub use skinny::to_skinny;
 pub use star::{linear_star_transform, star_transform};
 pub use stats::RelStats;
 pub use storage::{ArenaWords, ColumnIndex, Database, HydrateError, LazyRelation, Relation};

@@ -291,20 +291,6 @@ fn sorted_dedup(mut v: Vec<CVar>) -> Vec<CVar> {
     v
 }
 
-/// Convenience: `|T|²`-bounded size increase sanity measure used in tests
-/// and reporting — the number of clauses the transformation added.
-pub fn star_overhead(original: &NdlQuery, starred: &NdlQuery) -> usize {
-    starred.program.num_clauses().saturating_sub(original.program.num_clauses())
-}
-
-/// Declares every class and property of the vocabulary as EDB predicates of
-/// a fresh program (helper for tests and rewriters).
-pub fn declare_vocab(program: &mut Program, vocab: &Vocab) -> (Vec<PredId>, Vec<PredId>) {
-    let classes: Vec<PredId> = vocab.class_ids().map(|c| program.edb_class(c, vocab)).collect();
-    let props: Vec<PredId> = vocab.prop_ids().map(|p| program.edb_prop(p, vocab)).collect();
-    (classes, props)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

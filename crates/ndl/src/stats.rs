@@ -61,13 +61,6 @@ impl RelStats {
     pub fn from_persisted(rows: usize, distinct: Vec<u64>, sorted_col0: bool) -> RelStats {
         RelStats { rows, distinct, sorted_col0 }
     }
-
-    /// Expected rows matching one key of column `c`: `rows / distinct[c]`,
-    /// at least 0 and never NaN (empty relations estimate 0 matches).
-    pub fn matches_per_key(&self, c: usize) -> f64 {
-        let d = self.distinct.get(c).copied().unwrap_or(0).max(1) as f64;
-        self.rows as f64 / d
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +77,6 @@ mod tests {
         assert_eq!(s.rows, 3);
         assert_eq!(s.distinct, vec![2, 2]);
         assert!(s.sorted_col0);
-        assert_eq!(s.matches_per_key(0), 1.5);
 
         let mut unsorted = Relation::new(2);
         unsorted.push(&[5, 0]);
@@ -100,7 +92,6 @@ mod tests {
         assert_eq!(s.rows, 0);
         assert_eq!(s.distinct, vec![0, 0]);
         assert!(s.sorted_col0, "vacuously sorted");
-        assert_eq!(s.matches_per_key(0), 0.0);
 
         let s0 = RelStats::compute(&Relation::new(0));
         assert_eq!(s0.distinct.len(), 0);

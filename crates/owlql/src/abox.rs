@@ -157,26 +157,6 @@ impl DataInstance {
         out
     }
 
-    /// Per-property adjacency by subject: `out[p][a]` lists every `b` with
-    /// `P(a, b) ∈ A`.
-    pub fn objects_by_subject(&self) -> FxHashMap<PropId, FxHashMap<ConstId, Vec<ConstId>>> {
-        let mut out: FxHashMap<PropId, FxHashMap<ConstId, Vec<ConstId>>> = FxHashMap::default();
-        for &(p, a, b) in &self.prop_atoms {
-            out.entry(p).or_default().entry(a).or_default().push(b);
-        }
-        out
-    }
-
-    /// Per-property adjacency by object: `out[p][b]` lists every `a` with
-    /// `P(a, b) ∈ A`.
-    pub fn subjects_by_object(&self) -> FxHashMap<PropId, FxHashMap<ConstId, Vec<ConstId>>> {
-        let mut out: FxHashMap<PropId, FxHashMap<ConstId, Vec<ConstId>>> = FxHashMap::default();
-        for &(p, a, b) in &self.prop_atoms {
-            out.entry(p).or_default().entry(b).or_default().push(a);
-        }
-        out
-    }
-
     /// Completes the instance for an ontology: adds every atom `S(a)` with
     /// `T, A ⊨ S(a)` (Section 2's completeness notion).
     ///
@@ -368,11 +348,7 @@ mod tests {
         let v = o.vocab();
         let (a, p, q) =
             (v.get_class("A").unwrap(), v.get_prop("P").unwrap(), v.get_prop("Q").unwrap());
-        let (x, y, z) = (
-            d.get_constant("x").unwrap(),
-            d.get_constant("y").unwrap(),
-            d.get_constant("z").unwrap(),
-        );
+        let (x, y) = (d.get_constant("x").unwrap(), d.get_constant("y").unwrap());
 
         let classes = d.members_by_class();
         let mut members = classes[&a].clone();
@@ -384,16 +360,6 @@ mod tests {
         assert_eq!(props[&p].len(), 2);
         assert_eq!(props[&q], vec![(y, x)]);
         assert_eq!(props.values().map(Vec::len).sum::<usize>() + classes[&a].len(), d.num_atoms());
-
-        let fwd = d.objects_by_subject();
-        let mut objs = fwd[&p][&x].clone();
-        objs.sort();
-        assert_eq!(objs, vec![y, z]);
-        assert!(!fwd[&p].contains_key(&y));
-
-        let bwd = d.subjects_by_object();
-        assert_eq!(bwd[&p][&y], vec![x]);
-        assert_eq!(bwd[&q][&x], vec![y]);
     }
 
     #[test]

@@ -118,18 +118,6 @@ pub trait Rewriter {
     }
 }
 
-/// Charges a finished rewriting's clauses and body atoms against the
-/// budget. Rewriters with polynomial output call this once at the end;
-/// exponential ones additionally check in-loop.
-pub fn charge_query(budget: &mut Budget, query: &NdlQuery) -> Result<(), RewriteError> {
-    let clauses = query.program.clauses().len();
-    let atoms: usize = query.program.clauses().iter().map(|c| c.body.len()).sum();
-    budget
-        .charge_clauses(clauses as u64)
-        .map_err(|e| RewriteError::from_budget(e, clauses, atoms))?;
-    budget.check_time().map_err(|e| RewriteError::from_budget(e, clauses, atoms))
-}
-
 /// Ticks the budget inside a rewriter work loop, reporting the partial
 /// program size on a trip.
 pub fn tick_rewrite(budget: &mut Budget, program: &Program) -> Result<(), RewriteError> {

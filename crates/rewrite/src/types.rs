@@ -71,11 +71,6 @@ impl TypeMap {
         out
     }
 
-    /// Whether the types agree on their common domain.
-    pub fn agrees_with(&self, other: &TypeMap) -> bool {
-        self.entries.iter().all(|(&z, &w)| other.get(z).is_none_or(|w2| w2 == w))
-    }
-
     /// Renders the type like `{x3 ↦ ε, x4 ↦ P-}` for debugging and
     /// predicate naming.
     pub fn display(&self, q: &Cq, arena: &WordArena, ontology: &Ontology) -> String {
@@ -627,7 +622,6 @@ mod tests {
         let r = u.restrict(&[Var(1)]);
         assert_eq!(r.get(Var(1)), Some(WordId(1)));
         assert!(!r.contains(Var(0)));
-        assert!(a.agrees_with(&u));
     }
 
     #[test]

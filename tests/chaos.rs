@@ -17,12 +17,14 @@
 //! no other test's plan can fire inside it.
 
 use obda::budget::BudgetSpec;
+use obda::cq::query::Cq;
 use obda::faults::{quiet, site, FaultKind, FaultPlan, FaultSpec, Trigger};
 use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::ConstId;
+use obda::owlql::abox::DataInstance;
 use obda::{
-    AttemptOutcome, ObdaError, ObdaSystem, OverloadConfig, QueryService, RetryPolicy,
-    ServiceConfig, Strategy,
+    AnswerRequest, AttemptOutcome, DataSource, ObdaError, ObdaSystem, OverloadConfig, QueryService,
+    RetryPolicy, ServiceConfig, Strategy, Telemetry,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,13 +84,26 @@ fn engine_cfg(threads: usize) -> EngineConfig {
     EngineConfig { threads, prune: true, chunk_min_rows: 16, plan: true }
 }
 
+/// The fallback ladder from `Tw` over `d`, unbudgeted, on `engine`, with
+/// the fast retry policy.
+fn ladder<'a>(q: &'a Cq, d: &'a DataInstance, engine: EngineConfig) -> AnswerRequest<'a> {
+    AnswerRequest {
+        fallback: true,
+        engine,
+        retry: fast_retry(),
+        ..AnswerRequest::new(q, DataSource::Parse(d), Strategy::Tw)
+    }
+}
+
 /// Runs one request under the *currently armed* plan and asserts the core
 /// invariants: no escaped panic, and either the oracle answer or a typed
 /// error. Returns whether the request succeeded.
 fn assert_sound(svc: &QueryService, oracle: &[Vec<ConstId>], ctx: &str) -> bool {
     let query = svc.system().parse_query(QUERY).unwrap();
     let data = svc.system().parse_data(DATA).unwrap();
-    let caught = catch_unwind(AssertUnwindSafe(|| svc.answer(&query, &data, Strategy::Tw)));
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        svc.answer(&query, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
+    }));
     let outcome = match caught {
         Ok(outcome) => outcome,
         Err(_) => panic!("{ctx}: a fault escaped every isolation boundary"),
@@ -190,14 +205,7 @@ fn oneshot_transient_fault_is_retried_to_success_in_order() {
             FaultSpec { kind: FaultKind::Transient, trigger: Trigger::Nth(1) },
         );
         let guard = plan.install();
-        let report = sys.answer_with_fallback_policy(
-            &q,
-            &d,
-            Strategy::Tw,
-            &BudgetSpec::unlimited(),
-            Some(&engine_cfg(threads)),
-            &fast_retry(),
-        );
+        let report = sys.run(&ladder(&q, &d, engine_cfg(threads)));
         drop(guard);
         assert_eq!(report.winning_strategy(), Some(Strategy::Tw), "threads={threads}\n{report}");
         assert_eq!(report.result().unwrap().answers, oracle, "threads={threads}");
@@ -218,6 +226,37 @@ fn oneshot_transient_fault_is_retried_to_success_in_order() {
     }
 }
 
+/// `fallback: false` (the `--no-fallback` request) never retries: a
+/// transient fault that a retry would get past is one attempt and the
+/// request's typed error.
+#[test]
+fn one_rung_ladder_does_not_retry_a_transient() {
+    quiet_injected_panics();
+    let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
+    let q = sys.parse_query(QUERY).unwrap();
+    let d = sys.parse_data(DATA).unwrap();
+    let plan = FaultPlan::new(1).with(
+        site::ENGINE_CLAUSE_TASK,
+        FaultSpec { kind: FaultKind::Transient, trigger: Trigger::Nth(1) },
+    );
+    let bare = AnswerRequest {
+        engine: engine_cfg(1),
+        ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Tw)
+    };
+    let guard = plan.install();
+    let report = sys.run(&bare);
+    drop(guard);
+    assert_eq!(report.attempts.len(), 1, "{report}");
+    assert_eq!(report.num_retries(), 0);
+    assert!(report.into_result().is_err_and(|e| e.is_transient()));
+    let guard = plan.install();
+    let err = sys
+        .answer_with_budget_engine(&q, &d, Strategy::Tw, &BudgetSpec::unlimited(), &engine_cfg(1))
+        .unwrap_err();
+    drop(guard);
+    assert!(err.is_transient(), "got {err}");
+}
+
 #[test]
 fn injected_panics_are_never_retried() {
     quiet_injected_panics();
@@ -226,14 +265,7 @@ fn injected_panics_are_never_retried() {
     let d = sys.parse_data(DATA).unwrap();
     let plan = FaultPlan::always(3, site::ENGINE_CLAUSE_TASK, FaultKind::Panic);
     let guard = plan.install();
-    let report = sys.answer_with_fallback_policy(
-        &q,
-        &d,
-        Strategy::Tw,
-        &BudgetSpec::unlimited(),
-        Some(&engine_cfg(4)),
-        &fast_retry(),
-    );
+    let report = sys.run(&ladder(&q, &d, engine_cfg(4)));
     drop(guard);
     assert!(report.winner.is_none());
     assert_eq!(report.num_retries(), 0, "panics are bugs, not resource problems:\n{report}");
@@ -276,7 +308,8 @@ fn ladder_skips_strategies_whose_breaker_is_open() {
     // Round 1: every rung of the ladder panics (a breaker failure), so
     // every attempted strategy trips its breaker open.
     let guard = FaultPlan::always(3, site::ENGINE_CLAUSE_TASK, FaultKind::Panic).install();
-    let stormy = svc.answer(&q, &d, Strategy::Tw).unwrap();
+    let stormy =
+        svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
     guard.disarm();
     assert!(!stormy.is_success());
     assert!(
@@ -288,7 +321,8 @@ fn ladder_skips_strategies_whose_breaker_is_open() {
     // Round 2, faults gone: the ladder fails fast — every rung is
     // recorded as Skipped, nothing evaluates, and the final error is
     // the typed breaker refusal, not a budget trip.
-    let skipped = svc.answer(&q, &d, Strategy::Tw).unwrap();
+    let skipped =
+        svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
     assert!(!skipped.is_success());
     assert!(
         !skipped.report.attempts.is_empty()
@@ -315,14 +349,7 @@ fn exhausted_retries_degrade_with_a_transient_error() {
     let plan = FaultPlan::always(5, site::ENGINE_CLAUSE_TASK, FaultKind::Transient);
     let guard = plan.install();
     let retry = fast_retry();
-    let report = sys.answer_with_fallback_policy(
-        &q,
-        &d,
-        Strategy::Tw,
-        &BudgetSpec::unlimited(),
-        Some(&engine_cfg(1)),
-        &retry,
-    );
+    let report = sys.run(&ladder(&q, &d, engine_cfg(1)));
     drop(guard);
     assert!(report.winner.is_none());
     // Every rung of the ladder: one first try plus max_retries retries.
@@ -352,14 +379,7 @@ fn identical_plans_produce_identical_reports() {
     let mut renders = Vec::new();
     for _ in 0..2 {
         let guard = plan.install();
-        let report = sys.answer_with_fallback_policy(
-            &q,
-            &d,
-            Strategy::Tw,
-            &BudgetSpec::unlimited(),
-            Some(&engine_cfg(1)),
-            &fast_retry(),
-        );
+        let report = sys.run(&ladder(&q, &d, engine_cfg(1)));
         drop(guard);
         // Strip the timing column: determinism covers outcomes, not clocks.
         let render: Vec<String> = report
@@ -379,7 +399,7 @@ fn identical_plans_produce_identical_reports() {
 
 #[test]
 fn injected_faults_appear_as_error_tagged_spans() {
-    use obda::{CollectingTracer, Telemetry};
+    use obda::CollectingTracer;
 
     quiet_injected_panics();
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
@@ -389,15 +409,10 @@ fn injected_faults_appear_as_error_tagged_spans() {
         let tracer = CollectingTracer::new();
         let plan = FaultPlan::always(21, site::ENGINE_CLAUSE_TASK, kind);
         let guard = plan.install();
-        let report = sys.answer_with_fallback_traced(
-            &q,
-            &d,
-            Strategy::Tw,
-            &BudgetSpec::unlimited(),
-            Some(&engine_cfg(4)),
-            &fast_retry(),
-            Telemetry::new(&tracer, None),
-        );
+        let report = sys.run(&AnswerRequest {
+            telem: Telemetry::new(&tracer, None),
+            ..ladder(&q, &d, engine_cfg(4))
+        });
         drop(guard);
         assert!(report.winner.is_none(), "{kind:?}: an always-fault cannot succeed");
 
@@ -458,7 +473,7 @@ fn service_keeps_answering_after_sustained_failures() {
     let plan = FaultPlan::always(11, site::STORAGE_INSERT, FaultKind::Transient);
     let guard = plan.install();
     for i in 0..60 {
-        let report = svc.submit(id, &data).unwrap();
+        let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
         assert!(!report.is_success(), "request {i} cannot succeed under an always-fault");
         let err = report.final_error().unwrap();
         assert!(err.is_transient(), "request {i}: got {err}");
@@ -469,7 +484,7 @@ fn service_keeps_answering_after_sustained_failures() {
     assert_eq!(svc.stats().failed, 60);
 
     // The very next request — same service, same prepared query — answers.
-    let report = svc.submit(id, &data).unwrap();
+    let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
     assert!(report.is_success(), "the service must answer after sustained failures");
     assert_eq!(report.result().unwrap().answers, oracle);
     assert_eq!(svc.stats().succeeded, 1);
@@ -577,8 +592,11 @@ fn store_open_transient_fault_is_typed_then_recovers() {
     std::fs::remove_file(&path).ok();
     let q = sys.parse_query(QUERY).unwrap();
     let d = sys.parse_data(DATA).unwrap();
-    let report =
-        sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &BudgetSpec::unlimited());
+    let report = sys.run(&AnswerRequest {
+        fallback: true,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(&q, DataSource::Backend(&snap), Strategy::Tw)
+    });
     assert_eq!(
         report.result().expect("recovered open must answer").answers,
         sys.certain_answers(&q, &d).tuples()
@@ -700,8 +718,11 @@ fn store_map_transient_fault_is_typed_then_recovers() {
     std::fs::remove_file(&path).ok();
     let q = sys.parse_query(QUERY).unwrap();
     let d = sys.parse_data(DATA).unwrap();
-    let report =
-        sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &BudgetSpec::unlimited());
+    let report = sys.run(&AnswerRequest {
+        fallback: true,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(&q, DataSource::Backend(&snap), Strategy::Tw)
+    });
     assert_eq!(
         report.result().expect("recovered map must answer").answers,
         sys.certain_answers(&q, &d).tuples()
@@ -717,7 +738,7 @@ fn store_map_transient_fault_is_typed_then_recovers() {
 /// and the prepared (served) path alike; a pristine reopen answers.
 #[test]
 fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
-    use obda::{BreakerConfig, Snapshot, StoreError, Telemetry};
+    use obda::{BreakerConfig, Snapshot, StoreError};
 
     quiet_injected_panics();
     let path = store_temp_path();
@@ -763,7 +784,9 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     );
     let q = svc.system().parse_query(QUERY).unwrap();
     for round in 0..2 {
-        let caught = catch_unwind(AssertUnwindSafe(|| svc.answer_backend(&q, &snap, Strategy::Tw)));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            svc.answer(&q, Strategy::Tw, DataSource::Backend(&snap), Telemetry::disabled())
+        }));
         let report = caught.expect("corruption must not unwind").unwrap().report;
         assert!(report.result().is_none(), "round {round}: corrupted segments cannot answer");
         assert_eq!(report.attempts.len(), 1, "round {round}: the ladder stops:\n{report}");
@@ -787,12 +810,7 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     let omq = svc.prepared(id).unwrap();
     for _ in 0..2 {
         let err = svc
-            .execute_prepared_backend_traced(
-                &omq,
-                &snap,
-                &BudgetSpec::unlimited(),
-                Telemetry::disabled(),
-            )
+            .execute_prepared(&omq, &snap, &BudgetSpec::unlimited(), Telemetry::disabled())
             .unwrap_err();
         assert!(matches!(err, ObdaError::Store(StoreError::ChecksumMismatch { .. })), "{err}");
     }
@@ -802,15 +820,11 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     // A pristine snapshot answers through the same service.
     let d = svc.system().parse_data(DATA).unwrap();
     let oracle = svc.system().certain_answers(&q, &d).tuples();
-    let report = svc.answer_backend(&q, &healthy, Strategy::Tw).unwrap();
+    let report =
+        svc.answer(&q, Strategy::Tw, DataSource::Backend(&healthy), Telemetry::disabled()).unwrap();
     assert_eq!(report.result().expect("pristine snapshot answers").answers, oracle);
     let run = svc
-        .execute_prepared_backend_traced(
-            &omq,
-            &healthy,
-            &BudgetSpec::unlimited(),
-            Telemetry::disabled(),
-        )
+        .execute_prepared(&omq, &healthy, &BudgetSpec::unlimited(), Telemetry::disabled())
         .unwrap();
     assert_eq!(run.result.answers, oracle);
 }
@@ -827,7 +841,6 @@ fn halted_completion_fills_store_nothing() {
     use obda::datagen::erdos::TABLE_2;
     use obda::datagen::sequences::{example_11_ontology, word_query};
     use obda::ndl::storage::Database;
-    use obda::Telemetry;
 
     quiet_injected_panics();
     let off = Telemetry::disabled();

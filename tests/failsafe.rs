@@ -7,7 +7,7 @@ use obda::budget::{Budget, BudgetSpec, Resource};
 use obda::ndl::engine::EngineConfig;
 use obda::ndl::eval::EvalError;
 use obda::ndl::storage::Database;
-use obda::{ObdaError, ObdaSystem, Strategy, Telemetry};
+use obda::{AnswerRequest, DataSource, ObdaError, ObdaSystem, RetryPolicy, Strategy, Telemetry};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -133,7 +133,12 @@ fn fallback_ladder_degrades_from_exponential_to_polynomial() {
     let d = sys.parse_data(EXPONENTIAL_DATA).unwrap();
     // A clause budget the 6^8-disjunct UCQ cannot fit but Tw easily can.
     let spec = BudgetSpec { max_clauses: Some(5_000), ..BudgetSpec::unlimited() };
-    let report = sys.answer_with_fallback(&q, &d, Strategy::Ucq, &spec);
+    let report = sys.run(&AnswerRequest {
+        fallback: true,
+        spec,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Ucq)
+    });
     assert!(report.winner.is_some(), "a polynomial strategy must win:\n{report}");
     assert!(report.attempts.len() >= 2, "UCQ must have been tried and failed first");
     assert!(
@@ -155,7 +160,12 @@ fn fallback_report_all_exhausted_when_nothing_fits() {
     let q = sys.parse_query("q(x) :- P(x, y)").unwrap();
     let d = sys.parse_data("A(a)\n").unwrap();
     let spec = BudgetSpec { max_clauses: Some(1), ..BudgetSpec::unlimited() };
-    let report = sys.answer_with_fallback(&q, &d, Strategy::Adaptive, &spec);
+    let report = sys.run(&AnswerRequest {
+        fallback: true,
+        spec,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Adaptive)
+    });
     assert!(report.winner.is_none());
     assert!(report.all_exhausted(), "every attempt tripped the clause budget:\n{report}");
     assert!(report.final_error().is_some_and(|e| e.is_budget()));
@@ -296,7 +306,12 @@ fn report_budget_failures_still_count_as_exhausted() {
     let q = sys.parse_query("q(x) :- P(x, y)").unwrap();
     let d = sys.parse_data("A(a)\n").unwrap();
     let spec = BudgetSpec { max_clauses: Some(1), ..BudgetSpec::unlimited() };
-    let report = sys.answer_with_fallback(&q, &d, Strategy::Adaptive, &spec);
+    let report = sys.run(&AnswerRequest {
+        fallback: true,
+        spec,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(&q, DataSource::Parse(&d), Strategy::Adaptive)
+    });
     assert!(report.all_exhausted());
     assert_eq!(report.num_retries(), 0, "budget trips are never retried:\n{report}");
     assert!(report.final_error().is_some_and(|e| !e.is_transient() && e.is_budget()));

@@ -8,7 +8,7 @@ use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::DataInstance;
 use obda::owlql::Ontology;
 use obda::rewrite::RewriteError;
-use obda::{write_snapshot, ObdaError, ObdaSystem, Snapshot, Strategy, Telemetry};
+use obda::{write_snapshot, AnswerRequest, DataSource, ObdaError, ObdaSystem, Snapshot, Strategy};
 use obda_chase::answer::{certain_answers, CertainAnswers};
 use obda_chase::homomorphism::HomSearch;
 use obda_chase::linear_walk::linear_boolean_entails;
@@ -114,14 +114,13 @@ fn pipeline_agrees(
     };
     let mut answered = 0;
     for strategy in Strategy::ALL {
-        let outcome = sys.answer_with_budget_engine_backend_traced(
-            query,
-            &snap,
-            strategy,
-            &spec,
-            &EngineConfig::default(),
-            Telemetry::disabled(),
-        );
+        let outcome = sys
+            .run(&AnswerRequest {
+                spec,
+                engine: EngineConfig::default(),
+                ..AnswerRequest::new(query, DataSource::Backend(&snap), strategy)
+            })
+            .into_result();
         match outcome {
             Ok(res) => {
                 answered += 1;

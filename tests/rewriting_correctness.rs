@@ -211,34 +211,4 @@ proptest! {
             }
         }
     }
-
-    /// The skinny transformation preserves answers on Log rewritings and
-    /// meets its depth bound.
-    #[test]
-    fn skinny_transform_preserves_log_rewritings(
-        axioms in prop::collection::vec(axiom_spec(), 0..5),
-        qspec in query_spec(),
-        data_atoms in prop::collection::vec((0u8..9, 0u8..4, 0u8..4), 0..8),
-    ) {
-        use obda_ndl::analysis::analyze;
-        use obda_ndl::eval::evaluate;
-        use obda_ndl::storage::Database;
-        use obda_ndl::skinny::to_skinny;
-
-        let ontology = build_ontology(&axioms);
-        let query = build_query(&qspec, &ontology);
-        let data = build_data(&data_atoms, &ontology);
-        let system = ObdaSystem::new(ontology);
-        let Ok(rewriting) = system.rewrite(&query, Rewriting::Log) else {
-            return Ok(()); // infinite depth
-        };
-        let skinny = to_skinny(&rewriting);
-        let before = analyze(&rewriting);
-        let after = analyze(&skinny);
-        prop_assert!(after.skinny);
-        prop_assert!(after.depth <= before.skinny_depth);
-        let r1 = evaluate(&rewriting, &Database::new(&data)).unwrap();
-        let r2 = evaluate(&skinny, &Database::new(&data)).unwrap();
-        prop_assert_eq!(r1.answers, r2.answers);
-    }
 }

@@ -9,16 +9,29 @@
 //! the query service.
 
 use obda::budget::{Budget, BudgetSpec};
+use obda::cq::query::Cq;
 use obda::datagen::erdos::TABLE_2;
 use obda::datagen::sequences::{example_11_ontology, word_query};
 use obda::ndl::engine::EngineConfig;
 use obda::ndl::eval::EvalResult;
 use obda::owlql::abox::DataInstance;
 use obda::{
-    read_info, write_snapshot, MemoryBackend, ObdaError, ObdaSystem, PreparedOmq, QueryService,
-    ServiceConfig, Snapshot, StorageBackend, StoreError, Strategy, Telemetry,
+    read_info, write_snapshot, AnswerRequest, DataSource, MemoryBackend, ObdaError, ObdaSystem,
+    PreparedOmq, QueryService, RetryPolicy, ServiceConfig, Snapshot, StorageBackend, StoreError,
+    Strategy, Telemetry,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The fallback ladder from `Tw` over `data` under `spec`, with the
+/// default retry policy and the unpruned engine.
+fn tw_ladder<'a>(q: &'a Cq, data: DataSource<'a>, spec: BudgetSpec) -> AnswerRequest<'a> {
+    AnswerRequest {
+        fallback: true,
+        spec,
+        retry: RetryPolicy::default(),
+        ..AnswerRequest::new(q, data, Strategy::Tw)
+    }
+}
 
 /// Small enough that the chase oracle answers in milliseconds, large
 /// enough that every dataset has edges, markers and nonempty answers.
@@ -69,8 +82,8 @@ fn table2_snapshot_memory_and_oracle_agree() {
         for word in WORDS {
             let q = word_query(sys.ontology(), word);
             let oracle = sys.certain_answers(&q, &data).tuples();
-            let memory = sys.answer_with_fallback(&q, &data, Strategy::Tw, &spec);
-            let backed = sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &spec);
+            let memory = sys.run(&tw_ladder(&q, DataSource::Parse(&data), spec));
+            let backed = sys.run(&tw_ladder(&q, DataSource::Backend(&snap), spec));
             assert_eq!(
                 memory.result().map(|r| &r.answers),
                 Some(&oracle),
@@ -99,23 +112,20 @@ fn parallel_engine_on_snapshot_matches_oracle() {
         for threads in [1usize, 4] {
             let cfg = EngineConfig { threads, ..EngineConfig::default() };
             let res = sys
-                .answer_with_budget_engine_backend_traced(
-                    &q,
-                    &snap,
-                    Strategy::Tw,
-                    &spec,
-                    &cfg,
-                    obda::Telemetry::disabled(),
-                )
+                .run(&AnswerRequest {
+                    spec,
+                    engine: cfg,
+                    ..AnswerRequest::new(&q, DataSource::Backend(&snap), Strategy::Tw)
+                })
+                .into_result()
                 .unwrap();
             assert_eq!(res.answers, oracle, "threads={threads} word={word}");
         }
     }
 }
 
-/// The service's backend entry points answer exactly like its parse
-/// entry points, for both prepared (`submit_backend`) and one-shot
-/// (`answer_backend`) requests.
+/// The service answers from a backend exactly like from parsed data, for
+/// both prepared (`submit`) and one-shot (`answer`) requests.
 #[test]
 fn service_backend_requests_match_parse_requests() {
     let sys = paper_system();
@@ -128,12 +138,13 @@ fn service_backend_requests_match_parse_requests() {
     let q = word_query(svc.system().ontology(), "RS");
     let id = svc.prepare(&q, Strategy::Tw).unwrap();
 
-    let parsed = svc.submit(id, &data).unwrap();
-    let backed = svc.submit_backend(id, &snap).unwrap();
+    let parsed = svc.submit(id, DataSource::Parse(&data)).unwrap();
+    let backed = svc.submit(id, DataSource::Backend(&snap)).unwrap();
     let answers = parsed.result().expect("parse path answers").answers.clone();
     assert_eq!(backed.result().expect("snapshot path answers").answers, answers);
 
-    let oneshot = svc.answer_backend(&q, &snap, Strategy::Tw).unwrap();
+    let oneshot =
+        svc.answer(&q, Strategy::Tw, DataSource::Backend(&snap), Telemetry::disabled()).unwrap();
     assert_eq!(oneshot.result().expect("one-shot answers").answers, answers);
     assert_eq!(svc.stats().succeeded, 3);
 }
@@ -161,8 +172,8 @@ fn memory_backend_is_the_parse_path_behind_the_seam() {
     );
     for word in WORDS {
         let q = word_query(sys.ontology(), word);
-        let via_mem = sys.answer_with_fallback_backend(&q, &mem, Strategy::Tw, &spec);
-        let via_parse = sys.answer_with_fallback(&q, &data, Strategy::Tw, &spec);
+        let via_mem = sys.run(&tw_ladder(&q, DataSource::Backend(&mem), spec));
+        let via_parse = sys.run(&tw_ladder(&q, DataSource::Parse(&data), spec));
         assert_eq!(
             via_mem.result().map(|r| &r.answers),
             via_parse.result().map(|r| &r.answers),
@@ -193,7 +204,7 @@ fn lazy_snapshot_memory_and_oracle_agree() {
         let q = word_query(sys.ontology(), word);
         let oracle = sys.certain_answers(&q, &data).tuples();
         for (tag, backend) in [("lazy", &lazy as &dyn StorageBackend), ("memory", &memory)] {
-            let report = sys.answer_with_fallback_backend(&q, backend, Strategy::Tw, &spec);
+            let report = sys.run(&tw_ladder(&q, DataSource::Backend(backend), spec));
             assert_eq!(report.result().map(|r| &r.answers), Some(&oracle), "{tag} word {word}");
         }
     }
@@ -313,11 +324,12 @@ fn service_requests_hydrate_lazily_and_match_memory() {
     );
     let q = word_query(svc.system().ontology(), "RS");
     let id = svc.prepare(&q, Strategy::Tw).unwrap();
-    let via_lazy = svc.submit_backend(id, &lazy).unwrap();
-    let via_memory = svc.submit_backend(id, &memory).unwrap();
+    let via_lazy = svc.submit(id, DataSource::Backend(&lazy)).unwrap();
+    let via_memory = svc.submit(id, DataSource::Backend(&memory)).unwrap();
     let answers = &via_memory.result().expect("memory answers").answers;
     assert_eq!(&via_lazy.result().expect("lazy answers").answers, answers);
-    let oneshot = svc.answer_backend(&q, &lazy, Strategy::Tw).unwrap();
+    let oneshot =
+        svc.answer(&q, Strategy::Tw, DataSource::Backend(&lazy), Telemetry::disabled()).unwrap();
     assert_eq!(&oneshot.result().expect("one-shot answers").answers, answers);
     assert!(lazy.columns_touched() > 0, "answering must have hydrated the joined columns");
     assert!(
@@ -355,17 +367,15 @@ fn corrupt_segment_fails_every_entry_point_typed() {
     let spec = BudgetSpec::unlimited();
     let cfg = EngineConfig::default();
     let err = sys
-        .answer_with_budget_engine_backend_traced(
-            &q,
-            &snap,
-            Strategy::Tw,
-            &spec,
-            &cfg,
-            Telemetry::disabled(),
-        )
+        .run(&AnswerRequest {
+            spec,
+            engine: cfg.clone(),
+            ..AnswerRequest::new(&q, DataSource::Backend(&snap), Strategy::Tw)
+        })
+        .into_result()
         .unwrap_err();
     assert!(is_store(&err), "{err}");
-    let report = sys.answer_with_fallback_backend(&q, &snap, Strategy::Tw, &spec);
+    let report = sys.run(&tw_ladder(&q, DataSource::Backend(&snap), spec));
     assert_eq!(report.attempts.len(), 1, "the ladder stops on corrupt data:\n{report}");
     assert!(report.final_error().is_some_and(|e| is_store(&e)), "{report}");
     let omq = sys.prepare(&q, Strategy::Tw).unwrap();

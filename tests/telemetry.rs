@@ -13,7 +13,7 @@ use obda::budget::BudgetSpec;
 use obda::ndl::engine::{evaluate_engine_on_traced, EngineConfig};
 use obda::ndl::storage::Database;
 use obda::telemetry::{TraceSpan, TraceTree};
-use obda::{CollectingTracer, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
+use obda::{CollectingTracer, DataSource, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
 
 const ONTOLOGY: &str = "Professor SubClassOf exists teaches\n\
                         AssistantProfessor SubClassOf Professor\n\
@@ -239,7 +239,7 @@ fn service_request_produces_a_complete_span_tree_and_metrics() {
     let tracer = CollectingTracer::new();
     let registry = MetricsRegistry::new();
     let telem = Telemetry::new(&tracer, Some(&registry));
-    let report = svc.answer_traced(&q, &d, Strategy::Tw, telem).unwrap();
+    let report = svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), telem).unwrap();
     assert!(report.is_success());
 
     let tree = tracer.snapshot();
@@ -263,6 +263,6 @@ fn service_request_produces_a_complete_span_tree_and_metrics() {
     // exposition covers gate and engines together), so the service registry
     // saw nothing — until an untraced request records into it.
     assert_eq!(svc.metrics().histogram("service_latency_seconds").count(), 0);
-    svc.answer(&q, &d, Strategy::Tw).unwrap();
+    svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
     assert_eq!(svc.metrics().histogram("service_latency_seconds").count(), 1);
 }
