@@ -216,7 +216,6 @@ fn benchserve(cfg: &Config) {
         ServiceConfig {
             max_concurrency: cfg.threads.max(1),
             max_queue: 64,
-            budget: BudgetSpec::unlimited(),
             retry: obda::RetryPolicy::default(),
             engine: EngineConfig::default(),
             overload: obda::OverloadConfig::default(),
@@ -394,7 +393,6 @@ fn benchsoak(cfg: &Config) {
         ServiceConfig {
             max_concurrency: cfg.threads.max(2),
             max_queue: 32,
-            budget: BudgetSpec::unlimited(),
             retry: obda::RetryPolicy::default(),
             engine: EngineConfig::default(),
             overload: OverloadConfig {

@@ -11,7 +11,7 @@
 //!               [--budget-secs N] [--budget-clauses N] [--budget-tuples N]
 //!               [--budget-steps N] [--budget-chase N] [--no-fallback]
 //!               [--threads N] [--no-prune] [--no-plan] [--retries N]
-//!               [--max-concurrency N] [--trace[=pretty|json]] [--stats]
+//!               [--trace[=pretty|json]] [--stats]
 //! obda build    --ontology o.owlql --data d.abox -o db.obdb
 //! obda dbinfo   db.obdb
 //! obda serve    --ontology o.owlql (--db db.obdb | --data d.abox)
@@ -38,11 +38,10 @@
 //! clause's joins run in the cost-based order chosen from relation
 //! statistics (disable with `--no-plan` to keep the syntactic order) and
 //! evaluated stratum-by-stratum on `--threads N` workers (default 1;
-//! `0` = one per CPU) sharing one resource budget. Requests run through
-//! the panic-isolated query service: transient faults are retried up to
-//! `--retries N` times (default 2) before degrading down the fallback
-//! ladder, and `--max-concurrency N` (default 1) bounds the service's
-//! admission gate.
+//! `0` = one per CPU) sharing one resource budget. Each strategy attempt
+//! is panic-isolated: a transient fault is retried up to `--retries N`
+//! times (default 2) before the request degrades down the fallback
+//! ladder; `--no-fallback` runs the one strategy once.
 //!
 //! `explain` dumps the classification, the rewriting, the
 //! relevance-pruned program and the engine's stratum schedule with
@@ -53,7 +52,7 @@
 //!
 //! Observability: `--trace` collects nested spans across every pipeline
 //! stage (parse → saturate → rewrite → prune → stratum-schedule → eval,
-//! plus queue wait and per-attempt spans) and prints the tree to stderr,
+//! plus per-attempt spans) and prints the tree to stderr,
 //! pretty by default or as JSON with `--trace=json`; `--stats` prints the
 //! metrics registry (counters, gauges, latency histograms) to stderr in
 //! text exposition format after the command finishes.
@@ -148,7 +147,7 @@ const USAGE: &str = "usage: obda <classify|rewrite|explain|answer> --ontology FI
     \x20      [--data FILE | --db FILE] [--strategy NAME] [--oracle] [--timeout-secs N]\n\
     \x20      [--budget-secs N] [--budget-clauses N] [--budget-tuples N]\n\
     \x20      [--budget-steps N] [--budget-chase N] [--no-fallback]\n\
-    \x20      [--threads N] [--no-prune] [--no-plan] [--retries N] [--max-concurrency N]\n\
+    \x20      [--threads N] [--no-prune] [--no-plan] [--retries N]\n\
     \x20      [--trace[=pretty|json]] [--stats]\n\
     \x20      obda build --ontology FILE --data FILE (-o|--out) FILE\n\
     \x20      obda dbinfo FILE\n\
@@ -523,7 +522,7 @@ fn run(args: &Args, telem: Telemetry<'_>) -> Result<(), CliError> {
                     }
                 }
             };
-            run_answer(args, system, &query, &data, telem)
+            run_answer(args, &system, &query, &data, telem)
         }
         _ => unreachable!("parse_args admits only known commands"),
     }
@@ -770,10 +769,7 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
     } else {
         return Err(CliError::Internal("serve needs --db or --data".into()));
     };
-    let retry = match args.retries {
-        Some(n) => RetryPolicy::with_retries(n),
-        None => RetryPolicy::default(),
-    };
+    let retry = retry_policy(args);
     // The server gets the full adaptive overload stack by default; the
     // flags only retune it. One shared breaker shape serves both the
     // per-strategy and the per-tenant breaker sets.
@@ -789,7 +785,6 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
         ServiceConfig {
             max_concurrency: args.max_concurrency.unwrap_or(4),
             max_queue: args.max_queue.unwrap_or(16),
-            budget: args.spec,
             retry,
             engine: args.engine.clone(),
             overload,
@@ -843,87 +838,40 @@ fn run_serve(args: &Args, system: ObdaSystem, telem: Telemetry<'_>) -> Result<()
     }
 }
 
-/// Either a bare system (`--no-fallback`) or one wrapped in the
-/// admission-gated query service; the oracle check needs the system back
-/// either way.
-enum Host {
-    Bare(Box<ObdaSystem>),
-    Served(Box<QueryService>),
-}
-
-impl Host {
-    fn system(&self) -> &ObdaSystem {
-        match self {
-            Host::Bare(system) => system,
-            Host::Served(service) => service.system(),
-        }
-    }
+/// The `--retries N` policy (default 2 retries).
+fn retry_policy(args: &Args) -> RetryPolicy {
+    args.retries.map_or_else(RetryPolicy::default, RetryPolicy::with_retries)
 }
 
 fn run_answer(
     args: &Args,
-    system: ObdaSystem,
+    system: &ObdaSystem,
     query: &Cq,
     data: &AnswerData,
     telem: Telemetry<'_>,
 ) -> Result<(), CliError> {
-    let retry = match args.retries {
-        Some(n) => RetryPolicy::with_retries(n),
-        None => RetryPolicy::default(),
-    };
-    let host = if args.no_fallback {
-        Host::Bare(Box::new(system))
-    } else {
-        Host::Served(Box::new(QueryService::new(
-            system,
-            ServiceConfig {
-                max_concurrency: args.max_concurrency.unwrap_or(1),
-                max_queue: 0,
-                budget: args.spec,
-                retry,
-                engine: args.engine.clone(),
-                // One-shot CLI answers keep the overload machinery off:
-                // there is no sustained load to adapt to.
-                overload: OverloadConfig::default(),
-            },
-        )))
-    };
-    let (result, strategy_used) = match &host {
-        Host::Bare(system) => {
-            let report = system.run(&AnswerRequest {
-                spec: args.spec,
-                engine: args.engine.clone(),
-                telem,
-                ..AnswerRequest::new(query, data.source(), args.strategy)
-            });
-            (report.into_result()?, args.strategy)
+    // `--no-fallback` is the bare strategy: one rung, no retries.
+    let fallback = !args.no_fallback;
+    let retry = if fallback { retry_policy(args) } else { RetryPolicy::none() };
+    let report = system.run(&AnswerRequest {
+        fallback,
+        spec: args.spec,
+        engine: args.engine.clone(),
+        retry,
+        telem,
+        ..AnswerRequest::new(query, data.source(), args.strategy)
+    });
+    if fallback {
+        eprint!("{report}");
+        if report.all_exhausted() {
+            return Err(CliError::Budget(format!(
+                "budget exhausted: all {} strategies tripped the budget",
+                report.attempts.len()
+            )));
         }
-        Host::Served(service) => {
-            let service_report = service.answer(query, args.strategy, data.source(), telem)?;
-            // One consistent block: every ladder attempt, then the
-            // service-level accounting (queue wait is time the attempts
-            // never see, so the report and the latency line belong
-            // together).
-            eprint!("{}", service_report.report);
-            let queued = service_report.queue_wait;
-            let total = service_report.latency;
-            eprintln!(
-                "# queued {:.1} ms + ran {:.1} ms = {:.1} ms total",
-                queued.as_secs_f64() * 1e3,
-                total.saturating_sub(queued).as_secs_f64() * 1e3,
-                total.as_secs_f64() * 1e3,
-            );
-            let report = service_report.report;
-            if report.all_exhausted() {
-                return Err(CliError::Budget(format!(
-                    "budget exhausted: all {} strategies tripped the budget",
-                    report.attempts.len()
-                )));
-            }
-            let winner = report.winning_strategy().unwrap_or(args.strategy);
-            (report.into_result()?, winner)
-        }
-    };
+    }
+    let strategy_used = report.winning_strategy().unwrap_or(args.strategy);
+    let result = report.into_result()?;
     // Through one buffer on the locked handle: stdout is line-buffered,
     // so a `println!` per answer would cost one write(2) each.
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -957,9 +905,11 @@ fn run_answer(
     if args.oracle {
         let ospan = telem.span("oracle-check");
         let mut budget = args.spec.start();
-        let oracle = match data.instance().map_err(ObdaError::from).and_then(|instance| {
-            host.system().certain_answers_budgeted(query, instance, &mut budget)
-        }) {
+        let oracle = match data
+            .instance()
+            .map_err(ObdaError::from)
+            .and_then(|instance| system.certain_answers_budgeted(query, instance, &mut budget))
+        {
             Ok(ans) => ans.tuples(),
             Err(e) => {
                 ospan.error(&e.to_string());

@@ -47,14 +47,14 @@ pub use complexity::{
     PeSize, QueryClass, Succinctness,
 };
 pub use pipeline::{
-    AnswerRequest, Attempt, AttemptClass, AttemptOutcome, DataSource, ObdaError, ObdaSystem,
-    PipelineReport, PreparedOmq, RetryPolicy, Strategy, StrategyGate,
+    AnswerRequest, Attempt, AttemptOutcome, DataSource, ObdaError, ObdaSystem, PipelineReport,
+    PreparedOmq, RetryPolicy, Strategy,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use service::breaker::{BreakerConfig, BreakerSet, CircuitBreaker, Transition};
+pub use service::breaker::{AttemptClass, BreakerConfig, BreakerSet, CircuitBreaker, Transition};
 pub use service::{
     CostAdmissionConfig, OverloadConfig, PreparedRun, QueryService, RejectReason, ServiceConfig,
-    ServiceReport, ServiceStats, TenantGovernor, TenantPermit, TenantQuota,
+    ServiceStats, TenantGovernor, TenantPermit, TenantQuota,
 };
 
 // The persistent snapshot store: build `.obdb` files with

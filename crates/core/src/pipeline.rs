@@ -5,7 +5,6 @@ use obda_budget::{Budget, BudgetSpec};
 use obda_chase::answer::{certain_answers, certain_answers_budgeted, CertainAnswers};
 use obda_chase::model::ChaseError;
 use obda_cq::query::Cq;
-use obda_ndl::analysis::{analyze, Analysis};
 use obda_ndl::engine::{
     evaluate_engine_on_traced, evaluate_pruned_planned_on_traced, prune_traced, EngineConfig,
 };
@@ -109,13 +108,11 @@ pub struct AnswerRequest<'a> {
     pub retry: RetryPolicy,
     /// Where spans and metrics go.
     pub telem: Telemetry<'a>,
-    /// Per-strategy circuit breakers consulted before each rung, if any.
-    pub gate: Option<&'a dyn StrategyGate>,
 }
 
 impl<'a> AnswerRequest<'a> {
     /// A request for `strategy` alone: no fallback, no retries, no budget,
-    /// the unpruned engine, no telemetry and no gate. Override fields with
+    /// the unpruned engine and no telemetry. Override fields with
     /// struct-update syntax.
     pub fn new(query: &'a Cq, data: DataSource<'a>, strategy: Strategy) -> Self {
         AnswerRequest {
@@ -127,7 +124,6 @@ impl<'a> AnswerRequest<'a> {
             engine: EngineConfig::unpruned(),
             retry: RetryPolicy::none(),
             telem: Telemetry::disabled(),
-            gate: None,
         }
     }
 }
@@ -199,11 +195,12 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Retry policy for transient faults inside the fallback ladder: a
-/// strategy attempt that fails with [`ObdaError::Transient`] is retried
-/// up to `max_retries` times with decorrelated-jitter backoff (each sleep
-/// drawn uniformly from `[base_backoff, 3 × previous]`, capped at
-/// `max_backoff` and at the remaining shared deadline) before the ladder
+/// Retry policy for transient faults, on the fallback ladder and on the
+/// service's prepared path: an attempt that fails with
+/// [`ObdaError::Transient`] is retried up to `max_retries` times with
+/// decorrelated-jitter backoff (each sleep drawn uniformly from
+/// `[base_backoff, 3 × previous]`, capped at `max_backoff` and at the
+/// remaining shared deadline) before the request gives up, or the ladder
 /// degrades to the next strategy. Budget trips, refusals and panics are
 /// never retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +239,7 @@ impl RetryPolicy {
 
     /// The `attempt_index`-th backoff sleep given the previous one:
     /// deterministic decorrelated jitter in `[base, min(cap, 3·prev)]`.
-    pub(crate) fn next_backoff(&self, attempt_index: u64, prev: Duration) -> Duration {
+    fn next_backoff(&self, attempt_index: u64, prev: Duration) -> Duration {
         let cap = self.max_backoff.as_nanos() as u64;
         let lo = (self.base_backoff.as_nanos() as u64).min(cap);
         let hi = (prev.as_nanos() as u64).saturating_mul(3).clamp(lo, cap);
@@ -251,6 +248,19 @@ impl RetryPolicy {
         }
         let r = splitmix64(self.seed ^ attempt_index.wrapping_mul(0x9e3779b97f4a7c15));
         Duration::from_nanos(lo + r % (hi - lo + 1))
+    }
+
+    /// Advances `backoff` to the `attempt_index`-th jittered sleep and
+    /// returns the pause to take before the retry: that sleep, cut short
+    /// at `deadline` so a retry never starts past the request's deadline.
+    pub(crate) fn pause(
+        &self,
+        attempt_index: u64,
+        backoff: &mut Duration,
+        deadline: Option<Instant>,
+    ) -> Duration {
+        *backoff = self.next_backoff(attempt_index, *backoff);
+        deadline.map_or(*backoff, |d| (*backoff).min(d.saturating_duration_since(Instant::now())))
     }
 }
 
@@ -559,7 +569,7 @@ pub enum AttemptOutcome {
     EvalFailed(EvalError),
     /// Rewriting succeeded but the data its program joins could not be
     /// hydrated (a corrupt snapshot segment). Not the strategy's fault:
-    /// the ladder stops here and no circuit breaker records it.
+    /// the ladder stops here.
     StoreFailed(StoreError),
     /// A transient fault interrupted the attempt; the [`RetryPolicy`]
     /// decides whether it is retried before the ladder degrades.
@@ -575,41 +585,6 @@ pub enum AttemptOutcome {
         /// The panic message, when it was a string payload.
         payload: String,
     },
-    /// The strategy never ran: its circuit breaker was open from recent
-    /// failures, so the ladder degraded past it instead of re-burning
-    /// budget on a strategy that keeps dying.
-    Skipped {
-        /// What the breaker guards (the strategy name).
-        scope: String,
-        /// Time left until the breaker half-opens for a probe.
-        retry_after: Duration,
-    },
-}
-
-/// The breaker-relevant classification of one ladder attempt, reported
-/// through [`StrategyGate::record_strategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptClass {
-    /// The attempt produced answers.
-    Success,
-    /// The attempt burned its budget or died (budget trip, stall,
-    /// panic) — the signal that trips a breaker.
-    Failure,
-    /// Outcomes that say nothing about the strategy's health:
-    /// structural refusals (a per-query property) and injected
-    /// transients (substrate hiccups, retried anyway).
-    Neutral,
-}
-
-/// Consulted by the fallback ladder before and after each strategy: an
-/// open circuit breaker skips the strategy (the ladder records a
-/// [`AttemptOutcome::Skipped`] row and degrades), and every admitted
-/// attempt's outcome feeds back into the breaker state machine.
-pub trait StrategyGate: Sync {
-    /// `Some(retry_after)` skips the strategy; `None` admits it.
-    fn admit_strategy(&self, strategy: Strategy) -> Option<Duration>;
-    /// Reports how an admitted attempt ended.
-    fn record_strategy(&self, strategy: Strategy, class: AttemptClass);
 }
 
 /// A structured account of a fallback run: every strategy attempted, in
@@ -663,8 +638,7 @@ impl PipelineReport {
                 }
                 AttemptOutcome::StoreFailed(_)
                 | AttemptOutcome::Transient { .. }
-                | AttemptOutcome::Panicked { .. }
-                | AttemptOutcome::Skipped { .. } => false,
+                | AttemptOutcome::Panicked { .. } => false,
             })
     }
 
@@ -688,9 +662,6 @@ impl PipelineReport {
             AttemptOutcome::Panicked { site, payload } => {
                 Some(ObdaError::Internal { site: site.clone(), payload: payload.clone() })
             }
-            AttemptOutcome::Skipped { scope, retry_after } => {
-                Some(ObdaError::BreakerOpen { scope: scope.clone(), retry_after: *retry_after })
-            }
         }
     }
 }
@@ -708,9 +679,6 @@ impl fmt::Display for PipelineReport {
                 AttemptOutcome::Transient { site } => format!("transient fault at {site}"),
                 AttemptOutcome::Panicked { site, payload } => {
                     format!("panicked at {site}: {payload}")
-                }
-                AttemptOutcome::Skipped { scope, .. } => {
-                    format!("skipped: circuit breaker open for {scope}")
                 }
             };
             let marker = if Some(i) == self.winner { "*" } else { " " };
@@ -911,9 +879,7 @@ impl ObdaSystem {
     /// a transient fault is retried per `req.retry` before the ladder
     /// degrades. Every try gets fresh counters but the *same* absolute
     /// wall-clock deadline, so the whole run respects the spec's timeout.
-    /// A rung whose `req.gate` breaker is open is recorded as
-    /// [`AttemptOutcome::Skipped`] without spending any budget, and every
-    /// admitted try's outcome is fed back to the gate. Always terminates;
+    /// Always terminates;
     /// the report lists every attempt (retries included) and the winner,
     /// if any. With telemetry on, each try is an `attempt` span (strategy
     /// and retry number attached, error-tagged on failure) whose children
@@ -972,21 +938,6 @@ impl ObdaSystem {
         let mut attempts: Vec<Attempt> = Vec::new();
         let mut winner = None;
         'ladder: for strategy in ladder {
-            if let Some(g) = req.gate {
-                if let Some(retry_after) = g.admit_strategy(strategy) {
-                    attempts.push(Attempt {
-                        strategy,
-                        retry: 0,
-                        outcome: AttemptOutcome::Skipped {
-                            scope: format!("strategy {strategy}"),
-                            retry_after,
-                        },
-                        clauses: None,
-                        duration: Duration::ZERO,
-                    });
-                    continue 'ladder;
-                }
-            }
             let mut retry_no = 0u32;
             let mut backoff = req.retry.base_backoff;
             loop {
@@ -1029,33 +980,6 @@ impl ObdaSystem {
                     AttemptOutcome::Panicked { site, payload } => {
                         attempt_span.error(&format!("panicked at {site}: {payload}"));
                     }
-                    // Skipped rows are pushed before the attempt loop runs.
-                    AttemptOutcome::Skipped { .. } => unreachable!("skip happens before attempts"),
-                }
-                if let Some(g) = req.gate {
-                    let class = match &outcome {
-                        AttemptOutcome::Success(_) => AttemptClass::Success,
-                        AttemptOutcome::EvalFailed(e) => {
-                            if matches!(e, EvalError::Timeout(_) | EvalError::TupleLimit(_)) {
-                                AttemptClass::Failure
-                            } else {
-                                AttemptClass::Neutral
-                            }
-                        }
-                        AttemptOutcome::RewriteFailed(e) => {
-                            if e.is_budget() {
-                                AttemptClass::Failure
-                            } else {
-                                AttemptClass::Neutral
-                            }
-                        }
-                        AttemptOutcome::Panicked { .. } => AttemptClass::Failure,
-                        // Corrupt data is not the strategy's fault.
-                        AttemptOutcome::StoreFailed(_)
-                        | AttemptOutcome::Transient { .. }
-                        | AttemptOutcome::Skipped { .. } => AttemptClass::Neutral,
-                    };
-                    g.record_strategy(strategy, class);
                 }
                 attempt_span.end();
                 attempts.push(Attempt {
@@ -1078,14 +1002,9 @@ impl ObdaSystem {
                     break; // not retryable (or retries spent): degrade
                 }
                 retry_no += 1;
-                backoff = req.retry.next_backoff(attempts.len() as u64, backoff);
-                // Sleep never past the shared absolute deadline.
-                let sleep = match master.deadline() {
-                    Some(d) => backoff.min(d.saturating_duration_since(Instant::now())),
-                    None => backoff,
-                };
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
+                let pause = req.retry.pause(attempts.len() as u64, &mut backoff, master.deadline());
+                if !pause.is_zero() {
+                    std::thread::sleep(pause);
                 }
             }
         }
@@ -1165,9 +1084,8 @@ impl ObdaSystem {
         Ok(certain_answers_budgeted(&self.ontology, query, data, budget)?)
     }
 
-    /// Rewrites once and caches the rewriting together with its structural
-    /// analysis and goal metadata, for repeated execution over pre-built
-    /// [`Database`]s.
+    /// Rewrites once and caches the rewriting for repeated execution over
+    /// pre-built [`Database`]s.
     pub fn prepare(&self, query: &Cq, strategy: Strategy) -> Result<PreparedOmq, ObdaError> {
         self.prepare_budgeted(query, strategy, &mut Budget::unlimited())
     }
@@ -1183,11 +1101,9 @@ impl ObdaSystem {
         budget: &mut Budget,
     ) -> Result<PreparedOmq, ObdaError> {
         let rewriting = self.rewrite_budgeted(query, strategy, budget)?;
-        let analysis = analyze(&rewriting);
         Ok(PreparedOmq {
             query: query.clone(),
             strategy,
-            analysis,
             rewriting,
             pruned: OnceLock::new(),
             plans: Mutex::new(Vec::new()),
@@ -1196,14 +1112,13 @@ impl ObdaSystem {
     }
 }
 
-/// A rewritten OMQ ready for repeated evaluation: the NDL rewriting, its
-/// structural [`Analysis`], and the goal metadata, computed once by
-/// [`ObdaSystem::prepare`] and reused across data instances.
+/// A rewritten OMQ ready for repeated evaluation: the NDL rewriting,
+/// computed once by [`ObdaSystem::prepare`], with its lazily cached
+/// pruning and per-database plans, reused across data instances.
 #[derive(Debug)]
 pub struct PreparedOmq {
     query: Cq,
     strategy: Strategy,
-    analysis: Analysis,
     rewriting: NdlQuery,
     /// Goal-directed pruning of the rewriting, computed lazily on the
     /// first engine execution and then reused across data instances.
@@ -1231,7 +1146,6 @@ impl Clone for PreparedOmq {
         PreparedOmq {
             query: self.query.clone(),
             strategy: self.strategy,
-            analysis: self.analysis.clone(),
             rewriting: self.rewriting.clone(),
             pruned: self.pruned.clone(),
             plans: Mutex::new(Vec::new()),
@@ -1254,11 +1168,6 @@ impl PreparedOmq {
     /// The cached NDL rewriting (over arbitrary instances).
     pub fn rewriting(&self) -> &NdlQuery {
         &self.rewriting
-    }
-
-    /// The cached structural analysis of the rewriting.
-    pub fn analysis(&self) -> &Analysis {
-        &self.analysis
     }
 
     /// Number of clauses of the rewriting.
@@ -1452,7 +1361,7 @@ mod tests {
             let prepared = sys.prepare(&q, strategy).unwrap();
             assert_eq!(prepared.strategy(), strategy);
             assert!(prepared.num_clauses() > 0);
-            assert!(prepared.analysis().nonrecursive);
+            assert!(obda_ndl::analysis::analyze(prepared.rewriting()).nonrecursive);
             let res = run(&prepared, &db, &EngineConfig::unpruned());
             assert_eq!(res.answers, oracle, "strategy {strategy}");
         }

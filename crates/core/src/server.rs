@@ -63,8 +63,8 @@
 //! synchronized clients spreads its retries instead of re-spiking the
 //! governor in lockstep.
 
-use crate::pipeline::{AttemptClass, ObdaError, PreparedOmq, Strategy};
-use crate::service::breaker::{BreakerConfig, BreakerSet};
+use crate::pipeline::{ObdaError, PreparedOmq, Strategy};
+use crate::service::breaker::{AttemptClass, BreakerConfig, BreakerSet};
 use crate::service::{QueryService, TenantGovernor, TenantQuota};
 use obda_budget::BudgetSpec;
 use obda_store::StorageBackend;
@@ -779,7 +779,7 @@ fn route(inner: &ServerInner, req: &Request) -> HttpOut {
             }
         }
         ("GET", "/metrics") => {
-            publish_rewrite_metrics(inner);
+            publish_scrape_metrics(inner);
             HttpOut::new(200, "OK", inner.service.metrics().render_text())
         }
         ("GET", "/explain") => handle_explain(inner, req),
@@ -826,17 +826,30 @@ fn requested_strategy(req: &Request, from: Option<&str>) -> Result<Strategy, Htt
     }
 }
 
-/// Copies the system's tree-witness memo totals into the registry.
-fn publish_rewrite_metrics(inner: &ServerInner) {
+/// Copies the system's tree-witness memo totals and the backend's
+/// resident bytes (a snapshot's hydrated columns) into the registry.
+fn publish_scrape_metrics(inner: &ServerInner) {
     let memo = inner.service.system().tree_witness_memo();
     let metrics = inner.service.metrics();
     metrics.counter("rewrite_tree_witness_memo_hits_total").raise_to(memo.hits());
     metrics.counter("rewrite_tree_witness_memo_misses_total").raise_to(memo.misses());
     metrics.gauge("rewrite_tree_witness_memo_entries").set(memo.len() as i64);
+    if let Some(bytes) = inner.backend.resident_bytes() {
+        metrics.gauge("store_resident_bytes").set(bytes as i64);
+    }
+}
+
+/// The server's per-request budget, its wall clock cut to what remains
+/// before `deadline`.
+fn spec_until(inner: &ServerInner, deadline: Instant) -> BudgetSpec {
+    BudgetSpec {
+        timeout: Some(deadline.saturating_duration_since(Instant::now())),
+        ..inner.cfg.budget
+    }
 }
 
 /// Looks the OMQ up in the bounded LRU or prepares it (classify +
-/// rewrite + analyse) under the remaining request deadline.
+/// rewrite) under the remaining request deadline.
 fn prepared_omq(
     inner: &ServerInner,
     text: &str,
@@ -851,10 +864,7 @@ fn prepared_omq(
     }
     metrics.counter("server_cache_misses_total").inc();
     let query = inner.service.system().parse_query(text)?;
-    let mut spec = inner.cfg.budget;
-    spec.timeout = Some(deadline.saturating_duration_since(Instant::now()));
-    let omq =
-        Arc::new(inner.service.system().prepare_budgeted(&query, strategy, &mut spec.start())?);
+    let omq = inner.service.prepare(&query, strategy, &spec_until(inner, deadline))?;
     let mut cache = inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
     if cache.insert(key, Arc::clone(&omq)) {
         metrics.counter("server_cache_evictions_total").inc();
@@ -947,9 +957,8 @@ fn handle_query(inner: &ServerInner, req: &Request) -> HttpOut {
     let outcome = crate::pipeline::isolate("server::handle", || {
         fault::inject();
         let omq = prepared_omq(inner, text, strategy, deadline)?;
-        let mut spec = inner.cfg.budget;
-        spec.timeout = Some(deadline.saturating_duration_since(Instant::now()));
-        inner.service.execute_prepared(&omq, inner.backend.as_ref(), &spec, Telemetry::disabled())
+        let spec = spec_until(inner, deadline);
+        inner.service.answer(&omq, inner.backend.as_ref(), &spec, Telemetry::disabled())
     });
     inflight.add(-1);
     if let Some(b) = &brk {

@@ -4,9 +4,11 @@
 //! most `max_concurrency` requests evaluate at once, at most `max_queue`
 //! more may wait for a slot, and anything beyond that is rejected
 //! immediately with the typed [`ObdaError::Overloaded`] — the service
-//! sheds load instead of piling it up. Admitted requests run the full
-//! panic-isolated fallback ladder (with transient-fault retries per the
-//! configured [`RetryPolicy`]) under a fresh per-request
+//! sheds load instead of piling it up. An OMQ is rewritten once
+//! ([`QueryService::prepare`]) and evaluated per request
+//! ([`QueryService::answer`]): each admitted evaluation is
+//! panic-isolated, retries transient faults per the configured
+//! [`RetryPolicy`] and runs under a fresh per-request
 //! [`Budget`](obda_budget::Budget), so a
 //! request that faults, panics or exhausts its budget fails *alone*: the
 //! gate slot is released on every exit path and the service keeps
@@ -19,11 +21,8 @@
 
 pub mod breaker;
 
-use crate::pipeline::{
-    AnswerRequest, AttemptClass, DataSource, ObdaError, ObdaSystem, PipelineReport, PreparedOmq,
-    RetryPolicy, Strategy, StrategyGate,
-};
-use breaker::{BreakerConfig, BreakerSet};
+use crate::pipeline::{ObdaError, ObdaSystem, PreparedOmq, RetryPolicy, Strategy};
+use breaker::{AttemptClass, BreakerConfig, BreakerSet};
 use obda_budget::BudgetSpec;
 use obda_cq::query::Cq;
 use obda_ndl::engine::EngineConfig;
@@ -77,7 +76,7 @@ impl Default for CostAdmissionConfig {
 /// `obda serve` runs [`OverloadConfig::enabled`].
 #[derive(Debug, Clone, Default)]
 pub struct OverloadConfig {
-    /// Per-strategy circuit breakers (prepared path and fallback ladder).
+    /// Per-strategy circuit breakers.
     pub breaker: Option<BreakerConfig>,
     /// Cost-based admission against the remaining deadline.
     pub cost: Option<CostAdmissionConfig>,
@@ -101,13 +100,9 @@ pub struct ServiceConfig {
     /// Requests allowed to *wait* for a slot beyond the concurrent ones;
     /// a request arriving with the queue full is rejected immediately.
     pub max_queue: usize,
-    /// Per-request resource budget (fresh counters per request; the
-    /// wall-clock deadline also bounds the time spent queued).
-    pub budget: BudgetSpec,
-    /// Transient-fault retry policy for the fallback ladder.
+    /// How a request retries transient faults.
     pub retry: RetryPolicy,
-    /// Engine configuration for every evaluation stage, on the fallback
-    /// ladder and on the prepared path alike.
+    /// Engine configuration of every evaluation.
     pub engine: EngineConfig,
     /// Adaptive overload control (breakers, cost admission); everything
     /// off by default.
@@ -119,7 +114,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_concurrency: 2,
             max_queue: 8,
-            budget: BudgetSpec::unlimited(),
             retry: RetryPolicy::default(),
             engine: EngineConfig::default(),
             overload: OverloadConfig::default(),
@@ -127,55 +121,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Handle to a query registered with [`QueryService::prepare`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct QueryId(usize);
-
-/// Per-request outcome and statistics returned by the service.
-#[derive(Debug)]
-pub struct ServiceReport {
-    /// The full fallback-ladder report (every attempt, retries included).
-    pub report: PipelineReport,
-    /// Time spent waiting for an execution slot before the pipeline ran.
-    pub queue_wait: Duration,
-    /// Total request latency: queue wait plus pipeline execution.
-    pub latency: Duration,
-}
-
-impl ServiceReport {
-    /// The winning evaluation result, if any attempt succeeded.
-    pub fn result(&self) -> Option<&EvalResult> {
-        self.report.result()
-    }
-
-    /// `true` iff some attempt succeeded.
-    pub fn is_success(&self) -> bool {
-        self.report.winner.is_some()
-    }
-
-    /// Number of attempts made (first tries and retries).
-    pub fn attempts(&self) -> usize {
-        self.report.attempts.len()
-    }
-
-    /// Number of attempts that were retries of a transient fault.
-    pub fn retries(&self) -> usize {
-        self.report.num_retries()
-    }
-
-    /// The typed error of the decisive failed attempt, when no attempt
-    /// succeeded (see [`PipelineReport::final_error`]).
-    pub fn final_error(&self) -> Option<ObdaError> {
-        self.report.final_error()
-    }
-}
-
-/// Outcome of one prepared-OMQ execution through the gate
-/// ([`QueryService::execute_prepared`]): the evaluation
-/// result plus the same timing split as [`ServiceReport`].
+/// Outcome of one request through the gate ([`QueryService::answer`]):
+/// the evaluation result and where the time went.
 #[derive(Debug)]
 pub struct PreparedRun {
-    /// The winning evaluation result.
+    /// The evaluation result.
     pub result: EvalResult,
     /// Time spent waiting for an execution slot.
     pub queue_wait: Duration,
@@ -188,9 +138,9 @@ pub struct PreparedRun {
 /// Cumulative service counters (monotone; useful for liveness checks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests admitted and run to completion with a winning attempt.
+    /// Requests that answered.
     pub succeeded: u64,
-    /// Requests admitted and run to completion without a winner.
+    /// Requests that ran (or began hydrating) and failed.
     pub failed: u64,
     /// Requests rejected at the gate ([`ObdaError::Overloaded`]): the sum
     /// of the by-reason breakdown below (kept as a total so existing
@@ -402,56 +352,25 @@ fn breaker_class(e: &ObdaError) -> AttemptClass {
     }
 }
 
-/// Adapter presenting a [`BreakerSet`] to the fallback ladder as its
-/// [`StrategyGate`], booking transitions as metrics along the way.
-struct LadderGate<'a> {
-    set: &'a BreakerSet,
-    metrics: &'a MetricsRegistry,
-}
-
-impl StrategyGate for LadderGate<'_> {
-    fn admit_strategy(&self, strategy: Strategy) -> Option<Duration> {
-        let key = strategy_key(strategy);
-        match self.set.breaker(key).admit(Instant::now()) {
-            Ok(transition) => {
-                if let Some(tr) = transition {
-                    book_transition(self.metrics, key, tr);
-                }
-                None
-            }
-            Err(retry_after) => {
-                self.metrics.counter(&format!("service_breaker_skipped_total_{key}")).inc();
-                Some(retry_after)
-            }
-        }
-    }
-
-    fn record_strategy(&self, strategy: Strategy, class: AttemptClass) {
-        let key = strategy_key(strategy);
-        if let Some(tr) = self.set.breaker(key).record(class, Instant::now()) {
-            book_transition(self.metrics, key, tr);
-        }
-    }
-}
-
 /// A concurrency-limited, panic-isolated query-answering service.
 ///
 /// ```
-/// use obda::{DataSource, ObdaSystem, QueryService, ServiceConfig, Strategy};
+/// use obda::budget::BudgetSpec;
+/// use obda::{MemoryBackend, ObdaSystem, QueryService, ServiceConfig, Strategy, Telemetry};
 ///
 /// let system = ObdaSystem::from_text("A SubClassOf B\n").unwrap();
 /// let service = QueryService::new(system, ServiceConfig::default());
 /// let query = service.system().parse_query("q(x) :- B(x)").unwrap();
-/// let id = service.prepare(&query, Strategy::Tw).unwrap();
-/// let data = service.system().parse_data("A(a)").unwrap();
-/// let report = service.submit(id, DataSource::Parse(&data)).unwrap();
-/// assert_eq!(report.result().unwrap().answers.len(), 1);
+/// let spec = BudgetSpec::unlimited();
+/// let omq = service.prepare(&query, Strategy::Tw, &spec).unwrap();
+/// let data = MemoryBackend::new(service.system().parse_data("A(a)").unwrap());
+/// let run = service.answer(&omq, &data, &spec, Telemetry::disabled()).unwrap();
+/// assert_eq!(run.result.answers.len(), 1);
 /// ```
 pub struct QueryService {
     system: ObdaSystem,
     cfg: ServiceConfig,
     gate: Gate,
-    prepared: RwLock<Vec<Arc<PreparedOmq>>>,
     succeeded: AtomicU64,
     failed: AtomicU64,
     rejected_overloaded: AtomicU64,
@@ -469,7 +388,6 @@ impl QueryService {
             system,
             cfg,
             gate: Gate::new(),
-            prepared: RwLock::new(Vec::new()),
             succeeded: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             rejected_overloaded: AtomicU64::new(0),
@@ -498,61 +416,40 @@ impl QueryService {
         &self.cfg
     }
 
-    /// Registers a query: rewrites it once under the per-request budget
-    /// (panic-isolated, like any request) and caches the [`PreparedOmq`]
-    /// for all future [`QueryService::submit`] calls.
-    pub fn prepare(&self, query: &Cq, strategy: Strategy) -> Result<QueryId, ObdaError> {
-        let mut budget = self.cfg.budget.start();
-        let omq = crate::pipeline::isolate("service::prepare", || {
-            self.system.prepare_budgeted(query, strategy, &mut budget)
-        })?;
-        let mut reg = self.prepared.write().unwrap_or_else(PoisonError::into_inner);
-        reg.push(Arc::new(omq));
-        Ok(QueryId(reg.len() - 1))
-    }
-
-    /// The prepared query behind a handle.
-    pub fn prepared(&self, id: QueryId) -> Option<Arc<PreparedOmq>> {
-        self.prepared.read().unwrap_or_else(PoisonError::into_inner).get(id.0).cloned()
-    }
-
-    /// [`QueryService::prepared`], with an unknown handle as a typed error.
-    fn registered(&self, id: QueryId) -> Result<Arc<PreparedOmq>, ObdaError> {
-        self.prepared(id).ok_or_else(|| ObdaError::Internal {
-            site: "service::submit".to_owned(),
-            payload: format!("unknown query id {}", id.0),
+    /// Rewrites `query` once for `strategy` under `spec` (classification,
+    /// rewriting and the tree-witness memo), panic-isolated like any
+    /// request, for any number of [`QueryService::answer`] calls.
+    pub fn prepare(
+        &self,
+        query: &Cq,
+        strategy: Strategy,
+        spec: &BudgetSpec,
+    ) -> Result<Arc<PreparedOmq>, ObdaError> {
+        crate::pipeline::isolate("service::prepare", || {
+            Ok(Arc::new(self.system.prepare_budgeted(query, strategy, &mut spec.start())?))
         })
     }
 
-    /// Answers a registered query over `data`: waits for an execution
-    /// slot (bounded queue, bounded by the request deadline), then runs
-    /// the panic-isolated fallback ladder starting from the prepared
-    /// strategy. Returns [`ObdaError::Overloaded`] without running
-    /// anything when the gate refuses admission. Over a pre-loaded
-    /// [`StorageBackend`] (in-memory build or opened `.obdb` snapshot) no
-    /// per-request database is built.
-    pub fn submit(&self, id: QueryId, data: DataSource<'_>) -> Result<ServiceReport, ObdaError> {
-        let omq = self.registered(id)?;
-        self.answer(omq.query(), omq.strategy(), data, Telemetry::disabled())
-    }
-
-    /// Executes an already-prepared OMQ over a pre-loaded backend under a
-    /// *per-request* budget — the server's hot path. Unlike
-    /// [`QueryService::submit`], no ladder runs and nothing is
-    /// re-rewritten: the cached rewriting (and its cached pruning)
+    /// Answers a prepared OMQ over a pre-loaded backend (in-memory build
+    /// or opened `.obdb` snapshot) under a *per-request* budget. Nothing
+    /// is re-rewritten: the cached rewriting (and its cached pruning)
     /// evaluates directly, so the per-OMQ cost of classification,
     /// rewriting and pruning is paid once per [`PreparedOmq`], not per
-    /// request. The gate still admits (bounded by `spec.timeout` as the
-    /// queue-wait deadline), the attempt is panic-isolated, and transient
+    /// request. The strategy's circuit breaker and cost admission may
+    /// refuse the request first; the gate admits it (bounded by
+    /// `spec.timeout` as the queue-wait deadline, [`ObdaError::Overloaded`]
+    /// when refused), the evaluation is panic-isolated, and transient
     /// faults are retried per the configured [`RetryPolicy`] as long as
     /// the request's own deadline has not passed.
-    pub fn execute_prepared(
+    pub fn answer(
         &self,
         omq: &PreparedOmq,
         backend: &dyn StorageBackend,
         spec: &BudgetSpec,
         telem: Telemetry<'_>,
     ) -> Result<PreparedRun, ObdaError> {
+        // Metrics are always on; a caller-supplied registry overrides the
+        // service's own so one exposition covers the gate and the engines.
         let telem = Telemetry { metrics: telem.metrics.or(Some(&self.metrics)), ..telem };
         let metrics = telem.metrics.unwrap_or(&self.metrics);
         let arrival = Instant::now();
@@ -655,8 +552,11 @@ impl QueryService {
                         && deadline.is_none_or(|d| Instant::now() < d) =>
                 {
                     retries += 1;
-                    backoff = self.cfg.retry.next_backoff(u64::from(retries), backoff);
-                    std::thread::sleep(backoff);
+                    std::thread::sleep(self.cfg.retry.pause(
+                        u64::from(retries),
+                        &mut backoff,
+                        deadline,
+                    ));
                 }
                 other => break other,
             }
@@ -759,75 +659,6 @@ impl QueryService {
         let s = self.gate.load();
         metrics.gauge("service_active").set(s.active as i64);
         metrics.gauge("service_queued").set(s.queued as i64);
-    }
-
-    /// [`QueryService::submit`] for an ad-hoc query (no registration):
-    /// same gate, same isolation, same retries, recording pipeline spans
-    /// through `telem`.
-    pub fn answer(
-        &self,
-        query: &Cq,
-        strategy: Strategy,
-        source: DataSource<'_>,
-        telem: Telemetry<'_>,
-    ) -> Result<ServiceReport, ObdaError> {
-        // Requests always record into a registry, even when the caller
-        // passed no tracer (metrics are always-on; spans are not). A
-        // caller-supplied registry overrides the service's own so that one
-        // exposition covers the gate and the engines together.
-        let telem = Telemetry { metrics: telem.metrics.or(Some(&self.metrics)), ..telem };
-        let metrics = telem.metrics.unwrap_or(&self.metrics);
-        let arrival = Instant::now();
-        let deadline = self.cfg.budget.timeout.map(|t| arrival + t);
-        let qspan = telem.span("queue_wait");
-        let permit = match self.gate.acquire(self.cfg.max_concurrency, self.cfg.max_queue, deadline)
-        {
-            Ok(p) => {
-                qspan.end();
-                p
-            }
-            Err((seen, reason)) => {
-                qspan.error(&format!(
-                    "admission refused ({reason:?}): {} active, {} queued",
-                    seen.active, seen.queued
-                ));
-                return Err(self.book_rejection(seen, reason, metrics));
-            }
-        };
-        self.publish_load(metrics);
-        let queue_wait = arrival.elapsed();
-        metrics.histogram("service_queue_wait_seconds").observe(queue_wait);
-        let ladder_gate =
-            self.overload.strategy_breakers.as_ref().map(|set| LadderGate { set, metrics });
-        // The ladder isolates each attempt itself; this outer boundary is
-        // the per-request backstop so nothing can unwind past the permit.
-        let report = crate::pipeline::isolate("service::request", || {
-            Ok(self.system.run(&AnswerRequest {
-                fallback: true,
-                spec: self.cfg.budget,
-                engine: self.cfg.engine.clone(),
-                retry: self.cfg.retry,
-                telem,
-                gate: ladder_gate.as_ref().map(|g| g as &dyn StrategyGate),
-                ..AnswerRequest::new(query, source, strategy)
-            }))
-        })?;
-        drop(permit);
-        self.publish_load(metrics);
-        let counter = if report.winner.is_some() { &self.succeeded } else { &self.failed };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let latency = arrival.elapsed();
-        metrics.histogram("service_latency_seconds").observe(latency);
-        if let Some(winner) = report.winning_strategy() {
-            metrics
-                .histogram(&format!("service_latency_seconds_{}", strategy_key(winner)))
-                .observe(latency);
-        }
-        let retries = report.num_retries() as u64;
-        if retries > 0 {
-            metrics.counter("service_transient_retries_total").add(retries);
-        }
-        Ok(ServiceReport { report, queue_wait, latency })
     }
 }
 
@@ -1003,6 +834,7 @@ impl TenantGovernor {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use obda_store::MemoryBackend;
     use std::sync::Barrier;
 
     fn service(cfg: ServiceConfig) -> QueryService {
@@ -1014,26 +846,32 @@ mod tests {
         QueryService::new(system, cfg)
     }
 
-    #[test]
-    fn prepared_query_answers_through_the_gate() {
-        let svc = service(ServiceConfig::default());
-        let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
-        let id = svc.prepare(&q, Strategy::Tw).unwrap();
-        let data = svc.system().parse_data("Professor(ada)").unwrap();
-        let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
-        assert!(report.is_success());
-        assert_eq!(report.result().unwrap().answers.len(), 1);
-        assert_eq!(report.retries(), 0);
-        assert!(report.latency >= report.queue_wait);
-        assert_eq!(svc.stats(), ServiceStats { succeeded: 1, ..ServiceStats::default() });
+    /// Prepares `query` with `Tw` and loads `data` into a backend.
+    fn fixture(svc: &QueryService, query: &str, data: &str) -> (Arc<PreparedOmq>, MemoryBackend) {
+        let q = svc.system().parse_query(query).unwrap();
+        let omq = svc.prepare(&q, Strategy::Tw, &BudgetSpec::unlimited()).unwrap();
+        (omq, MemoryBackend::new(svc.system().parse_data(data).unwrap()))
+    }
+
+    /// One request for `omq` over `data`, untraced.
+    fn ask(
+        svc: &QueryService,
+        omq: &PreparedOmq,
+        data: &MemoryBackend,
+        spec: &BudgetSpec,
+    ) -> Result<PreparedRun, ObdaError> {
+        svc.answer(omq, data, spec, Telemetry::disabled())
     }
 
     #[test]
-    fn unknown_id_is_a_typed_internal_error() {
+    fn prepared_query_answers_through_the_gate() {
         let svc = service(ServiceConfig::default());
-        let data = svc.system().parse_data("Professor(ada)").unwrap();
-        let err = svc.submit(QueryId(42), DataSource::Parse(&data)).unwrap_err();
-        assert!(matches!(err, ObdaError::Internal { .. }));
+        let (omq, data) = fixture(&svc, "q(x) :- teaches(x, y), Course(y)", "Professor(ada)");
+        let run = ask(&svc, &omq, &data, &BudgetSpec::unlimited()).unwrap();
+        assert_eq!(run.result.answers.len(), 1);
+        assert_eq!(run.retries, 0);
+        assert!(run.latency >= run.queue_wait);
+        assert_eq!(svc.stats(), ServiceStats { succeeded: 1, ..ServiceStats::default() });
     }
 
     #[test]
@@ -1046,11 +884,8 @@ mod tests {
             ..ServiceConfig::default()
         }));
         let permit = svc.gate.acquire(1, 0, None).unwrap();
-        let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
-        let data = svc.system().parse_data("Course(c)").unwrap();
-        let err = svc
-            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-            .unwrap_err();
+        let (omq, data) = fixture(&svc, "q(x) :- Course(x)", "Course(c)");
+        let err = ask(&svc, &omq, &data, &BudgetSpec::unlimited()).unwrap_err();
         match err {
             ObdaError::Overloaded { active, queued } => {
                 assert_eq!((active, queued), (1, 0));
@@ -1060,10 +895,7 @@ mod tests {
         assert_eq!(svc.stats().rejected, 1);
         drop(permit);
         // The slot is free again: the same request now succeeds.
-        assert!(svc
-            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-            .unwrap()
-            .is_success());
+        assert!(ask(&svc, &omq, &data, &BudgetSpec::unlimited()).is_ok());
     }
 
     #[test]
@@ -1073,8 +905,7 @@ mod tests {
             max_queue: 4,
             ..ServiceConfig::default()
         }));
-        let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
-        let data = svc.system().parse_data("Course(c)").unwrap();
+        let (omq, data) = fixture(&svc, "q(x) :- Course(x)", "Course(c)");
         let gate_held = Arc::new(Barrier::new(2));
         let holder = {
             let svc = Arc::clone(&svc);
@@ -1089,30 +920,20 @@ mod tests {
         gate_held.wait();
         // The slot is busy, so this request queues until the holder lets
         // go — and then runs to completion.
-        let report =
-            svc.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled()).unwrap();
-        assert!(report.is_success());
-        assert!(report.queue_wait >= Duration::from_millis(10));
+        let run = ask(&svc, &omq, &data, &BudgetSpec::unlimited()).unwrap();
+        assert_eq!(run.result.answers.len(), 1);
+        assert!(run.queue_wait >= Duration::from_millis(10));
         holder.join().unwrap();
     }
 
     #[test]
     fn queued_request_times_out_against_its_deadline() {
-        let svc = service(ServiceConfig {
-            max_concurrency: 1,
-            max_queue: 4,
-            budget: BudgetSpec {
-                timeout: Some(Duration::from_millis(20)),
-                ..BudgetSpec::default()
-            },
-            ..ServiceConfig::default()
-        });
+        let svc =
+            service(ServiceConfig { max_concurrency: 1, max_queue: 4, ..ServiceConfig::default() });
         let _slot = svc.gate.acquire(1, 4, None).unwrap();
-        let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
-        let data = svc.system().parse_data("Course(c)").unwrap();
-        let err = svc
-            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-            .unwrap_err();
+        let (omq, data) = fixture(&svc, "q(x) :- Course(x)", "Course(c)");
+        let spec = BudgetSpec { timeout: Some(Duration::from_millis(20)), ..BudgetSpec::default() };
+        let err = ask(&svc, &omq, &data, &spec).unwrap_err();
         assert!(matches!(err, ObdaError::Overloaded { .. }));
     }
 
@@ -1120,28 +941,20 @@ mod tests {
     fn rejection_reasons_are_broken_out_in_stats() {
         let svc =
             service(ServiceConfig { max_concurrency: 1, max_queue: 0, ..ServiceConfig::default() });
-        let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
-        let data = svc.system().parse_data("Course(c)").unwrap();
+        let (omq, data) = fixture(&svc, "q(x) :- Course(x)", "Course(c)");
         // Queue full while the one slot is held.
         {
             let _slot = svc.gate.acquire(1, 0, None).unwrap();
-            svc.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-                .unwrap_err();
+            ask(&svc, &omq, &data, &BudgetSpec::unlimited()).unwrap_err();
         }
         // Deadline expires while queued.
-        let svc2 = service(ServiceConfig {
-            max_concurrency: 1,
-            max_queue: 4,
-            budget: BudgetSpec {
-                timeout: Some(Duration::from_millis(10)),
-                ..BudgetSpec::default()
-            },
-            ..ServiceConfig::default()
-        });
+        let svc2 =
+            service(ServiceConfig { max_concurrency: 1, max_queue: 4, ..ServiceConfig::default() });
         {
             let _slot = svc2.gate.acquire(1, 4, None).unwrap();
-            svc2.answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-                .unwrap_err();
+            let spec =
+                BudgetSpec { timeout: Some(Duration::from_millis(10)), ..BudgetSpec::default() };
+            ask(&svc2, &omq, &data, &spec).unwrap_err();
         }
         assert_eq!(svc.stats().rejected_overloaded, 1);
         assert_eq!(svc.stats().rejected, 1);
@@ -1156,8 +969,7 @@ mod tests {
             max_queue: 4,
             ..ServiceConfig::default()
         }));
-        let q = svc.system().parse_query("q(x) :- Course(x)").unwrap();
-        let data = svc.system().parse_data("Course(c)").unwrap();
+        let (omq, data) = fixture(&svc, "q(x) :- Course(x)", "Course(c)");
         // An in-flight permit is held while drain begins: drain must wait
         // for it, then report the gate empty.
         let holder = {
@@ -1173,9 +985,7 @@ mod tests {
         assert!(svc.drain(Duration::from_secs(5)), "in-flight must finish inside the timeout");
         assert!(svc.is_draining());
         // After drain: every new request is refused, typed, and counted.
-        let err = svc
-            .answer(&q, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-            .unwrap_err();
+        let err = ask(&svc, &omq, &data, &BudgetSpec::unlimited()).unwrap_err();
         assert!(matches!(err, ObdaError::Overloaded { .. }));
         assert_eq!(svc.stats().rejected_draining, 1);
         holder.join().unwrap();
@@ -1189,10 +999,8 @@ mod tests {
         let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
         let omq = svc.system().prepare(&q, Strategy::Tw).unwrap();
         let data = svc.system().parse_data("Professor(ada)").unwrap();
-        let backend = obda_store::MemoryBackend::new(data);
-        let run = svc
-            .execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
-            .unwrap();
+        let backend = MemoryBackend::new(data);
+        let run = ask(&svc, &omq, &backend, &BudgetSpec::unlimited()).unwrap();
         assert_eq!(run.result.answers.len(), 1);
         assert_eq!(run.retries, 0);
         assert!(run.latency >= run.queue_wait);
@@ -1250,18 +1058,19 @@ mod tests {
             ..ServiceConfig::default()
         }));
         let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
-        let id = svc.prepare(&q, Strategy::Tw).unwrap();
+        let omq = svc.prepare(&q, Strategy::Tw, &BudgetSpec::unlimited()).unwrap();
         let peak = Arc::new(AtomicUsize::new(0));
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let svc = Arc::clone(&svc);
+                let omq = Arc::clone(&omq);
                 let peak = Arc::clone(&peak);
                 std::thread::spawn(move || {
                     let data = svc.system().parse_data(&format!("Professor(p{i})")).unwrap();
-                    let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
+                    let run = ask(&svc, &omq, &MemoryBackend::new(data), &BudgetSpec::unlimited());
                     let (active, _) = svc.load();
                     peak.fetch_max(active, Ordering::Relaxed);
-                    assert!(report.is_success());
+                    assert_eq!(run.unwrap().result.answers.len(), 1);
                 })
             })
             .collect();
@@ -1276,7 +1085,6 @@ mod tests {
 
     #[test]
     fn strategy_breaker_fails_fast_on_the_prepared_path() {
-        use obda_store::MemoryBackend;
         let svc = service(ServiceConfig {
             overload: OverloadConfig {
                 breaker: Some(breaker::BreakerConfig {
@@ -1290,20 +1098,15 @@ mod tests {
             },
             ..ServiceConfig::default()
         });
-        let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
-        let id = svc.prepare(&q, Strategy::Tw).unwrap();
-        let omq = svc.prepared(id).unwrap();
-        let backend = MemoryBackend::new(svc.system().parse_data("Professor(ada)").unwrap());
+        let (omq, backend) = fixture(&svc, "q(x) :- teaches(x, y), Course(y)", "Professor(ada)");
         // A zero-tuple allowance trips the budget on the first derived
         // tuple; one failure in a window of two crosses the threshold.
         let strict = BudgetSpec { max_tuples: Some(0), ..BudgetSpec::unlimited() };
-        let err = svc.execute_prepared(&omq, &backend, &strict, Telemetry::disabled()).unwrap_err();
+        let err = ask(&svc, &omq, &backend, &strict).unwrap_err();
         assert!(err.is_budget(), "{err}");
         // The breaker is now open: the next request fails fast with the
         // typed refusal, without burning a slot.
-        let err = svc
-            .execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
-            .unwrap_err();
+        let err = ask(&svc, &omq, &backend, &BudgetSpec::unlimited()).unwrap_err();
         match err {
             ObdaError::BreakerOpen { scope, retry_after } => {
                 assert_eq!(scope, "strategy Tw");
@@ -1317,7 +1120,6 @@ mod tests {
 
     #[test]
     fn cost_admission_sheds_expensive_requests_once_calibrated() {
-        use obda_store::MemoryBackend;
         let svc = service(ServiceConfig {
             overload: OverloadConfig {
                 cost: Some(CostAdmissionConfig { min_samples: 1, headroom: 1.0, alpha: 1.0 }),
@@ -1325,20 +1127,16 @@ mod tests {
             },
             ..ServiceConfig::default()
         });
-        let q = svc.system().parse_query("q(x) :- teaches(x, y), Course(y)").unwrap();
-        let id = svc.prepare(&q, Strategy::Tw).unwrap();
-        let omq = svc.prepared(id).unwrap();
         let data = (0..64).map(|i| format!("Professor(p{i})")).collect::<Vec<_>>().join("\n");
-        let backend = MemoryBackend::new(svc.system().parse_data(&data).unwrap());
+        let (omq, backend) = fixture(&svc, "q(x) :- teaches(x, y), Course(y)", &data);
         // Calibration: one successful run with no deadline teaches the
         // model this plan's seconds-per-cost-unit.
-        svc.execute_prepared(&omq, &backend, &BudgetSpec::unlimited(), Telemetry::disabled())
-            .unwrap();
+        ask(&svc, &omq, &backend, &BudgetSpec::unlimited()).unwrap();
         // A one-nanosecond deadline cannot fit the calibrated estimate:
         // the request is shed before queueing, typed.
         let strict =
             BudgetSpec { timeout: Some(Duration::from_nanos(1)), ..BudgetSpec::unlimited() };
-        let err = svc.execute_prepared(&omq, &backend, &strict, Telemetry::disabled()).unwrap_err();
+        let err = ask(&svc, &omq, &backend, &strict).unwrap_err();
         match err {
             ObdaError::CostRejected { estimated_cost, estimated, remaining } => {
                 assert!(estimated_cost > 0.0);

@@ -1,7 +1,7 @@
 //! Circuit breakers for the overload-control subsystem.
 //!
 //! A [`CircuitBreaker`] tracks the recent outcomes of one failure domain —
-//! a fallback-ladder strategy or a tenant — in a rolling window and trips
+//! a prepared query's strategy or a tenant — in a rolling window and trips
 //! **open** when failures dominate, so the next requests are refused
 //! immediately instead of re-burning a deadline on work that is known to
 //! fail. After a cooldown the breaker turns **half-open** and admits a
@@ -24,7 +24,22 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::pipeline::{splitmix64, AttemptClass};
+use crate::pipeline::splitmix64;
+
+/// How one request counts towards a breaker, as the caller classified
+/// its outcome for [`CircuitBreaker::record`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttemptClass {
+    /// The request produced answers.
+    Success,
+    /// The request burned its budget or died (budget trip, stall,
+    /// panic) — the signal that trips a breaker.
+    Failure,
+    /// Outcomes that say nothing about the domain's health:
+    /// structural refusals (a per-query property) and injected
+    /// transients (substrate hiccups, retried anyway).
+    Neutral,
+}
 
 /// Tuning knobs for one breaker (and, via [`BreakerSet`], for every
 /// breaker in a keyed family).

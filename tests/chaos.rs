@@ -11,6 +11,10 @@
 //! 3. **The service survives** — the admission gate keeps accepting and
 //!    answering after any number of consecutive failed requests.
 //!
+//! The sweeps run the one-shot path (`ObdaSystem::run`, the fallback
+//! ladder of `obda answer`); the service tests run the served path
+//! (`QueryService::answer` over a prepared OMQ, as `obda serve` does).
+//!
 //! Plans are process-global, so every step that needs *no* fault — the
 //! fixtures, the oracles, the recovery checks — holds the install lock
 //! with nothing armed ([`quiet`] or [`obda::faults::InstalledPlan::disarm`]);
@@ -23,13 +27,13 @@ use obda::ndl::engine::EngineConfig;
 use obda::owlql::abox::ConstId;
 use obda::owlql::abox::DataInstance;
 use obda::{
-    AnswerRequest, AttemptOutcome, DataSource, ObdaError, ObdaSystem, OverloadConfig, QueryService,
-    RetryPolicy, ServiceConfig, Strategy, Telemetry,
+    AnswerRequest, AttemptOutcome, DataSource, MemoryBackend, ObdaError, ObdaSystem,
+    OverloadConfig, PreparedOmq, QueryService, RetryPolicy, ServiceConfig, Strategy, Telemetry,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
-use std::time::Duration;
+use std::sync::{Arc, Once};
+use std::time::{Duration, Instant};
 
 const ONTOLOGY: &str = "Professor SubClassOf exists teaches\n\
                         exists teaches- SubClassOf Course\n";
@@ -64,20 +68,31 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn service(engine: EngineConfig) -> QueryService {
+fn system() -> ObdaSystem {
     let _quiet = quiet();
-    let system = ObdaSystem::from_text(ONTOLOGY).unwrap();
+    ObdaSystem::from_text(ONTOLOGY).unwrap()
+}
+
+fn service(engine: EngineConfig) -> QueryService {
     QueryService::new(
-        system,
+        system(),
         ServiceConfig {
             max_concurrency: 2,
             max_queue: 8,
-            budget: BudgetSpec::unlimited(),
             retry: fast_retry(),
             engine,
             overload: OverloadConfig::default(),
         },
     )
+}
+
+/// The fixture query prepared with `Tw` by `svc`, and the fixture data
+/// loaded into a backend — both built with nothing armed.
+fn served_fixture(svc: &QueryService) -> (Arc<PreparedOmq>, MemoryBackend) {
+    let _quiet = quiet();
+    let query = svc.system().parse_query(QUERY).unwrap();
+    let omq = svc.prepare(&query, Strategy::Tw, &BudgetSpec::unlimited()).unwrap();
+    (omq, MemoryBackend::new(svc.system().parse_data(DATA).unwrap()))
 }
 
 fn engine_cfg(threads: usize) -> EngineConfig {
@@ -95,44 +110,31 @@ fn ladder<'a>(q: &'a Cq, d: &'a DataInstance, engine: EngineConfig) -> AnswerReq
     }
 }
 
-/// Runs one request under the *currently armed* plan and asserts the core
-/// invariants: no escaped panic, and either the oracle answer or a typed
-/// error. Returns whether the request succeeded.
-fn assert_sound(svc: &QueryService, oracle: &[Vec<ConstId>], ctx: &str) -> bool {
-    let query = svc.system().parse_query(QUERY).unwrap();
-    let data = svc.system().parse_data(DATA).unwrap();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        svc.answer(&query, Strategy::Tw, DataSource::Parse(&data), Telemetry::disabled())
-    }));
-    let outcome = match caught {
-        Ok(outcome) => outcome,
-        Err(_) => panic!("{ctx}: a fault escaped every isolation boundary"),
+/// Runs one request — the fallback ladder from `Tw` on `engine`, parsed
+/// data, the fast retry policy — under the *currently armed* plan and
+/// asserts the core invariants: no escaped panic, and either the oracle
+/// answer or a typed error. Returns whether the request succeeded.
+fn assert_sound(
+    sys: &ObdaSystem,
+    engine: &EngineConfig,
+    oracle: &[Vec<ConstId>],
+    ctx: &str,
+) -> bool {
+    let query = sys.parse_query(QUERY).unwrap();
+    let data = sys.parse_data(DATA).unwrap();
+    let caught = catch_unwind(AssertUnwindSafe(|| sys.run(&ladder(&query, &data, engine.clone()))));
+    let Ok(report) = caught else {
+        panic!("{ctx}: a fault escaped every isolation boundary");
     };
-    match outcome {
-        Ok(report) => match report.result() {
-            Some(res) => {
-                assert_eq!(res.answers, oracle, "{ctx}: wrong answers under faults");
-                true
-            }
-            None => {
-                let err = report.final_error();
-                assert!(
-                    err.is_some(),
-                    "{ctx}: failed request must carry a typed error:\n{}",
-                    report.report
-                );
-                false
-            }
-        },
-        // The gate is idle in these tests, so only typed pipeline errors
-        // may surface here.
-        Err(e) => {
+    match report.result() {
+        Some(res) => {
+            assert_eq!(res.answers, oracle, "{ctx}: wrong answers under faults");
+            true
+        }
+        None => {
             assert!(
-                matches!(
-                    e,
-                    ObdaError::Transient { .. } | ObdaError::Internal { .. } | ObdaError::Eval(_)
-                ),
-                "{ctx}: untyped service error {e}"
+                report.final_error().is_some(),
+                "{ctx}: failed request must carry a typed error:\n{report}"
             );
             false
         }
@@ -157,8 +159,7 @@ fn oracle() -> Vec<Vec<ConstId>> {
 fn pinned_seed_sweep_is_sound_at_every_site() {
     quiet_injected_panics();
     let oracle = oracle();
-    let services =
-        [service(EngineConfig::unpruned()), service(engine_cfg(1)), service(engine_cfg(4))];
+    let rigs = [EngineConfig::unpruned(), engine_cfg(1), engine_cfg(4)].map(|e| (system(), e));
     for &seed in &[7u64, 42, 0x0bda_5eed] {
         for &site in site::ALL.iter() {
             for kind in [FaultKind::Transient, FaultKind::Panic] {
@@ -169,22 +170,22 @@ fn pinned_seed_sweep_is_sound_at_every_site() {
                     Trigger::Probability(0.4),
                 ] {
                     let plan = FaultPlan::new(seed).with(site, FaultSpec { kind, trigger });
-                    for (i, svc) in services.iter().enumerate() {
+                    for (i, (sys, engine)) in rigs.iter().enumerate() {
                         let ctx = format!(
-                            "seed={seed} site={site} kind={kind:?} trigger={trigger:?} svc={i}"
+                            "seed={seed} site={site} kind={kind:?} trigger={trigger:?} rig={i}"
                         );
                         let guard = plan.install();
-                        assert_sound(svc, &oracle, &ctx);
+                        assert_sound(sys, engine, &oracle, &ctx);
                         drop(guard);
                     }
                 }
             }
         }
     }
-    // Every service still answers correctly with all plans disarmed.
+    // Every system still answers correctly with all plans disarmed.
     let _quiet = quiet();
-    for (i, svc) in services.iter().enumerate() {
-        assert!(assert_sound(svc, &oracle, &format!("disarmed svc={i}")));
+    for (i, (sys, engine)) in rigs.iter().enumerate() {
+        assert!(assert_sound(sys, engine, &oracle, &format!("disarmed rig={i}")));
     }
 }
 
@@ -276,68 +277,6 @@ fn injected_panics_are_never_retried() {
         .all(|a| matches!(&a.outcome, AttemptOutcome::Panicked { site, .. } if site == site::ENGINE_CLAUSE_TASK)));
     let err = report.final_error().unwrap();
     assert!(matches!(err, ObdaError::Internal { .. }), "got {err}");
-}
-
-#[test]
-fn ladder_skips_strategies_whose_breaker_is_open() {
-    use obda::BreakerConfig;
-    quiet_injected_panics();
-    let svc = QueryService::new(
-        ObdaSystem::from_text(ONTOLOGY).unwrap(),
-        ServiceConfig {
-            max_concurrency: 2,
-            max_queue: 8,
-            budget: BudgetSpec::unlimited(),
-            retry: fast_retry(),
-            engine: engine_cfg(1),
-            overload: OverloadConfig {
-                breaker: Some(BreakerConfig {
-                    window: 4,
-                    threshold: 1,
-                    cooldown: Duration::from_secs(60),
-                    probes: 1,
-                    seed: 1,
-                }),
-                ..OverloadConfig::default()
-            },
-        },
-    );
-    let q = svc.system().parse_query(QUERY).unwrap();
-    let d = svc.system().parse_data(DATA).unwrap();
-
-    // Round 1: every rung of the ladder panics (a breaker failure), so
-    // every attempted strategy trips its breaker open.
-    let guard = FaultPlan::always(3, site::ENGINE_CLAUSE_TASK, FaultKind::Panic).install();
-    let stormy =
-        svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
-    guard.disarm();
-    assert!(!stormy.is_success());
-    assert!(
-        stormy.report.attempts.iter().all(|a| matches!(a.outcome, AttemptOutcome::Panicked { .. })),
-        "{}",
-        stormy.report
-    );
-
-    // Round 2, faults gone: the ladder fails fast — every rung is
-    // recorded as Skipped, nothing evaluates, and the final error is
-    // the typed breaker refusal, not a budget trip.
-    let skipped =
-        svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
-    assert!(!skipped.is_success());
-    assert!(
-        !skipped.report.attempts.is_empty()
-            && skipped
-                .report
-                .attempts
-                .iter()
-                .all(|a| matches!(a.outcome, AttemptOutcome::Skipped { .. })),
-        "all rungs must be skipped while their breakers are open:\n{}",
-        skipped.report
-    );
-    assert!(!skipped.report.all_exhausted(), "skips must not masquerade as budget trips");
-    let err = skipped.report.final_error().unwrap();
-    assert!(matches!(err, ObdaError::BreakerOpen { .. }), "got {err}");
-    assert!(svc.metrics().counter("service_breaker_skipped_total_tw").get() >= 1);
 }
 
 #[test]
@@ -461,21 +400,15 @@ fn service_keeps_answering_after_sustained_failures() {
     quiet_injected_panics();
     let oracle = oracle();
     let svc = service(engine_cfg(1));
-    let (data, id) = {
-        let _quiet = quiet();
-        let query = svc.system().parse_query(QUERY).unwrap();
-        let data = svc.system().parse_data(DATA).unwrap();
-        (data, svc.prepare(&query, Strategy::Tw).unwrap())
-    };
+    let (omq, data) = served_fixture(&svc);
+    let spec = BudgetSpec::unlimited();
 
-    // Every data load faults: 60 consecutive requests fail with a typed
-    // error, each leaving the gate clean.
-    let plan = FaultPlan::always(11, site::STORAGE_INSERT, FaultKind::Transient);
+    // Every evaluation faults: 60 consecutive requests fail with a typed
+    // error once their retries are spent, each leaving the gate clean.
+    let plan = FaultPlan::always(11, site::ENGINE_CLAUSE_TASK, FaultKind::Transient);
     let guard = plan.install();
     for i in 0..60 {
-        let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
-        assert!(!report.is_success(), "request {i} cannot succeed under an always-fault");
-        let err = report.final_error().unwrap();
+        let err = svc.answer(&omq, &data, &spec, Telemetry::disabled()).unwrap_err();
         assert!(err.is_transient(), "request {i}: got {err}");
         let (active, queued) = svc.load();
         assert_eq!((active, queued), (0, 0), "request {i} leaked a gate slot");
@@ -484,10 +417,40 @@ fn service_keeps_answering_after_sustained_failures() {
     assert_eq!(svc.stats().failed, 60);
 
     // The very next request — same service, same prepared query — answers.
-    let report = svc.submit(id, DataSource::Parse(&data)).unwrap();
-    assert!(report.is_success(), "the service must answer after sustained failures");
-    assert_eq!(report.result().unwrap().answers, oracle);
+    let run = svc.answer(&omq, &data, &spec, Telemetry::disabled()).unwrap();
+    assert_eq!(run.result.answers, oracle);
     assert_eq!(svc.stats().succeeded, 1);
+}
+
+/// A served retry pauses at most until the request's deadline: an
+/// always-transient evaluation with a 300 ms backoff under a 50 ms
+/// deadline returns near the deadline, not a whole backoff past it.
+#[test]
+fn served_retry_never_sleeps_past_the_deadline() {
+    quiet_injected_panics();
+    let pause = Duration::from_millis(300);
+    let svc = QueryService::new(
+        system(),
+        ServiceConfig {
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: pause,
+                max_backoff: pause,
+                seed: 0x0bda_5eed,
+            },
+            engine: engine_cfg(1),
+            ..ServiceConfig::default()
+        },
+    );
+    let (omq, data) = served_fixture(&svc);
+    let spec = BudgetSpec { timeout: Some(Duration::from_millis(50)), ..BudgetSpec::unlimited() };
+    let guard = FaultPlan::always(29, site::ENGINE_CLAUSE_TASK, FaultKind::Transient).install();
+    let start = Instant::now();
+    let err = svc.answer(&omq, &data, &spec, Telemetry::disabled()).unwrap_err();
+    let took = start.elapsed();
+    guard.disarm();
+    assert!(err.is_transient() || err.is_budget(), "got {err}");
+    assert!(took < Duration::from_millis(150), "returned {took:?} after arrival");
 }
 
 #[test]
@@ -495,13 +458,14 @@ fn prepare_under_faults_fails_typed_then_recovers() {
     quiet_injected_panics();
     let svc = service(EngineConfig::unpruned());
     let query = svc.system().parse_query(QUERY).unwrap();
+    let spec = BudgetSpec::unlimited();
     let plan = FaultPlan::always(13, site::REWRITE_TREE_WITNESS, FaultKind::Panic);
     let guard = plan.install();
-    let err = svc.prepare(&query, Strategy::Tw).unwrap_err();
+    let err = svc.prepare(&query, Strategy::Tw, &spec).unwrap_err();
     assert!(matches!(err, ObdaError::Internal { .. }), "got {err}");
     guard.disarm();
-    // Registration works once the fault is gone.
-    assert!(svc.prepare(&query, Strategy::Tw).is_ok());
+    // Preparing works once the fault is gone.
+    assert!(svc.prepare(&query, Strategy::Tw, &spec).is_ok());
 }
 
 /// A fault injected partway through a tree-witness enumeration leaves the
@@ -517,7 +481,7 @@ fn tree_witness_fault_leaves_the_memo_untouched() {
         let svc = QueryService::new(ObdaSystem::from_text(EXAMPLE_11).unwrap(), Default::default());
         let warm =
             svc.system().parse_query("q(x0, x3) :- R(x0, x1), S(x1, x2), R(x2, x3)").unwrap();
-        svc.prepare(&warm, Strategy::Tw).unwrap();
+        svc.prepare(&warm, Strategy::Tw, &BudgetSpec::unlimited()).unwrap();
         let query = svc.system().parse_query(TEXT).unwrap();
         let fresh = ObdaSystem::from_text(EXAMPLE_11).unwrap();
         (svc, query, fresh.rewrite(&fresh.parse_query(TEXT).unwrap(), Strategy::Tw).unwrap())
@@ -529,7 +493,7 @@ fn tree_witness_fault_leaves_the_memo_untouched() {
         let plan = FaultPlan::new(17)
             .with(site::REWRITE_TREE_WITNESS, FaultSpec { kind, trigger: Trigger::Nth(nth) });
         let guard = plan.install();
-        let err = svc.prepare(&query, Strategy::Tw).unwrap_err();
+        let err = svc.prepare(&query, Strategy::Tw, &BudgetSpec::unlimited()).unwrap_err();
         assert!(
             matches!(err, ObdaError::Transient { .. } | ObdaError::Internal { .. }),
             "{kind:?} at candidate {nth}: got {err}"
@@ -538,11 +502,8 @@ fn tree_witness_fault_leaves_the_memo_untouched() {
         assert_eq!(memo.len(), entries, "{kind:?} at candidate {nth} stored a shape");
     }
     let _quiet = quiet();
-    let id = svc.prepare(&query, Strategy::Tw).unwrap();
-    assert_eq!(
-        svc.prepared(id).unwrap().rewriting().program.clauses(),
-        reference.program.clauses()
-    );
+    let omq = svc.prepare(&query, Strategy::Tw, &BudgetSpec::unlimited()).unwrap();
+    assert_eq!(omq.rewriting().program.clauses(), reference.program.clauses());
     assert!(memo.len() > entries, "the completed prepare stores its shapes");
 }
 
@@ -732,10 +693,11 @@ fn store_map_transient_fault_is_typed_then_recovers() {
 /// A corrupted segment reached through the *pipeline*: the request
 /// hydrates its program's relations before it plans, so the bad block is
 /// a typed store error — one attempt, the ladder stops, nothing panics,
-/// and no strategy breaker records a failure (a threshold of one would
-/// open on the first). The failed slot stays pending, so the same
-/// snapshot fails the same way on the next request, on the ladder path
-/// and the prepared (served) path alike; a pristine reopen answers.
+/// and on the served path no strategy breaker records a failure (a
+/// threshold of one would open on the first). The failed slot stays
+/// pending, so the same snapshot fails the same way on the next request,
+/// on the ladder path and the prepared (served) path alike; a pristine
+/// reopen answers.
 #[test]
 fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     use obda::{BreakerConfig, Snapshot, StoreError};
@@ -767,7 +729,6 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
         ServiceConfig {
             max_concurrency: 1,
             max_queue: 0,
-            budget: BudgetSpec::unlimited(),
             retry: fast_retry(),
             engine: engine_cfg(1),
             overload: OverloadConfig {
@@ -783,11 +744,18 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
         },
     );
     let q = svc.system().parse_query(QUERY).unwrap();
+    // The one-shot ladder over `data`, with the service's options.
+    let ladder_over = |data| AnswerRequest {
+        fallback: true,
+        engine: engine_cfg(1),
+        retry: fast_retry(),
+        ..AnswerRequest::new(&q, data, Strategy::Tw)
+    };
     for round in 0..2 {
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            svc.answer(&q, Strategy::Tw, DataSource::Backend(&snap), Telemetry::disabled())
+            svc.system().run(&ladder_over(DataSource::Backend(&snap)))
         }));
-        let report = caught.expect("corruption must not unwind").unwrap().report;
+        let report = caught.expect("corruption must not unwind");
         assert!(report.result().is_none(), "round {round}: corrupted segments cannot answer");
         assert_eq!(report.attempts.len(), 1, "round {round}: the ladder stops:\n{report}");
         assert!(
@@ -806,12 +774,10 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     }
     // The prepared (served) path hydrates before cost admission and
     // planning, and fails the same typed way.
-    let id = svc.prepare(&q, Strategy::Tw).unwrap();
-    let omq = svc.prepared(id).unwrap();
+    let spec = BudgetSpec::unlimited();
+    let omq = svc.prepare(&q, Strategy::Tw, &spec).unwrap();
     for _ in 0..2 {
-        let err = svc
-            .execute_prepared(&omq, &snap, &BudgetSpec::unlimited(), Telemetry::disabled())
-            .unwrap_err();
+        let err = svc.answer(&omq, &snap, &spec, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, ObdaError::Store(StoreError::ChecksumMismatch { .. })), "{err}");
     }
     assert_eq!(svc.metrics().counter("service_breaker_opened_total_tw").get(), 0);
@@ -820,12 +786,9 @@ fn corrupt_segment_is_a_typed_store_error_in_the_pipeline() {
     // A pristine snapshot answers through the same service.
     let d = svc.system().parse_data(DATA).unwrap();
     let oracle = svc.system().certain_answers(&q, &d).tuples();
-    let report =
-        svc.answer(&q, Strategy::Tw, DataSource::Backend(&healthy), Telemetry::disabled()).unwrap();
+    let report = svc.system().run(&ladder_over(DataSource::Backend(&healthy)));
     assert_eq!(report.result().expect("pristine snapshot answers").answers, oracle);
-    let run = svc
-        .execute_prepared(&omq, &healthy, &BudgetSpec::unlimited(), Telemetry::disabled())
-        .unwrap();
+    let run = svc.answer(&omq, &healthy, &spec, Telemetry::disabled()).unwrap();
     assert_eq!(run.result.answers, oracle);
 }
 
@@ -957,7 +920,7 @@ proptest! {
             1 => engine_cfg(1),
             _ => engine_cfg(4),
         };
-        let svc = service(engine);
+        let sys = system();
         let fault_site = site::ALL[site_idx];
         let plan = FaultPlan::new(seed)
             .with(fault_site, FaultSpec { kind, trigger });
@@ -965,9 +928,9 @@ proptest! {
             "seed={seed} site={fault_site} kind={kind:?} trigger={trigger:?} engine={engine_sel}"
         );
         let guard = plan.install();
-        assert_sound(&svc, &oracle, &ctx);
+        assert_sound(&sys, &engine, &oracle, &ctx);
         guard.disarm();
-        // And the same service answers correctly immediately afterwards.
-        prop_assert!(assert_sound(&svc, &oracle, &format!("{ctx} (disarmed)")));
+        // And the same system answers correctly immediately afterwards.
+        prop_assert!(assert_sound(&sys, &engine, &oracle, &format!("{ctx} (disarmed)")));
     }
 }

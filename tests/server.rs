@@ -22,7 +22,7 @@ use obda::owlql::abox::DataInstance;
 use obda::server::client::{self, HttpResponse};
 use obda::{
     write_snapshot, MemoryBackend, ObdaSystem, OverloadConfig, QueryService, RetryPolicy, Server,
-    ServerConfig, ServerHandle, ServiceConfig, TenantQuota,
+    ServerConfig, ServerHandle, ServiceConfig, Snapshot, Strategy, Telemetry, TenantQuota,
 };
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -90,7 +90,6 @@ fn start_server(
         ServiceConfig {
             max_concurrency: 2,
             max_queue: 8,
-            budget: BudgetSpec::unlimited(),
             retry: RetryPolicy {
                 max_retries: 2,
                 base_backoff: Duration::from_micros(50),
@@ -495,6 +494,41 @@ fn second_request_reuses_completed_relations() {
     assert_eq!(built2, built1, "the second request builds no completion: {seen:?}");
     assert!(reused2 > reused1, "the second request reuses the completions: {seen:?}");
 
+    handle.trigger().shutdown();
+    assert!(handle.join());
+}
+
+/// Over a snapshot, `/metrics` reports the bytes the served requests
+/// hydrated as the `store_resident_bytes` gauge; over in-memory data
+/// there is no such gauge.
+#[test]
+fn metrics_report_the_snapshot_resident_bytes() {
+    let _quiet = quiet();
+    let sys = paper_system();
+    let data = table2_data(&sys, 0, SCALE);
+    let path =
+        std::env::temp_dir().join(format!("obda-server-resident-{}.obdb", std::process::id()));
+    write_snapshot(&path, sys.ontology().vocab(), &data).unwrap();
+    let served = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
+    let twin = Snapshot::open(&path, sys.ontology().vocab()).unwrap();
+    std::fs::remove_file(&path).ok();
+    let service = QueryService::new(paper_system(), ServiceConfig::default());
+    let cfg = ServerConfig { addr: "127.0.0.1:0".to_owned(), ..ServerConfig::default() };
+    let handle = Server::bind(service, Box::new(served), cfg).unwrap().start();
+    let query = word_query_text("RS");
+    assert_eq!(post_query(handle.addr(), "alpha", &query).status, 200);
+    // The twin hydrates exactly the columns the served request joined.
+    let omq = sys.prepare(&sys.parse_query(&query).unwrap(), Strategy::Adaptive).unwrap();
+    omq.hydrate(twin.database(), &EngineConfig::default(), Telemetry::disabled()).unwrap();
+    let resident = counter(&get(handle.addr(), "/metrics").body, "store_resident_bytes");
+    assert!(resident > 0, "a served request hydrates some columns");
+    assert_eq!(resident, twin.bytes_touched());
+    handle.trigger().shutdown();
+    assert!(handle.join());
+
+    let (handle, _, _) = start_server(SCALE, |_| {}, &[]);
+    assert_eq!(post_query(handle.addr(), "alpha", &query).status, 200);
+    assert!(!get(handle.addr(), "/metrics").body.contains("store_resident_bytes"));
     handle.trigger().shutdown();
     assert!(handle.join());
 }

@@ -124,8 +124,8 @@ fn parallel_engine_on_snapshot_matches_oracle() {
     }
 }
 
-/// The service answers from a backend exactly like from parsed data, for
-/// both prepared (`submit`) and one-shot (`answer`) requests.
+/// The service answers from a snapshot exactly like from parsed data in
+/// memory, and so does the one-shot ladder (`obda answer`) over either.
 #[test]
 fn service_backend_requests_match_parse_requests() {
     let sys = paper_system();
@@ -136,17 +136,22 @@ fn service_backend_requests_match_parse_requests() {
         ServiceConfig { max_concurrency: 2, max_queue: 4, ..ServiceConfig::default() },
     );
     let q = word_query(svc.system().ontology(), "RS");
-    let id = svc.prepare(&q, Strategy::Tw).unwrap();
+    let spec = BudgetSpec::unlimited();
+    let omq = svc.prepare(&q, Strategy::Tw, &spec).unwrap();
 
-    let parsed = svc.submit(id, DataSource::Parse(&data)).unwrap();
-    let backed = svc.submit(id, DataSource::Backend(&snap)).unwrap();
-    let answers = parsed.result().expect("parse path answers").answers.clone();
-    assert_eq!(backed.result().expect("snapshot path answers").answers, answers);
+    let memory = MemoryBackend::new(data.clone());
+    let parsed = svc.answer(&omq, &memory, &spec, Telemetry::disabled()).unwrap();
+    let backed = svc.answer(&omq, &snap, &spec, Telemetry::disabled()).unwrap();
+    let answers = parsed.result.answers;
+    assert_eq!(backed.result.answers, answers);
+    assert_eq!(svc.stats().succeeded, 2);
 
-    let oneshot =
-        svc.answer(&q, Strategy::Tw, DataSource::Backend(&snap), Telemetry::disabled()).unwrap();
-    assert_eq!(oneshot.result().expect("one-shot answers").answers, answers);
-    assert_eq!(svc.stats().succeeded, 3);
+    for source in [DataSource::Parse(&data), DataSource::Backend(&snap)] {
+        let oneshot = svc
+            .system()
+            .run(&AnswerRequest { engine: EngineConfig::default(), ..tw_ladder(&q, source, spec) });
+        assert_eq!(oneshot.result().expect("one-shot answers").answers, answers);
+    }
 }
 
 /// `MemoryBackend` gives parsed data the same seam as snapshots: the
@@ -301,8 +306,8 @@ fn execute(omq: &PreparedOmq, db: &obda::ndl::storage::Database, cfg: &EngineCon
     omq.execute_engine_traced(db, &mut Budget::unlimited(), cfg, Telemetry::disabled()).unwrap()
 }
 
-/// Lazy hydration through the query service: prepared and one-shot
-/// backend requests over a lazily opened snapshot answer exactly like the
+/// Lazy hydration through the query service and the one-shot ladder:
+/// requests over a lazily opened snapshot answer exactly like the
 /// in-memory backend, and only the touched columns hydrate.
 #[test]
 fn service_requests_hydrate_lazily_and_match_memory() {
@@ -323,13 +328,16 @@ fn service_requests_hydrate_lazily_and_match_memory() {
         ServiceConfig { max_concurrency: 2, max_queue: 4, ..ServiceConfig::default() },
     );
     let q = word_query(svc.system().ontology(), "RS");
-    let id = svc.prepare(&q, Strategy::Tw).unwrap();
-    let via_lazy = svc.submit(id, DataSource::Backend(&lazy)).unwrap();
-    let via_memory = svc.submit(id, DataSource::Backend(&memory)).unwrap();
-    let answers = &via_memory.result().expect("memory answers").answers;
-    assert_eq!(&via_lazy.result().expect("lazy answers").answers, answers);
-    let oneshot =
-        svc.answer(&q, Strategy::Tw, DataSource::Backend(&lazy), Telemetry::disabled()).unwrap();
+    let spec = BudgetSpec::unlimited();
+    let omq = svc.prepare(&q, Strategy::Tw, &spec).unwrap();
+    let via_lazy = svc.answer(&omq, &lazy, &spec, Telemetry::disabled()).unwrap();
+    let via_memory = svc.answer(&omq, &memory, &spec, Telemetry::disabled()).unwrap();
+    let answers = &via_memory.result.answers;
+    assert_eq!(&via_lazy.result.answers, answers);
+    let oneshot = svc.system().run(&AnswerRequest {
+        engine: EngineConfig::default(),
+        ..tw_ladder(&q, DataSource::Backend(&lazy), spec)
+    });
     assert_eq!(&oneshot.result().expect("one-shot answers").answers, answers);
     assert!(lazy.columns_touched() > 0, "answering must have hydrated the joined columns");
     assert!(

@@ -13,7 +13,7 @@ use obda::budget::BudgetSpec;
 use obda::ndl::engine::{evaluate_engine_on_traced, EngineConfig};
 use obda::ndl::storage::Database;
 use obda::telemetry::{TraceSpan, TraceTree};
-use obda::{CollectingTracer, DataSource, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
+use obda::{CollectingTracer, MetricsRegistry, ObdaSystem, Strategy, Telemetry};
 
 const ONTOLOGY: &str = "Professor SubClassOf exists teaches\n\
                         AssistantProfessor SubClassOf Professor\n\
@@ -219,7 +219,7 @@ fn sequential_and_parallel_traces_agree_on_totals() {
 
 #[test]
 fn service_request_produces_a_complete_span_tree_and_metrics() {
-    use obda::{OverloadConfig, QueryService, RetryPolicy, ServiceConfig};
+    use obda::{MemoryBackend, OverloadConfig, QueryService, RetryPolicy, ServiceConfig};
 
     let sys = ObdaSystem::from_text(ONTOLOGY).unwrap();
     let svc = QueryService::new(
@@ -227,31 +227,30 @@ fn service_request_produces_a_complete_span_tree_and_metrics() {
         ServiceConfig {
             max_concurrency: 2,
             max_queue: 4,
-            budget: BudgetSpec::unlimited(),
             retry: RetryPolicy::default(),
             engine: EngineConfig { threads: 2, prune: true, ..EngineConfig::default() },
             overload: OverloadConfig::default(),
         },
     );
     let q = svc.system().parse_query(QUERY).unwrap();
-    let d = svc.system().parse_data(DATA).unwrap();
+    let d = MemoryBackend::new(svc.system().parse_data(DATA).unwrap());
+    let spec = BudgetSpec::unlimited();
+    let omq = svc.prepare(&q, Strategy::Tw, &spec).unwrap();
 
     let tracer = CollectingTracer::new();
     let registry = MetricsRegistry::new();
     let telem = Telemetry::new(&tracer, Some(&registry));
-    let report = svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), telem).unwrap();
-    assert!(report.is_success());
+    let run = svc.answer(&omq, &d, &spec, telem).unwrap();
 
     let tree = tracer.snapshot();
     assert_well_nested(&tree);
     let names: Vec<&str> = tree.iter().map(|s| s.name).collect();
-    for expected in ["queue_wait", "load_data", "attempt", "rewrite", "eval"] {
+    for expected in ["queue_wait", "hydrate", "eval"] {
         assert!(names.contains(&expected), "missing {expected} span in {names:?}");
     }
-    let attempt = tree.iter().find(|s| s.name == "attempt").unwrap();
-    assert_eq!(attempt.attr_str("strategy"), Some("Tw"));
-    assert_eq!(attempt.attr("retry"), Some(0));
-    assert!(attempt.error.is_none(), "the winning attempt must not be error-tagged");
+    let eval = tree.iter().find(|s| s.name == "eval").unwrap();
+    assert_eq!(eval.attr("answers"), Some(run.result.answers.len() as u64));
+    assert!(eval.error.is_none(), "the answering evaluation must not be error-tagged");
 
     // The caller's registry received the service metrics: one admitted
     // request, its latency observed overall and under the winning strategy.
@@ -263,6 +262,6 @@ fn service_request_produces_a_complete_span_tree_and_metrics() {
     // exposition covers gate and engines together), so the service registry
     // saw nothing — until an untraced request records into it.
     assert_eq!(svc.metrics().histogram("service_latency_seconds").count(), 0);
-    svc.answer(&q, Strategy::Tw, DataSource::Parse(&d), Telemetry::disabled()).unwrap();
+    svc.answer(&omq, &d, &spec, Telemetry::disabled()).unwrap();
     assert_eq!(svc.metrics().histogram("service_latency_seconds").count(), 1);
 }
