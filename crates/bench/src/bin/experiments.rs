@@ -33,6 +33,10 @@
 //!   spliced into `BENCH_eval.json` as a `"benchjoin"` section next to
 //!   the bencheval rows (part of the CI quality gate alongside
 //!   `benchguard`; not part of `all`);
+//! * `tracemeans FILE` — reads an omqbench `trace.jsonl` and prints each
+//!   span's mean and median self time per request; exits 1 if a
+//!   request's self times do not add up to its wall time (runs alone,
+//!   like `store-phase`);
 //! * `benchstore` — the snapshot-store load benchmark: for every Table 2
 //!   dataset at scales 0.05 and 0.5, measures text-parse-plus-index time
 //!   against `.obdb` snapshot open time (best of 5, same `Database`
@@ -79,6 +83,7 @@ use obda_datagen::sequences::SEQUENCES;
 use obda_ndl::engine::EngineConfig;
 use obda_ndl::eval::EvalResult;
 use obda_ndl::storage::Database;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 struct Config {
@@ -143,6 +148,10 @@ fn main() {
     // The child side of benchstore's per-phase RSS readings.
     if std::env::args().nth(1).as_deref() == Some("store-phase") {
         store_phase();
+        return;
+    }
+    if std::env::args().nth(1).as_deref() == Some("tracemeans") {
+        tracemeans();
         return;
     }
     let cfg = parse_args();
@@ -755,6 +764,148 @@ fn store_phase() {
     println!("{} {atoms}", rss_kb().1);
 }
 
+/// One span of an omqbench `trace.jsonl`: the line's index is the span's
+/// id, and `parent` refers to another line.
+struct TraceLine {
+    name: String,
+    request: u64,
+    parent: Option<usize>,
+    start_ns: u64,
+    end_ns: u64,
+}
+
+/// Parses one line of the fixed shape omqbench writes:
+/// `{"name":"…","request":N,"parent":null|N,"start_ns":N,"end_ns":N}`.
+fn parse_trace_line(line: &str) -> Option<TraceLine> {
+    let field = |key: &str| -> Option<&str> {
+        let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+        let rest = &line[at..];
+        Some(rest[..rest.find([',', '}'])?].trim())
+    };
+    Some(TraceLine {
+        name: field("name")?.strip_prefix('"')?.strip_suffix('"')?.to_owned(),
+        request: field("request")?.parse().ok()?,
+        parent: match field("parent")? {
+            "null" => None,
+            p => Some(p.parse().ok()?),
+        },
+        start_ns: field("start_ns")?.parse().ok()?,
+        end_ns: field("end_ns")?.parse().ok()?,
+    })
+}
+
+/// Self time (duration minus the direct children's durations) per span
+/// name, summed per request and keyed by the line of the request's root
+/// `request` span; spans under no `request` span are left out. Also
+/// returns every inconsistency: a span its children outlast, or a
+/// request whose self times do not add up to its wall time.
+fn request_self_times(spans: &[TraceLine]) -> (BTreeMap<usize, BTreeMap<&str, i128>>, Vec<String>) {
+    let dur = |s: &TraceLine| i128::from(s.end_ns) - i128::from(s.start_ns);
+    let mut child_ns = vec![0i128; spans.len()];
+    for s in spans {
+        if let Some(p) = s.parent.filter(|&p| p < spans.len()) {
+            child_ns[p] += dur(s);
+        }
+    }
+    // The `request` span each span sits under, if any.
+    let mut root: Vec<Option<usize>> = vec![None; spans.len()];
+    for (i, s) in spans.iter().enumerate() {
+        root[i] = match s.parent {
+            None => (s.name == "request").then_some(i),
+            // Parents precede their children in the file.
+            Some(p) if p < i => root[p],
+            Some(_) => None,
+        };
+    }
+    let mut requests: BTreeMap<usize, BTreeMap<&str, i128>> = BTreeMap::new();
+    let mut sums: BTreeMap<usize, i128> = BTreeMap::new();
+    let mut bad = Vec::new();
+    for (i, s) in spans.iter().enumerate() {
+        let Some(r) = root[i] else { continue };
+        let self_ns = dur(s) - child_ns[i];
+        if self_ns < 0 {
+            bad.push(format!(
+                "request {}: span {i} ({}) outlasted by its children",
+                s.request, s.name
+            ));
+        }
+        *requests.entry(r).or_default().entry(&s.name).or_insert(0) += self_ns;
+        *sums.entry(r).or_insert(0) += self_ns;
+    }
+    for (&r, &sum) in &sums {
+        if sum != dur(&spans[r]) {
+            bad.push(format!(
+                "request {}: self times add up to {sum} ns, its wall is {} ns",
+                spans[r].request,
+                dur(&spans[r])
+            ));
+        }
+    }
+    (requests, bad)
+}
+
+/// `experiments tracemeans FILE`: reads an omqbench `trace.jsonl` and
+/// prints, per span name, the mean and the median self time per request
+/// (a request without the span counts as 0 ms). The omqbench per-layer
+/// figures are medians, which hide a saving that sits in a few requests;
+/// the means show it. Exits 1 if the file holds no request, if some
+/// request's self times (each span's duration minus its children's) do
+/// not add up to the wall time of its `request` span, or if a child
+/// outlasts its parent.
+fn tracemeans() {
+    let Some(path) = std::env::args().nth(2) else {
+        eprintln!("usage: experiments tracemeans FILE");
+        std::process::exit(2);
+    };
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    let spans: Vec<TraceLine> = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            parse_trace_line(line).unwrap_or_else(|| {
+                eprintln!("error: {path}:{}: not a span line: {line}", i + 1);
+                std::process::exit(2);
+            })
+        })
+        .collect();
+    let (requests, mut bad) = request_self_times(&spans);
+    if requests.is_empty() {
+        bad.push("no `request` span".to_owned());
+    }
+    let mut names: Vec<&str> = requests.values().flat_map(|m| m.keys().copied()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let n = requests.len().max(1) as f64;
+    let mut rows: Vec<(f64, f64, &str)> = names
+        .iter()
+        .map(|&name| {
+            let mut ms: Vec<f64> =
+                requests.values().map(|m| m.get(name).copied().unwrap_or(0) as f64 / 1e6).collect();
+            ms.sort_by(f64::total_cmp);
+            let mean = ms.iter().sum::<f64>() / n;
+            let mid = ms.len() / 2;
+            let median = if ms.len() % 2 == 1 { ms[mid] } else { (ms[mid - 1] + ms[mid]) / 2.0 };
+            (mean, median, name)
+        })
+        .collect();
+    rows.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(b.2)));
+    println!("{path}: {} requests, self ms per request", requests.len());
+    println!("{:<28} {:>10} {:>10}", "span", "mean", "median");
+    for (mean, median, name) in rows {
+        println!("{name:<28} {mean:>10.4} {median:>10.4}");
+    }
+    if !bad.is_empty() {
+        for line in bad.iter().take(10) {
+            eprintln!("error: {line}");
+        }
+        eprintln!("error: {} inconsistencies in {path}", bad.len());
+        std::process::exit(1);
+    }
+}
+
 /// Runs `experiments store-phase <phase> <file>` in a child process and
 /// returns its peak RSS in KiB.
 fn child_peak_rss_kb(phase: &str, file: &std::path::Path) -> u64 {
@@ -1308,7 +1459,7 @@ fn json_engine(timed: &Option<(f64, EvalResult)>) -> String {
 struct StageBreakdown {
     eval_ms: f64,
     schedule_ms: f64,
-    strata_ms: f64,
+    batches_ms: f64,
     clause_tasks_ms: f64,
     spans: usize,
     pretty: String,
@@ -1332,7 +1483,7 @@ fn trace_breakdown(
     let mut b = StageBreakdown {
         eval_ms: 0.0,
         schedule_ms: 0.0,
-        strata_ms: 0.0,
+        batches_ms: 0.0,
         clause_tasks_ms: 0.0,
         spans: 0,
         pretty: tree.render_pretty(),
@@ -1342,8 +1493,8 @@ fn trace_breakdown(
         let ms = span.duration.as_secs_f64() * 1e3;
         match span.name {
             "eval" => b.eval_ms += ms,
-            "stratum-schedule" => b.schedule_ms += ms,
-            "stratum" => b.strata_ms += ms,
+            "demand-schedule" => b.schedule_ms += ms,
+            "batch" => b.batches_ms += ms,
             "clause" | "clause_task" => b.clause_tasks_ms += ms,
             _ => {}
         }
@@ -1633,8 +1784,8 @@ fn bencheval(cfg: &Config) {
             let breakdown = trace_breakdown(&prepared, &db, cfg.timeout, &pruned_cfg);
             let stages_json = match &breakdown {
                 Some(b) => format!(
-                    "{{\"eval_ms\": {:.3}, \"schedule_ms\": {:.3}, \"strata_ms\": {:.3}, \"clause_tasks_ms\": {:.3}, \"spans\": {}}}",
-                    b.eval_ms, b.schedule_ms, b.strata_ms, b.clause_tasks_ms, b.spans
+                    "{{\"eval_ms\": {:.3}, \"schedule_ms\": {:.3}, \"batches_ms\": {:.3}, \"clause_tasks_ms\": {:.3}, \"spans\": {}}}",
+                    b.eval_ms, b.schedule_ms, b.batches_ms, b.clause_tasks_ms, b.spans
                 ),
                 None => "null".to_owned(),
             };
@@ -1798,5 +1949,45 @@ fn evaluation_table(cfg: &Config, seq: usize) {
             std::fs::write(format!("{dir}/table{}_ds{}.csv", seq + 3, ds + 1), csv)
                 .expect("write csv");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spans(lines: &[&str]) -> Vec<TraceLine> {
+        lines.iter().map(|l| parse_trace_line(l).expect("a span line")).collect()
+    }
+
+    #[test]
+    fn self_times_add_up_per_request() {
+        let trace = spans(&[
+            r#"{"name":"pipeline.classify","request":1,"parent":null,"start_ns":0,"end_ns":5}"#,
+            r#"{"name":"request","request":1,"parent":null,"start_ns":10,"end_ns":110}"#,
+            r#"{"name":"rewrite.rewrite","request":1,"parent":1,"start_ns":20,"end_ns":60}"#,
+            r#"{"name":"ndl.engine.eval","request":1,"parent":1,"start_ns":60,"end_ns":100}"#,
+            r#"{"name":"cq.parse","request":1,"parent":2,"start_ns":20,"end_ns":30}"#,
+        ]);
+        let (requests, bad) = request_self_times(&trace);
+        assert!(bad.is_empty(), "{bad:?}");
+        let selfs = &requests[&1];
+        assert_eq!(selfs["request"], 20);
+        assert_eq!(selfs["rewrite.rewrite"], 30);
+        assert_eq!(selfs["cq.parse"], 10);
+        assert_eq!(selfs["ndl.engine.eval"], 40);
+        assert!(!selfs.contains_key("pipeline.classify"), "outside the request");
+    }
+
+    #[test]
+    fn a_child_outlasting_its_parent_is_reported() {
+        let trace = spans(&[
+            r#"{"name":"request","request":7,"parent":null,"start_ns":0,"end_ns":10}"#,
+            r#"{"name":"ndl.engine.eval","request":7,"parent":0,"start_ns":0,"end_ns":15}"#,
+        ]);
+        let (_, bad) = request_self_times(&trace);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("outlasted"), "{bad:?}");
+        assert!(parse_trace_line(r#"{"name":"request","request":1}"#).is_none());
     }
 }

@@ -36,22 +36,23 @@
 //! `answer` evaluates with the goal-directed engine: the rewriting is
 //! relevance-pruned towards the goal (disable with `--no-prune`), each
 //! clause's joins run in the cost-based order chosen from relation
-//! statistics (disable with `--no-plan` to keep the syntactic order) and
-//! evaluated stratum-by-stratum on `--threads N` workers (default 1;
+//! statistics (disable with `--no-plan` to keep the syntactic order),
+//! and a predicate is materialised only when the goal demands it, its
+//! clauses running as one batch on `--threads N` workers (default 1;
 //! `0` = one per CPU) sharing one resource budget. Each strategy attempt
 //! is panic-isolated: a transient fault is retried up to `--retries N`
 //! times (default 2) before the request degrades down the fallback
 //! ladder; `--no-fallback` runs the one strategy once.
 //!
 //! `explain` dumps the classification, the rewriting, the
-//! relevance-pruned program and the engine's stratum schedule with
-//! per-clause join orders and access paths (scan, index probe, merge).
+//! relevance-pruned program and its clause plans, grouped by dependency
+//! level, with per-clause join orders and access paths (scan, index probe, merge).
 //! Given `--data` or `--db` the schedule is the cost-based plan and the
 //! query is executed once so every step reports its estimated *and*
 //! actual cardinality; without data the syntactic order is shown.
 //!
 //! Observability: `--trace` collects nested spans across every pipeline
-//! stage (parse → saturate → rewrite → prune → stratum-schedule → eval,
+//! stage (parse → saturate → rewrite → prune → eval → demand-schedule,
 //! plus per-attempt spans) and prints the tree to stderr,
 //! pretty by default or as JSON with `--trace=json`; `--stats` prints the
 //! metrics registry (counters, gauges, latency histograms) to stderr in
@@ -91,7 +92,6 @@
 //! | 6    | resource budget exhausted (every fallback attempt, too)   |
 //! | 7    | oracle disagreement (`--oracle`)                          |
 //! | 8    | a panic was caught and isolated inside the pipeline       |
-//! | 9    | the query service refused admission (overloaded)          |
 
 use obda::budget::BudgetSpec;
 use obda::cq::query::Cq;
@@ -202,8 +202,7 @@ fn print_help() {
          \x20 5  evaluation failed (not a budget trip)\n\
          \x20 6  resource budget exhausted (every fallback attempt, too)\n\
          \x20 7  oracle disagreement (--oracle)\n\
-         \x20 8  a panic was caught and isolated inside the pipeline\n\
-         \x20 9  the query service refused admission (overloaded)"
+         \x20 8  a panic was caught and isolated inside the pipeline"
     );
 }
 
@@ -368,8 +367,6 @@ enum CliError {
     Oracle(String),
     /// A panic was caught and isolated inside the pipeline — exit 8.
     Panic(String),
-    /// The query service refused admission (at capacity) — exit 9.
-    Overloaded(String),
 }
 
 impl CliError {
@@ -382,7 +379,6 @@ impl CliError {
             CliError::Budget(_) => 6,
             CliError::Oracle(_) => 7,
             CliError::Panic(_) => 8,
-            CliError::Overloaded(_) => 9,
         })
     }
 
@@ -394,8 +390,7 @@ impl CliError {
             | CliError::Eval(m)
             | CliError::Budget(m)
             | CliError::Oracle(m)
-            | CliError::Panic(m)
-            | CliError::Overloaded(m) => m,
+            | CliError::Panic(m) => m,
         }
     }
 }
@@ -435,15 +430,13 @@ impl From<ObdaError> for CliError {
             // exhausted evaluation; the dedicated codes cover the other two.
             ObdaError::Transient { .. } => CliError::Eval(msg),
             ObdaError::Internal { .. } => CliError::Panic(msg),
-            ObdaError::Overloaded { .. } => CliError::Overloaded(msg),
-            // The CLI never configures tenant quotas, but the mapping is
-            // total: a quota refusal is an admission refusal.
-            ObdaError::QuotaExceeded { .. } => CliError::Overloaded(msg),
-            // Cost-based admission and circuit-breaker refusals are
-            // admission refusals like any other: the work was never run.
-            ObdaError::CostRejected { .. } | ObdaError::BreakerOpen { .. } => {
-                CliError::Overloaded(msg)
-            }
+            // Admission refusals come only from a configured query service,
+            // which `ObdaSystem::run` never consults; the mapping stays
+            // total all the same.
+            ObdaError::Overloaded { .. }
+            | ObdaError::QuotaExceeded { .. }
+            | ObdaError::CostRejected { .. }
+            | ObdaError::BreakerOpen { .. } => CliError::Internal(msg),
         }
     }
 }
@@ -646,8 +639,8 @@ impl AnswerData {
     }
 }
 
-/// `obda explain`: classification, rewriting, pruned program, and the
-/// engine's stratum schedule with per-clause join plans. Without data
+/// `obda explain`: classification, rewriting, pruned program, and its
+/// per-clause join plans grouped by dependency level. Without data
 /// the plan is syntactic; with `--data` or `--db` the cost-based plan
 /// is shown with estimated *and* actual per-atom cardinalities (the
 /// query is executed once, by the engine at one thread without pruning).

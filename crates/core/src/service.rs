@@ -551,12 +551,20 @@ impl QueryService {
                         && retries < self.cfg.retry.max_retries
                         && deadline.is_none_or(|d| Instant::now() < d) =>
                 {
-                    retries += 1;
+                    let next = retries + 1;
                     std::thread::sleep(self.cfg.retry.pause(
-                        u64::from(retries),
+                        u64::from(next),
                         &mut backoff,
                         deadline,
                     ));
+                    // The pause ends at the deadline at the latest; an
+                    // attempt started there would only trip its 0 ms
+                    // allowance, so the last transient stands, as on the
+                    // ladder.
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        break Err(e);
+                    }
+                    retries = next;
                 }
                 other => break other,
             }

@@ -49,7 +49,8 @@ pub fn dependencies(program: &Program) -> FxHashMap<PredId, Vec<PredId>> {
 }
 
 /// Topological order of the IDB predicates (dependencies first), or `None`
-/// if the program is recursive.
+/// if the program is recursive. The depth-first search keeps its path on
+/// an explicit stack, so a deep program never deepens the thread's own.
 pub fn topological_order(program: &Program) -> Option<Vec<PredId>> {
     let deps = dependencies(program);
     #[derive(Clone, Copy, PartialEq)]
@@ -58,42 +59,33 @@ pub fn topological_order(program: &Program) -> Option<Vec<PredId>> {
         Grey,
         Black,
     }
-    let n = program.num_preds();
-    let mut marks = vec![Mark::White; n];
+    let mut marks = vec![Mark::White; program.num_preds()];
     let mut order = Vec::new();
-
-    fn visit(
-        p: PredId,
-        deps: &FxHashMap<PredId, Vec<PredId>>,
-        marks: &mut [Mark],
-        order: &mut Vec<PredId>,
-        program: &Program,
-    ) -> bool {
-        match marks[p.0 as usize] {
-            Mark::Grey => return false,
-            Mark::Black => return true,
-            Mark::White => {}
+    // The search path: each predicate with the index of its next dependency.
+    let mut path: Vec<(PredId, usize)> = Vec::new();
+    for root in program.pred_ids() {
+        if !program.is_idb(root) || marks[root.0 as usize] != Mark::White {
+            continue;
         }
-        if !program.is_idb(p) {
-            marks[p.0 as usize] = Mark::Black;
-            return true;
-        }
-        marks[p.0 as usize] = Mark::Grey;
-        if let Some(ds) = deps.get(&p) {
-            for &d in ds {
-                if !visit(d, deps, marks, order, program) {
-                    return false;
+        marks[root.0 as usize] = Mark::Grey;
+        path.push((root, 0));
+        while let Some((p, next)) = path.last_mut() {
+            let Some(&d) = deps.get(p).and_then(|ds| ds.get(*next)) else {
+                marks[p.0 as usize] = Mark::Black;
+                order.push(*p);
+                path.pop();
+                continue;
+            };
+            *next += 1;
+            match marks[d.0 as usize] {
+                Mark::Grey => return None,
+                Mark::Black => {}
+                Mark::White if program.is_idb(d) => {
+                    marks[d.0 as usize] = Mark::Grey;
+                    path.push((d, 0));
                 }
+                Mark::White => marks[d.0 as usize] = Mark::Black,
             }
-        }
-        marks[p.0 as usize] = Mark::Black;
-        order.push(p);
-        true
-    }
-
-    for p in program.pred_ids() {
-        if program.is_idb(p) && !visit(p, &deps, &mut marks, &mut order, program) {
-            return None;
         }
     }
     Some(order)

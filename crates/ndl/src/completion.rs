@@ -9,8 +9,9 @@
 //! serves many queries needs to derive each one only once. The engine
 //! ([`crate::engine`]) looks every marked completion predicate
 //! ([`crate::program::PredInfo::completion`]) up in the database's
-//! [`CompletionMemo`] before running its clauses, and stores the relation
-//! after a stratum finishes without a halt.
+//! [`CompletionMemo`] when it is demanded, before its clauses demand
+//! anything, and stores the relation once the whole evaluation finishes
+//! without a halt.
 //!
 //! The memo key is the predicate's canonical definition *after* pruning:
 //! its arity plus the sorted set of its clauses, each clause a head

@@ -1,25 +1,33 @@
 //! Bottom-up evaluation: the crate's one materialising engine.
 //!
-//! The engine materialises every goal-reachable IDB predicate stratum by
-//! stratum, joining clause bodies with the shared kernel of
-//! [`crate::eval`]. [`EngineConfig`] selects how much it does on top:
+//! The engine materialises the IDB predicates the goal demands, joining
+//! clause bodies with the shared kernel of [`crate::eval`].
+//! [`EngineConfig`] selects how much it does on top:
 //!
 //! 1. **Relevance pruning** ([`crate::relevance`], `prune`): the program
 //!    is rewritten goal-directedly before evaluation, eliminating
 //!    renaming predicates, used-once views, copy clauses and dead
 //!    columns, so strictly fewer tuples are materialised.
-//! 2. **Stratum scheduling** (`threads`): the topological order is
-//!    partitioned into *strata* — level sets of the longest-path layering
-//!    of the dependency DAG — whose predicates are mutually independent.
-//!    All clauses of a stratum, with large outer scans split into
+//! 2. **Demand-driven materialisation**: starting from the goal, a
+//!    predicate is evaluated only when a live clause demands it. A clause
+//!    with an empty EDB relation is dead before it demands anything;
+//!    otherwise it demands its IDB atoms in ascending estimated rows
+//!    ([`QueryPlan::est_pred_rows`], ties by body position) and dies at
+//!    the first one that comes out empty. The estimates come from the
+//!    costed plan whatever join order runs (`plan: false` computes them
+//!    too), so the demands, and the generated tuples, do not depend on the
+//!    join order. The traversal keeps its path on an explicit stack and
+//!    materialises each predicate at most once. Without pruning, or when
+//!    a join sink observes the run, every goal-reachable predicate is
+//!    demanded: full materialisation.
+//! 3. **Per-predicate batches** (`threads`): once a predicate's demands
+//!    are met, its live clauses, with large outer scans split into
 //!    row-range chunks, form a task queue drained by a scoped-thread
 //!    worker pool (`std::thread::scope`; no external dependencies), or
-//!    inline at one thread. Clauses whose body references an
-//!    already-known-empty relation are skipped without running their
-//!    joins, and a predicate whose one remaining clause is a renaming
-//!    (`renaming`) gets its source's rows without the join kernel:
-//!    the source relation itself, or a column permutation of it.
-//! 3. **Shared budgets** ([`obda_budget::SharedBudget`]): the pool
+//!    inline at one thread. A predicate whose one live clause is a
+//!    renaming (`renaming`) gets its source's rows without the join
+//!    kernel: the source relation itself, or a column permutation of it.
+//! 4. **Shared budgets** ([`obda_budget::SharedBudget`]): the pool
 //!    races one atomic allowance; the first deadline/step/tuple trip
 //!    poisons every worker, and the engine reports one typed
 //!    [`EvalError`] taxonomy at every thread count.
@@ -31,23 +39,22 @@
 //! [`evaluate_pruned_planned_on_traced`] for an already-pruned query with
 //! an optional cached plan (the served path).
 //!
-//! Concurrency model: relations of *completed* strata (and the EDB
+//! Concurrency model: relations already materialised (and the EDB
 //! [`Database`]) are only read — their lazy `OnceLock` column indexes
-//! make concurrent probing safe — while the current stratum's output
-//! relations are mutated behind per-predicate mutexes that workers only
-//! take to merge a finished task's buffered rows. Statistics are
-//! deterministic across thread counts: every relation is deduplicated
-//! exactly, so per-predicate counts equal the relation sizes, and
-//! answers are sorted.
+//! make concurrent probing safe — while the current batch's output
+//! relation is mutated behind a mutex that workers only take to merge a
+//! finished task's buffered rows. Statistics are deterministic across
+//! thread counts: every relation is deduplicated exactly, so
+//! per-predicate counts equal the relation sizes, and answers are
+//! sorted.
 
-use crate::analysis::topological_order;
 use crate::completion::CompletionKey;
 use crate::eval::{
-    error_stats, eval_clause_into, halt_from_panic, halt_to_error, reachable_from_goal, relation,
-    EmitFn, EvalError, EvalResult, EvalStats, Halt, JoinCounters,
+    error_stats, eval_clause_into, halt_from_panic, halt_to_error, relation, EmitFn, EvalError,
+    EvalResult, EvalStats, Halt, JoinCounters,
 };
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
-use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind, Program};
+use crate::program::{BodyAtom, Clause, NdlQuery, PredId, PredKind};
 use crate::relevance::{prune_for_goal, PrunedQuery};
 use crate::storage::{Database, Relation};
 use obda_budget::{Budget, BudgetOps, SharedBudget, WorkerBudget};
@@ -62,7 +69,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads; `0` = one per available CPU, `1` = run the same
-    /// pruned, stratum-scheduled plan inline without spawning.
+    /// pruned, demand-driven plan inline without spawning.
     pub threads: usize,
     /// Run the [`crate::relevance`] pruning pass first.
     pub prune: bool,
@@ -101,7 +108,7 @@ impl EngineConfig {
 /// Evaluates `(Π, G)` over a pre-built [`Database`] under `budget`,
 /// recording spans and metrics through `telem`: with `cfg.prune` a
 /// `prune` span (clause counts before/after), then an `eval` span whose
-/// children are `stratum-schedule`, per-stratum `stratum` spans and
+/// children are `demand-schedule`, per-predicate `batch` spans and
 /// per-task `clause_task` spans with join counters. The budget may be
 /// shared with other pipeline stages: time, steps and tuples charged
 /// here count against the same allowance.
@@ -156,26 +163,24 @@ pub fn evaluate_pruned_planned_on_traced(
     run(&pruned.query, Some(&pruned.origin), orig, db, budget, cfg, qplan, telem, None)
 }
 
-/// One unit of stratum work: a clause (optionally restricted to a row
-/// range of its outer scan) whose derived rows merge into the clause
-/// head's output relation.
+/// One unit of a predicate's batch: a clause (optionally restricted to a
+/// row range of its outer scan) whose derived rows merge into the
+/// predicate's output relation.
 struct Task<'p> {
     /// Position of `clause` in the program (the join-counter sink's index).
     index: usize,
     clause: &'p Clause,
     plan: &'p JoinPlan,
     range: Option<(usize, usize)>,
-    /// Index into the stratum's output slots.
-    slot: usize,
 }
 
-/// Evaluates one task, merging its derived rows into the task's output
-/// slot and charging each newly inserted tuple (only distinct new tuples
+/// Evaluates one task, merging its derived rows into the batch's output
+/// relation and charging each newly inserted tuple (only distinct new tuples
 /// count against the cap). Returns the number of fresh (previously
 /// unseen) rows this task contributed. Inline (`buf: None`), rows are
 /// inserted as the kernel emits them, so the deadline checks of its
 /// emission loop cover the inserts. In the worker pool, rows are buffered
-/// in `buf` and merged in one go, so a worker holds the slot's mutex only
+/// in `buf` and merged in one go, so a worker holds the output's mutex only
 /// briefly. The buffer needs no headroom check of its own: it holds at
 /// most one row per binding of the kernel's last batch, which the kernel
 /// already checked against the cap (a clause without predicate atoms
@@ -189,7 +194,7 @@ fn eval_task<B: BudgetOps>(
     idb: &[Arc<Relation>],
     budget: &mut B,
     task: &Task<'_>,
-    outs: &[Mutex<(Relation, usize)>],
+    out: &Mutex<(Relation, usize)>,
     buf: Option<&mut Vec<u32>>,
     join: &mut JoinCounters,
 ) -> Result<usize, Halt> {
@@ -208,7 +213,7 @@ fn eval_task<B: BudgetOps>(
         eval_clause_into(program, db, idb, budget, task.clause, task.plan, task.range, join, emit)
     };
     let Some(buf) = buf else {
-        let mut guard = outs[task.slot].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
         let (rel, fresh) = &mut *guard;
         run(budget, join, &mut |row, budget| merge(rel, fresh, row, budget))?;
         return Ok(new);
@@ -226,7 +231,7 @@ fn eval_task<B: BudgetOps>(
     if rows == 0 {
         return Ok(0);
     }
-    let mut guard = outs[task.slot].lock().unwrap_or_else(PoisonError::into_inner);
+    let mut guard = out.lock().unwrap_or_else(PoisonError::into_inner);
     let (rel, fresh) = &mut *guard;
     if arity == 0 {
         // Boolean heads buffer no columns; every derived row is the
@@ -256,7 +261,7 @@ fn eval_task_isolated<B: BudgetOps>(
     idb: &[Arc<Relation>],
     budget: &mut B,
     task: &Task<'_>,
-    outs: &[Mutex<(Relation, usize)>],
+    out: &Mutex<(Relation, usize)>,
     buf: Option<&mut Vec<u32>>,
     telem: &Telemetry<'_>,
     sink: Option<&JoinSink>,
@@ -264,7 +269,7 @@ fn eval_task_isolated<B: BudgetOps>(
     let span = telem.tracer.enabled().then(|| telem.span("clause_task"));
     let mut join = JoinCounters::default();
     let result = match catch_unwind(AssertUnwindSafe(|| {
-        eval_task(query, db, idb, budget, task, outs, buf, &mut join)
+        eval_task(query, db, idb, budget, task, out, buf, &mut join)
     })) {
         Ok(result) => result,
         Err(payload) => Err(halt_from_panic("ndl::engine::clause_task", payload)),
@@ -298,33 +303,20 @@ fn eval_task_isolated<B: BudgetOps>(
 /// cardinalities from one.
 pub(crate) type JoinSink = Mutex<Vec<JoinCounters>>;
 
-/// Scheduling observability: how many tasks actually ran, how many
-/// clauses were skipped because a body relation was known empty, how
+/// Scheduling observability: how many predicates were demanded (filled
+/// by a batch or installed from the memo), how many tasks actually ran,
+/// how many clauses were dropped because a body relation was empty, how
 /// many completion predicates were installed from the database's memo
 /// (`reused`) or derived and stored there (`built`), and how many
 /// predicates were filled by a renaming clause (`renamed`).
 #[derive(Default)]
 struct SchedStats {
+    demanded: u64,
     executed: u64,
     skipped: u64,
     reused: u64,
     built: u64,
     renamed: u64,
-}
-
-/// How a stratum obtains one predicate's relation.
-enum Fill {
-    /// Run its clauses (an ordinary predicate).
-    Derive,
-    /// Run its clauses, then store the result in the completion memo.
-    Build(CompletionKey),
-    /// Installed from the completion memo; its clauses do not run.
-    Reused(Arc<Relation>),
-    /// Its one live clause is a renaming of `source`: installed by
-    /// reference (`perm: None`, the identity) or as a column permutation
-    /// of it, without the join kernel or the dedup table. A completion
-    /// predicate also stores the result in the memo (`memo`).
-    Renamed { source: Arc<Relation>, perm: Option<Vec<usize>>, memo: Option<CompletionKey> },
 }
 
 /// The source and column permutation of a renaming clause
@@ -391,45 +383,6 @@ fn fill_renamed(
     result
 }
 
-/// Longest-path layering of the goal-reachable IDB predicates, indexed by
-/// level: EDB relations sit at level 0 (so that entry is always empty),
-/// an IDB predicate one level above its deepest body predicate.
-/// Predicates in the same level never depend on one another, so a level
-/// is a stratum the pool can evaluate concurrently. Each stratum lists
-/// its predicates in `order` (a topological order).
-pub(crate) fn stratify(
-    program: &Program,
-    order: &[PredId],
-    reachable: &[bool],
-) -> Vec<Vec<PredId>> {
-    let mut level = vec![0usize; program.num_preds()];
-    let mut num_levels = 1;
-    for &p in order {
-        if !reachable[p.0 as usize] || !program.is_idb(p) {
-            continue;
-        }
-        let mut lv = 1;
-        for clause in program.clauses_for(p) {
-            for atom in &clause.body {
-                if let BodyAtom::Pred(q, _) = atom {
-                    if program.is_idb(*q) {
-                        lv = lv.max(level[q.0 as usize] + 1);
-                    }
-                }
-            }
-        }
-        level[p.0 as usize] = lv;
-        num_levels = num_levels.max(lv + 1);
-    }
-    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
-    for &p in order {
-        if reachable[p.0 as usize] && program.is_idb(p) {
-            strata[level[p.0 as usize]].push(p);
-        }
-    }
-    strata
-}
-
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
 pub(crate) fn run(
     query: &NdlQuery,
@@ -469,6 +422,7 @@ pub(crate) fn run(
         }
         Err(e) => span.error(&e.to_string()),
     }
+    span.attr("preds_demanded", sched.demanded);
     span.attr("tasks_executed", sched.executed);
     span.attr("clauses_skipped", sched.skipped);
     span.attr("completions_reused", sched.reused);
@@ -486,6 +440,30 @@ pub(crate) fn run(
     result
 }
 
+/// Where a predicate stands in the demand traversal.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Demand {
+    Unseen,
+    /// On the stack: its clauses' demands are being met.
+    Open,
+    /// Materialised (or installed from the memo).
+    Done,
+}
+
+/// A demanded predicate on the traversal stack.
+struct Frame {
+    pred: PredId,
+    /// Its completion-memo key, if it is a completion predicate.
+    key: Option<CompletionKey>,
+    /// Its clauses (program positions) not yet visited, next last.
+    todo: Vec<usize>,
+    /// The clause being visited and its IDB atoms still to demand, next
+    /// last.
+    current: Option<(usize, Vec<PredId>)>,
+    /// The visited clauses that no empty relation killed.
+    live: Vec<usize>,
+}
+
 #[allow(clippy::too_many_arguments)] // internal driver; bundling would just rename the args
 fn run_inner(
     query: &NdlQuery,
@@ -501,10 +479,8 @@ fn run_inner(
 ) -> Result<EvalResult, EvalError> {
     let start = Instant::now();
     let program = &query.program;
+    let clauses = program.clauses();
     let num_preds = program.num_preds();
-    let order = topological_order(program).ok_or(EvalError::Recursive)?;
-    let reachable = reachable_from_goal(query);
-    let threads = cfg.effective_threads().max(1);
     // Resolve the query plan: a caller-cached plan wins; otherwise plan
     // here (cost-based by default, syntactic when `cfg.plan` is off).
     let computed;
@@ -515,11 +491,29 @@ fn run_inner(
             &computed
         }
     };
+    // Without pruning (the RDFox stand-in) or under a join sink (the
+    // executed explain) every goal-reachable predicate is demanded, so
+    // per-predicate counts are those of full materialisation.
+    let demand_all = !cfg.prune || sink.is_some();
 
-    let sched_span = telem.span("stratum-schedule");
-    let strata = stratify(program, &order, &reachable);
-    sched_span.attr("strata", strata.iter().filter(|s| !s.is_empty()).count() as u64);
-    sched_span.attr("preds", strata.iter().map(|s| s.len()).sum::<usize>() as u64);
+    let sched_span = telem.span("demand-schedule");
+    // A clause demands its IDB atoms in ascending estimated rows. The
+    // estimates come from the costed plan whatever join order runs, so a
+    // syntactic-order run demands, and generates, exactly what a planned
+    // run does.
+    let estimated;
+    let est: &[f64] = if demand_all || qplan.costed {
+        &qplan.est_pred_rows
+    } else {
+        estimated = plan_query(query, db).est_pred_rows;
+        &estimated
+    };
+    let mut by_head: Vec<Vec<usize>> = vec![Vec::new(); num_preds];
+    for (ci, clause) in clauses.iter().enumerate() {
+        by_head[clause.head.0 as usize].push(ci);
+    }
+    sched_span.attr("preds", program.pred_ids().filter(|&p| program.is_idb(p)).count() as u64);
+    sched_span.attr("demand_all", u64::from(demand_all));
     sched_span.end();
 
     let mut idb: Vec<Arc<Relation>> = program
@@ -529,15 +523,19 @@ fn run_inner(
             _ => Arc::new(Relation::new(0)),
         })
         .collect();
-    // Known-empty relations let whole clauses be skipped before their
-    // joins run; IDB entries are updated as strata complete.
+    // Relations known to be empty: EDB ones up front, IDB ones once
+    // materialised. A clause over one derives nothing, so it is dropped
+    // before its joins (or, when demands are pruned, its demands) run.
     let mut empty: Vec<bool> = program
         .pred_ids()
         .map(|p| match program.pred(p).kind {
-            PredKind::Idb => true,
+            PredKind::Idb => false,
             kind => db.relation(kind).is_empty(),
         })
         .collect();
+    let over_empty = |clause: &Clause, empty: &[bool]| {
+        clause.body.iter().any(|a| matches!(a, BodyAtom::Pred(q, _) if empty[q.0 as usize]))
+    };
 
     let mut per_pred = vec![0usize; num_preds];
     let map_stats = |per_pred: &[usize], num_answers: usize| {
@@ -553,242 +551,156 @@ fn run_inner(
             per_predicate: mapped,
         }
     };
+    let halted = |halt: Halt, per_pred: &[usize]| {
+        halt_to_error(halt, map_stats(per_pred, per_pred[query.goal.0 as usize]))
+    };
 
-    for (lv, stratum) in strata.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-        let stratum_span = telem.tracer.enabled().then(|| {
-            let s = telem.span("stratum");
-            s.attr("level", lv as u64);
-            s.attr("preds", stratum.len() as u64);
-            s
-        });
-        let stratum_telem = match &stratum_span {
-            Some(s) => telem.under(s),
-            None => telem,
-        };
-        let outs: Vec<Mutex<(Relation, usize)>> = stratum
-            .iter()
-            .map(|&p| Mutex::new((Relation::new(program.pred(p).arity), 0)))
-            .collect();
-        // Completion predicates this database has already derived are
-        // installed from its memo, and a predicate whose one live clause
-        // is a renaming gets its source's rows; in both cases no clause
-        // runs, and the predicate is charged exactly as a derivation would
-        // be (one tuple per row), before anything is copied. A run that
-        // observes its joins (`sink`) runs every clause instead, so each
-        // reports its actual cardinalities: it neither reads nor fills the
-        // memo, renames nothing, and skips no clause over an empty relation.
-        let mut fills: Vec<Fill> = Vec::with_capacity(stratum.len());
-        let mut tasks: Vec<Task<'_>> = Vec::new();
-        for (slot, &p) in stratum.iter().enumerate() {
+    // The demand traversal: depth-first from the goal on an explicit
+    // stack (a deep program never deepens the thread's own stack). Each
+    // predicate is demanded at most once, then materialised as one batch
+    // once every live clause's demands are met.
+    let mut state = vec![Demand::Unseen; num_preds];
+    let mut stack: Vec<Frame> = Vec::new();
+    // Completion predicates derived here, stored in the memo at the end.
+    let mut built: Vec<(CompletionKey, PredId)> = Vec::new();
+    let mut next = program.is_idb(query.goal).then_some(query.goal);
+    loop {
+        if let Some(p) = next.take() {
+            state[p.0 as usize] = Demand::Open;
+            // A completion predicate this database has already derived is
+            // installed from its memo, charged exactly as a derivation
+            // would be (one tuple per row); its clauses demand nothing. A
+            // run that observes its joins (`sink`) derives every predicate
+            // instead, so each clause reports its actual cardinalities: it
+            // neither reads nor fills the memo, renames nothing, and drops
+            // no clause over an empty relation.
             let key = sink.is_none().then(|| CompletionKey::of(program, p)).flatten();
             if let Some(rel) = key.as_ref().and_then(|k| db.completions().get(k)) {
-                fills.push(Fill::Reused(rel));
-                continue;
-            }
-            let mut live: Vec<(usize, &Clause)> = Vec::new();
-            for (ci, clause) in program.clauses().iter().enumerate() {
-                if clause.head != p {
-                    continue;
+                sched.reused += 1;
+                sched.demanded += 1;
+                let rows = rel.len();
+                per_pred[p.0 as usize] += rows;
+                empty[p.0 as usize] = rows == 0;
+                idb[p.0 as usize] = rel;
+                state[p.0 as usize] = Demand::Done;
+                if let Err(e) = budget.charge_tuples(rows as u64) {
+                    return Err(halted(Halt::Budget(e), &per_pred));
                 }
-                if sink.is_none()
-                    && clause
-                        .body
-                        .iter()
-                        .any(|a| matches!(a, BodyAtom::Pred(q, _) if empty[q.0 as usize]))
-                {
-                    sched.skipped += 1;
-                    continue;
-                }
-                live.push((ci, clause));
+            } else {
+                let mut todo = std::mem::take(&mut by_head[p.0 as usize]);
+                todo.reverse();
+                stack.push(Frame { pred: p, key, todo, current: None, live: Vec::new() });
             }
-            let renamed = match live.as_slice() {
-                [(_, clause)] if sink.is_none() => renaming(clause),
-                _ => None,
-            };
-            if let Some((q, perm)) = renamed {
-                let source = match program.pred(q).kind {
-                    PredKind::Idb => Arc::clone(&idb[q.0 as usize]),
-                    kind => Arc::clone(db.shared_relation(kind)),
+        }
+        let Some(frame) = stack.last_mut() else { break };
+        // Advance the top predicate to its next unmet demand.
+        let demand = loop {
+            if let Some((ci, pending)) = &mut frame.current {
+                let Some(&q) = pending.last() else {
+                    frame.live.push(*ci);
+                    frame.current = None;
+                    continue;
                 };
-                fills.push(Fill::Renamed { source, perm, memo: key });
+                match state[q.0 as usize] {
+                    Demand::Unseen => break Some(q),
+                    // A predicate that demands itself, however indirectly:
+                    // the engine evaluates nonrecursive programs only.
+                    Demand::Open => return Err(EvalError::Recursive),
+                    Demand::Done => {
+                        pending.pop();
+                        // The first demand that comes out empty kills the
+                        // clause: the rest of its demands are never made.
+                        if !demand_all && empty[q.0 as usize] {
+                            sched.skipped += 1;
+                            frame.current = None;
+                        }
+                    }
+                }
                 continue;
             }
-            fills.push(key.map_or(Fill::Derive, Fill::Build));
-            for (ci, clause) in live {
-                let plan = qplan.clauses[ci].as_ref().map_err(|e| EvalError::Unsafe(e.clone()))?;
-                // Split a large outer scan into per-worker row ranges —
-                // only when the plan opens with a full scan (a probe or
-                // merge first step seeds from the single empty binding).
-                let outer_rows = match (plan.order.first(), plan.access.first()) {
-                    (Some(&i), Some(PlannedAccess::Scan)) => match &clause.body[i] {
-                        BodyAtom::Pred(q, _) => Some(relation(program, db, &idb, *q).len()),
-                        _ => None,
-                    },
+            let Some(ci) = frame.todo.pop() else { break None };
+            let clause = &clauses[ci];
+            if !demand_all && over_empty(clause, &empty) {
+                sched.skipped += 1;
+                continue;
+            }
+            let mut atoms: Vec<PredId> = clause
+                .body
+                .iter()
+                .filter_map(|a| match a {
+                    BodyAtom::Pred(q, _) if program.is_idb(*q) => Some(*q),
                     _ => None,
-                };
-                match outer_rows {
-                    Some(n) if threads > 1 && n >= cfg.chunk_min_rows.max(1) => {
-                        let chunk = n.div_ceil(threads * 2).max(1);
-                        let mut lo = 0;
-                        while lo < n {
-                            let hi = (lo + chunk).min(n);
-                            tasks.push(Task {
-                                index: ci,
-                                clause,
-                                plan,
-                                range: Some((lo, hi)),
-                                slot,
-                            });
-                            lo = hi;
-                        }
-                    }
-                    _ => tasks.push(Task { index: ci, clause, plan, range: None, slot }),
-                }
+                })
+                .collect();
+            if !demand_all {
+                // Stable: equal estimates keep body order.
+                atoms.sort_by(|a, b| est[a.0 as usize].total_cmp(&est[b.0 as usize]));
             }
-        }
-        let mut halt: Option<Halt> = None;
-        for (fill, &p) in fills.iter().zip(stratum) {
-            let rows = match fill {
-                Fill::Reused(rel) => {
-                    sched.reused += 1;
-                    idb[p.0 as usize] = Arc::clone(rel);
-                    rel.len()
-                }
-                Fill::Renamed { source, .. } => {
-                    sched.renamed += 1;
-                    source.len()
-                }
-                Fill::Derive | Fill::Build(_) => continue,
-            };
-            per_pred[p.0 as usize] += rows;
-            empty[p.0 as usize] = rows == 0;
-            if let Err(e) = budget.charge_tuples(rows as u64) {
-                halt.get_or_insert(Halt::Budget(e));
-            }
-        }
-        if halt.is_none() {
-            for (fill, &p) in fills.iter().zip(stratum) {
-                if let Fill::Renamed { source, perm, .. } = fill {
-                    let head = &program.pred(p).name;
-                    match fill_renamed(head, source, perm.as_deref(), budget, &stratum_telem) {
-                        Ok(rel) => idb[p.0 as usize] = rel,
-                        Err(h) => {
-                            halt = Some(h);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        let halt = if halt.is_some() {
-            halt
-        } else if threads <= 1 || tasks.len() <= 1 {
-            let mut halt = None;
-            for t in &tasks {
-                sched.executed += 1;
-                if let Err(h) = eval_task_isolated(
-                    query,
-                    db,
-                    &idb,
-                    budget,
-                    t,
-                    &outs,
-                    None,
-                    &stratum_telem,
-                    sink,
-                ) {
-                    halt = Some(h);
-                    break;
-                }
-            }
-            halt
-        } else {
-            let shared: SharedBudget = budget.share();
-            let next = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let first_halt: Mutex<Option<Halt>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(tasks.len()) {
-                    scope.spawn(|| {
-                        let mut wb = WorkerBudget::new(&shared);
-                        let mut buf = Vec::new();
-                        while !abort.load(Ordering::Relaxed) {
-                            let t = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(task) = tasks.get(t) else { break };
-                            if let Err(h) = eval_task_isolated(
-                                query,
-                                db,
-                                &idb,
-                                &mut wb,
-                                task,
-                                &outs,
-                                Some(&mut buf),
-                                &stratum_telem,
-                                sink,
-                            ) {
-                                // Budget halts already poisoned the shared
-                                // budget; a caught panic has not, so cancel
-                                // the pool explicitly — siblings deep in a
-                                // join observe it at their next budget
-                                // check. Record the halt *first* so the
-                                // Cancelled trips it provokes can never be
-                                // reported as the cause.
-                                let cancel = matches!(h, Halt::Fault(_) | Halt::Panic { .. });
-                                let mut slot =
-                                    first_halt.lock().unwrap_or_else(PoisonError::into_inner);
-                                slot.get_or_insert(h);
-                                drop(slot);
-                                if cancel {
-                                    shared.cancel();
-                                }
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-            budget.absorb(&shared);
-            sched.executed += next.load(Ordering::Relaxed).min(tasks.len()) as u64;
-            first_halt.into_inner().unwrap_or_else(PoisonError::into_inner)
+            atoms.reverse();
+            frame.current = Some((ci, atoms));
         };
-        // Ticks amortise their cap and clock checks, so a small stratum
-        // can finish without any worker consulting them; re-check both
-        // on the exclusive budget at the stratum barrier.
-        let halt = halt
-            .or_else(|| budget.tick().and_then(|()| budget.check_time()).err().map(Halt::Budget));
-
-        // Merge completed (possibly partial, on halt) stratum output.
-        for (slot, &p) in stratum.iter().enumerate() {
-            if matches!(fills[slot], Fill::Reused(_) | Fill::Renamed { .. }) {
-                continue;
-            }
-            let (rel, fresh) =
-                outs[slot].lock().map(|mut g| std::mem::take(&mut *g)).unwrap_or_default();
-            per_pred[p.0 as usize] += fresh;
-            empty[p.0 as usize] = rel.is_empty();
-            idb[p.0 as usize] = Arc::new(rel);
+        if demand.is_some() {
+            next = demand;
+            continue;
         }
-        if let Some(span) = &stratum_span {
-            if let Some(halt) = &halt {
+        let Some(Frame { pred: p, key, live, .. }) = stack.pop() else { break };
+        // Every live clause's demands are met: materialise `p`. Under full
+        // materialisation a clause over an empty relation is dropped here,
+        // before its joins run (unless a sink observes them).
+        let live: Vec<usize> = live
+            .into_iter()
+            .filter(|&ci| {
+                let dead = sink.is_none() && over_empty(&clauses[ci], &empty);
+                sched.skipped += u64::from(dead);
+                !dead
+            })
+            .collect();
+        let batch_span = telem.tracer.enabled().then(|| {
+            let s = telem.span("batch");
+            s.attr_str("head", &program.pred(p).name);
+            s.attr("clauses", live.len() as u64);
+            s
+        });
+        let batch_telem = batch_span.as_ref().map_or(telem, |s| telem.under(s));
+        let result = materialise(
+            query,
+            db,
+            budget,
+            cfg,
+            qplan,
+            batch_telem,
+            sink,
+            p,
+            &live,
+            &mut idb,
+            &mut per_pred,
+            sched,
+        );
+        // Ticks amortise their cap and clock checks, so a small batch can
+        // finish without any worker consulting them; re-check both on the
+        // exclusive budget at the batch barrier.
+        let result = result
+            .and_then(|()| budget.tick().and_then(|()| budget.check_time()).map_err(Halt::Budget));
+        empty[p.0 as usize] = idb[p.0 as usize].is_empty();
+        if let Err(halt) = result {
+            if let Some(span) = &batch_span {
                 span.error(&format!("{halt:?}"));
             }
+            return Err(halted(halt, &per_pred));
         }
-        if let Some(halt) = halt {
-            let goal_answers = per_pred[query.goal.0 as usize];
-            return Err(halt_to_error(halt, map_stats(&per_pred, goal_answers)));
+        if let Some(key) = key {
+            built.push((key, p));
         }
-        // Only a stratum that finished without any halt — budget, fault
-        // or panic — may fill the memo.
-        for (fill, &p) in fills.into_iter().zip(stratum) {
-            if let Fill::Build(key) | Fill::Renamed { memo: Some(key), .. } = fill {
-                db.completions().insert(key, Arc::clone(&idb[p.0 as usize]));
-                sched.built += 1;
-            }
-        }
+        sched.demanded += 1;
+        state[p.0 as usize] = Demand::Done;
     }
 
+    // Only a run that finished without any halt — budget, fault or panic
+    // — fills the memo, so a halted request leaves it as it found it.
+    for (key, p) in built {
+        db.completions().insert(key, Arc::clone(&idb[p.0 as usize]));
+        sched.built += 1;
+    }
     #[cfg(test)]
     tests::LAST_IDB.with(|last| *last.borrow_mut() = idb.clone());
     let goal_rel = &idb[query.goal.0 as usize];
@@ -799,11 +711,151 @@ fn run_inner(
     Ok(EvalResult { answers, stats })
 }
 
+/// Materialises `p` from its live clauses (program positions) as one
+/// batch: a lone renaming installs its source's rows without the join
+/// kernel; otherwise the clauses, with large outer scans split into
+/// row-range chunks, form a task queue drained inline or by the worker
+/// pool. Each new tuple is charged and counted in `per_pred`; on a halt
+/// the rows derived so far stay installed, for the error's statistics.
+#[allow(clippy::too_many_arguments)] // the driver's state, lent per batch
+fn materialise(
+    query: &NdlQuery,
+    db: &Database,
+    budget: &mut Budget,
+    cfg: &EngineConfig,
+    qplan: &QueryPlan,
+    telem: Telemetry<'_>,
+    sink: Option<&JoinSink>,
+    p: PredId,
+    live: &[usize],
+    idb: &mut [Arc<Relation>],
+    per_pred: &mut [usize],
+    sched: &mut SchedStats,
+) -> Result<(), Halt> {
+    let program = &query.program;
+    let clauses = program.clauses();
+    let renamed = match live {
+        [ci] if sink.is_none() => renaming(&clauses[*ci]),
+        _ => None,
+    };
+    if let Some((q, perm)) = renamed {
+        sched.renamed += 1;
+        let source = match program.pred(q).kind {
+            PredKind::Idb => Arc::clone(&idb[q.0 as usize]),
+            kind => Arc::clone(db.shared_relation(kind)),
+        };
+        // Charged exactly as a derivation would be, before anything is
+        // copied.
+        per_pred[p.0 as usize] += source.len();
+        budget.charge_tuples(source.len() as u64)?;
+        let head = &program.pred(p).name;
+        idb[p.0 as usize] = fill_renamed(head, &source, perm.as_deref(), budget, &telem)?;
+        return Ok(());
+    }
+    let threads = cfg.effective_threads().max(1);
+    let mut tasks: Vec<Task<'_>> = Vec::new();
+    for &ci in live {
+        let clause = &clauses[ci];
+        let plan = qplan.clauses[ci].as_ref().map_err(|e| Halt::Unsafe(e.clone()))?;
+        // Split a large outer scan into per-worker row ranges — only when
+        // the plan opens with a full scan (a probe or merge first step
+        // seeds from the single empty binding).
+        let outer_rows = match (plan.order.first(), plan.access.first()) {
+            (Some(&i), Some(PlannedAccess::Scan)) => match &clause.body[i] {
+                BodyAtom::Pred(q, _) => Some(relation(program, db, idb, *q).len()),
+                _ => None,
+            },
+            _ => None,
+        };
+        match outer_rows {
+            Some(n) if threads > 1 && n >= cfg.chunk_min_rows.max(1) => {
+                let chunk = n.div_ceil(threads * 2).max(1);
+                let mut lo = 0;
+                while lo < n {
+                    let hi = (lo + chunk).min(n);
+                    tasks.push(Task { index: ci, clause, plan, range: Some((lo, hi)) });
+                    lo = hi;
+                }
+            }
+            _ => tasks.push(Task { index: ci, clause, plan, range: None }),
+        }
+    }
+    let out = Mutex::new((Relation::new(program.pred(p).arity), 0usize));
+    let idb_view: &[Arc<Relation>] = idb;
+    let halt = if threads <= 1 || tasks.len() <= 1 {
+        let mut halt = None;
+        for t in &tasks {
+            sched.executed += 1;
+            if let Err(h) =
+                eval_task_isolated(query, db, idb_view, budget, t, &out, None, &telem, sink)
+            {
+                halt = Some(h);
+                break;
+            }
+        }
+        halt
+    } else {
+        let shared: SharedBudget = budget.share();
+        let next = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
+        let first_halt: Mutex<Option<Halt>> = Mutex::new(None);
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(tasks.len()) {
+                scope.spawn(|| {
+                    let mut wb = WorkerBudget::new(&shared);
+                    let mut buf = Vec::new();
+                    while !abort.load(Ordering::Relaxed) {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(t) else { break };
+                        if let Err(h) = eval_task_isolated(
+                            query,
+                            db,
+                            idb_view,
+                            &mut wb,
+                            task,
+                            &out,
+                            Some(&mut buf),
+                            &telem,
+                            sink,
+                        ) {
+                            // Budget halts already poisoned the shared
+                            // budget; a caught panic has not, so cancel
+                            // the pool explicitly — siblings deep in a
+                            // join observe it at their next budget check.
+                            // Record the halt *first* so the Cancelled
+                            // trips it provokes can never be reported as
+                            // the cause.
+                            let cancel = matches!(h, Halt::Fault(_) | Halt::Panic { .. });
+                            let mut slot =
+                                first_halt.lock().unwrap_or_else(PoisonError::into_inner);
+                            slot.get_or_insert(h);
+                            drop(slot);
+                            if cancel {
+                                shared.cancel();
+                            }
+                            abort.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        budget.absorb(&shared);
+        sched.executed += next.load(Ordering::Relaxed).min(tasks.len()) as u64;
+        first_halt.into_inner().unwrap_or_else(PoisonError::into_inner)
+    };
+    // Install the (possibly partial, on halt) output.
+    let (rel, fresh) = out.into_inner().unwrap_or_else(PoisonError::into_inner);
+    per_pred[p.0 as usize] += fresh;
+    idb[p.0 as usize] = Arc::new(rel);
+    halt.map_or(Ok(()), Err)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate;
-    use crate::program::CVar;
+    use crate::program::{CVar, Program};
     use crate::reference::evaluate_reference;
     use obda_budget::Resource;
     use obda_owlql::abox::DataInstance;
@@ -1017,6 +1069,99 @@ mod tests {
         assert_eq!(res.answers.len(), 1);
     }
 
+    /// `G(x, z) ← E(x) ∧ X(x, z)`, where `E` is estimated small and comes
+    /// out empty and `X` is a two-step path over a 200-edge chain. Pruned,
+    /// the goal clause demands `E` first and dies there, so `X` is never
+    /// materialised; unpruned, both are, tuple for tuple like the
+    /// reference.
+    #[test]
+    fn an_empty_demand_kills_its_clause_before_the_expensive_one() {
+        let o = parse_ontology("Class A\nProperty R\nProperty S\n").unwrap();
+        let mut text = String::from("A(b0)\n");
+        for i in 0..200 {
+            text.push_str(&format!("R(a{}, a{})\nS(a{i}, c{})\n", i, i + 1, i % 3));
+        }
+        let d = parse_data(&text, &o).unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let a = p.edb_class(v.get_class("A").unwrap(), v);
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let e = p.add_pred("E", 1, PredKind::Idb);
+        let x = p.add_pred("X", 2, PredKind::Idb);
+        let g = p.add_pred("G", 2, PredKind::Idb);
+        // Both views keep an existential variable, so pruning leaves them
+        // materialised rather than unfolding them into the goal.
+        p.add_clause(clause(e, &[0], vec![atom(a, &[0]), atom(s, &[0, 1])]));
+        p.add_clause(clause(x, &[0, 2], vec![atom(r, &[0, 1]), atom(r, &[1, 2])]));
+        p.add_clause(clause(g, &[0, 2], vec![atom(x, &[0, 2]), atom(e, &[0])]));
+        let q = NdlQuery::new(p, g);
+        let oracle = oracle(&q, &d);
+        assert_eq!(oracle.stats.per_predicate[x.0 as usize], 199);
+        let db = Database::new(&d);
+        for threads in [1, 4] {
+            let pruned = EngineConfig { threads, chunk_min_rows: 16, ..EngineConfig::default() };
+            for cfg in [pruned.clone(), EngineConfig { plan: false, ..pruned }] {
+                let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
+                assert_eq!(res.answers, oracle.answers, "{cfg:?}");
+                assert_eq!(res.stats.per_predicate[e.0 as usize], 0, "{cfg:?}");
+                assert_eq!(
+                    res.stats.per_predicate[x.0 as usize], 0,
+                    "X is never demanded: {cfg:?}"
+                );
+            }
+        }
+        let full = eval(&q, &db, Budget::unlimited(), &EngineConfig::unpruned()).unwrap();
+        assert_eq!(full.answers, oracle.answers);
+        assert_eq!(full.stats.per_predicate, oracle.stats.per_predicate);
+    }
+
+    /// A chain of predicates deeper than a thread's stack could recurse
+    /// through is demanded on the traversal's own stack.
+    #[test]
+    fn a_deep_chain_is_demanded_without_recursion() {
+        let o = parse_ontology("Property R\n").unwrap();
+        let d = parse_data("R(a, b)\nR(b, c)\n", &o).unwrap();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let depth = 5_000;
+        let preds: Vec<PredId> =
+            (0..depth).map(|i| p.add_pred(format!("L{i}"), 2, PredKind::Idb)).collect();
+        p.add_clause(clause(preds[0], &[0, 1], vec![atom(r, &[0, 1])]));
+        for w in preds.windows(2) {
+            p.add_clause(clause(w[1], &[0, 2], vec![atom(w[0], &[0, 1]), atom(r, &[1, 2])]));
+        }
+        let q = NdlQuery::new(p, preds[depth - 1]);
+        let db = Database::new(&d);
+        // A small stack: a frame per predicate would overflow it.
+        let res = std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(move || {
+                let cfg = EngineConfig { prune: true, ..EngineConfig::default() };
+                run(
+                    &q,
+                    None,
+                    q.program.num_preds(),
+                    &db,
+                    &mut Budget::unlimited(),
+                    &cfg,
+                    None,
+                    Telemetry::disabled(),
+                    None,
+                )
+                .map(|r| {
+                    (r.answers.len(), r.stats.per_predicate.iter().filter(|&&n| n > 0).count())
+                })
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap();
+        // L0 = R, L1 = R∘R = {(a, c)}, and L2 onwards is empty.
+        assert_eq!(res, (0, 2));
+    }
+
     #[test]
     fn recursive_program_is_rejected() {
         let mut p = Program::new();
@@ -1196,7 +1341,7 @@ mod tests {
         assert!(matches!(err, EvalError::TupleLimit(_)), "got {err:?}");
         let err = eval(&q, &db, Budget::with_timeout(Duration::ZERO), &cfg).unwrap_err();
         assert!(matches!(err, EvalError::Timeout(_)), "got {err:?}");
-        assert!(db.completions().is_empty(), "a halted stratum must not fill the memo");
+        assert!(db.completions().is_empty(), "a halted batch must not fill the memo");
         let res = eval(&q, &db, Budget::unlimited(), &cfg).unwrap();
         assert_eq!(res.answers, oracle.answers);
         assert_eq!(db.completions().len(), 2);

@@ -2,7 +2,7 @@
 //! evaluator of the crate.
 //!
 //! Bottom-up evaluation itself lives in [`crate::engine`]: one
-//! stratum-scheduled engine whose `threads: 1, prune: false`
+//! demand-driven engine whose `threads: 1, prune: false`
 //! configuration ([`EngineConfig::unpruned`]) is the workspace's
 //! stand-in for the RDFox engine of the paper's experiments. That
 //! configuration materialises every goal-reachable IDB predicate in

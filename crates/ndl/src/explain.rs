@@ -1,10 +1,11 @@
-//! Query-plan explanation: the stratum schedule and per-clause join
-//! plans the engine will use.
+//! Query-plan explanation: the per-clause join plans the engine will use,
+//! grouped for display by dependency level (the engine itself demands
+//! predicates from the goal; the levels only order the listing).
 //!
 //! Three entry points at increasing fidelity (and cost):
 //!
 //! * [`explain_plan`] — static, database-free: the longest-path
-//!   layering into strata and the *syntactic* join order of every
+//!   layering into levels and the *syntactic* join order of every
 //!   goal-reachable clause (the seed engine's greedy order);
 //! * [`explain_plan_on`] — the cost-based plan the engines actually
 //!   run against a given [`Database`], with the planner's estimated
@@ -16,7 +17,7 @@
 //! The CLI's `obda explain` command renders these for the rewriting and
 //! for the pruned program.
 
-use crate::engine::{run, stratify, EngineConfig, JoinSink};
+use crate::engine::{run, EngineConfig, JoinSink};
 use crate::eval::{reachable_from_goal, EvalError, EvalResult, JoinCounters};
 use crate::planner::{plan_query, syntactic_query_plan, JoinPlan, PlannedAccess, QueryPlan};
 use crate::program::{BodyAtom, NdlQuery, PredId, PredKind, Program};
@@ -65,8 +66,9 @@ pub struct ClausePlan {
     pub error: Option<String>,
 }
 
-/// One stratum: predicates at the same longest-path level, mutually
-/// independent and evaluated concurrently by the engine.
+/// One dependency level: predicates at the same longest-path level, none
+/// of which depends on another. A display grouping; the engine's order is
+/// its demand traversal.
 #[derive(Debug, Clone)]
 pub struct StratumPlan {
     /// Longest-path level (1 = depends only on EDB relations).
@@ -141,7 +143,7 @@ fn clause_plan_from(
 }
 
 /// Predicts the engine's *syntactic* plan for `query` without touching
-/// any data: longest-path strata and the greedy join order plus access
+/// any data: longest-path levels and the greedy join order plus access
 /// path of every goal-reachable clause. Mirrors `engine::run` with
 /// [`crate::engine::EngineConfig::plan`] disabled.
 pub fn explain_plan(query: &NdlQuery) -> PlanExplanation {
@@ -187,6 +189,41 @@ pub fn explain_plan_executed(
     )?;
     let actuals = sink.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
     Ok((build_explanation(query, &qplan, Some(&actuals)), result))
+}
+
+/// Longest-path layering of the goal-reachable IDB predicates, indexed by
+/// level: EDB relations sit at level 0 (so that entry is always empty),
+/// an IDB predicate one level above its deepest body predicate. Each
+/// level lists its predicates in `order` (a topological order). The
+/// engine demands predicates from the goal instead; the levels only
+/// group the plan's clauses by dependency depth for display.
+fn stratify(program: &Program, order: &[PredId], reachable: &[bool]) -> Vec<Vec<PredId>> {
+    let mut level = vec![0usize; program.num_preds()];
+    let mut num_levels = 1;
+    for &p in order {
+        if !reachable[p.0 as usize] || !program.is_idb(p) {
+            continue;
+        }
+        let mut lv = 1;
+        for clause in program.clauses_for(p) {
+            for atom in &clause.body {
+                if let BodyAtom::Pred(q, _) = atom {
+                    if program.is_idb(*q) {
+                        lv = lv.max(level[q.0 as usize] + 1);
+                    }
+                }
+            }
+        }
+        level[p.0 as usize] = lv;
+        num_levels = num_levels.max(lv + 1);
+    }
+    let mut strata: Vec<Vec<PredId>> = vec![Vec::new(); num_levels];
+    for &p in order {
+        if reachable[p.0 as usize] && program.is_idb(p) {
+            strata[level[p.0 as usize]].push(p);
+        }
+    }
+    strata
 }
 
 fn build_explanation(

@@ -15,7 +15,7 @@
 //!   relations with lazy per-column hash indexes, loaded once per data
 //!   instance into a [`Database`] reused across evaluations;
 //! * one bottom-up materialising engine over that storage ([`engine`]):
-//!   stratum-scheduled, optionally goal-directed through the relevance
+//!   demand-driven from the goal, optionally goal-directed through the relevance
 //!   pruning pass ([`relevance`]) and parallel on scoped threads under a
 //!   shared [`obda_budget`] allowance; at one thread without pruning it is
 //!   the stand-in for RDFox in the experiments. Its join kernel, errors

@@ -144,7 +144,7 @@ fn atom_info(program: &Program, db: &Database, est_pred_rows: &[f64], p: PredId)
             // holds individuals, so it has at most `|⊤|` distinct values
             // and a key matches at least `rows / |⊤|` rows. Index builds on
             // IDB relations always cost — they cannot have been built
-            // before the stratum materialises them.
+            // before the engine materialises them.
             let rows = est_pred_rows[p.0 as usize].max(0.0);
             let domain = db.num_individuals() as f64;
             AtomInfo {

@@ -404,15 +404,22 @@ impl Pruner {
                     }
                 }
             }
+            if grew {
+                continue;
+            }
+            // A predicate whose columns are all dead still carries a
+            // boolean fact; keep one column so the relation has rows. What
+            // feeds that column is consumed too, so the fixpoint goes on:
+            // projecting its source away would leave the head variable
+            // unbound.
+            for lv in &mut live {
+                if !lv.is_empty() && lv.iter().all(|&b| !b) {
+                    lv[0] = true;
+                    grew = true;
+                }
+            }
             if !grew {
                 break;
-            }
-        }
-        // A predicate whose columns are all dead still carries a
-        // boolean fact; keep one column so the relation has rows.
-        for lv in &mut live {
-            if !lv.is_empty() && lv.iter().all(|&b| !b) {
-                lv[0] = true;
             }
         }
         let mut proj: Vec<Option<(PredId, Vec<usize>)>> = vec![None; num];
@@ -737,6 +744,53 @@ mod tests {
             })
             .expect("projected T↓ exists");
         assert_eq!(pruned.origin[narrow.0 as usize], t);
+    }
+
+    /// A predicate whose columns are all dead keeps its first one, and so
+    /// does the column that feeds it: `T`'s only source of `x0` is `U`'s
+    /// otherwise dead first column.
+    #[test]
+    fn the_column_kept_for_a_boolean_view_keeps_its_source() {
+        let (o, d) = setup();
+        let v = o.vocab();
+        let mut p = Program::new();
+        let r = p.edb_prop(v.get_prop("R").unwrap(), v);
+        let s = p.edb_prop(v.get_prop("S").unwrap(), v);
+        let a = p.edb_class(v.get_class("A").unwrap(), v);
+        let u = p.add_pred("U", 2, PredKind::Idb);
+        let t = p.add_pred("T", 2, PredKind::Idb);
+        let g = p.add_pred("G", 1, PredKind::Idb);
+        // Two clauses: `U` is no alias, so pruning keeps it.
+        for e in [r, s] {
+            p.add_clause(Clause {
+                head: u,
+                head_args: vec![CVar(0), CVar(1)],
+                body: vec![BodyAtom::Pred(e, vec![CVar(0), CVar(1)])],
+                num_vars: 2,
+            });
+        }
+        // T(x0, x2) ← A(x1), U(x3, x2), U(x0, x1): both of T's columns are
+        // dead at the goal, and x0 occurs only in U's first column.
+        p.add_clause(Clause {
+            head: t,
+            head_args: vec![CVar(0), CVar(2)],
+            body: vec![
+                BodyAtom::Pred(a, vec![CVar(1)]),
+                BodyAtom::Pred(u, vec![CVar(3), CVar(2)]),
+                BodyAtom::Pred(u, vec![CVar(0), CVar(1)]),
+            ],
+            num_vars: 4,
+        });
+        p.add_clause(Clause {
+            head: g,
+            head_args: vec![CVar(0)],
+            body: vec![
+                BodyAtom::Pred(u, vec![CVar(1), CVar(0)]),
+                BodyAtom::Pred(t, vec![CVar(2), CVar(3)]),
+            ],
+            num_vars: 4,
+        });
+        check_equivalent(&NdlQuery::new(p, g), &d);
     }
 
     #[test]

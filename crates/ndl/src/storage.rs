@@ -27,14 +27,14 @@
 //! is frozen — rows, the dedup table, and indexes cannot change.
 //!
 //! That aliasing guarantee is what makes the parallel engine in
-//! [`crate::engine`] sound. During a stratum, worker threads hold only
-//! shared references to the [`Database`] and to the relations of earlier
-//! strata; the lazy index cache is a `OnceLock` per column, so concurrent
+//! [`crate::engine`] sound. During a batch, worker threads hold only
+//! shared references to the [`Database`] and to the relations already
+//! materialised; the lazy index cache is a `OnceLock` per column, so concurrent
 //! first probes of the same column race only inside `get_or_init`, which
 //! serialises initialisation and hands every thread the same index.
-//! Relations being *built* in the current stratum are each behind a
-//! `Mutex` and are only promoted to the shared, read-only set at the
-//! stratum barrier — i.e. `Relation` is `Sync` for readers and requires
+//! The relation being *built* by the current batch is behind a
+//! `Mutex` and is only promoted to the shared, read-only set at the
+//! batch barrier — i.e. `Relation` is `Sync` for readers and requires
 //! external exclusion for writers, exactly matching `&`/`&mut` semantics.
 //!
 //! ## Shared arenas and lazy hydration

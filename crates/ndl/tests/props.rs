@@ -1,8 +1,8 @@
 //! Property tests for the storage-backed evaluators: the engine agrees
 //! with the seed hash-set reference engine on random nonrecursive
 //! programs (renaming clauses included) at every thread count, with and
-//! without goal-directed pruning (override the counts under test with
-//! `OBDA_TEST_THREADS=n1,n2,...`).
+//! without goal-directed pruning and demand-driven evaluation (override
+//! the counts under test with `OBDA_TEST_THREADS=n1,n2,...`).
 
 use obda_budget::Budget;
 use obda_ndl::engine::{evaluate_engine_on_traced, EngineConfig};
@@ -166,6 +166,77 @@ fn build_program(specs: &[ClauseSpec]) -> NdlQuery {
     NdlQuery::new(p, idbs[NUM_IDB - 1])
 }
 
+/// One random clause of [`build_branching_program`]: its head index, its
+/// EDB atoms, up to two IDB atoms (each a pick among the predicates below
+/// the head and two argument variables), and the two head variables.
+type BranchingSpec = (u8, Vec<(u8, u8, u8)>, Vec<(u8, u8, u8)>, u8, u8);
+
+/// Random clause lists for [`build_branching_program`].
+fn branching_specs() -> impl Strategy<Value = Vec<BranchingSpec>> {
+    prop::collection::vec(
+        (
+            0u8..4,
+            prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 0..3),
+            prop::collection::vec((0u8..4, 0u8..4, 0u8..4), 0..3),
+            0u8..4,
+            0u8..4,
+        ),
+        1..8,
+    )
+}
+
+/// Builds a random nonrecursive program over `A0..A2`, `P0..P1` with IDB
+/// predicates `H0..H3` (all binary, `H3` the goal) whose clauses join up
+/// to two lower IDB predicates, so a clause has several demands to order.
+fn build_branching_program(specs: &[BranchingSpec]) -> NdlQuery {
+    const HEADS: usize = 4;
+    let v = vocab();
+    let mut p = Program::new();
+    let classes: Vec<_> = (0..NUM_CLASSES).map(|i| p.edb_class(ClassId(i), &v)).collect();
+    let props: Vec<_> = (0..NUM_PROPS).map(|i| p.edb_prop(PropId(i), &v)).collect();
+    let idbs: Vec<_> = (0..HEADS).map(|i| p.add_pred(format!("H{i}"), 2, PredKind::Idb)).collect();
+    for (head, edb_atoms, idb_atoms, hv1, hv2) in specs {
+        let head_idx = *head as usize % HEADS;
+        let mut body = Vec::new();
+        for &(kind, v1, v2) in edb_atoms {
+            let (v1, v2) = (CVar(v1 as u32 % 4), CVar(v2 as u32 % 4));
+            body.push(if kind % 5 < 3 {
+                BodyAtom::Pred(classes[(kind % 3) as usize], vec![v1])
+            } else {
+                BodyAtom::Pred(props[(kind % 2) as usize], vec![v1, v2])
+            });
+        }
+        if head_idx > 0 {
+            for &(pick, v1, v2) in idb_atoms.iter().take(2) {
+                let target = idbs[pick as usize % head_idx];
+                body.push(BodyAtom::Pred(target, vec![CVar(v1 as u32 % 4), CVar(v2 as u32 % 4)]));
+            }
+        }
+        // Remap the used variables to a contiguous range; the head takes
+        // two of them, so the clause is safe.
+        let mut used: Vec<u32> = body.iter().flat_map(|a| a.vars()).map(|v| v.0).collect();
+        used.sort_unstable();
+        used.dedup();
+        if used.is_empty() {
+            continue;
+        }
+        let pos = |v: CVar| CVar(used.iter().position(|&u| u == v.0).unwrap() as u32);
+        for atom in &mut body {
+            if let BodyAtom::Pred(_, args) = atom {
+                for a in args.iter_mut() {
+                    *a = pos(*a);
+                }
+            }
+        }
+        let head_args = vec![
+            CVar((*hv1 as usize % used.len()) as u32),
+            CVar((*hv2 as usize % used.len()) as u32),
+        ];
+        p.add_clause(Clause { head: idbs[head_idx], head_args, body, num_vars: used.len() as u32 });
+    }
+    NdlQuery::new(p, idbs[HEADS - 1])
+}
+
 /// Thread counts exercised by the differential tests: the
 /// `OBDA_TEST_THREADS` environment variable (comma-separated, as set by the
 /// CI matrix), or `1,2,4` by default.
@@ -326,6 +397,46 @@ proptest! {
             prop_assert_eq!(
                 &fingerprints[0], &fingerprints[1],
                 "join order must not change the generated tuples (threads={})", threads
+            );
+        }
+    }
+
+    /// Demand-driven evaluation only ever leaves work out: on programs
+    /// whose clauses join several IDB predicates, the pruned engine derives
+    /// no more tuples for any predicate than full materialisation does,
+    /// its demands (and so its counts) do not depend on the join order,
+    /// and every configuration answers like the reference engine.
+    #[test]
+    fn demanded_counts_never_exceed_full_materialisation(
+        specs in branching_specs(),
+        atoms in data_atoms(),
+    ) {
+        let q = build_branching_program(&specs);
+        let data = build_data(&atoms);
+        let db = Database::new(&data);
+        let reference = evaluate_reference(&q, &data, &mut Budget::unlimited()).unwrap();
+        for threads in test_threads() {
+            let run = |prune: bool, plan: bool| {
+                let cfg = EngineConfig { threads, prune, plan, chunk_min_rows: 2 };
+                evaluate_engine_on_traced(
+                    &q, &db, &mut Budget::unlimited(), &cfg, Telemetry::disabled(),
+                ).unwrap()
+            };
+            let full = run(false, true);
+            let planned = run(true, true);
+            let syntactic = run(true, false);
+            for (name, res) in [("full", &full), ("planned", &planned), ("syntactic", &syntactic)] {
+                prop_assert_eq!(&res.answers, &reference.answers, "{} threads={}", name, threads);
+            }
+            prop_assert_eq!(&full.stats.per_predicate, &reference.stats.per_predicate);
+            for (i, (&pruned, &all)) in
+                planned.stats.per_predicate.iter().zip(&full.stats.per_predicate).enumerate()
+            {
+                prop_assert!(pruned <= all, "predicate {}: {} > {} (threads={})", i, pruned, all, threads);
+            }
+            prop_assert_eq!(
+                &planned.stats.per_predicate, &syntactic.stats.per_predicate,
+                "join order must not change what is demanded (threads={})", threads
             );
         }
     }

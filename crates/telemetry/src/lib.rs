@@ -3,8 +3,8 @@
 //! Two independent facilities share this crate:
 //!
 //! * **Tracing** — the [`Tracer`] trait receives *spans* (named, nested,
-//!   timed regions: parse → saturate → rewrite → prune → stratum-schedule →
-//!   eval → oracle-check, plus per-attempt and per-clause spans). The
+//!   timed regions: parse → saturate → rewrite → prune → eval →
+//!   demand-schedule → batch → oracle-check, plus per-attempt and per-clause spans). The
 //!   default sink is [`NoopTracer`], whose `start` returns `None` so every
 //!   downstream call is skipped; [`CollectingTracer`] records spans into a
 //!   mutex-guarded vector and renders them as a pretty tree or JSON.

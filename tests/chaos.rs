@@ -424,7 +424,8 @@ fn service_keeps_answering_after_sustained_failures() {
 
 /// A served retry pauses at most until the request's deadline: an
 /// always-transient evaluation with a 300 ms backoff under a 50 ms
-/// deadline returns near the deadline, not a whole backoff past it.
+/// deadline returns near the deadline, not a whole backoff past it, and
+/// starts no second attempt once its pause has used the deadline up.
 #[test]
 fn served_retry_never_sleeps_past_the_deadline() {
     quiet_injected_panics();
@@ -448,9 +449,12 @@ fn served_retry_never_sleeps_past_the_deadline() {
     let start = Instant::now();
     let err = svc.answer(&omq, &data, &spec, Telemetry::disabled()).unwrap_err();
     let took = start.elapsed();
+    let attempts = obda::faults::hits(site::ENGINE_CLAUSE_TASK);
     guard.disarm();
-    assert!(err.is_transient() || err.is_budget(), "got {err}");
+    assert!(err.is_transient(), "the last transient stands: got {err}");
     assert!(took < Duration::from_millis(150), "returned {took:?} after arrival");
+    assert_eq!(attempts, 1, "no attempt runs after the pause reached the deadline");
+    assert_eq!(svc.metrics().counter("service_transient_retries_total").get(), 0);
 }
 
 #[test]

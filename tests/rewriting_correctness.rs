@@ -174,7 +174,7 @@ proptest! {
     }
 
     /// The parallel, goal-directed engine matches the chase oracle end to
-    /// end: relevance-pruned, stratum-scheduled evaluation at every thread
+    /// end: relevance-pruned, demand-driven evaluation at every thread
     /// count of the matrix (`OBDA_TEST_THREADS`, default `1,2,4`) computes
     /// the certain answers on random OMQs, closing the differential chain
     /// parallel = sequential = reference = oracle.

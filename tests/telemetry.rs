@@ -166,10 +166,23 @@ fn parallel_span_counts_match_eval_stats_at_every_thread_count() {
                 let after = prune_span.attr("clauses_after").unwrap();
                 assert!(after <= before, "{ctx}: pruning may only shrink the program");
             }
-            // The schedule ran and its strata cover the clause tasks.
-            let sched =
-                tree.iter().find(|s| s.name == "stratum-schedule").expect("a schedule span");
-            assert!(sched.attr("strata").unwrap() >= 1, "{ctx}");
+            // The schedule ran, every demanded predicate not installed
+            // from the memo got a batch, and the batches cover the clause
+            // tasks.
+            let sched = tree.iter().find(|s| s.name == "demand-schedule").expect("a schedule span");
+            assert!(sched.attr("preds").unwrap() >= 1, "{ctx}");
+            let batches: Vec<_> = tree.iter().filter(|s| s.name == "batch").collect();
+            assert!(!batches.is_empty(), "{ctx}");
+            assert_eq!(
+                batches.len() as u64 + eval.attr("completions_reused").unwrap(),
+                eval.attr("preds_demanded").unwrap(),
+                "{ctx}"
+            );
+            let batched: usize = batches
+                .iter()
+                .map(|b| b.children.iter().filter(|c| c.name == "clause_task").count())
+                .sum();
+            assert_eq!(batched, tree.iter().filter(|s| s.name == "clause_task").count(), "{ctx}");
         }
     }
 }
